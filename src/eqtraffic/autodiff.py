@@ -360,18 +360,19 @@ register_vjp("sqrt", lambda n, g: (g * 0.5 / n.ctx["out"],))
 def masked_softmax(logits, mask):
     """Softmax over the last axis; `mask` marks attendable entries (True = keep).
 
-    Rows with no attendable entry produce all-zero weights rather than NaN.
-    `mask` is a constant (never differentiated); pass None for a full softmax.
+    Rows with no attendable entry, or an empty last axis, produce all-zero
+    weights rather than NaN.  `mask` is a constant (never differentiated);
+    pass None for a full softmax.
     """
     x = data_of(logits)
     if mask is None:
-        shifted = x - x.max(axis=-1, keepdims=True)
+        shifted = x - x.max(axis=-1, keepdims=True, initial=-np.inf)
         e = np.exp(shifted)
         out = e / e.sum(axis=-1, keepdims=True)
     else:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         neg = np.where(m, x, -np.inf)
-        mx = neg.max(axis=-1, keepdims=True)
+        mx = neg.max(axis=-1, keepdims=True, initial=-np.inf)
         safe_mx = np.where(np.isfinite(mx), mx, 0.0)
         e = np.exp(neg - safe_mx)
         denom = e.sum(axis=-1, keepdims=True)

@@ -132,6 +132,18 @@ def motor_reverse(motors: np.ndarray) -> np.ndarray:
     return out
 
 
+def pose_frame_motors(poses: np.ndarray) -> np.ndarray:
+    """Motors [..., 4] mapping global coordinates into the frame of each pose [..., 3].
+
+    Closed form of `motor_from_pose(p).inverse()`, the reverse of
+    translator(x, y) @ rotor(theta); the zero pose gives the identity.
+    """
+    p = np.asarray(poses, dtype=np.float64)
+    x, y = p[..., 0] / 2.0, p[..., 1] / 2.0
+    ch, sh = np.cos(p[..., 2] / 2.0), np.sin(p[..., 2] / 2.0)
+    return np.stack([ch, x * ch + y * sh, x * sh - y * ch, sh], axis=-1)
+
+
 def sandwich_array(motors: np.ndarray, x):
     """u x u^{-1} per token, broadcast over the channel axis of x [..., C, 8].
 

@@ -210,6 +210,14 @@ def cmd_train(args, run_cfg) -> int:
     return EXIT_OK
 
 
+def _checkpoint_vocab(vocab_path, manifest: dict) -> sc.ActionVocab:
+    """The vocab file, which must be the one the checkpoint was trained with."""
+    vocab = sc.vocab_from_json(Path(vocab_path).read_text())
+    if md.vocab_hash(vocab) != manifest["vocab_hash"]:
+        raise ValueError("vocab file does not match the checkpoint's vocab hash")
+    return vocab
+
+
 def cmd_check(args, run_cfg) -> int:
     scenes_dir = _resolved(args, run_cfg, "scenes")
     if scenes_dir is None:
@@ -233,9 +241,7 @@ def cmd_check(args, run_cfg) -> int:
             params = params.astype(cfg.np_dtype)
         if vocab_path is None:
             raise _UsageError("check with --checkpoint also requires --vocab")
-        vocab = sc.vocab_from_json(Path(vocab_path).read_text())
-        if md.vocab_hash(vocab) != manifest["vocab_hash"]:
-            raise ValueError("vocab file does not match the checkpoint's vocab hash")
+        vocab = _checkpoint_vocab(vocab_path, manifest)
     else:
         if vocab_path is None:
             raise _UsageError("check requires --vocab (with --checkpoint or --random-params)")
@@ -288,8 +294,8 @@ def cmd_rollout(args, run_cfg) -> int:
     context = None if context is None else int(context)
     temperature = float(_resolved(args, run_cfg, "temperature", 1.0))
 
-    params, cfg, _manifest = md.load_checkpoint(ckpt_path)
-    vocab = sc.vocab_from_json(Path(vocab_path).read_text())
+    params, cfg, manifest = md.load_checkpoint(ckpt_path)
+    vocab = _checkpoint_vocab(vocab_path, manifest)
     scene = sc.scene_from_json(Path(scene_path).read_text())
     resolved = {"checkpoint": str(ckpt_path), "scene": str(scene_path), "horizon": horizon,
                 "mode": mode, "n": count, "seed": seed, "context": context,

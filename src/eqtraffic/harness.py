@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .batch import sandwich_array
+from .batch import pose_frame_motors, sandwich_array
 from .layers import (
     AttentionConfig,
     EqLinearParams,
@@ -69,7 +69,9 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     """Unroll the scene: forward, sample one action per agent, advance dynamics.
 
     All agents step simultaneously from each forward pass.  `context` is the
-    number of observed steps used as history (default: all available).
+    number of observed steps used as history (default: all available).  One
+    forward over the context fills a time-attention cache that every sample
+    starts from; each step then encodes and forwards only the newest row.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -83,18 +85,28 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
         if not agent.states:
             raise ValueError(f"agent {agent.id} has no observed states before t={t0}")
 
+    def last_logits(batch, cache):
+        return np.asarray(ad.data_of(md.forward(batch, params, cfg, cache=cache)))[:, -1]
+
+    context_cache = {}
+    context_logits = last_logits(
+        md.build_token_batch(base, vocab, cfg, t_end=t0, with_targets=False), context_cache
+    )
     out = []
     for r in range(n_rollouts):
         rng = np.random.default_rng(seed + r) if mode != "greedy" else None
         work = base
+        cache, logits = dict(context_cache), context_logits
         tokens = np.zeros((len(base.agents), horizon), dtype=np.int64)
         for step in range(horizon):
             t_now = t0 + step
-            batch = md.build_token_batch(work, vocab, cfg, t_end=t_now, with_targets=False)
-            logits = np.asarray(ad.data_of(md.forward(batch, params, cfg)))
+            if step > 0:
+                batch = md.build_token_batch(work, vocab, cfg, t_end=t_now, t_start=t_now - 1,
+                                             with_targets=False)
+                logits = last_logits(batch, cache)
             new_agents = []
             for ai, agent in enumerate(work.agents):
-                token = md.sample_action(logits[ai, -1], mode, rng, temperature)
+                token = md.sample_action(logits[ai], mode, rng, temperature)
                 tokens[ai, step] = token
                 delta = detokenize(token, vocab, agent.agent_class)
                 last = agent.states[-1]
@@ -410,10 +422,6 @@ def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
         [rng.uniform(-50, 50, agents * steps), rng.uniform(-50, 50, agents * steps),
          rng.uniform(-math.pi, math.pi, agents * steps)]
     ).reshape(agents, steps, 3)
-    frames = np.zeros((agents, steps, 4))
-    for a in range(agents):
-        for t in range(steps):
-            frames[a, t] = motor_from_pose(Pose2(*poses[a, t])).inverse().coeffs
     map_poses = np.column_stack(
         [rng.uniform(-50, 50, map_tokens), rng.uniform(-50, 50, map_tokens),
          rng.uniform(-math.pi, math.pi, map_tokens)]
@@ -436,7 +444,7 @@ def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=rng.uniform(0, 1, (map_tokens, MAP_FEATURE_WIDTH)),
         map_poses=map_poses,
-        frames=frames,
+        frames=pose_frame_motors(poses),
         valid=np.ones((agents, steps), dtype=bool),
         targets=np.full((agents, steps), -1, dtype=np.int64),
         target_valid=np.zeros((agents, steps), dtype=bool),

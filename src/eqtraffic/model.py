@@ -33,7 +33,7 @@ from .layers import (
     mlp2,
     scalar_layer_norm,
 )
-from .pga import Pose2, motor_from_pose
+from .batch import pose_frame_motors
 from .scene import (
     AGENT_CLASSES,
     AGENT_FEATURE_WIDTH,
@@ -145,25 +145,33 @@ def flat_token_index(class_idx: int, token: int, max_vocab: int) -> int:
 
 
 def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
-                      t_end: int | None = None, with_targets: bool = True) -> TokenBatch:
-    """Encode a scene into model inputs, using states with t < t_end."""
+                      t_end: int | None = None, with_targets: bool = True,
+                      t_start: int = 0) -> TokenBatch:
+    """Encode rows t_start <= t < t_end of a scene, using states with t < t_end.
+
+    The previous-action token of row t_start comes from the state at
+    t_start - 1, so the rows equal the same rows of a batch built from 0.
+    """
     n_steps = scene.horizon if t_end is None else t_end
+    if not 0 <= t_start <= n_steps:
+        raise ValueError(f"t_start {t_start} outside [0, {n_steps}]")
     agents = scene.agents
     n_agents = len(agents)
+    n_rows = n_steps - t_start
     vmax = cfg.max_vocab
 
-    poses = np.zeros((n_agents, n_steps, 3))
-    scalars = np.zeros((n_agents, n_steps, AGENT_FEATURE_WIDTH))
-    valid = np.zeros((n_agents, n_steps), dtype=bool)
+    poses = np.zeros((n_agents, n_rows, 3))
+    scalars = np.zeros((n_agents, n_rows, AGENT_FEATURE_WIDTH))
+    valid = np.zeros((n_agents, n_rows), dtype=bool)
     class_idx = np.zeros(n_agents, dtype=np.int64)
-    prev_flat = np.zeros((n_agents, n_steps), dtype=np.int64)
-    targets = np.full((n_agents, n_steps), -1, dtype=np.int64)
-    target_valid = np.zeros((n_agents, n_steps), dtype=bool)
+    prev_flat = np.zeros((n_agents, n_rows), dtype=np.int64)
+    targets = np.full((n_agents, n_rows), -1, dtype=np.int64)
+    target_valid = np.zeros((n_agents, n_rows), dtype=bool)
 
     for a, agent in enumerate(agents):
         cls_i = AGENT_CLASSES.index(agent.agent_class)
         class_idx[a] = cls_i
-        states = {s.t: s for s in agent.states if s.t < n_steps}
+        states = {s.t: s for s in agent.states if t_start - 1 <= s.t < n_steps}
         deltas = {}
         for t, s in states.items():
             nxt = states.get(t + 1)
@@ -176,27 +184,19 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
             token_of = dict(zip(steps_sorted, ids))
         else:
             token_of = {}
-        for t in range(n_steps):
+        for r, t in enumerate(range(t_start, n_steps)):
             s = states.get(t)
             if s is None:
-                prev_flat[a, t] = flat_token_index(cls_i, vmax, vmax)
+                prev_flat[a, r] = flat_token_index(cls_i, vmax, vmax)
                 continue
-            valid[a, t] = True
-            poses[a, t] = [s.pose.x, s.pose.y, s.pose.theta]
-            scalars[a, t] = encode_agent_scalars(agent, t)
+            valid[a, r] = True
+            poses[a, r] = [s.pose.x, s.pose.y, s.pose.theta]
+            scalars[a, r] = encode_agent_scalars(agent, t)
             prev_tok = token_of.get(t - 1)
-            prev_flat[a, t] = flat_token_index(cls_i, vmax if prev_tok is None else int(prev_tok), vmax)
+            prev_flat[a, r] = flat_token_index(cls_i, vmax if prev_tok is None else int(prev_tok), vmax)
             if with_targets and t in token_of:
-                targets[a, t] = int(token_of[t])
-                target_valid[a, t] = True
-
-    frames = np.zeros((n_agents, n_steps, 4))
-    frames[..., 0] = 1.0
-    for a in range(n_agents):
-        for t in range(n_steps):
-            if valid[a, t]:
-                p = Pose2(*poses[a, t])
-                frames[a, t] = motor_from_pose(p).inverse().coeffs
+                targets[a, r] = int(token_of[t])
+                target_valid[a, r] = True
 
     map_poses = np.array(
         [[n.pose.x, n.pose.y, n.pose.theta] for n in scene.map_nodes]
@@ -214,7 +214,7 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=map_scalars,
         map_poses=map_poses,
-        frames=frames,
+        frames=pose_frame_motors(poses),
         valid=valid,
         targets=targets,
         target_valid=target_valid,
@@ -360,6 +360,8 @@ def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
     diff = batch.raw_poses[:, :, None, :2] - batch.map_poses[None, None, :, :2]
     d2 = (diff**2).sum(-1)
     k = min(k, batch.num_map)
+    if k == 0:
+        return np.zeros(d2.shape, dtype=bool)
     nearest = np.argpartition(d2, k - 1, axis=-1)[..., :k]
     mask = np.zeros(d2.shape, dtype=bool)
     np.put_along_axis(mask, nearest, True, axis=-1)
@@ -381,8 +383,34 @@ def _decode_logits(h, p, class_idx, n_classes):
     return picked
 
 
-def forward(batch: TokenBatch, p, cfg: ModelConfig):
-    """Next-action logits [A, T, max_vocab]."""
+def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: AttentionParams,
+                           attn_cfg: AttentionConfig):
+    """Time attention from the batch's rows over the cached prefix and themselves.
+
+    The cache entry is replaced by the prefix extended with the rows' inputs.
+    """
+    entry = (ad.data_of(mv), ad.data_of(s), valid)
+    if block in cache:
+        entry = tuple(np.concatenate(pair, axis=1) for pair in zip(cache[block], entry))
+    cache[block] = entry
+    mv_all, s_all, valid_all = entry
+    t_new, t_all = valid.shape[1], valid_all.shape[1]
+    causal = np.tri(t_new, t_all, t_all - t_new, dtype=bool)
+    mask = valid[:, :, None] & valid_all[:, None, :] & causal
+    return _attention_sublayer(mv, s, mv_all, s_all, prm, attn_cfg, mask=mask)
+
+
+def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
+    """Next-action logits [A, T, max_vocab].
+
+    `cache` (a dict, empty before the first call) makes decoding incremental:
+    each call's batch holds the rows that follow those already cached, and
+    only these rows are computed.  Every layer but causal time attention acts
+    per timestep or per token, so the cache holds just the residual stream
+    entering each block's time attention, as plain arrays: no gradient flows
+    into the prefix.  The logits equal the same rows of one forward over the
+    whole prefix.
+    """
     dt = cfg.np_dtype
     a_count, t_count, m_count = batch.num_agents, batch.num_steps, batch.num_map
 
@@ -418,10 +446,13 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig):
         )
         mv, s = _swap_at(mv_t), _swap_at(s_t)
         # causal self attention over time, batched over agents
-        mv, s = _attention_sublayer(
-            mv, s, None, None, _attn_params(p, f"block{i}/time_attn"),
-            causal_cfg, mask=time_mask, self_attn=True,
-        )
+        time_prm = _attn_params(p, f"block{i}/time_attn")
+        if cache is None:
+            mv, s = _attention_sublayer(
+                mv, s, None, None, time_prm, causal_cfg, mask=time_mask, self_attn=True,
+            )
+        else:
+            mv, s = _cached_time_attention(mv, s, batch.valid, cache, i, time_prm, attn_cfg)
         mv, s = eq_mlp_block(
             mv, s,
             EqMlpBlockParams(
@@ -826,7 +857,9 @@ def load_checkpoint(path):
     """Returns (params, config, manifest)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    newline = blob.index(b"\n")
+    newline = blob.find(b"\n")
+    if newline < 0:
+        raise ValueError(f"checkpoint {path} is truncated inside its manifest line")
     manifest = json.loads(blob[:newline].decode("utf-8"))
     if manifest.get("format") != "eqtraffic-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
@@ -836,6 +869,11 @@ def load_checkpoint(path):
         dtype = np.dtype(entry["dtype"])
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * dtype.itemsize
+        if nbytes > len(blob) - offset:
+            raise ValueError(
+                f"checkpoint {path} is truncated: parameter '{entry['name']}' needs "
+                f"{nbytes} bytes, {len(blob) - offset} available"
+            )
         arr = np.frombuffer(blob[offset:offset + nbytes], dtype=dtype).reshape(entry["shape"])
         params.add(entry["name"], arr.copy())
         offset += nbytes

@@ -12,6 +12,7 @@ from eqtraffic.batch import (
     flatten_components,
     motor_reverse,
     motors_to_mv,
+    pose_frame_motors,
     sandwich_array,
     split_channels,
 )
@@ -133,3 +134,17 @@ def test_sandwich_array_composes_with_pose_motors():
     for i, p in enumerate(poses):
         want = pga.sandwich(pga.motor_from_pose(p), pga.Multivector(pts[i])).coeffs
         assert np.allclose(out[i], want, atol=1e-12)
+
+
+def test_pose_frame_motors_match_motor_inverse():
+    rng = np.random.default_rng(8)
+    n = 400
+    theta = np.concatenate([rng.uniform(-np.pi, np.pi, n // 2),
+                            np.pi - rng.uniform(0.0, 1e-9, n // 4),
+                            -np.pi + rng.uniform(0.0, 1e-9, n // 4)])
+    poses = np.column_stack([rng.uniform(-1e5, 1e5, n), rng.uniform(-1e5, 1e5, n), theta])
+    got = pose_frame_motors(poses.reshape(20, 20, 3)).reshape(n, 4)
+    for i in range(n):
+        want = pga.motor_from_pose(pga.Pose2(*poses[i])).inverse().coeffs
+        assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(pose_frame_motors(np.zeros((2, 3))), np.tile([1.0, 0, 0, 0], (2, 1)))

@@ -134,6 +134,18 @@ def test_rollout_outputs_and_determinism(workspace, tmp_path):
     assert any(l.startswith("constant_velocity_ade,") for l in csv_lines)
 
 
+def test_rollout_rejects_vocab_of_another_checkpoint(workspace, tmp_path):
+    other = tmp_path / "other_vocab.json"
+    assert cli.main(["vocab", "--scenes", str(workspace["scenes"]), "--k-r", "0.05",
+                     "--cap", "8", "--seed", "0", "--out", str(other)]) == 0
+    scene_file = sorted(workspace["scenes"].glob("scene_*.json"))[0]
+    code = cli.main(["rollout", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"),
+                     "--scene", str(scene_file), "--vocab", str(other),
+                     "--horizon", "2", "--context", "5", "--out", str(tmp_path / "ro")])
+    assert code == cli.EXIT_VALIDATION
+    assert not (tmp_path / "ro").exists()
+
+
 def test_bench_csv(workspace, tmp_path):
     out = tmp_path / "bench"
     code = cli.main(["bench", "--agents", "2,4", "--map-tokens", "6", "--steps", "4",

@@ -76,6 +76,43 @@ def test_zero_motion_vocab_keeps_agents_stationary():
             assert np.allclose(ro.poses[ai, t], start, atol=1e-12)
 
 
+def replay_with_full_forwards(ro, params, cfg, scene, vocab, temperature=1.0):
+    """Tokens a decoder without a cache draws along the rolled-out scene.
+
+    Step h sees a fresh full forward on the rolled scene cut at context + h,
+    and the rollout's own seed replays the sampling draws in order.
+    """
+    rolled = hn.rollout_to_scene(ro, hn.truncate_scene(scene, ro.context_steps))
+    rng = None if ro.seed is None else np.random.default_rng(ro.seed)
+    tokens = np.zeros_like(ro.tokens)
+    for h in range(ro.tokens.shape[1]):
+        batch = md.build_token_batch(rolled, vocab, cfg, t_end=ro.context_steps + h,
+                                     with_targets=False)
+        logits = np.asarray(md.forward(batch, params, cfg))[:, -1]
+        for ai in range(len(logits)):
+            tokens[ai, h] = md.sample_action(logits[ai], ro.mode, rng, temperature)
+    return tokens
+
+
+@pytest.mark.parametrize("map_attention", ["all", 3])
+def test_rollout_tokens_match_full_forward_decoding(map_attention):
+    _, vocab, cfg0, _ = setup(seed=11)
+    cfg = md.ModelConfig(vocab_sizes=cfg0.vocab_sizes, dtype="f64", map_attention=map_attention)
+    params = md.init_params(cfg)
+    gen = sc.GeneratorConfig(n_agents=4, horizon=24, n_lanes=2)
+    for seed, context in ((4, 1), (5, 9), (6, 20)):
+        scene = sc.generate_synthetic_scene(gen, seed=seed)
+        greedy = hn.rollout(params, cfg, scene, vocab, horizon=4, mode="greedy",
+                            context=context)[0]
+        assert np.array_equal(greedy.tokens,
+                              replay_with_full_forwards(greedy, params, cfg, scene, vocab))
+        for ro in hn.rollout(params, cfg, scene, vocab, horizon=4, mode="sampled",
+                             n_rollouts=2, seed=seed, context=context, temperature=3.0):
+            assert np.array_equal(
+                ro.tokens, replay_with_full_forwards(ro, params, cfg, scene, vocab, 3.0)
+            )
+
+
 def test_rollout_argument_validation():
     scene, vocab, cfg, params = setup(seed=4)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqtraffic import autodiff as ad
+from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
 
@@ -229,6 +230,83 @@ def test_minimal_scene_runs():
     assert logits.shape[0] == 1 and np.all(np.isfinite(np.maximum(logits, -1e30)))
 
 
+def gappy_scene(seed, horizon=22, n_agents=4):
+    """Synthetic scene whose agents start late, pause, or stop early."""
+    rng = np.random.default_rng(seed)
+    gen = sc.GeneratorConfig(n_agents=n_agents, horizon=horizon, n_lanes=2)
+    scene = sc.generate_synthetic_scene(gen, seed=seed)
+    agents = [scene.agents[0]]
+    for agent in scene.agents[1:]:
+        start, gap, stop = sorted(rng.choice(horizon, size=3, replace=False))
+        keep = tuple(s for s in agent.states
+                     if start <= s.t < stop and not gap <= s.t < gap + 2)
+        agents.append(sc.Agent(id=agent.id, agent_class=agent.agent_class,
+                               length=agent.length, width=agent.width, states=keep))
+    return sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
+                    ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+
+
+def test_token_batch_rows_match_full_batch():
+    rng = np.random.default_rng(21)
+    vocab = make_vocab(rng)
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES})
+    scene = gappy_scene(21)
+    full = md.build_token_batch(scene, vocab, cfg)
+    for t_start, t_end in ((0, 22), (5, 6), (7, 12), (21, 22), (9, 9)):
+        part = md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start)
+        cut = md.build_token_batch(scene, vocab, cfg, t_end=t_end)
+        for name in ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid",
+                     "targets", "target_valid"):
+            assert np.array_equal(getattr(part, name), getattr(cut, name)[:, t_start:]), name
+        assert np.array_equal(part.prev_flat, full.prev_flat[:, t_start:t_end])
+    with pytest.raises(ValueError):
+        md.build_token_batch(scene, vocab, cfg, t_end=5, t_start=6)
+
+
+@pytest.mark.parametrize("map_attention", ["all", 3])
+@pytest.mark.parametrize("include_adapter", [True, False])
+def test_cached_forward_matches_full_forward(map_attention, include_adapter):
+    rng = np.random.default_rng(22)
+    vocab = make_vocab(rng)
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64",
+                         map_attention=map_attention, include_adapter=include_adapter)
+    params = md.init_params(cfg)
+    for seed, context in ((1, 1), (2, 7), (3, 20)):
+        scene = gappy_scene(seed)
+        cache = {}
+        t_end = context
+        rows = md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False)
+        while True:
+            cached = np.asarray(md.forward(rows, params, cfg, cache=cache))
+            full = np.asarray(md.forward(
+                md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False),
+                params, cfg))
+            assert cached.shape == (rows.num_agents, rows.num_steps, cfg.max_vocab)
+            assert np.max(np.abs(cached - full[:, -rows.num_steps:])) <= 1e-12
+            assert all(entry[0].shape[1] == t_end for entry in cache.values())
+            if t_end == scene.horizon:
+                break
+            # one new row per call, then several
+            t_start, t_end = t_end, min(scene.horizon, t_end + 1 + (t_end > context + 2))
+            rows = md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start,
+                                        with_targets=False)
+    assert len(cache) == cfg.blocks
+
+
+@pytest.mark.parametrize("map_attention", ["all", 3])
+def test_empty_map_runs(map_attention):
+    scene, vocab, cfg0, params, _ = desk_setup(seed=23, map_attention=map_attention)
+    empty = sc.Scene(agents=scene.agents, map_nodes=(), ego_id=scene.ego_id,
+                     horizon=scene.horizon, dt=scene.dt)
+    batch = md.build_token_batch(empty, vocab, cfg0)
+    assert batch.num_map == 0
+    logits = np.asarray(md.forward(batch, params, cfg0))
+    assert logits.shape == (batch.num_agents, batch.num_steps, cfg0.max_vocab)
+    assert np.all(np.isfinite(np.maximum(logits, -1e30)))
+    ro = hn.rollout(params, cfg0, empty, vocab, horizon=3, mode="greedy", context=5)[0]
+    assert ro.tokens.shape == (len(scene.agents), 3) and np.all(np.isfinite(ro.poses))
+
+
 def test_loss_uniform_and_one_hot():
     targets = np.array([[0, 3], [5, 1]])
     valid = np.ones((2, 2), dtype=bool)
@@ -378,6 +456,23 @@ def test_checkpoint_roundtrip(tmp_path):
     out1 = np.asarray(md.forward(batch, params, cfg))
     out2 = np.asarray(md.forward(batch, loaded, cfg))
     assert np.array_equal(out1, out2)
+
+
+def test_truncated_checkpoint_fails_clearly(tmp_path):
+    _, vocab, cfg, params, _ = desk_setup(seed=14, dtype="f32")
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, params, cfg, vocab)
+    blob = path.read_bytes()
+    header = blob.index(b"\n") + 1
+    first = params.names()[0]
+    nbytes = params[first].nbytes
+
+    path.write_bytes(blob[:header + nbytes // 2])
+    with pytest.raises(ValueError, match=f"'{first}' needs {nbytes} bytes, {nbytes // 2} available"):
+        md.load_checkpoint(path)
+    path.write_bytes(blob[:header // 2])
+    with pytest.raises(ValueError, match="truncated inside its manifest line"):
+        md.load_checkpoint(path)
 
 
 def tiny_grad_setup():
