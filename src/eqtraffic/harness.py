@@ -40,11 +40,16 @@ REFERENCE_TRANSFORM = Pose2(100.0, 0.0, math.pi / 2)  # rotate 90 deg, translate
 
 @dataclass
 class Rollout:
-    """One closed-loop unroll: poses cover context + predicted steps."""
+    """One closed-loop unroll, indexed by absolute step t in [0, context + horizon).
+
+    Poses and speeds are zero where `valid` is False: before an agent's first
+    observed state and in gaps of its observed history.
+    """
 
     agent_ids: tuple
     poses: np.ndarray       # [A, T_total, 3]
     speeds: np.ndarray      # [A, T_total]
+    valid: np.ndarray       # [A, T_total] bool: observed (t < context) or predicted
     tokens: np.ndarray      # [A, horizon]
     context_steps: int
     mode: str
@@ -70,11 +75,13 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
 
     All agents step simultaneously from each forward pass.  `context` is the
     number of observed steps used as history (default: all available).  One
-    forward over the context fills a time-attention cache that every sample
-    starts from; each step then encodes and forwards only the newest row.
+    forward over the context fills a time-attention cache, which is tiled
+    once per sample; each step then stacks every sample's newest row along
+    the agent axis (one group per sample) and runs one forward for all of
+    them.  Sample r draws from its own generator, seeded `seed + r`.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if horizon <= 0 or n_rollouts <= 0:
+        raise ValueError("horizon and n_rollouts must be positive")
     if mode == "sampled":
         mode = "categorical"
     if mode not in ("greedy", "categorical"):
@@ -88,43 +95,57 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     def last_logits(batch, cache):
         return np.asarray(ad.data_of(md.forward(batch, params, cfg, cache=cache)))[:, -1]
 
-    context_cache = {}
-    context_logits = last_logits(
-        md.build_token_batch(base, vocab, cfg, t_end=t0, with_targets=False), context_cache
+    n_agents = len(base.agents)
+    cache = {}
+    logits = last_logits(
+        md.build_token_batch(base, vocab, cfg, t_end=t0, with_targets=False), cache
     )
-    out = []
-    for r in range(n_rollouts):
-        rng = np.random.default_rng(seed + r) if mode != "greedy" else None
-        work = base
-        cache, logits = dict(context_cache), context_logits
-        tokens = np.zeros((len(base.agents), horizon), dtype=np.int64)
-        for step in range(horizon):
-            t_now = t0 + step
-            if step > 0:
-                batch = md.build_token_batch(work, vocab, cfg, t_end=t_now, t_start=t_now - 1,
-                                             with_targets=False)
-                logits = last_logits(batch, cache)
+    cache = {block: tuple(np.concatenate([part] * n_rollouts) for part in entry)
+             for block, entry in cache.items()}
+    logits = np.concatenate([logits] * n_rollouts)
+    rngs = [None if mode == "greedy" else np.random.default_rng(seed + r)
+            for r in range(n_rollouts)]
+    works = [base] * n_rollouts
+    tokens = np.zeros((n_rollouts, n_agents, horizon), dtype=np.int64)
+    for step in range(horizon):
+        t_now = t0 + step
+        if step > 0:
+            rows = md.stack_samples([
+                md.build_token_batch(work, vocab, cfg, t_end=t_now, t_start=t_now - 1,
+                                     with_targets=False)
+                for work in works
+            ])
+            logits = last_logits(rows, cache)
+        for r, work in enumerate(works):
             new_agents = []
             for ai, agent in enumerate(work.agents):
-                token = md.sample_action(logits[ai], mode, rng, temperature)
-                tokens[ai, step] = token
+                token = md.sample_action(logits[r * n_agents + ai], mode, rngs[r], temperature)
+                tokens[r, ai, step] = token
                 delta = detokenize(token, vocab, agent.agent_class)
                 last = agent.states[-1]
                 pose, speed = dynamics_step((last.pose, last.speed), delta, scene.dt)
                 new_agents.append(
                     replace(agent, states=agent.states + (AgentState(t_now, pose, speed),))
                 )
-            work = replace(work, agents=tuple(new_agents))
-        poses = np.array(
-            [[[s.pose.x, s.pose.y, s.pose.theta] for s in a.states] for a in work.agents]
-        )
-        speeds = np.array([[s.speed for s in a.states] for a in work.agents])
+            works[r] = replace(work, agents=tuple(new_agents))
+
+    out = []
+    for r, work in enumerate(works):
+        poses = np.zeros((n_agents, t0 + horizon, 3))
+        speeds = np.zeros((n_agents, t0 + horizon))
+        valid = np.zeros((n_agents, t0 + horizon), dtype=bool)
+        for ai, agent in enumerate(work.agents):
+            for s in agent.states:
+                poses[ai, s.t] = (s.pose.x, s.pose.y, s.pose.theta)
+                speeds[ai, s.t] = s.speed
+                valid[ai, s.t] = True
         out.append(
             Rollout(
                 agent_ids=tuple(a.id for a in work.agents),
                 poses=poses,
                 speeds=speeds,
-                tokens=tokens,
+                valid=valid,
+                tokens=tokens[r],
                 context_steps=t0,
                 mode=mode,
                 seed=None if mode == "greedy" else seed + r,
@@ -134,12 +155,12 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
 
 
 def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:
-    """Predicted states appended onto the template scene's agents."""
+    """The rollout's observed and predicted states on the template scene's agents."""
     agents = []
     for ai, agent in enumerate(template.agents):
         states = tuple(
-            AgentState(t, Pose2(*ro.poses[ai, t]), float(ro.speeds[ai, t]))
-            for t in range(ro.poses.shape[1])
+            AgentState(int(t), Pose2(*ro.poses[ai, t]), float(ro.speeds[ai, t]))
+            for t in np.flatnonzero(ro.valid[ai])
         )
         agents.append(replace(agent, states=states))
     horizon = max(template.horizon, ro.poses.shape[1])
@@ -441,6 +462,7 @@ def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
         raw_poses=poses,
         prev_flat=prev,
         class_idx=class_idx,
+        group=np.zeros(agents, dtype=np.int64),
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=rng.uniform(0, 1, (map_tokens, MAP_FEATURE_WIDTH)),
         map_poses=map_poses,

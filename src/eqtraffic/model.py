@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -118,6 +118,7 @@ class TokenBatch:
     raw_poses: np.ndarray     # [A, T, 3] global (x, y, theta): frames, knn, baselines
     prev_flat: np.ndarray     # [A, T] int indices into the flat action-embedding table
     class_idx: np.ndarray     # [A] int
+    group: np.ndarray         # [A] int; agents attend only to agents of their own group
     map_mv: np.ndarray        # [M, 1, 8]
     map_scalars_raw: np.ndarray  # [M, MAP_FEATURE_WIDTH]
     map_poses: np.ndarray     # [M, 3]
@@ -137,6 +138,26 @@ class TokenBatch:
     @property
     def num_map(self) -> int:
         return self.map_mv.shape[0]
+
+
+_MAP_FIELDS = ("map_mv", "map_scalars_raw", "map_poses")
+
+
+def stack_samples(batches) -> TokenBatch:
+    """Batches built from one scene, stacked along the agent axis as groups 0, 1, ...
+
+    The stack keeps the first batch's map; every batch must carry the same map.
+    """
+    first = batches[0]
+    for b in batches[1:]:
+        if not all(np.array_equal(getattr(b, n), getattr(first, n)) for n in _MAP_FIELDS):
+            raise ValueError("stacked batches must share one map")
+    stacked = {
+        f.name: np.concatenate([getattr(b, f.name) for b in batches])
+        for f in fields(TokenBatch) if f.name not in _MAP_FIELDS
+    }
+    stacked["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
+    return TokenBatch(**stacked, **{n: getattr(first, n) for n in _MAP_FIELDS})
 
 
 def flat_token_index(class_idx: int, token: int, max_vocab: int) -> int:
@@ -211,6 +232,7 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
         raw_poses=poses,
         prev_flat=prev_flat,
         class_idx=class_idx,
+        group=np.zeros(n_agents, dtype=np.int64),
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=map_scalars,
         map_poses=map_poses,
@@ -368,19 +390,17 @@ def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
     return mask
 
 
-def _decode_logits(h, p, class_idx, n_classes):
-    """Per-class decoder heads, gathered by each agent's class."""
-    picked = None
-    for cls in range(n_classes):
-        w = ad.reshape(ad.take_slice(p["decoder/heads"], 0, cls, cls + 1),
-                       ad.data_of(p["decoder/heads"]).shape[1:])
-        b = ad.reshape(ad.take_slice(p["decoder/bias"], 0, cls, cls + 1),
-                       ad.data_of(p["decoder/bias"]).shape[1:])
-        logits_cls = ad.add(ad.matmul(h, w), b)
-        gate = (class_idx == cls).astype(ad.data_of(logits_cls).dtype)[:, None, None]
-        term = ad.mul(logits_cls, gate)
-        picked = term if picked is None else ad.add(picked, term)
-    return picked
+def _decode_logits(h, p, class_idx):
+    """Per-class decoder heads and biases, gathered by each agent's class."""
+    heads = ad.embedding(p["decoder/heads"], class_idx)          # [A, H, V]
+    bias = ad.embedding(p["decoder/bias"], class_idx[:, None])   # [A, 1, V]
+    return ad.add(ad.matmul(h, heads), bias)
+
+
+def _agent_mask(batch: TokenBatch) -> np.ndarray:
+    """[T, Aq, Ak]: both tokens valid and in the same group."""
+    same_group = batch.group[:, None] == batch.group[None, :]
+    return batch.valid.T[:, None, :] & batch.valid.T[:, :, None] & same_group
 
 
 def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: AttentionParams,
@@ -429,7 +449,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     else:
         knn = knn_map_mask(batch, int(cfg.map_attention))  # [A, T, M]
         map_mask = np.moveaxis(knn, 1, 0) & batch.valid.T[:, :, None]
-    agent_mask = (batch.valid.T[:, None, :] & batch.valid.T[:, :, None])  # [T, Aq, Ak]
+    agent_mask = _agent_mask(batch)
     time_mask = (batch.valid[:, None, :] & batch.valid[:, :, None])       # [A, Tq, Tk]
 
     for i in range(cfg.blocks):
@@ -466,19 +486,15 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
             s = invariant_adapter(mv, s, batch.frames, _mlp_params(p, f"block{i}/adapter"))
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = _decode_logits(h, p, batch.class_idx, len(AGENT_CLASSES))
+    logits = _decode_logits(h, p, batch.class_idx)
     return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
 
 
 def _vocab_mask(class_idx: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Additive mask pinning out-of-vocabulary slots for small-vocab classes."""
-    vmax = cfg.max_vocab
-    mask = np.zeros((len(class_idx), 1, vmax))
-    for a, cls in enumerate(class_idx):
-        v = cfg.vocab_sizes[AGENT_CLASSES[int(cls)]]
-        if v < vmax:
-            mask[a, 0, v:] = -1e30
-    return mask.astype(cfg.np_dtype)
+    """[A, 1, V] additive mask pinning out-of-vocabulary slots for small-vocab classes."""
+    sizes = np.array([cfg.vocab_sizes[c] for c in AGENT_CLASSES])
+    inside = np.arange(cfg.max_vocab) < sizes[class_idx][:, None]
+    return np.where(inside, 0.0, -1e30).astype(cfg.np_dtype)[:, None, :]
 
 
 def loss(logits, targets: np.ndarray, valid: np.ndarray):
@@ -715,7 +731,7 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
         rel_map = rel_agent = rel_time = None
 
     map_mask = np.broadcast_to(batch.valid.T[:, :, None], (t_count, a_count, m_count))
-    agent_mask = batch.valid.T[:, None, :] & batch.valid.T[:, :, None]
+    agent_mask = _agent_mask(batch)
     time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
 
     for i in range(cfg.blocks):
@@ -734,7 +750,7 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
         s = ad.add(mlp2(scalar_layer_norm(s), _mlp_params(p, f"block{i}/mlp")), s)
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = _decode_logits(h, p, batch.class_idx, len(AGENT_CLASSES))
+    logits = _decode_logits(h, p, batch.class_idx)
     return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
 
 

@@ -452,13 +452,39 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
 # serialization (strict JSON schema)
 # ---------------------------------------------------------------------------
 
-def _require(obj: dict, keys, path: str, optional=()):
+def _require(obj, keys, path: str, optional=()):
+    if not isinstance(obj, dict):
+        raise SceneParseError(f"{path}: expected an object, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise SceneParseError(f"{path}: missing field '{key}'")
     for key in obj:
         if key not in keys and key not in optional:
             raise SceneParseError(f"{path}: unknown field '{key}'")
+
+
+def _number(obj: dict, key: str, path: str) -> float:
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SceneParseError(f"{path}.{key}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(obj: dict, key: str, path: str, low: int | None = None,
+             high: int | None = None) -> int:
+    """An integer in [low, high); JSON floats such as 1.7 or 2.0 are rejected."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneParseError(f"{path}.{key}: expected an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value >= high):
+        raise SceneParseError(f"{path}.{key}: {value} outside [{low}, {high})")
+    return value
+
+
+def _list(obj: dict, key: str, path: str) -> list:
+    if not isinstance(obj[key], list):
+        raise SceneParseError(f"{path}.{key}: expected an array")
+    return obj[key]
 
 
 def scene_to_json(scene: Scene) -> str:
@@ -504,35 +530,39 @@ def scene_from_json(text) -> Scene:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneParseError(f"$: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise SceneParseError("$: top level must be an object")
     _require(doc, ("dt", "horizon", "ego_id", "agents", "map"), "$", optional=("meta",))
+    horizon = _integer(doc, "horizon", "$", low=1)
 
-    agents = []
-    for i, a in enumerate(doc["agents"]):
+    agents, seen_ids = [], set()
+    for i, a in enumerate(_list(doc, "agents", "$")):
         path = f"$.agents[{i}]"
         _require(a, ("id", "class", "length", "width", "states"), path)
+        agent_id = _integer(a, "id", path)
+        if agent_id in seen_ids:
+            raise SceneParseError(f"{path}.id: duplicate agent id {agent_id}")
+        seen_ids.add(agent_id)
         states = []
-        for j, s in enumerate(a["states"]):
-            _require(s, ("t", "x", "y", "theta", "speed"), f"{path}.states[{j}]")
-            states.append(
-                AgentState(t=int(s["t"]), pose=Pose2(s["x"], s["y"], s["theta"]), speed=float(s["speed"]))
-            )
+        for j, s in enumerate(_list(a, "states", path)):
+            spath = f"{path}.states[{j}]"
+            _require(s, ("t", "x", "y", "theta", "speed"), spath)
+            t = _integer(s, "t", spath, low=0, high=horizon)
+            pose = Pose2(*(_number(s, key, spath) for key in ("x", "y", "theta")))
+            speed = _number(s, "speed", spath)
+            try:
+                states.append(AgentState(t=t, pose=pose, speed=speed))
+            except ValueError as exc:
+                raise SceneParseError(f"{spath}: {exc}") from exc
+        length, width = _number(a, "length", path), _number(a, "width", path)
         try:
             agents.append(
-                Agent(
-                    id=int(a["id"]),
-                    agent_class=a["class"],
-                    length=float(a["length"]),
-                    width=float(a["width"]),
-                    states=tuple(states),
-                )
+                Agent(id=agent_id, agent_class=a["class"], length=length, width=width,
+                      states=tuple(states))
             )
         except ValueError as exc:
             raise SceneParseError(f"{path}: {exc}") from exc
 
     nodes = []
-    for i, n in enumerate(doc["map"]):
+    for i, n in enumerate(_list(doc, "map", "$")):
         path = f"$.map[{i}]"
         _require(
             n,
@@ -540,29 +570,21 @@ def scene_from_json(text) -> Scene:
              "boundary_left", "boundary_right"),
             path,
         )
+        pose = Pose2(*(_number(n, key, path) for key in ("x", "y", "theta")))
+        sizes = {key: _number(n, key, path)
+                 for key in ("length", "width", "curvature", "speed_limit")}
         try:
             nodes.append(
-                MapNode(
-                    pose=Pose2(n["x"], n["y"], n["theta"]),
-                    length=float(n["length"]),
-                    width=float(n["width"]),
-                    curvature=float(n["curvature"]),
-                    speed_limit=float(n["speed_limit"]),
-                    boundary_left=n["boundary_left"],
-                    boundary_right=n["boundary_right"],
-                )
+                MapNode(pose=pose, boundary_left=n["boundary_left"],
+                        boundary_right=n["boundary_right"], **sizes)
             )
         except ValueError as exc:
             raise SceneParseError(f"{path}: {exc}") from exc
 
+    ego_id, dt = _integer(doc, "ego_id", "$"), _number(doc, "dt", "$")
     try:
-        return Scene(
-            agents=tuple(agents),
-            map_nodes=tuple(nodes),
-            ego_id=int(doc["ego_id"]),
-            horizon=int(doc["horizon"]),
-            dt=float(doc["dt"]),
-        )
+        return Scene(agents=tuple(agents), map_nodes=tuple(nodes), ego_id=ego_id,
+                     horizon=horizon, dt=dt)
     except ValueError as exc:
         raise SceneParseError(f"$: {exc}") from exc
 

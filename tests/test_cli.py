@@ -171,6 +171,18 @@ def test_validation_errors_exit_2(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def test_non_object_agent_exits_2(tmp_path, capsys):
+    scene_dir = tmp_path / "scenes"
+    assert cli.main(["gen", "--count", "1", "--seed", "2", "--out", str(scene_dir)]) == 0
+    path = next(scene_dir.glob("scene_*.json"))
+    doc = json.loads(path.read_text())
+    doc["agents"][0] = "car"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["vocab", "--scenes", str(scene_dir), "--out", str(tmp_path / "v.json")])
+    assert code == cli.EXIT_VALIDATION
+    assert "$.agents[0]: expected an object" in capsys.readouterr().err
+
+
 def test_io_errors_exit_3(tmp_path):
     code = cli.main(["rollout", "--checkpoint", str(tmp_path / "missing.ckpt"),
                      "--scene", "nope.json", "--vocab", "nope.json"])

@@ -113,10 +113,70 @@ def test_rollout_tokens_match_full_forward_decoding(map_attention):
             )
 
 
+@pytest.mark.parametrize("map_attention", ["all", 3])
+@pytest.mark.parametrize("include_adapter", [True, False])
+def test_batched_samples_match_standalone_rollouts(map_attention, include_adapter):
+    scene, vocab, cfg0, _ = setup(seed=13, horizon=16, n_agents=4)
+    cfg = md.ModelConfig(vocab_sizes=cfg0.vocab_sizes, dtype="f64", map_attention=map_attention,
+                         include_adapter=include_adapter)
+    params = md.init_params(cfg)
+    batched = hn.rollout(params, cfg, scene, vocab, horizon=6, mode="sampled", n_rollouts=3,
+                         seed=40, context=7, temperature=3.0)
+    assert len({ro.tokens.tobytes() for ro in batched}) >= 2
+    for r, ro in enumerate(batched):
+        alone = hn.rollout(params, cfg, scene, vocab, horizon=6, mode="sampled", n_rollouts=1,
+                           seed=40 + r, context=7, temperature=3.0)[0]
+        assert ro.seed == alone.seed == 40 + r
+        assert np.array_equal(ro.tokens, alone.tokens)
+        assert np.max(np.abs(ro.poses - alone.poses)) <= 1e-12
+        assert np.max(np.abs(ro.speeds - alone.speeds)) <= 1e-12
+
+
+def test_greedy_samples_are_identical():
+    scene, vocab, cfg, params = setup(seed=14, horizon=10)
+    first, second = hn.rollout(params, cfg, scene, vocab, horizon=5, mode="greedy",
+                               n_rollouts=2, context=5)
+    assert np.array_equal(first.tokens, second.tokens)
+    assert np.array_equal(first.poses, second.poses)
+
+
+def test_rollout_of_agents_with_uneven_histories():
+    scene, vocab, cfg, params = setup(seed=15, horizon=14, n_agents=4)
+    context, horizon = 6, 5
+    agents = list(scene.agents)
+    keep = {1: lambda t: t >= 3,             # starts late
+            2: lambda t: t not in (2, 3),    # pauses
+            3: lambda t: t < 4}              # stops early
+    for ai, rule in keep.items():
+        a = agents[ai]
+        agents[ai] = sc.Agent(id=a.id, agent_class=a.agent_class, length=a.length,
+                              width=a.width, states=tuple(s for s in a.states if rule(s.t)))
+    scene = sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes, ego_id=scene.ego_id,
+                     horizon=scene.horizon, dt=scene.dt)
+    ro = hn.rollout(params, cfg, scene, vocab, horizon=horizon, mode="greedy",
+                    context=context)[0]
+    expect = np.zeros((len(agents), context + horizon), dtype=bool)
+    expect[:, context:] = True
+    for ai, agent in enumerate(agents):
+        for s in agent.states:
+            if s.t < context:
+                expect[ai, s.t] = True
+                assert np.array_equal(ro.poses[ai, s.t], [s.pose.x, s.pose.y, s.pose.theta])
+    assert np.array_equal(ro.valid, expect)
+    assert not ro.poses[~ro.valid].any() and not ro.speeds[~ro.valid].any()
+    assert np.array_equal(ro.tokens, replay_with_full_forwards(ro, params, cfg, scene, vocab))
+    rolled = hn.rollout_to_scene(ro, hn.truncate_scene(scene, context))
+    assert [[s.t for s in a.states] for a in rolled.agents] == [
+        np.flatnonzero(row).tolist() for row in expect
+    ]
+
+
 def test_rollout_argument_validation():
     scene, vocab, cfg, params = setup(seed=4)
     with pytest.raises(ValueError):
         hn.rollout(params, cfg, scene, vocab, horizon=0)
+    with pytest.raises(ValueError):
+        hn.rollout(params, cfg, scene, vocab, horizon=2, n_rollouts=0)
     with pytest.raises(ValueError):
         hn.rollout(params, cfg, scene, vocab, horizon=2, mode="beam")
 

@@ -293,6 +293,94 @@ def test_cached_forward_matches_full_forward(map_attention, include_adapter):
     assert len(cache) == cfg.blocks
 
 
+def resampled_agents(scene, seed):
+    """The scene with every agent state nudged: another sample on the same map."""
+    rng = np.random.default_rng(seed)
+    agents = tuple(
+        sc.Agent(id=a.id, agent_class=a.agent_class, length=a.length, width=a.width,
+                 states=tuple(sc.AgentState(s.t, pga.Pose2(s.pose.x + rng.normal(0, 0.3),
+                                                           s.pose.y + rng.normal(0, 0.3),
+                                                           s.pose.theta + rng.normal(0, 0.05)),
+                                            s.speed)
+                              for s in a.states))
+        for a in scene.agents
+    )
+    return sc.Scene(agents=agents, map_nodes=scene.map_nodes, ego_id=scene.ego_id,
+                    horizon=scene.horizon, dt=scene.dt)
+
+
+@pytest.mark.parametrize("map_attention", ["all", 3])
+def test_stacked_samples_match_separate_forwards(map_attention):
+    rng = np.random.default_rng(24)
+    vocab = make_vocab(rng)
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64",
+                         map_attention=map_attention)
+    params = md.init_params(cfg)
+    base = gappy_scene(24)
+    samples = [resampled_agents(base, seed) for seed in range(3)]
+    n_agents, context = len(base.agents), 8
+
+    def rows(scene, t_start, t_end):
+        return md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start,
+                                    with_targets=False)
+
+    # full forwards, geometric and scalar baselines: groups never see each other
+    stacked = md.stack_samples([rows(sc_, 0, context) for sc_ in samples])
+    assert stacked.group.tolist() == [r for r in range(3) for _ in range(n_agents)]
+    together = np.asarray(md.forward(stacked, params, cfg))
+    for variant in ("vanilla", "rpe"):
+        bparams = md.init_baseline_params(cfg, variant)
+        b_together = np.asarray(md.baseline_forward(stacked, bparams, cfg, variant))
+        for r, sc_ in enumerate(samples):
+            alone = np.asarray(md.baseline_forward(rows(sc_, 0, context), bparams, cfg, variant))
+            assert np.max(np.abs(b_together[r * n_agents:(r + 1) * n_agents] - alone)) <= 1e-12
+
+    # cached forwards: one stacked cache against one cache per sample
+    caches = [{} for _ in samples]
+    separate = [np.asarray(md.forward(rows(sc_, 0, context), params, cfg, cache=c))
+                for sc_, c in zip(samples, caches)]
+    shared = {}
+    np.asarray(md.forward(stacked, params, cfg, cache=shared))
+    assert np.max(np.abs(together - np.concatenate(separate))) <= 1e-12
+    for t in range(context, base.horizon):
+        batch = md.stack_samples([rows(sc_, t, t + 1) for sc_ in samples])
+        together = np.asarray(md.forward(batch, params, cfg, cache=shared))
+        for r, (sc_, c) in enumerate(zip(samples, caches)):
+            alone = np.asarray(md.forward(rows(sc_, t, t + 1), params, cfg, cache=c))
+            assert np.max(np.abs(together[r * n_agents:(r + 1) * n_agents] - alone)) <= 1e-12
+
+    other_map = sc.Scene(agents=base.agents, map_nodes=base.map_nodes[1:], ego_id=base.ego_id,
+                         horizon=base.horizon, dt=base.dt)
+    with pytest.raises(ValueError, match="map"):
+        md.stack_samples([rows(base, 0, 3), rows(other_map, 0, 3)])
+
+
+def test_decoder_gathers_class_heads_and_masks_vocab():
+    sizes = {"vehicle": 7, "pedestrian": 3, "cyclist": 5}
+    cfg = md.ModelConfig(vocab_sizes=sizes, dtype="f64", decoder_hidden=6)
+    params = md.init_params(cfg)
+    rng = np.random.default_rng(25)
+    params["decoder/bias"][...] = rng.normal(size=params["decoder/bias"].shape)
+    class_idx = np.array([0, 1, 2, 1, 0, 2])
+    h = rng.normal(size=(len(class_idx), 4, cfg.decoder_hidden))
+    logits = np.asarray(ad.add(md._decode_logits(h, params, class_idx),
+                               md._vocab_mask(class_idx, cfg)))
+    assert logits.shape == (len(class_idx), 4, cfg.max_vocab)
+    for a, c in enumerate(class_idx):
+        size = sizes[sc.AGENT_CLASSES[c]]
+        expect = h[a] @ params["decoder/heads"][c] + params["decoder/bias"][c]
+        assert np.max(np.abs(logits[a, :, :size] - expect[:, :size])) <= 1e-12
+        assert np.all(logits[a, :, size:] <= -1e29)
+
+    def fn(tracked):
+        out = md._decode_logits(tracked[0], {"decoder/heads": tracked[1],
+                                             "decoder/bias": tracked[2]}, class_idx)
+        return ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
+
+    arrays = [h, params["decoder/heads"], params["decoder/bias"]]
+    assert ad.grad_check(fn, arrays, step=1e-6, max_coords=40, seed=0, min_grad=1e-3) <= 1e-5
+
+
 @pytest.mark.parametrize("map_attention", ["all", 3])
 def test_empty_map_runs(map_attention):
     scene, vocab, cfg0, params, _ = desk_setup(seed=23, map_attention=map_attention)
@@ -555,7 +643,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     causal_cfg = cfg.attention_config(causal=True)
     t_count, a_count, m_count = batch.num_steps, batch.num_agents, batch.num_map
     map_mask = np.broadcast_to(batch.valid.T[:, :, None], (t_count, a_count, m_count))
-    agent_mask = batch.valid.T[:, None, :] & batch.valid.T[:, :, None]
+    agent_mask = md._agent_mask(batch)
     time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv), md._swap_at(s)
@@ -578,7 +666,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
         if cfg.include_adapter:
             s = md.invariant_adapter(mv, s, batch.frames, md._mlp_params(p, f"block{i}/adapter"))
     h = ad.relu(md.affine(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = md._decode_logits(h, p, batch.class_idx, len(md.AGENT_CLASSES))
+    logits = md._decode_logits(h, p, batch.class_idx)
     logits = ad.add(logits, md._vocab_mask(batch.class_idx, cfg))
     return md.loss(logits, batch.targets, batch.target_valid)
 

@@ -336,6 +336,40 @@ def test_scene_json_bad_enum():
         sc.scene_from_json(json.dumps(doc))
 
 
+def _set_state(doc, key, value, index=1):
+    doc["agents"][0]["states"][index][key] = value
+
+
+BAD_SCENE_VALUES = {
+    "fractional_t": (lambda d: _set_state(d, "t", 1.7),
+                     r"\$\.agents\[0\]\.states\[1\]\.t: expected an integer"),
+    "nan_speed": (lambda d: _set_state(d, "speed", float("nan")),
+                  r"\$\.agents\[0\]\.states\[1\]\.speed"),
+    "t_at_horizon": (lambda d: _set_state(d, "t", d["horizon"], index=-1),
+                     r"\$\.agents\[0\]\.states\[\d+\]\.t: .* outside"),
+    "negative_t": (lambda d: _set_state(d, "t", -1, index=0),
+                   r"\$\.agents\[0\]\.states\[0\]\.t: .* outside"),
+    "nan_dt": (lambda d: d.update(dt=float("nan")), r"\$\.dt"),
+    "negative_horizon": (lambda d: d.update(horizon=-3), r"\$\.horizon"),
+    "infinite_length": (lambda d: d["agents"][1].update(length=float("inf")),
+                        r"\$\.agents\[1\]\.length"),
+    "duplicate_id": (lambda d: d["agents"][1].update(id=d["agents"][0]["id"]),
+                     r"\$\.agents\[1\]\.id: duplicate"),
+    "non_object_agent": (lambda d: d["agents"].__setitem__(1, 7),
+                         r"\$\.agents\[1\]: expected an object"),
+    "infinite_map_x": (lambda d: d["map"][0].update(x=float("inf")), r"\$\.map\[0\]\.x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCENE_VALUES))
+def test_scene_json_rejects_bad_values_with_path(case):
+    mutate, where = BAD_SCENE_VALUES[case]
+    doc = json.loads(sc.scene_to_json(small_scene(seed=22)))
+    mutate(doc)
+    with pytest.raises(sc.SceneParseError, match=where):
+        sc.scene_from_json(json.dumps(doc))
+
+
 def test_vocab_json_roundtrip():
     rng = np.random.default_rng(21)
     corpus = uniform_transitions(rng, 100)
