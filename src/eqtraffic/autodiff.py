@@ -523,9 +523,6 @@ class ParamStore:
     def items(self):
         return self._arrays.items()
 
-    def num_params(self) -> int:
-        return sum(a.size for a in self._arrays.values())
-
     def astype(self, dtype) -> "ParamStore":
         out = ParamStore()
         for name, arr in self._arrays.items():

@@ -1,135 +1,33 @@
-"""Batched multivector channels and auxiliary scalars.
+"""Per-token motor actions on batched multivector arrays.
 
 Multivector features live in arrays of shape [..., C, 8] (last axis = the
-canonical component order from :mod:`eqtraffic.pga`); auxiliary invariant
-scalars in arrays of shape [..., C'].  The raw-array helpers at the bottom
-also accept autodiff Vars so the same code path serves training.
+canonical component order from :mod:`eqtraffic.pga`); motors in arrays of
+coefficients [..., 4] over the slots [s, e01, e20, e12].  `x` may be an
+autodiff Var so the same code path serves training.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .pga import COMPONENTS, GEOM_TABLE, MOTOR_UNIT_TOL
+from .pga import GEOM_TABLE, MOTOR_SLOTS, MOTOR_UNIT_TOL
 
 
-@dataclass(frozen=True)
-class MvArray:
-    """Multivector channels: data[..., C, 8], row-major, immutable."""
+def _build_sandwich_table():
+    """[16, 64]: motor coefficient products m_p m_q -> the 8x8 matrix of x -> u x ũ.
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim < 2 or arr.shape[-1] != COMPONENTS:
-            raise ValueError(f"MvArray needs shape [..., C, {COMPONENTS}], got {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[-2]
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.data.shape[:-2]
-
-    def flatten(self) -> "ScalarArray":
-        return flatten_components(self)
-
-
-@dataclass(frozen=True)
-class ScalarArray:
-    """Invariant scalar channels: data[..., C']."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim < 1:
-            raise ValueError("ScalarArray needs at least one axis")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[-1]
-
-    @property
-    def batch_shape(self) -> tuple:
-        return self.data.shape[:-1]
-
-
-def _channel_axis(x) -> int:
-    return -2 if isinstance(x, MvArray) else -1
-
-
-def concat_channels(a, b):
-    """Concatenate two arrays of the same kind along their channel axis."""
-    if type(a) is not type(b):
-        raise ValueError(f"cannot concatenate {type(a).__name__} with {type(b).__name__}")
-    if a.batch_shape != b.batch_shape:
-        raise ValueError(f"batch shapes differ: {a.batch_shape} vs {b.batch_shape}")
-    out = np.concatenate([a.data, b.data], axis=_channel_axis(a))
-    return type(a)(out)
-
-
-def split_channels(x, sizes):
-    """Inverse of repeated concat: chunks of the given channel sizes, in order."""
-    if sum(sizes) != x.channels:
-        raise ValueError(f"sizes {sizes} do not sum to channel count {x.channels}")
-    parts = np.split(x.data, np.cumsum(sizes)[:-1], axis=_channel_axis(x))
-    return [type(x)(p) for p in parts]
-
-
-def flatten_components(x: MvArray) -> ScalarArray:
-    """[..., C, 8] -> [..., 8C], channel-major: element (c, k) lands at 8c + k."""
-    if not isinstance(x, MvArray):
-        raise ValueError("flatten_components expects an MvArray")
-    flat = x.data.reshape(x.batch_shape + (x.channels * COMPONENTS,))
-    return ScalarArray(flat)
-
-
-def batched_sandwich(motors: np.ndarray, x: MvArray) -> MvArray:
-    """Apply one motor per token to every channel of x.
-
-    motors: [..., 4] coefficient array matching x's token dims.
+    Entry (4p + q, 8a + k) is the e_k coefficient of (u_p e_a) ũ_q, where u_p
+    is motor slot p and ũ_q the reversed slot q (bivectors change sign).
     """
-    m = np.asarray(motors, dtype=np.float64)
-    if m.shape[:-1] != x.batch_shape:
-        raise ValueError(f"motor dims {m.shape[:-1]} do not match token dims {x.batch_shape}")
-    return MvArray(sandwich_array(m, x.data))
+    slots = list(MOTOR_SLOTS)
+    reverse = np.array([1.0, -1.0, -1.0, -1.0])
+    left = GEOM_TABLE[slots]                                  # [p, a, l]
+    right = GEOM_TABLE[:, slots] * reverse[None, :, None]    # [l, q, k]
+    table = np.einsum("pal,lqk->pqak", left, right).reshape(16, 64)
+    table.flags.writeable = False
+    return table
 
 
-# ---------------------------------------------------------------------------
-# raw-array helpers (ndarray or autodiff Var), shared with the layer stack
-# ---------------------------------------------------------------------------
-
-def motors_to_mv(motors: np.ndarray) -> np.ndarray:
-    """Embed motor coefficients [..., 4] into full multivectors [..., 8]."""
-    m = np.asarray(motors)
-    if m.shape[-1] != 4:
-        raise ValueError(f"motor arrays need a trailing axis of 4, got {m.shape}")
-    norm = np.hypot(m[..., 0], m[..., 3])
-    if np.any(np.abs(norm - 1.0) > MOTOR_UNIT_TOL):
-        worst = float(np.max(np.abs(norm - 1.0)))
-        raise ValueError(f"non-unit motor in batch: max |norm-1| = {worst:.3e}")
-    out = np.zeros(m.shape[:-1] + (COMPONENTS,), dtype=m.dtype)
-    out[..., 0] = m[..., 0]
-    out[..., 4] = m[..., 1]
-    out[..., 5] = m[..., 2]
-    out[..., 6] = m[..., 3]
-    return out
-
-
-def motor_reverse(motors: np.ndarray) -> np.ndarray:
-    m = np.asarray(motors)
-    out = m.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+SANDWICH_TABLE = _build_sandwich_table()
 
 
 def pose_frame_motors(poses: np.ndarray) -> np.ndarray:
@@ -147,8 +45,17 @@ def pose_frame_motors(poses: np.ndarray) -> np.ndarray:
 def sandwich_array(motors: np.ndarray, x):
     """u x u^{-1} per token, broadcast over the channel axis of x [..., C, 8].
 
-    `motors` is always a constant; `x` may be a tracked Var.
+    The sandwich is linear in x, so it is one product with the constant
+    per-token matrix [..., 8, 8] built from SANDWICH_TABLE.  `motors` is
+    always a constant; `x` may be a tracked Var.
     """
-    u = motors_to_mv(motors)[..., None, :]
-    u_inv = motors_to_mv(motor_reverse(motors))[..., None, :]
-    return ad.bilinear8(ad.bilinear8(u, x, GEOM_TABLE), u_inv, GEOM_TABLE)
+    m = np.asarray(motors)
+    if m.shape[-1] != 4:
+        raise ValueError(f"motor arrays need a trailing axis of 4, got {m.shape}")
+    norm = np.hypot(m[..., 0], m[..., 3])
+    if np.any(np.abs(norm - 1.0) > MOTOR_UNIT_TOL):
+        worst = float(np.max(np.abs(norm - 1.0)))
+        raise ValueError(f"non-unit motor in batch: max |norm-1| = {worst:.3e}")
+    pairs = (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (16,))
+    matrix = (pairs @ SANDWICH_TABLE).reshape(m.shape[:-1] + (8, 8))
+    return ad.matmul(x, matrix)

@@ -43,14 +43,15 @@ class Rollout:
     """One closed-loop unroll, indexed by absolute step t in [0, context + horizon).
 
     Poses and speeds are zero where `valid` is False: before an agent's first
-    observed state and in gaps of its observed history.
+    observed state, in gaps of its observed history, and from the context on
+    for an agent that left before it ended.
     """
 
     agent_ids: tuple
     poses: np.ndarray       # [A, T_total, 3]
     speeds: np.ndarray      # [A, T_total]
     valid: np.ndarray       # [A, T_total] bool: observed (t < context) or predicted
-    tokens: np.ndarray      # [A, horizon]
+    tokens: np.ndarray      # [A, horizon], -1 where the agent is not predicted
     context_steps: int
     mode: str
     seed: int | None = None
@@ -79,6 +80,9 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     once per sample; each step then stacks every sample's newest row along
     the agent axis (one group per sample) and runs one forward for all of
     them.  Sample r draws from its own generator, seeded `seed + r`.
+    An agent with no state at t0 - 1 (it left before the context ends) is
+    not predicted: its tokens read -1, it stays invalid from t0 on, and it
+    draws no random number.
     """
     if horizon <= 0 or n_rollouts <= 0:
         raise ValueError("horizon and n_rollouts must be positive")
@@ -106,7 +110,7 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     rngs = [None if mode == "greedy" else np.random.default_rng(seed + r)
             for r in range(n_rollouts)]
     works = [base] * n_rollouts
-    tokens = np.zeros((n_rollouts, n_agents, horizon), dtype=np.int64)
+    tokens = np.full((n_rollouts, n_agents, horizon), -1, dtype=np.int64)
     for step in range(horizon):
         t_now = t0 + step
         if step > 0:
@@ -119,10 +123,13 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
         for r, work in enumerate(works):
             new_agents = []
             for ai, agent in enumerate(work.agents):
+                last = agent.states[-1]
+                if last.t != t_now - 1:
+                    new_agents.append(agent)
+                    continue
                 token = md.sample_action(logits[r * n_agents + ai], mode, rngs[r], temperature)
                 tokens[r, ai, step] = token
                 delta = detokenize(token, vocab, agent.agent_class)
-                last = agent.states[-1]
                 pose, speed = dynamics_step((last.pose, last.speed), delta, scene.dt)
                 new_agents.append(
                     replace(agent, states=agent.states + (AgentState(t_now, pose, speed),))
@@ -290,9 +297,8 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
                          rng.normal(0, 0.4, (2 * cs, cs)), rng.normal(0, 0.4, cs)),
     )
     attn_cfg = AttentionConfig(heads=1, mv_per_head=c, scalar_per_head=cs)
-    poses = [Pose2(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-math.pi, math.pi))
-             for _ in range(5)]
-    frames = np.stack([motor_from_pose(p).inverse().coeffs for p in poses])
+    poses = rng.uniform([-20, -20, -math.pi], [20, 20, math.pi], size=(5, 3))
+    frames = pose_frame_motors(poses)
     adapter_mlp = MlpParams(rng.normal(0, 0.3, (8 * c, 8)), rng.normal(0, 0.3, 8),
                             rng.normal(0, 0.3, (8, cs)), rng.normal(0, 0.3, cs))
     noneq_weight = np.concatenate([weight, rng.normal(size=(c, c, 1))], axis=-1)
@@ -317,10 +323,13 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
     for _ in range(n_transforms):
         u = _rand_motor(rng)
         xt = _apply(u, x)
-        g_pose = u.pose()
-        frames_t = np.stack(
-            [motor_from_pose(g_pose.compose(p)).inverse().coeffs for p in poses]
-        )
+        g = u.pose()
+        c, sn = math.cos(g.theta), math.sin(g.theta)
+        frames_t = pose_frame_motors(np.column_stack([
+            g.x + c * poses[:, 0] - sn * poses[:, 1],
+            g.y + sn * poses[:, 0] + c * poses[:, 1],
+            g.theta + poses[:, 2],
+        ]))
         devs["eq_linear"] = max(devs["eq_linear"],
                                 _dev(eq_linear(xt, weight, bias), _apply(u, base_linear)))
         devs["geometric_bilinear"] = max(
@@ -415,16 +424,16 @@ def equivariance_audit(params, cfg: md.ModelConfig, vocab: ActionVocab, scenes,
                     rollout_to_scene(moved_ro, truncate_scene(scene, base_ro.context_steps)),
                     g.inverse(),
                 )
-                for ai, agent in enumerate(back.agents):
-                    for t in range(base_ro.context_steps, base_ro.poses.shape[1]):
-                        s = agent.state_at(t)
-                        pose_dev = max(
-                            pose_dev,
-                            math.hypot(
-                                s.pose.x - base_ro.poses[ai, t, 0],
-                                s.pose.y - base_ro.poses[ai, t, 1],
-                            ),
-                        )
+                ctx = base_ro.context_steps
+                for ai, t in zip(*np.nonzero(base_ro.valid[:, ctx:])):
+                    s = back.agents[ai].state_at(ctx + t)
+                    pose_dev = max(
+                        pose_dev,
+                        math.hypot(
+                            s.pose.x - base_ro.poses[ai, ctx + t, 0],
+                            s.pose.y - base_ro.poses[ai, ctx + t, 1],
+                        ),
+                    )
         report.add("greedy_rollout_agreement", 1.0 - agree / max(total, 1), total,
                    cfg.dtype, 0.01)
         report.add("greedy_rollout_pose_dev_m", pose_dev, total, cfg.dtype, 1e-6)

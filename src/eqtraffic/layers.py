@@ -11,14 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .pga import COMPONENTS, GEOM_TABLE, GRADES, JOIN_TABLE
+from .pga import COMPONENTS, GEOM_TABLE, GRADES, INNER_INDICES, JOIN_TABLE
 from .batch import sandwich_array
 
 LAYER_NORM_EPS = 1e-6
 DISTANCE_EPS = 1e-6
 
-# components entering the invariant inner product, in order [s, e1, e2, e12]
-_INNER_COMPS = (0, 2, 3, 6)
 _UNIT_SCALAR = np.eye(COMPONENTS)[0]
 
 
@@ -44,7 +42,6 @@ def _build_linear_basis():
 
 
 LINEAR_BASIS = _build_linear_basis()
-LINEAR_PARAMS_PER_PAIR = LINEAR_BASIS.shape[0]
 
 # Deliberately broken 11th map (scalar -> e1) for negative-control tests: it
 # mixes grades in a way no roto-translation commutes with.
@@ -60,14 +57,6 @@ class EqLinearParams:
 
     weight: object  # ndarray or Var, [C_out, C_in, 10]
     bias: object = None  # ndarray or Var, [C_out]
-
-    @property
-    def param_count(self) -> int:
-        w = ad.data_of(self.weight)
-        n = w.size
-        if self.bias is not None:
-            n += ad.data_of(self.bias).size
-        return n
 
 
 @dataclass
@@ -171,7 +160,7 @@ def gated_relu(x):
 
 def inner_product_squares(x):
     """Per-channel <x_c, x_c>: [..., C, 8] -> [..., C]."""
-    picked = ad.take_last(x, _INNER_COMPS)
+    picked = ad.take_last(x, INNER_INDICES)
     return ad.reduce_sum(ad.mul(picked, picked), axis=-1)
 
 
@@ -228,15 +217,6 @@ def distance_features_key(k, eps: float = DISTANCE_EPS):
     return ad.mul(factor, parts)
 
 
-def distance_features(mv, eps: float = DISTANCE_EPS) -> np.ndarray:
-    """Scalar convenience: query features of one multivector as a length-4 vector."""
-    return np.asarray(distance_features_query(mv.coeffs[None, :], eps)[0])
-
-
-def distance_features_key_single(mv, eps: float = DISTANCE_EPS) -> np.ndarray:
-    return np.asarray(distance_features_key(mv.coeffs[None, :], eps)[0])
-
-
 def _heads_mv(x, heads: int):
     d = ad.data_of(x)
     lead, length, c_total = d.shape[:-3], d.shape[-3], d.shape[-2]
@@ -273,7 +253,7 @@ def _flatten_key_query(mv_h, s_h, cfg: AttentionConfig, side: str):
     """Concatenate inner-product components, distance features, and scalars."""
     d = ad.data_of(mv_h)
     lead = d.shape[:-2]
-    comps = ad.reshape(ad.take_last(mv_h, _INNER_COMPS), lead + (4 * cfg.mv_per_head,))
+    comps = ad.reshape(ad.take_last(mv_h, INNER_INDICES), lead + (4 * cfg.mv_per_head,))
     pieces = [comps]
     if cfg.distance_awareness:
         feats = (
@@ -287,16 +267,19 @@ def _flatten_key_query(mv_h, s_h, cfg: AttentionConfig, side: str):
 
 
 def _combine_mask(mask, causal: bool, lq: int, lk: int):
+    """AND of an optional [..., Lq, Lk] mask with the causal rule, or None.
+
+    Causal: the lq queries are the last lq of the lk key positions, so query
+    i sees keys up to position lk - lq + i.
+    """
     out = None
     if causal:
-        if lq != lk:
-            raise ValueError(f"causal attention needs square logits, got {lq}x{lk}")
-        out = np.tril(np.ones((lq, lk), dtype=bool))
+        if lq > lk:
+            raise ValueError(f"causal attention needs lq <= lk, got {lq}x{lk}")
+        out = np.tri(lq, lk, lk - lq, dtype=bool)
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         out = m if out is None else (m & out)
-    if out is not None and out.ndim > 2:
-        out = np.expand_dims(out, -3)  # broadcast across heads
     return out
 
 
@@ -320,7 +303,10 @@ def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg: AttentionConfig, mask=None):
     """
     logits = eq_attention_logits(mv_q, mv_k, sq, sk, cfg)
     d = ad.data_of(logits)
-    weights = ad.masked_softmax(logits, _combine_mask(mask, cfg.causal, d.shape[-2], d.shape[-1]))
+    combined = _combine_mask(mask, cfg.causal, d.shape[-2], d.shape[-1])
+    if combined is not None and combined.ndim > 2:
+        combined = np.expand_dims(combined, -3)  # broadcast across heads
+    weights = ad.masked_softmax(logits, combined)
 
     mv_v_h = _heads_mv(mv_v, cfg.heads)
     sv_h = _heads_scalar(sv, cfg.heads)

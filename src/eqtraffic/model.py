@@ -24,6 +24,7 @@ from .layers import (
     EqLinearParams,
     EqMlpBlockParams,
     MlpParams,
+    _combine_mask,
     affine,
     eq_attention,
     eq_layer_norm,
@@ -271,11 +272,6 @@ def _add_mlp(params, rng, name, d_in, hidden, d_out, dtype, out_scale=None):
     params.add(f"{name}/b2", np.zeros(d_out, dtype=dtype))
 
 
-def _add_dense(params, rng, name, d_in, d_out, dtype):
-    params.add(f"{name}/w", _dense(rng, d_in, d_out, dtype))
-    params.add(f"{name}/b", np.zeros(d_out, dtype=dtype))
-
-
 def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> ParamStore:
     """Fresh parameters for the geometric model; deterministic in cfg.seed."""
     rng = rng or np.random.default_rng(cfg.seed)
@@ -404,8 +400,8 @@ def _agent_mask(batch: TokenBatch) -> np.ndarray:
 
 
 def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: AttentionParams,
-                           attn_cfg: AttentionConfig):
-    """Time attention from the batch's rows over the cached prefix and themselves.
+                           causal_cfg: AttentionConfig):
+    """Causal time attention from the batch's rows over the cached prefix and themselves.
 
     The cache entry is replaced by the prefix extended with the rows' inputs.
     """
@@ -414,10 +410,8 @@ def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: Attention
         entry = tuple(np.concatenate(pair, axis=1) for pair in zip(cache[block], entry))
     cache[block] = entry
     mv_all, s_all, valid_all = entry
-    t_new, t_all = valid.shape[1], valid_all.shape[1]
-    causal = np.tri(t_new, t_all, t_all - t_new, dtype=bool)
-    mask = valid[:, :, None] & valid_all[:, None, :] & causal
-    return _attention_sublayer(mv, s, mv_all, s_all, prm, attn_cfg, mask=mask)
+    mask = valid[:, :, None] & valid_all[:, None, :]
+    return _attention_sublayer(mv, s, mv_all, s_all, prm, causal_cfg, mask=mask)
 
 
 def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
@@ -472,7 +466,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
                 mv, s, None, None, time_prm, causal_cfg, mask=time_mask, self_attn=True,
             )
         else:
-            mv, s = _cached_time_attention(mv, s, batch.valid, cache, i, time_prm, attn_cfg)
+            mv, s = _cached_time_attention(mv, s, batch.valid, cache, i, time_prm, causal_cfg)
         mv, s = eq_mlp_block(
             mv, s,
             EqMlpBlockParams(
@@ -605,19 +599,8 @@ def scalar_attention(q, k, v, mask=None, causal=False):
     d = ad.data_of(q).shape[-1]
     logits = ad.div(ad.matmul(q, ad.moveaxis(k, -1, -2)), math.sqrt(d))
     shape = ad.data_of(logits).shape
-    combined = _baseline_mask(mask, causal, shape[-2], shape[-1])
-    weights = ad.masked_softmax(logits, combined)
+    weights = ad.masked_softmax(logits, _combine_mask(mask, causal, shape[-2], shape[-1]))
     return ad.matmul(weights, v)
-
-
-def _baseline_mask(mask, causal, lq, lk):
-    out = None
-    if causal:
-        out = np.tril(np.ones((lq, lk), dtype=bool))
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        out = m if out is None else (m & out)
-    return out
 
 
 def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
@@ -640,7 +623,7 @@ def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
     extra = ad.reduce_sum(ad.mul(ad.reshape(q, qd.shape[:-1] + (1, d)), k_off), axis=-1)
     logits = ad.div(ad.add(base, extra), math.sqrt(d))
     shape = ad.data_of(logits).shape
-    weights = ad.masked_softmax(logits, _baseline_mask(mask, causal, shape[-2], shape[-1]))
+    weights = ad.masked_softmax(logits, _combine_mask(mask, causal, shape[-2], shape[-1]))
     out = ad.matmul(weights, v)
     wd = ad.data_of(weights)
     offset = ad.reduce_sum(ad.mul(ad.reshape(weights, wd.shape + (1,)), v_off), axis=-2)

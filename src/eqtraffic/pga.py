@@ -362,10 +362,6 @@ def motor_from_pose(pose: Pose2) -> Motor:
     return Motor.from_pose(pose)
 
 
-def motor_inverse(u: Motor) -> Motor:
-    return u.inverse()
-
-
 def sandwich(u: Motor, x: Multivector) -> Multivector:
     """u x u^{-1}: apply the roto-translation u to a geometric element x."""
     um = u.to_multivector()

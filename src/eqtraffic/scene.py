@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pga import COMPONENTS, Multivector, Pose2, motor_from_pose
+from .pga import COMPONENTS, Pose2, motor_from_pose
 
 AGENT_CLASSES = ("vehicle", "pedestrian", "cyclist")
 BOUNDARY_TYPES = ("none", "dashed", "solid", "curb")
@@ -108,17 +108,12 @@ class Scene:
 # encodings
 # ---------------------------------------------------------------------------
 
-def encode_token_pose(p: Pose2) -> Multivector:
-    """Pose as one multivector: bivectors carry the point, vectors the heading line.
-
-    The vector part is the unit-normal line through (x, y) along direction
-    theta: -sin(theta) x + cos(theta) y + (x sin(theta) - y cos(theta)) = 0.
-    """
-    return Multivector(encode_pose_array(np.array([p.x, p.y, p.theta])))
-
-
 def encode_pose_array(poses: np.ndarray) -> np.ndarray:
-    """Vectorized token encoding: [..., 3] (x, y, theta) -> [..., 8]."""
+    """Poses [..., 3] (x, y, theta) as multivectors [..., 8].
+
+    Bivectors carry the point, vectors the unit-normal line through (x, y)
+    along direction theta: -sin(theta) x + cos(theta) y + (x sin(theta) - y cos(theta)) = 0.
+    """
     poses = np.asarray(poses, dtype=np.float64)
     x, y, theta = poses[..., 0], poses[..., 1], poses[..., 2]
     sin, cos = np.sin(theta), np.cos(theta)
@@ -181,9 +176,6 @@ class ActionVocab:
     def size(self, agent_class: str) -> int:
         return self.deltas[agent_class].shape[0]
 
-    def max_size(self) -> int:
-        return max(self.size(c) for c in self.deltas)
-
 
 def action_distance(a: np.ndarray, b: np.ndarray, w_theta: float) -> np.ndarray:
     """Tokenization metric: sqrt(dx^2 + dy^2 + (w_theta * wrap(dtheta))^2)."""
@@ -233,15 +225,8 @@ def build_kdisk_vocab(
     return ActionVocab(deltas=vocab, k_r=k_r, w_theta=w_theta, seed=seed, source_counts=counts)
 
 
-def tokenize(delta, vocab: ActionVocab, agent_class: str) -> int:
-    """Nearest vocab entry under the metric; ties resolve to the lowest index."""
-    if agent_class not in vocab.deltas:
-        raise KeyError(f"no vocabulary for class '{agent_class}'")
-    dists = action_distance(vocab.deltas[agent_class], np.asarray(delta, dtype=np.float64), vocab.w_theta)
-    return int(np.argmin(dists))
-
-
 def tokenize_batch(deltas: np.ndarray, vocab: ActionVocab, agent_class: str) -> np.ndarray:
+    """Nearest vocab entry per delta [N, 3] under the metric; ties resolve to the lowest index."""
     if agent_class not in vocab.deltas:
         raise KeyError(f"no vocabulary for class '{agent_class}'")
     entries = vocab.deltas[agent_class]  # [V, 3]

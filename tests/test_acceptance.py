@@ -15,7 +15,7 @@ from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from eqtraffic.layers import distance_features, distance_features_key_single
+from eqtraffic.layers import distance_features_key, distance_features_query
 from helpers import matrix_apply_pose, rand_pose
 
 RESULTS = []
@@ -171,7 +171,7 @@ def test_criterion_4_distance_awareness():
     for _ in range(1000):
         qx, qy, kx, ky = rng.uniform(-100, 100, size=4)
         q, k = pga.encode_point(qx, qy), pga.encode_point(kx, ky)
-        dot = float(np.dot(distance_features(q, eps=eps), distance_features_key_single(k, eps=eps)))
+        dot = float(np.dot(distance_features_query(q.coeffs, eps=eps), distance_features_key(k.coeffs, eps=eps)))
         want = -((kx - qx) ** 2 + (ky - qy) ** 2) / (1.0 + eps) ** 2
         worst = max(worst, abs(dot - want) / max(1.0, abs(want)))
 
@@ -195,7 +195,7 @@ def test_criterion_4_distance_awareness():
                     qc = pga.Multivector(mv_q[i, h * c + cc])
                     kc = pga.Multivector(mv_k[j, h * c + cc])
                     total += pga.invariant_inner_product(qc, kc)
-                    total += float(np.dot(distance_features(qc), distance_features_key_single(kc)))
+                    total += float(np.dot(distance_features_query(qc.coeffs), distance_features_key(kc.coeffs)))
                 total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
                 fused_dev = max(fused_dev, abs(logits[h, i, j] - total / denom) / max(1.0, abs(total / denom)))
     elapsed = time.time() - start

@@ -1,92 +1,27 @@
-"""Batched container plumbing against elementwise scalar-loop oracles."""
+"""Batched motor actions against the scalar multivector path."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eqtraffic import pga
-from eqtraffic.batch import (
-    MvArray,
-    ScalarArray,
-    batched_sandwich,
-    concat_channels,
-    flatten_components,
-    motor_reverse,
-    motors_to_mv,
-    pose_frame_motors,
-    sandwich_array,
-    split_channels,
-)
+from eqtraffic.batch import pose_frame_motors, sandwich_array
 from helpers import rand_motor, rand_pose
-
-
-def test_mv_array_validates_last_axis():
-    MvArray(np.zeros((2, 3, 8)))
-    with pytest.raises(ValueError):
-        MvArray(np.zeros((2, 3, 7)))
-
-
-def test_concat_shapes_and_order():
-    rng = np.random.default_rng(0)
-    a = MvArray(rng.normal(size=(2, 4, 2, 8)))
-    b = MvArray(rng.normal(size=(2, 4, 3, 8)))
-    joined = concat_channels(a, b)
-    assert joined.data.shape == (2, 4, 5, 8)
-    assert np.array_equal(joined.data[..., :2, :], a.data)
-    assert np.array_equal(joined.data[..., 2:, :], b.data)
-
-    s1 = ScalarArray(rng.normal(size=(2, 4, 6)))
-    s2 = ScalarArray(rng.normal(size=(2, 4, 1)))
-    assert concat_channels(s1, s2).data.shape == (2, 4, 7)
-
-    with pytest.raises(ValueError):
-        concat_channels(a, s1)
-    with pytest.raises(ValueError):
-        concat_channels(a, MvArray(rng.normal(size=(3, 4, 2, 8))))
-
-
-def test_concat_with_empty_is_identity():
-    rng = np.random.default_rng(1)
-    a = MvArray(rng.normal(size=(5, 2, 8)))
-    empty = MvArray(np.zeros((5, 0, 8)))
-    assert np.array_equal(concat_channels(a, empty).data, a.data)
-
-
-def test_split_inverts_concat():
-    rng = np.random.default_rng(2)
-    a = MvArray(rng.normal(size=(3, 2, 8)))
-    b = MvArray(rng.normal(size=(3, 3, 8)))
-    back_a, back_b = split_channels(concat_channels(a, b), [2, 3])
-    assert np.array_equal(back_a.data, a.data)
-    assert np.array_equal(back_b.data, b.data)
-
-    quarters = split_channels(MvArray(rng.normal(size=(3, 4, 8))), [1, 1, 1, 1])
-    assert all(q.data.shape == (3, 1, 8) for q in quarters)
-
-    with pytest.raises(ValueError):
-        split_channels(a, [1, 2])
-
-
-def test_flatten_layout_channel_major():
-    rng = np.random.default_rng(3)
-    x = MvArray(rng.normal(size=(4, 2, 8)))
-    flat = flatten_components(x)
-    assert flat.data.shape == (4, 16)
-    for c in range(2):
-        for k in range(8):
-            assert np.array_equal(flat.data[:, 8 * c + k], x.data[:, c, k])
-    assert not flatten_components(MvArray(np.zeros((2, 3, 8)))).data.any()
 
 
 def test_batched_sandwich_identity_and_reduction():
     rng = np.random.default_rng(4)
-    x = MvArray(rng.normal(size=(5, 3, 8)))
+    x = rng.normal(size=(5, 3, 8))
     ident = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
-    assert np.allclose(batched_sandwich(ident, x).data, x.data, atol=1e-15)
+    assert np.allclose(sandwich_array(ident, x), x, atol=1e-15)
 
     u = rand_motor(rng)
-    single = MvArray(rng.normal(size=(1, 1, 8)))
-    got = batched_sandwich(u.coeffs[None, :], single).data[0, 0]
-    want = pga.sandwich(u, pga.Multivector(single.data[0, 0])).coeffs
+    single = rng.normal(size=(1, 1, 8))
+    got = sandwich_array(u.coeffs[None, :], single)[0, 0]
+    want = pga.sandwich(u, pga.Multivector(single[0, 0])).coeffs
     assert np.allclose(got, want, atol=1e-13)
 
 
@@ -96,7 +31,7 @@ def test_batched_sandwich_matches_scalar_loop_oracle():
     motors = np.stack(
         [rand_motor(rng).coeffs for _ in range(6)], axis=0
     ).reshape(2, 3, 4)
-    out = batched_sandwich(motors, MvArray(x)).data
+    out = sandwich_array(motors, x)
     worst = 0.0
     for i in range(2):
         for j in range(3):
@@ -108,21 +43,29 @@ def test_batched_sandwich_matches_scalar_loop_oracle():
 
 
 def test_batched_sandwich_shape_and_unit_checks():
-    x = MvArray(np.zeros((4, 2, 8)))
+    x = np.zeros((4, 2, 8))
     with pytest.raises(ValueError):
-        batched_sandwich(np.tile([1.0, 0, 0, 0], (3, 1)), x)
+        sandwich_array(np.tile([1.0, 0, 0, 0], (3, 1)), x)
+    with pytest.raises(ValueError):
+        sandwich_array(np.tile([1.0, 0, 0], (4, 1)), x)
     bad = np.tile([2.0, 0, 0, 0], (4, 1))
-    with pytest.raises(ValueError):
-        batched_sandwich(bad, x)
+    with pytest.raises(ValueError, match="non-unit motor"):
+        sandwich_array(bad, x)
 
 
 def test_motor_embedding_roundtrip():
+    """The per-token 8x8 action maps each basis blade to its sandwich; the reverse undoes it."""
     rng = np.random.default_rng(6)
-    u = rand_motor(rng)
-    mv = motors_to_mv(u.coeffs[None, :])[0]
-    assert np.array_equal(mv, u.to_multivector().coeffs)
-    rev = motor_reverse(u.coeffs[None, :])[0]
-    assert np.array_equal(rev, u.inverse().coeffs)
+    for _ in range(20):
+        u = rand_motor(rng, trans=1e4)
+        tol = 1e-13 * (1.0 + np.max(np.abs(u.coeffs)))
+        rows = sandwich_array(u.coeffs, np.eye(8))
+        for a in range(8):
+            want = pga.sandwich(u, pga.Multivector.basis(a)).coeffs
+            assert np.max(np.abs(rows[a] - want)) <= tol
+        x = rng.normal(size=(3, 8))
+        back = sandwich_array(u.inverse().coeffs, sandwich_array(u.coeffs, x))
+        assert np.max(np.abs(back - x)) <= tol * np.max(np.abs(x))
 
 
 def test_sandwich_array_composes_with_pose_motors():
@@ -148,3 +91,59 @@ def test_pose_frame_motors_match_motor_inverse():
         want = pga.motor_from_pose(pga.Pose2(*poses[i])).inverse().coeffs
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(pose_frame_motors(np.zeros((2, 3))), np.tile([1.0, 0, 0, 0], (2, 1)))
+
+
+# ---------------------------------------------------------------------------
+# properties over random unit motors and inputs
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+@st.composite
+def motor_arrays(draw, lead):
+    """Unit motors [*lead, 4] of random poses, translations up to 1e5 m."""
+    n = int(np.prod(lead))
+    coord = st.floats(-1e5, 1e5)
+    xs = draw(st.lists(coord, min_size=n, max_size=n))
+    ys = draw(st.lists(coord, min_size=n, max_size=n))
+    ts = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    coeffs = [pga.motor_from_pose(pga.Pose2(*p)).coeffs for p in zip(xs, ys, ts)]
+    return np.array(coeffs).reshape(lead + (4,))
+
+
+@st.composite
+def sandwich_cases(draw, n_motors):
+    lead = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=3))
+    channels = draw(st.integers(1, 3))
+    x = draw(hnp.arrays(np.float64, lead + (channels, 8), elements=st.floats(-10, 10)))
+    return (x,) + tuple(draw(motor_arrays(lead)) for _ in range(n_motors))
+
+
+def _tolerance(x, *motors):
+    """Relative to the size of the summed terms: |x| times (1 + the motors' translations)."""
+    return 1e-14 * (1.0 + np.max(np.abs(x))) * (1.0 + sum(np.max(np.abs(m)) for m in motors))
+
+
+@PROPERTY_SETTINGS
+@given(sandwich_cases(n_motors=1))
+def test_sandwich_array_equals_scalar_sandwich_per_token(case):
+    x, motors = case
+    out = sandwich_array(motors, x)
+    for idx in np.ndindex(motors.shape[:-1]):
+        u = pga.Motor(motors[idx])
+        for c in range(x.shape[-2]):
+            want = pga.sandwich(u, pga.Multivector(x[idx + (c,)])).coeffs
+            assert np.max(np.abs(out[idx + (c,)] - want)) <= _tolerance(x, motors)
+
+
+@PROPERTY_SETTINGS
+@given(sandwich_cases(n_motors=2))
+def test_sandwich_array_composition_is_motor_product(case):
+    x, u1, u2 = case
+    product = np.empty_like(u1)
+    for idx in np.ndindex(u1.shape[:-1]):
+        product[idx] = (pga.Motor(u1[idx]) @ pga.Motor(u2[idx])).coeffs
+    nested = sandwich_array(u1, sandwich_array(u2, x))
+    once = sandwich_array(product, x)
+    assert np.max(np.abs(nested - once)) <= _tolerance(x, u1, u2)

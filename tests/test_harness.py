@@ -80,16 +80,17 @@ def replay_with_full_forwards(ro, params, cfg, scene, vocab, temperature=1.0):
     """Tokens a decoder without a cache draws along the rolled-out scene.
 
     Step h sees a fresh full forward on the rolled scene cut at context + h,
-    and the rollout's own seed replays the sampling draws in order.
+    and the rollout's own seed replays the sampling draws in order.  An agent
+    with no state at context + h - 1 draws nothing and reads -1.
     """
     rolled = hn.rollout_to_scene(ro, hn.truncate_scene(scene, ro.context_steps))
     rng = None if ro.seed is None else np.random.default_rng(ro.seed)
-    tokens = np.zeros_like(ro.tokens)
+    tokens = np.full_like(ro.tokens, -1)
     for h in range(ro.tokens.shape[1]):
-        batch = md.build_token_batch(rolled, vocab, cfg, t_end=ro.context_steps + h,
-                                     with_targets=False)
+        t_end = ro.context_steps + h
+        batch = md.build_token_batch(rolled, vocab, cfg, t_end=t_end, with_targets=False)
         logits = np.asarray(md.forward(batch, params, cfg))[:, -1]
-        for ai in range(len(logits)):
+        for ai in np.flatnonzero(ro.valid[:, t_end - 1]):
             tokens[ai, h] = md.sample_action(logits[ai], ro.mode, rng, temperature)
     return tokens
 
@@ -156,7 +157,7 @@ def test_rollout_of_agents_with_uneven_histories():
     ro = hn.rollout(params, cfg, scene, vocab, horizon=horizon, mode="greedy",
                     context=context)[0]
     expect = np.zeros((len(agents), context + horizon), dtype=bool)
-    expect[:, context:] = True
+    expect[:3, context:] = True  # the agent that stopped early is not predicted
     for ai, agent in enumerate(agents):
         for s in agent.states:
             if s.t < context:
@@ -164,11 +165,23 @@ def test_rollout_of_agents_with_uneven_histories():
                 assert np.array_equal(ro.poses[ai, s.t], [s.pose.x, s.pose.y, s.pose.theta])
     assert np.array_equal(ro.valid, expect)
     assert not ro.poses[~ro.valid].any() and not ro.speeds[~ro.valid].any()
+    assert (ro.tokens[3] == -1).all() and (ro.tokens[:3] >= 0).all()
     assert np.array_equal(ro.tokens, replay_with_full_forwards(ro, params, cfg, scene, vocab))
     rolled = hn.rollout_to_scene(ro, hn.truncate_scene(scene, context))
     assert [[s.t for s in a.states] for a in rolled.agents] == [
         np.flatnonzero(row).tolist() for row in expect
     ]
+    # the agent that left draws no random number
+    sampled = hn.rollout(params, cfg, scene, vocab, horizon=horizon, mode="sampled", seed=3,
+                         context=context, temperature=3.0)[0]
+    assert np.array_equal(sampled.valid, expect)
+    assert np.array_equal(
+        sampled.tokens, replay_with_full_forwards(sampled, params, cfg, scene, vocab, 3.0)
+    )
+    # the greedy pose check compares only the steps the rollouts predict
+    report = hn.equivariance_audit(params, cfg, vocab, [scene], n_transforms=1,
+                                   rollout_horizon=3, include_layers=False)
+    assert report.passed(), report.to_json()
 
 
 def test_rollout_argument_validation():

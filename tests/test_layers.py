@@ -12,8 +12,7 @@ from eqtraffic.layers import (
     AttentionConfig,
     EqMlpBlockParams,
     MlpParams,
-    distance_features,
-    distance_features_key_single,
+    distance_features_key,
     distance_features_query,
     eq_attention,
     eq_attention_logits,
@@ -256,7 +255,7 @@ def test_scalar_layer_norm_moments():
 def test_distance_features_negative_squared_distance():
     q = pga.encode_point(0.0, 0.0)
     k = pga.encode_point(3.0, 4.0)
-    dot = float(np.dot(distance_features(q, eps=0.0), distance_features_key_single(k, eps=0.0)))
+    dot = float(np.dot(distance_features_query(q.coeffs, eps=0.0), distance_features_key(k.coeffs, eps=0.0)))
     assert math.isclose(dot, -25.0, abs_tol=1e-12)
 
 
@@ -269,7 +268,7 @@ def test_distance_features_zero_bivector_weight():
 
 def test_distance_features_identical_points():
     p = pga.encode_point(-2.0, 7.0)
-    dot = float(np.dot(distance_features(p, eps=0.0), distance_features_key_single(p, eps=0.0)))
+    dot = float(np.dot(distance_features_query(p.coeffs, eps=0.0), distance_features_key(p.coeffs, eps=0.0)))
     assert abs(dot) <= 1e-12
 
 
@@ -279,7 +278,7 @@ def test_distance_identity_random_points():
     for _ in range(1000):
         qx, qy, kx, ky = rng.uniform(-50, 50, size=4)
         q, k = pga.encode_point(qx, qy), pga.encode_point(kx, ky)
-        dot = float(np.dot(distance_features(q, eps=eps), distance_features_key_single(k, eps=eps)))
+        dot = float(np.dot(distance_features_query(q.coeffs, eps=eps), distance_features_key(k.coeffs, eps=eps)))
         want = -((kx - qx) ** 2 + (ky - qy) ** 2) / (1.0 + eps) ** 2
         assert abs(dot - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -304,7 +303,7 @@ def test_concatenated_logits_equal_three_term_sum():
                     kc = pga.Multivector(mv_k[j, h * c + cc])
                     total += pga.invariant_inner_product(qc, kc)
                     total += float(
-                        np.dot(distance_features(qc), distance_features_key_single(kc))
+                        np.dot(distance_features_query(qc.coeffs), distance_features_key(kc.coeffs))
                     )
                 total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
                 assert abs(logits[h, i, j] - total / denom) <= 1e-12 * max(1.0, abs(total))
@@ -406,6 +405,12 @@ def test_causal_attention_ignores_future():
     out2, s2 = eq_attention(mv2, mv2, mv2, s2_in, s2_in, s2_in, cfg)
     assert np.array_equal(np.asarray(out1)[:3], np.asarray(out2)[:3])
     assert np.array_equal(np.asarray(s1)[:3], np.asarray(s2)[:3])
+    # fewer queries than keys: the queries are the last positions
+    tail, s_tail = eq_attention(mv[3:], mv, mv, s[3:], s, s, cfg)
+    assert np.allclose(np.asarray(tail), np.asarray(out1)[3:], rtol=0, atol=1e-14)
+    assert np.allclose(np.asarray(s_tail), np.asarray(s1)[3:], rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="lq <= lk"):
+        eq_attention(mv, mv[:3], mv[:3], s, s[:3], s[:3], cfg)
 
 
 def test_attention_config_validation():

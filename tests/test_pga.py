@@ -21,7 +21,6 @@ from eqtraffic.pga import (
     invariant_inner_product,
     join,
     motor_from_pose,
-    motor_inverse,
     sandwich,
     wedge_product,
 )
@@ -341,13 +340,13 @@ def test_motor_from_pose_moves_origin():
 
 def test_motor_inverse_is_reverse():
     a, b = 1.7, -0.4
-    t_inv = motor_inverse(Motor.translator(a, b))
+    t_inv = Motor.translator(a, b).inverse()
     assert np.allclose(t_inv.coeffs, [1.0, a / 2.0, -b / 2.0, 0.0])
     theta = 0.9
-    r_inv = motor_inverse(Motor.rotor(theta))
+    r_inv = Motor.rotor(theta).inverse()
     assert np.allclose(r_inv.coeffs, [math.cos(theta / 2), 0.0, 0.0, math.sin(theta / 2)])
     ident = Motor.identity()
-    assert np.array_equal(motor_inverse(ident).coeffs, ident.coeffs)
+    assert np.array_equal(ident.inverse().coeffs, ident.coeffs)
 
 
 def test_motor_inverse_roundtrip():
@@ -355,7 +354,7 @@ def test_motor_inverse_roundtrip():
     one = np.array([1.0, 0.0, 0.0, 0.0])
     for _ in range(200):
         u = rand_motor(rng)
-        prod = u @ motor_inverse(u)
+        prod = u @ u.inverse()
         assert np.max(np.abs(prod.coeffs - one)) <= 1e-12
 
 

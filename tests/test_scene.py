@@ -19,8 +19,12 @@ def small_scene(seed=0, **overrides):
 # token pose encoding
 # ---------------------------------------------------------------------------
 
+def encode_pose(p: pga.Pose2) -> pga.Multivector:
+    return pga.Multivector(sc.encode_pose_array([p.x, p.y, p.theta]))
+
+
 def test_encode_token_pose_origin():
-    mv = sc.encode_token_pose(pga.Pose2(0.0, 0.0, 0.0))
+    mv = encode_pose(pga.Pose2(0.0, 0.0, 0.0))
     want = np.zeros(8)
     want[3] = 1.0  # e2, the x-axis line
     want[6] = 1.0  # e12, the origin point
@@ -31,7 +35,7 @@ def test_encoded_line_passes_through_pose_point():
     rng = np.random.default_rng(1)
     for _ in range(100):
         p = rand_pose(rng)
-        mv = sc.encode_token_pose(p)
+        mv = encode_pose(p)
         assert abs(line_residual(mv, p.x, p.y)) <= 1e-12 * max(1.0, abs(p.x) + abs(p.y))
         # bivector part decodes back to the position
         x, y = pga.decode_point(mv)
@@ -45,8 +49,8 @@ def test_encode_commutes_with_motors():
     rng = np.random.default_rng(2)
     for _ in range(200):
         g, p = rand_pose(rng), rand_pose(rng)
-        encoded_then_moved = pga.sandwich(pga.motor_from_pose(g), sc.encode_token_pose(p))
-        moved_then_encoded = sc.encode_token_pose(compose_pose_oracle(g, p))
+        encoded_then_moved = pga.sandwich(pga.motor_from_pose(g), encode_pose(p))
+        moved_then_encoded = encode_pose(compose_pose_oracle(g, p))
         scale = max(1.0, np.max(np.abs(moved_then_encoded.coeffs)))
         assert np.max(np.abs(encoded_then_moved.coeffs - moved_then_encoded.coeffs)) <= 1e-12 * scale
 
@@ -57,7 +61,7 @@ def test_encode_pose_array_matches_scalar_path():
     arr = np.array([[p.x, p.y, p.theta] for p in poses])
     batch = sc.encode_pose_array(arr)
     for i, p in enumerate(poses):
-        assert np.array_equal(batch[i], sc.encode_token_pose(p).coeffs)
+        assert np.array_equal(batch[i], encode_pose(p).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +157,8 @@ def test_tokenize_roundtrip_and_ties():
     corpus = uniform_transitions(rng, 200)
     vocab = sc.build_kdisk_vocab(corpus, k_r=0.3, seed=4)
     for cls in sc.AGENT_CLASSES:
-        for token in range(vocab.size(cls)):
-            assert sc.tokenize(sc.detokenize(token, vocab, cls), vocab, cls) == token
+        decoded = np.stack([sc.detokenize(t, vocab, cls) for t in range(vocab.size(cls))])
+        assert np.array_equal(sc.tokenize_batch(decoded, vocab, cls), np.arange(vocab.size(cls)))
     # equidistant candidates resolve to the lowest index
     tie_vocab = sc.ActionVocab(
         deltas={"vehicle": np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
@@ -162,9 +166,9 @@ def test_tokenize_roundtrip_and_ties():
                 "cyclist": np.array([[0.0, 0.0, 0.0]])},
         k_r=0.5, w_theta=1.0, seed=0,
     )
-    assert sc.tokenize([0.0, 0.5, 0.0], tie_vocab, "vehicle") == 0
+    assert sc.tokenize_batch([[0.0, 0.5, 0.0]], tie_vocab, "vehicle")[0] == 0
     with pytest.raises(KeyError):
-        sc.tokenize([0, 0, 0], tie_vocab, "bus")
+        sc.tokenize_batch([[0, 0, 0]], tie_vocab, "bus")
 
 
 def test_quantization_error_bounded_by_k_r():
