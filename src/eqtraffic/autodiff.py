@@ -81,7 +81,10 @@ def data_of(x) -> np.ndarray:
 
 def _record(op: str, out_data: np.ndarray, inputs: tuple, ctx: dict):
     """Return a Var recorded on the active tape, or plain data if untracked."""
-    if not any(isinstance(x, Var) for x in inputs):
+    for x in inputs:
+        if type(x) is Var:
+            break
+    else:
         return out_data
     tape = _active_tape()
     if tape is None:
@@ -165,6 +168,51 @@ def add(a, b):
 register_vjp("add", lambda n, g: (_unbroadcast(g, n.ctx["sa"]), _unbroadcast(g, n.ctx["sb"])))
 
 
+def rms_norm(x, weights, axes, eps: float):
+    """x / sqrt(sum over `axes` of weights * x^2 + eps); constant `weights` broadcast against x."""
+    dx = data_of(x)
+    w = np.asarray(weights, dtype=dx.dtype)
+    r = np.sqrt((w * dx * dx).sum(axis=axes, keepdims=True) + eps)
+    return _record("rms_norm", dx / r, (x,), {"dx": dx, "w": w, "r": r, "axes": axes})
+
+
+def _rms_norm_vjp(n, g):
+    dx, w, r = n.ctx["dx"], n.ctx["w"], n.ctx["r"]
+    return ((g - w * dx * ((g * dx).sum(axis=n.ctx["axes"], keepdims=True) / (r * r))) / r,)
+
+
+register_vjp("rms_norm", _rms_norm_vjp)
+
+
+def distance_features(x, mix, eps: float):
+    """[..., 8] -> [..., 4]: c / (c^2 + eps) * ([c^2, a^2 + b^2, ac, bc] @ mix) for a constant
+    [4, 4] `mix`, with a, b, c the e01, e20, e12 components."""
+    dx = data_of(x)
+    a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
+    den = c * c + eps
+    parts = np.stack([c * c, a * a + b * b, a * c, b * c], axis=-1)
+    m = np.asarray(mix, dtype=dx.dtype)
+    out = (c / den)[..., None] * (parts @ m)
+    return _record("distance_features", out, (x,), {"dx": dx, "mix": m, "den": den, "parts": parts})
+
+
+def _distance_features_vjp(n, g):
+    dx, den, parts = n.ctx["dx"], n.ctx["den"], n.ctx["parts"]
+    a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
+    h = g @ n.ctx["mix"].T                      # cotangent of parts, before the factor
+    fh = (c / den)[..., None] * h
+    g_factor = (parts * h).sum(axis=-1)
+    gx = np.zeros(dx.shape, dtype=g.dtype)
+    gx[..., 4] = 2.0 * a * fh[..., 1] + c * fh[..., 2]
+    gx[..., 5] = 2.0 * b * fh[..., 1] + c * fh[..., 3]
+    gx[..., 6] = (2.0 * c * fh[..., 0] + a * fh[..., 2] + b * fh[..., 3]
+                  + g_factor * (den - 2.0 * c * c) / (den * den))
+    return (gx,)
+
+
+register_vjp("distance_features", _distance_features_vjp)
+
+
 def sub(a, b):
     da, db = data_of(a), data_of(b)
     return _record("sub", da - db, (a, b), {"sa": da.shape, "sb": db.shape})
@@ -233,12 +281,19 @@ def reshape(a, shape):
 register_vjp("reshape", lambda n, g: (g.reshape(n.ctx["orig"]),))
 
 
-def moveaxis(a, src, dst):
+def _move_perm(ndim: int, src: int, dst: int) -> list:
+    """The transpose order of np.moveaxis(., src, dst), without its axis normalisation."""
+    perm = [i for i in range(ndim) if i != src % ndim]
+    perm.insert(dst % ndim, src % ndim)
+    return perm
+
+
+def moveaxis(a, src: int, dst: int):
     da = data_of(a)
-    return _record("moveaxis", np.moveaxis(da, src, dst), (a,), {"src": src, "dst": dst})
+    return _record("moveaxis", da.transpose(_move_perm(da.ndim, src, dst)), (a,), {"src": src, "dst": dst})
 
 
-register_vjp("moveaxis", lambda n, g: (np.moveaxis(g, n.ctx["dst"], n.ctx["src"]),))
+register_vjp("moveaxis", lambda n, g: (g.transpose(_move_perm(g.ndim, n.ctx["dst"], n.ctx["src"])),))
 
 
 def concat(parts, axis):
@@ -436,7 +491,7 @@ def mv_linear(x, weight, basis):
     c_out, c_in, p = dw.shape
     if dx.shape[-2] != c_in or dx.shape[-1] != basis.shape[1]:
         raise ValueError(f"mv_linear shape mismatch: x {dx.shape}, weight {dw.shape}")
-    mixed = np.tensordot(dw, basis, axes=([2], [0]))  # [o, i, a, b]
+    mixed = (dw.reshape(c_out * c_in, p) @ basis.reshape(p, 64)).reshape(c_out, c_in, 8, 8)
     mat = mixed.transpose(1, 2, 0, 3).reshape(c_in * 8, c_out * 8)
     flat = dx.reshape(dx.shape[:-2] + (c_in * 8,))
     out = (flat @ mat).reshape(dx.shape[:-2] + (c_out, 8))
@@ -451,8 +506,8 @@ def _mv_linear_vjp(n, g):
     xf = dx.reshape(-1, c_in * 8)
     gf = gflat.reshape(-1, c_out * 8)
     gmat = xf.T @ gf  # [C_in*8, C_out*8]
-    gmixed = gmat.reshape(c_in, 8, c_out, 8).transpose(2, 0, 1, 3)  # [o, i, a, b]
-    gw = np.tensordot(gmixed, basis, axes=([2, 3], [1, 2]))
+    gmixed = gmat.reshape(c_in, 8, c_out, 8).transpose(2, 0, 1, 3).reshape(c_out * c_in, 64)
+    gw = (gmixed @ basis.reshape(p, 64).T).reshape(c_out, c_in, p)
     return gx, gw
 
 

@@ -18,6 +18,10 @@ LAYER_NORM_EPS = 1e-6
 DISTANCE_EPS = 1e-6
 
 _UNIT_SCALAR = np.eye(COMPONENTS)[0]
+_INNER_MASK = np.isin(np.arange(COMPONENTS), INNER_INDICES).astype(float)
+# [c^2, a^2 + b^2, ac, bc] @ mix: the query keeps it, the key gives [-(a^2 + b^2), -c^2, 2ac, 2bc]
+QUERY_MIX = np.eye(4)
+KEY_MIX = np.array([[0, -1, 0, 0], [-1, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], dtype=float)
 
 
 def _build_linear_basis():
@@ -158,63 +162,26 @@ def gated_relu(x):
     return ad.mul(x, ad.relu(ad.take_last(x, [0])))
 
 
-def inner_product_squares(x):
-    """Per-channel <x_c, x_c>: [..., C, 8] -> [..., C]."""
-    picked = ad.take_last(x, INNER_INDICES)
-    return ad.reduce_sum(ad.mul(picked, picked), axis=-1)
-
-
 def eq_layer_norm(x, eps: float = LAYER_NORM_EPS):
     """x / sqrt(mean_c <x_c, x_c> + eps); one shared divisor per token."""
-    mean_sq = ad.reduce_mean(inner_product_squares(x), axis=-1, keepdims=True)
-    denom = ad.sqrt(ad.add(mean_sq, eps))
-    shape = ad.data_of(denom).shape
-    return ad.div(x, ad.reshape(denom, shape + (1,)))
+    return ad.rms_norm(x, _INNER_MASK / ad.data_of(x).shape[-2], (-2, -1), eps)
 
 
 def scalar_layer_norm(s, eps: float = LAYER_NORM_EPS):
     """Standard layer norm over the channel axis, no affine terms."""
-    mean = ad.reduce_mean(s, axis=-1, keepdims=True)
-    centered = ad.sub(s, mean)
-    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    return ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    centered = ad.sub(s, ad.reduce_mean(s, axis=-1, keepdims=True))
+    return ad.rms_norm(centered, 1.0 / ad.data_of(s).shape[-1], -1, eps)
 
 
 def distance_features_query(q, eps: float = DISTANCE_EPS):
     """Query-side distance features, [..., C, 8] -> [..., C, 4]."""
-    q01 = ad.take_last(q, [4])
-    q20 = ad.take_last(q, [5])
-    q12 = ad.take_last(q, [6])
-    factor = ad.div(q12, ad.add(ad.mul(q12, q12), eps))
-    parts = ad.concat(
-        [
-            ad.mul(q12, q12),
-            ad.add(ad.mul(q01, q01), ad.mul(q20, q20)),
-            ad.mul(q01, q12),
-            ad.mul(q20, q12),
-        ],
-        axis=-1,
-    )
-    return ad.mul(factor, parts)
+    return ad.distance_features(q, QUERY_MIX, eps)
 
 
 def distance_features_key(k, eps: float = DISTANCE_EPS):
     """Key-side distance features; dotted with the query side they give
     (up to the eps factor) the negative squared distance between encoded points."""
-    k01 = ad.take_last(k, [4])
-    k20 = ad.take_last(k, [5])
-    k12 = ad.take_last(k, [6])
-    factor = ad.div(k12, ad.add(ad.mul(k12, k12), eps))
-    parts = ad.concat(
-        [
-            ad.neg(ad.add(ad.mul(k01, k01), ad.mul(k20, k20))),
-            ad.neg(ad.mul(k12, k12)),
-            ad.mul(ad.mul(k01, k12), 2.0),
-            ad.mul(ad.mul(k20, k12), 2.0),
-        ],
-        axis=-1,
-    )
-    return ad.mul(factor, parts)
+    return ad.distance_features(k, KEY_MIX, eps)
 
 
 def _heads_mv(x, heads: int):
@@ -328,8 +295,7 @@ def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg: AttentionConfig, mask=None):
 
 def rms_normalize(x, eps: float = LAYER_NORM_EPS):
     """x / sqrt(mean(x^2) + eps) over the last axis; no centering, no params."""
-    mean_sq = ad.reduce_mean(ad.mul(x, x), axis=-1, keepdims=True)
-    return ad.div(x, ad.sqrt(ad.add(mean_sq, eps)))
+    return ad.rms_norm(x, 1.0 / ad.data_of(x).shape[-1], -1, eps)
 
 
 def invariant_adapter(mv, s, frames: np.ndarray, mlp: MlpParams):

@@ -559,10 +559,9 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
                 loss_var = loss(logits, batch.targets, batch.target_valid)
             loss_val = float(ad.data_of(loss_var))
             if not math.isfinite(loss_val):
-                norms = {name: float(np.linalg.norm(arr)) for name, arr in list(params.items())[:8]}
-                raise RuntimeError(
-                    f"non-finite loss {loss_val} at step {step}; param norms {norms}"
-                )
+                bad = next(i for i, nd in enumerate(tape.nodes) if not np.isfinite(nd.output.data).all())
+                raise RuntimeError(f"non-finite loss {loss_val} at step {step}: first non-finite "
+                                   f"output at tape node {bad}, op '{tape.nodes[bad].op}'")
             loss_total += loss_val
             grads_view = ad.backward(tape, loss_var)
             if acc is None:

@@ -66,8 +66,8 @@ def primitive_grad_cases(rng):
     noise of the final reduction out of the difference quotient.
     """
     from eqtraffic import autodiff as ad
-    from eqtraffic.layers import LINEAR_BASIS
-    from eqtraffic.pga import GEOM_TABLE, JOIN_TABLE, WEDGE_TABLE
+    from eqtraffic.layers import DISTANCE_EPS, KEY_MIX, LAYER_NORM_EPS, LINEAR_BASIS, QUERY_MIX
+    from eqtraffic.pga import GEOM_TABLE, INNER_INDICES, JOIN_TABLE, WEDGE_TABLE
 
     def scalarize(x):
         d = ad.data_of(x)
@@ -83,6 +83,14 @@ def primitive_grad_cases(rng):
     table = rng.normal(size=(5, 3))
     mask = np.array([[True, False, True], [True, True, True]])
     weight = rng.normal(size=(2, 2, 10))
+    mv3 = rng.normal(size=(2, 3, 8))
+    inner_weights = np.isin(np.arange(8), INNER_INDICES) / 3.0
+    # row 0: e12 weights 3-8 sqrt(eps) either side of 0, where c / (c^2 + eps)
+    # still bends away from 1/c; e01/e20 on the same scale keep the features,
+    # and so the finite-difference rounding noise, small
+    points = rng.normal(size=(2, 4, 8))
+    points[0, :, 4:6] *= 3.0 * DISTANCE_EPS**0.5
+    points[0, :, 6] = rng.choice([-1.0, 1.0], size=4) * rng.uniform(3.0, 8.0, size=4) * DISTANCE_EPS**0.5
 
     raw = [
         ("add", lambda v: scalarize(ad.add(v[0], v[1])), [a23, b3]),
@@ -108,6 +116,13 @@ def primitive_grad_cases(rng):
         ("bilinear8/wedge", lambda v: scalarize(ad.bilinear8(v[0], v[1], WEDGE_TABLE)), [mv, mv + 0.3]),
         ("bilinear8/join", lambda v: scalarize(ad.bilinear8(v[0], v[1], JOIN_TABLE)), [mv, mv + 0.3]),
         ("mv_linear", lambda v: scalarize(ad.mv_linear(v[0], v[1], LINEAR_BASIS)), [mv, weight]),
+        ("rms_norm/channels",
+         lambda v: scalarize(ad.rms_norm(v[0], inner_weights, (-2, -1), LAYER_NORM_EPS)), [mv3]),
+        ("rms_norm/last", lambda v: scalarize(ad.rms_norm(v[0], 1.0 / 3.0, -1, LAYER_NORM_EPS)), [a23]),
+        ("distance_features/query",
+         lambda v: scalarize(ad.distance_features(v[0], QUERY_MIX, DISTANCE_EPS)), [points]),
+        ("distance_features/key",
+         lambda v: scalarize(ad.distance_features(v[0], KEY_MIX, DISTANCE_EPS)), [points]),
     ]
 
     # multilinear ops have mathematically exact central differences; their

@@ -225,6 +225,7 @@ def random_model():
     return vocab, cfg, md.init_params(cfg)
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_invariance(random_model):
     start = time.time()
     vocab, cfg, params = random_model
@@ -309,6 +310,7 @@ def test_criterion_6_gradient_correctness():
 # 7. desk-scale training
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_training():
     start = time.time()
     gen = sc.GeneratorConfig()

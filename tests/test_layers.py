@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eqtraffic import autodiff as ad
 from eqtraffic import pga
@@ -23,9 +25,10 @@ from eqtraffic.layers import (
     geometric_bilinear,
     invariant_adapter,
     noneq_linear,
+    rms_normalize,
     scalar_layer_norm,
 )
-from helpers import rand_motor, rand_pose
+from helpers import max_rel_err, rand_motor, rand_pose
 
 
 def transform_mv(motor, x):
@@ -246,6 +249,74 @@ def test_scalar_layer_norm_moments():
     out = np.asarray(scalar_layer_norm(s))
     assert np.allclose(out.mean(-1), 0.0, atol=1e-12)
     assert np.allclose(out.std(-1), 1.0, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# fused norm and distance primitives against the composite formulas
+# ---------------------------------------------------------------------------
+
+def ref_eq_layer_norm(x, eps):
+    inner = x[..., list(pga.INNER_INDICES)]
+    mean_sq = (inner * inner).sum(axis=-1).mean(axis=-1, keepdims=True)
+    return x / np.sqrt(mean_sq + eps)[..., None]
+
+
+def ref_scalar_layer_norm(s, eps):
+    centered = s - s.mean(axis=-1, keepdims=True)
+    return centered / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+
+
+def ref_rms_normalize(x, eps):
+    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+
+
+def ref_distance_features(x, eps, side):
+    a, b, c = x[..., 4:5], x[..., 5:6], x[..., 6:7]
+    if side == "query":
+        parts = [c * c, a * a + b * b, a * c, b * c]
+    else:
+        parts = [-(a * a + b * b), -(c * c), 2.0 * a * c, 2.0 * b * c]
+    return c / (c * c + eps) * np.concatenate(parts, axis=-1)
+
+
+@st.composite
+def point_channels(draw):
+    """[*lead, C, 8] random multivectors whose e01/e20/e12 encode weighted points up to 1e5 m out."""
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=3))
+    channels = draw(st.integers(1, 4))
+    x = draw(hnp.arrays(np.float64, lead + (channels, 8), elements=st.floats(-10, 10)))
+    coords = draw(hnp.arrays(np.float64, lead + (channels, 2), elements=st.floats(-1e5, 1e5)))
+    weight = draw(hnp.arrays(np.float64, lead + (channels,), elements=st.floats(0.1, 10)))
+    sign = draw(hnp.arrays(np.float64, lead + (channels,), elements=st.sampled_from([-1.0, 1.0])))
+    x[..., 6] = sign * weight
+    x[..., 4] = x[..., 6] * coords[..., 1]
+    x[..., 5] = x[..., 6] * coords[..., 0]
+    return x
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(point_channels(), st.sampled_from([0.0, 1e-6]))
+def test_fused_primitives_match_composite_formulas(x, eps):
+    assert max_rel_err(eq_layer_norm(x, eps), ref_eq_layer_norm(x, eps)) <= 1e-13
+    assert max_rel_err(distance_features_query(x, eps), ref_distance_features(x, eps, "query")) <= 1e-13
+    assert max_rel_err(distance_features_key(x, eps), ref_distance_features(x, eps, "key")) <= 1e-13
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    assert max_rel_err(scalar_layer_norm(flat), ref_scalar_layer_norm(flat, 1e-6)) <= 1e-13
+    assert max_rel_err(rms_normalize(flat), ref_rms_normalize(flat, 1e-6)) <= 1e-13
+
+
+def test_fused_primitives_keep_f32():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(3, 2, 8)).astype(np.float32)
+    s = x.reshape(3, 16)
+    outputs = [eq_layer_norm(x), distance_features_query(x), distance_features_key(x),
+               scalar_layer_norm(s), rms_normalize(s)]
+    assert [np.asarray(out).dtype for out in outputs] == [np.float32] * 5
+    x_var = ad.Var(x)
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.reshape(distance_features_key(eq_layer_norm(x_var)), (-1,)), axis=0)
+    assert all(node.output.dtype == np.float32 for node in tape.nodes)
+    assert ad.backward(tape, loss)[x_var].dtype == np.float32
 
 
 # ---------------------------------------------------------------------------

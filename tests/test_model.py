@@ -447,6 +447,28 @@ def test_train_determinism_and_descent():
         md.train([], vocab, cfg, steps=1)
 
 
+@pytest.mark.parametrize("name, op", [("block1/mlp/expand/weight", "mv_linear"), ("decoder/w1", "matmul")])
+def test_non_finite_loss_names_the_first_non_finite_op(name, op):
+    scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
+    params[name][(0,) * params[name].ndim] = np.nan
+    pvars = params.as_vars()
+    with ad.Tape() as tape:
+        md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
+    consumer = next(i for i, node in enumerate(tape.nodes) if any(x is pvars[name] for x in node.inputs))
+    assert tape.nodes[consumer].op == op
+    with pytest.raises(RuntimeError, match=f"tape node {consumer}, op '{op}'"):
+        md.train([scene], vocab, cfg, steps=1, params=params, scenes_per_step=1)
+
+
+def test_default_forward_tape_size_is_pinned():
+    """A fused rms_norm serves the three norms and a fused distance_features the attention features."""
+    scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
+    with ad.Tape() as tape:
+        md.loss(md.forward(batch, params.as_vars(), cfg), batch.targets, batch.target_valid)
+    ops = [node.op for node in tape.nodes]
+    assert (len(ops), ops.count("rms_norm"), ops.count("distance_features")) == (474, 23, 12)
+
+
 def test_rpe_zero_mlp_reduces_to_vanilla_attention():
     rng = np.random.default_rng(10)
     d = 6
