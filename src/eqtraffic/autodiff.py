@@ -5,7 +5,8 @@ wrapped in ``Var``.  Each primitive op computes with plain numpy and records a
 node (op name + saved inputs) when any input is tracked.  ``backward`` walks
 the node list in exact reverse order, looking up each op's vector-Jacobian
 product in a registry; cotangents accumulate in buffers keyed by value
-identity.
+identity, and each op output's buffer is freed once its VJP has used it, so
+only leaf gradients outlive ``backward``.
 
 Ops called on plain ndarrays never record, so the same layer code serves both
 inference and training.  Everything is single precision or double precision
@@ -17,18 +18,21 @@ from typing import Callable
 
 import numpy as np
 
+from .pga import INNER_INDICES
+
 
 class MissingVJPError(RuntimeError):
     """Backward hit a recorded op with no registered vector-Jacobian product."""
 
 
 class Var:
-    """A tracked array; leaf unless produced by a recorded op."""
+    """A tracked array; a leaf, or (leaf=False) the output of a recorded op."""
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "leaf")
 
-    def __init__(self, data):
+    def __init__(self, data, leaf: bool = True):
         self.data = np.asarray(data)
+        self.leaf = leaf
 
     @property
     def shape(self):
@@ -50,6 +54,10 @@ class _Node:
         self.inputs = inputs
         self.output = output
         self.ctx = ctx
+
+    @property
+    def outputs(self) -> tuple:
+        return self.output if type(self.output) is tuple else (self.output,)
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -79,8 +87,12 @@ def data_of(x) -> np.ndarray:
     return x.data if isinstance(x, Var) else np.asarray(x)
 
 
-def _record(op: str, out_data: np.ndarray, inputs: tuple, ctx: dict):
-    """Return a Var recorded on the active tape, or plain data if untracked."""
+def _record(op: str, out_data, inputs: tuple, ctx: dict):
+    """Return a Var recorded on the active tape, or plain data if untracked.
+
+    A tuple `out_data` records one node with a tuple of output Vars; its VJP
+    then receives a tuple of cotangents, None for an output the loss never used.
+    """
     for x in inputs:
         if type(x) is Var:
             break
@@ -89,7 +101,10 @@ def _record(op: str, out_data: np.ndarray, inputs: tuple, ctx: dict):
     tape = _active_tape()
     if tape is None:
         raise RuntimeError(f"op '{op}' received tracked inputs outside a Tape context")
-    out = Var(out_data)
+    if type(out_data) is tuple:
+        out = tuple(Var(d, leaf=False) for d in out_data)
+    else:
+        out = Var(out_data, leaf=False)
     tape.nodes.append(_Node(op, inputs, out, ctx))
     return out
 
@@ -103,10 +118,11 @@ def register_vjp(op: str, fn: Callable) -> None:
 
 
 def backward(tape: Tape, loss, cotangent=1.0):
-    """Accumulate cotangents for every tracked value reachable from `loss`.
+    """Accumulate cotangents for every leaf Var reachable from `loss`.
 
-    Returns a ``Gradients`` view; ``grads[var]`` is the cotangent array (zeros
-    if the value never influenced the loss).
+    Returns a ``Gradients`` view; ``grads[var]`` is the cotangent array of a
+    leaf (zeros if it never influenced the loss).  An op output's cotangent is
+    dropped as soon as its node's VJP has consumed it.
     """
     if not isinstance(loss, Var):
         raise TypeError("backward needs a tracked Var as the loss")
@@ -114,9 +130,14 @@ def backward(tape: Tape, loss, cotangent=1.0):
         id(loss): np.broadcast_to(np.asarray(cotangent, dtype=loss.data.dtype), loss.data.shape).copy()
     }
     for node in reversed(tape.nodes):
-        g = buffers.get(id(node.output))
-        if g is None:
-            continue
+        if type(node.output) is tuple:
+            g = tuple(buffers.pop(id(out), None) for out in node.output)
+            if all(gi is None for gi in g):
+                continue
+        else:
+            g = buffers.pop(id(node.output), None)
+            if g is None:
+                continue
         vjp = _VJPS.get(node.op)
         if vjp is None:
             raise MissingVJPError(f"no VJP registered for op '{node.op}'")
@@ -133,10 +154,14 @@ def backward(tape: Tape, loss, cotangent=1.0):
 
 
 class Gradients:
+    """Leaf cotangents left by ``backward``; op outputs' cotangents are not kept."""
+
     def __init__(self, buffers):
         self._buffers = buffers
 
     def __getitem__(self, var: Var) -> np.ndarray:
+        if not var.leaf:
+            raise ValueError("Gradients keeps only leaf gradients; this Var is the output of a recorded op")
         g = self._buffers.get(id(var))
         if g is None:
             return np.zeros_like(var.data)
@@ -187,19 +212,23 @@ register_vjp("rms_norm", _rms_norm_vjp)
 def distance_features(x, mix, eps: float):
     """[..., 8] -> [..., 4]: c / (c^2 + eps) * ([c^2, a^2 + b^2, ac, bc] @ mix) for a constant
     [4, 4] `mix`, with a, b, c the e01, e20, e12 components."""
-    dx = data_of(x)
+    out, saved = _distance_features(data_of(x), mix, eps)
+    return _record("distance_features", out, (x,), {"saved": saved})
+
+
+def _distance_features(dx, mix, eps: float):
+    """The distance features of `dx` and what `_distance_features_grad` needs."""
     a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
     den = c * c + eps
     parts = np.stack([c * c, a * a + b * b, a * c, b * c], axis=-1)
     m = np.asarray(mix, dtype=dx.dtype)
-    out = (c / den)[..., None] * (parts @ m)
-    return _record("distance_features", out, (x,), {"dx": dx, "mix": m, "den": den, "parts": parts})
+    return (c / den)[..., None] * (parts @ m), (dx, m, den, parts)
 
 
-def _distance_features_vjp(n, g):
-    dx, den, parts = n.ctx["dx"], n.ctx["den"], n.ctx["parts"]
+def _distance_features_grad(saved, g):
+    dx, mix, den, parts = saved
     a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
-    h = g @ n.ctx["mix"].T                      # cotangent of parts, before the factor
+    h = g @ mix.T                               # cotangent of parts, before the factor
     fh = (c / den)[..., None] * h
     g_factor = (parts * h).sum(axis=-1)
     gx = np.zeros(dx.shape, dtype=g.dtype)
@@ -207,10 +236,10 @@ def _distance_features_vjp(n, g):
     gx[..., 5] = 2.0 * b * fh[..., 1] + c * fh[..., 3]
     gx[..., 6] = (2.0 * c * fh[..., 0] + a * fh[..., 2] + b * fh[..., 3]
                   + g_factor * (den - 2.0 * c * c) / (den * den))
-    return (gx,)
+    return gx
 
 
-register_vjp("distance_features", _distance_features_vjp)
+register_vjp("distance_features", lambda n, g: (_distance_features_grad(n.ctx["saved"], g),))
 
 
 def sub(a, b):
@@ -419,28 +448,126 @@ def masked_softmax(logits, mask):
     weights rather than NaN.  `mask` is a constant (never differentiated);
     pass None for a full softmax.
     """
-    x = data_of(logits)
-    if mask is None:
-        shifted = x - x.max(axis=-1, keepdims=True, initial=-np.inf)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=-1, keepdims=True)
-    else:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        neg = np.where(m, x, -np.inf)
-        mx = neg.max(axis=-1, keepdims=True, initial=-np.inf)
-        safe_mx = np.where(np.isfinite(mx), mx, 0.0)
-        e = np.exp(neg - safe_mx)
-        denom = e.sum(axis=-1, keepdims=True)
-        out = e / np.where(denom == 0.0, 1.0, denom)
+    out = _softmax(data_of(logits), mask)
     return _record("masked_softmax", out, (logits,), {"out": out})
 
 
-def _masked_softmax_vjp(n, g):
-    y = n.ctx["out"]
-    return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+def _softmax(x, mask):
+    if mask is None:
+        e = x - x.max(axis=-1, keepdims=True, initial=-np.inf)
+    else:
+        e = np.where(np.broadcast_to(np.asarray(mask, dtype=bool), x.shape), x, -np.inf)
+        mx = e.max(axis=-1, keepdims=True, initial=-np.inf)
+        e -= np.where(np.isfinite(mx), mx, 0.0)
+    np.exp(e, out=e)
+    denom = e.sum(axis=-1, keepdims=True)
+    e /= np.where(denom == 0.0, 1.0, denom)
+    return e
 
 
-register_vjp("masked_softmax", _masked_softmax_vjp)
+def _softmax_grad(y, g):
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
+register_vjp("masked_softmax", lambda n, g: (_softmax_grad(n.ctx["out"], g),))
+
+
+def mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, query_mix, key_mix, eps: float,
+                 denom: float, mask):
+    """Multivector attention as one tape node: (mv [..., Lq, C, 8], s [..., Lq, S]).
+
+    Keys and values are [..., Lk, C, 8] and [..., Lk, S]; their leading dims
+    broadcast against the queries'.  Per head, a query row is [inner-product
+    components | distance features with `query_mix` (left out when None) |
+    scalars], a key row the same with `key_mix`.  Logits are row dot products
+    over `denom`, softmaxed over the keys `mask` ([..., Lq, Lk] or None) keeps
+    (zeros for a row with none); the weights average the values.
+    """
+    inputs = (mv_q, mv_k, mv_v, sq, sk, sv)
+    dq, dk, dv, dsq, dsk, dsv = [data_of(x) for x in inputs]
+    logits, qf, kf, q_saved, k_saved = _attention_logits(dq, dk, dsq, dsk, heads, query_mix,
+                                                         key_mix, eps, denom)
+    if mask is not None and np.ndim(mask) > 2:
+        mask = np.expand_dims(mask, -3)  # broadcast across heads
+    w = _softmax(logits, mask)
+    del logits
+    v_h = _split_heads(dv, heads, 1)
+    c = v_h.shape[-2]
+    vf = np.concatenate([v_h.reshape(v_h.shape[:-2] + (8 * c,)), _split_heads(dsv, heads, 0)], axis=-1)
+    out = w @ vf
+    lead = out.shape[:-1]
+    mv_out = _merge_heads(out[..., :8 * c].reshape(lead + (c, 8)), 1)
+    s_out = _merge_heads(out[..., 8 * c:], 0)
+    ctx = {"heads": heads, "denom": denom, "w": w, "vf": vf, "qf": qf, "kf": kf,
+           "q_saved": q_saved, "k_saved": k_saved}
+    return _record("mv_attention", (mv_out, s_out), inputs, ctx)
+
+
+def _split_heads(x, heads: int, tail: int):
+    """[..., L, heads * k, *tail] -> [..., heads, L, k, *tail], a view; `tail` trailing axes."""
+    ax = x.ndim - 1 - tail
+    return x.reshape(x.shape[:ax] + (heads, x.shape[ax] // heads) + x.shape[ax + 1:]).swapaxes(ax - 1, ax)
+
+
+def _merge_heads(x, tail: int):
+    """[..., heads, L, k, *tail] -> [..., L, heads * k, *tail], the inverse of `_split_heads`."""
+    ax = x.ndim - 3 - tail
+    y = x.swapaxes(ax, ax + 1)
+    return y.reshape(y.shape[:ax + 1] + (y.shape[ax + 1] * y.shape[ax + 2],) + y.shape[ax + 3:])
+
+
+def _attention_rows(mv, s, heads: int, mix, eps: float):
+    """Per-head rows [..., H, L, 4c (+ 4c) + cs] and the saved distance-feature state (or None)."""
+    mv_h = _split_heads(mv, heads, 1)
+    rows_shape = mv_h.shape[:-2]
+    width = 4 * mv_h.shape[-2]
+    pieces = [mv_h[..., list(INNER_INDICES)].reshape(rows_shape + (width,))]
+    saved = None
+    if mix is not None:
+        feats, saved = _distance_features(mv_h, mix, eps)
+        pieces.append(feats.reshape(rows_shape + (width,)))
+    pieces.append(_split_heads(s, heads, 0))
+    return np.concatenate(pieces, axis=-1), saved
+
+
+def _attention_rows_grad(g, saved, c: int):
+    """Cotangents (mv [..., L, C, 8], s [..., L, S]) of the rows built by `_attention_rows`."""
+    rows_shape = g.shape[:-1]
+    width = 4 * c if saved is None else 8 * c
+    g_mv = (np.zeros(rows_shape + (c, 8), dtype=g.dtype) if saved is None
+            else _distance_features_grad(saved, g[..., 4 * c:width].reshape(rows_shape + (c, 4))))
+    g_mv[..., list(INNER_INDICES)] += g[..., :4 * c].reshape(rows_shape + (c, 4))
+    return _merge_heads(g_mv, 1), _merge_heads(g[..., width:], 0)
+
+
+def _attention_logits(mv_q, mv_k, sq, sk, heads: int, query_mix, key_mix, eps: float, denom: float):
+    """Logits [..., H, Lq, Lk] of plain arrays, with the rows and saved state behind them."""
+    qf, q_saved = _attention_rows(mv_q, sq, heads, query_mix, eps)
+    kf, k_saved = _attention_rows(mv_k, sk, heads, key_mix, eps)
+    logits = qf @ kf.swapaxes(-1, -2)
+    logits /= denom
+    return logits, qf, kf, q_saved, k_saved
+
+
+def _mv_attention_vjp(n, g):
+    ctx = n.ctx
+    heads, w, vf, qf, kf = ctx["heads"], ctx["w"], ctx["vf"], ctx["qf"], ctx["kf"]
+    g_mv, g_s = (np.zeros_like(out.data) if gi is None else gi for gi, out in zip(g, n.output))
+    c = g_mv.shape[-2] // heads
+    g_out = np.concatenate([_split_heads(g_mv, heads, 1).reshape(w.shape[:-1] + (8 * c,)),
+                            _split_heads(g_s, heads, 0)], axis=-1)
+    g_logits = _softmax_grad(w, g_out @ vf.swapaxes(-1, -2))
+    g_logits /= ctx["denom"]
+    g_qf = _unbroadcast(g_logits @ kf, qf.shape)
+    g_kf = _unbroadcast((qf.swapaxes(-1, -2) @ g_logits).swapaxes(-1, -2), kf.shape)
+    g_vf = _unbroadcast(w.swapaxes(-1, -2) @ g_out, vf.shape)
+    g_mv_q, g_sq = _attention_rows_grad(g_qf, ctx["q_saved"], c)
+    g_mv_k, g_sk = _attention_rows_grad(g_kf, ctx["k_saved"], c)
+    g_mv_v = _merge_heads(g_vf[..., :8 * c].reshape(g_vf.shape[:-1] + (c, 8)), 1)
+    return g_mv_q, g_mv_k, g_mv_v, g_sq, g_sk, _merge_heads(g_vf[..., 8 * c:], 0)
+
+
+register_vjp("mv_attention", _mv_attention_vjp)
 
 
 def log_softmax(a):

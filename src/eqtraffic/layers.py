@@ -184,55 +184,6 @@ def distance_features_key(k, eps: float = DISTANCE_EPS):
     return ad.distance_features(k, KEY_MIX, eps)
 
 
-def _heads_mv(x, heads: int):
-    d = ad.data_of(x)
-    lead, length, c_total = d.shape[:-3], d.shape[-3], d.shape[-2]
-    per = c_total // heads
-    out = ad.reshape(x, lead + (length, heads, per, COMPONENTS))
-    return ad.moveaxis(out, -3, -4)  # [..., H, L, per, 8]
-
-
-def _heads_scalar(s, heads: int):
-    d = ad.data_of(s)
-    lead, length, c_total = d.shape[:-2], d.shape[-2], d.shape[-1]
-    per = c_total // heads
-    out = ad.reshape(s, lead + (length, heads, per))
-    return ad.moveaxis(out, -2, -3)  # [..., H, L, per]
-
-
-def _merge_heads_mv(x):
-    d = ad.data_of(x)
-    lead = d.shape[:-4]
-    heads, length, per = d.shape[-4], d.shape[-3], d.shape[-2]
-    out = ad.moveaxis(x, -4, -3)  # [..., L, H, per, 8]
-    return ad.reshape(out, lead + (length, heads * per, COMPONENTS))
-
-
-def _merge_heads_scalar(s):
-    d = ad.data_of(s)
-    lead = d.shape[:-3]
-    heads, length, per = d.shape[-3], d.shape[-2], d.shape[-1]
-    out = ad.moveaxis(s, -3, -2)
-    return ad.reshape(out, lead + (length, heads * per))
-
-
-def _flatten_key_query(mv_h, s_h, cfg: AttentionConfig, side: str):
-    """Concatenate inner-product components, distance features, and scalars."""
-    d = ad.data_of(mv_h)
-    lead = d.shape[:-2]
-    comps = ad.reshape(ad.take_last(mv_h, INNER_INDICES), lead + (4 * cfg.mv_per_head,))
-    pieces = [comps]
-    if cfg.distance_awareness:
-        feats = (
-            distance_features_query(mv_h, cfg.eps)
-            if side == "query"
-            else distance_features_key(mv_h, cfg.eps)
-        )
-        pieces.append(ad.reshape(feats, lead + (4 * cfg.mv_per_head,)))
-    pieces.append(s_h)
-    return ad.concat(pieces, axis=-1)
-
-
 def _combine_mask(mask, causal: bool, lq: int, lk: int):
     """AND of an optional [..., Lq, Lk] mask with the causal rule, or None.
 
@@ -250,17 +201,21 @@ def _combine_mask(mask, causal: bool, lq: int, lk: int):
     return out
 
 
-def eq_attention_logits(mv_q, mv_k, sq, sk, cfg: AttentionConfig):
-    """Pre-softmax invariant logits, [..., H, Lq, Lk]."""
+def _distance_mixes(cfg: AttentionConfig):
+    return (QUERY_MIX, KEY_MIX) if cfg.distance_awareness else (None, None)
+
+
+def eq_attention_logits(mv_q, mv_k, sq, sk, cfg: AttentionConfig) -> np.ndarray:
+    """Pre-softmax invariant logits [..., H, Lq, Lk], the ones `eq_attention` computes, as a plain array."""
     cfg.check(ad.data_of(mv_q).shape[-2], ad.data_of(sq).shape[-1])
-    qf = _flatten_key_query(_heads_mv(mv_q, cfg.heads), _heads_scalar(sq, cfg.heads), cfg, "query")
-    kf = _flatten_key_query(_heads_mv(mv_k, cfg.heads), _heads_scalar(sk, cfg.heads), cfg, "key")
-    scores = ad.matmul(qf, ad.moveaxis(kf, -1, -2))
-    return ad.div(scores, cfg.logit_denominator)
+    return ad._attention_logits(
+        ad.data_of(mv_q), ad.data_of(mv_k), ad.data_of(sq), ad.data_of(sk),
+        cfg.heads, *_distance_mixes(cfg), cfg.eps, cfg.logit_denominator,
+    )[0]
 
 
 def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg: AttentionConfig, mask=None):
-    """Multivector scaled dot-product attention.
+    """Multivector scaled dot-product attention, one `ad.mv_attention` node.
 
     Logits follow the fused construction: concatenate the [s, e1, e2, e12]
     components, the distance-awareness features, and the invariant scalars of
@@ -268,29 +223,12 @@ def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg: AttentionConfig, mask=None):
     denominator.  Values carry all 8 multivector components plus scalars.
     Rows whose mask admits no key yield zero outputs.
     """
-    logits = eq_attention_logits(mv_q, mv_k, sq, sk, cfg)
-    d = ad.data_of(logits)
-    combined = _combine_mask(mask, cfg.causal, d.shape[-2], d.shape[-1])
-    if combined is not None and combined.ndim > 2:
-        combined = np.expand_dims(combined, -3)  # broadcast across heads
-    weights = ad.masked_softmax(logits, combined)
-
-    mv_v_h = _heads_mv(mv_v, cfg.heads)
-    sv_h = _heads_scalar(sv, cfg.heads)
-    dv = ad.data_of(mv_v_h)
-    lead = dv.shape[:-2]
-    v_flat = ad.concat(
-        [ad.reshape(mv_v_h, lead + (COMPONENTS * cfg.mv_per_head,)), sv_h], axis=-1
+    cfg.check(ad.data_of(mv_q).shape[-2], ad.data_of(sq).shape[-1])
+    lq, lk = ad.data_of(mv_q).shape[-3], ad.data_of(mv_k).shape[-3]
+    return ad.mv_attention(
+        mv_q, mv_k, mv_v, sq, sk, sv, cfg.heads, *_distance_mixes(cfg), cfg.eps,
+        cfg.logit_denominator, _combine_mask(mask, cfg.causal, lq, lk),
     )
-    out = ad.matmul(weights, v_flat)
-
-    do = ad.data_of(out)
-    lead_q = do.shape[:-1]
-    mv_flat, s_out_h = ad.split(
-        out, [COMPONENTS * cfg.mv_per_head, cfg.scalar_per_head], axis=-1
-    )
-    mv_out_h = ad.reshape(mv_flat, lead_q + (cfg.mv_per_head, COMPONENTS))
-    return _merge_heads_mv(mv_out_h), _merge_heads_scalar(s_out_h)
 
 
 def rms_normalize(x, eps: float = LAYER_NORM_EPS):

@@ -559,7 +559,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
                 loss_var = loss(logits, batch.targets, batch.target_valid)
             loss_val = float(ad.data_of(loss_var))
             if not math.isfinite(loss_val):
-                bad = next(i for i, nd in enumerate(tape.nodes) if not np.isfinite(nd.output.data).all())
+                bad = next(i for i, nd in enumerate(tape.nodes)
+                           if not all(np.isfinite(out.data).all() for out in nd.outputs))
                 raise RuntimeError(f"non-finite loss {loss_val} at step {step}: first non-finite "
                                    f"output at tape node {bad}, op '{tape.nodes[bad].op}'")
             loss_total += loss_val
@@ -778,18 +779,21 @@ def flop_count(cfg: ModelConfig, agents: int, map_tokens: int, steps: int,
     if geo:
         terms["embed"] += (at + m) * 128.0 * 1 * c  # multivector embedding
 
-    d_attn = (8 * c + s) if geo else s
+    # logit rows: 4 inner components (+ 4 distance features) per channel, then scalars
+    d_scores = ((8 if cfg.distance_awareness else 4) * c + s) if geo else s
+    d_values = (8 * c + s) if geo else s
     for _ in range(n):
         # q on agent tokens for all three attentions; k, v on their key sets
         terms["proj_qkv"] += 3 * dense(at, s, s) + 2 * dense(m, s, s) + 4 * dense(at, s, s)
         if geo:
             terms["proj_qkv"] += 3 * (128.0 * c * c) * at + 2 * (128.0 * c * c) * m
             terms["proj_qkv"] += 4 * (128.0 * c * c) * at
+        if geo and cfg.distance_awareness:
             # positional construction: component extraction + distance features
             terms["pos_agent_tokens"] += 3 * 2 * DA_FLOPS_PER_CHANNEL * c * at
             terms["pos_map_tokens"] += DA_FLOPS_PER_CHANNEL * c * m
-        terms["attn_scores"] += 2.0 * pairs_total * d_attn
-        terms["attn_values"] += 2.0 * pairs_total * d_attn
+        terms["attn_scores"] += 2.0 * pairs_total * d_scores
+        terms["attn_values"] += 2.0 * pairs_total * d_values
         if variant == "rpe":
             per_pair = 2.0 * 4 * cfg.rpe_hidden + 2.0 * cfg.rpe_hidden * 2 * s + 4.0 * s
             terms["pos_pairs_agent_map"] += per_pair * pairs_map

@@ -92,7 +92,33 @@ def primitive_grad_cases(rng):
     points[0, :, 4:6] *= 3.0 * DISTANCE_EPS**0.5
     points[0, :, 6] = rng.choice([-1.0, 1.0], size=4) * rng.uniform(3.0, 8.0, size=4) * DISTANCE_EPS**0.5
 
+    # attention: 2 heads of 1 multivector and 1 scalar channel; e12 weights kept
+    # 0.5-1.5 from zero so the distance features stay smooth on the FD step
+    def attn_arrays(lead_q, lead_k, lq, lk):
+        def points_mv(lead, length):
+            x = rng.normal(0.0, 0.5, size=lead + (length, 2, 8))
+            x[..., 6] = rng.choice([-1.0, 1.0], size=x.shape[:-1]) * rng.uniform(0.5, 1.5, size=x.shape[:-1])
+            return x
+        return [points_mv(lead_q, lq), points_mv(lead_k, lk), points_mv(lead_k, lk),
+                rng.normal(size=lead_q + (lq, 2)), rng.normal(size=lead_k + (lk, 2)),
+                rng.normal(size=lead_k + (lk, 2))]
+
+    def attention(mixes, mask):
+        denom = float(np.sqrt(9.0 if mixes[0] is not None else 5.0))
+        return lambda v: ad.add(*[scalarize(out) for out in ad.mv_attention(
+            *v, 2, *mixes, DISTANCE_EPS, denom, mask)])
+
+    distance = (QUERY_MIX, KEY_MIX)
+    no_key_row = rng.random(size=(2, 3, 3)) < 0.7
+    no_key_row[1, 0] = False
+
     raw = [
+        ("mv_attention/causal_lq_lt_lk", attention(distance, np.tri(2, 3, 1, dtype=bool)),
+         attn_arrays((), (), 2, 3)),
+        ("mv_attention/row_without_keys", attention(distance, no_key_row), attn_arrays((2,), (2,), 3, 3)),
+        ("mv_attention/keys_fewer_dims", attention(distance, rng.random(size=(2, 3, 4)) < 0.8),
+         attn_arrays((2,), (), 3, 4)),
+        ("mv_attention/no_distance", attention((None, None), None), attn_arrays((2,), (2,), 2, 3)),
         ("add", lambda v: scalarize(ad.add(v[0], v[1])), [a23, b3]),
         ("sub", lambda v: scalarize(ad.sub(v[0], v[1])), [a23, b3]),
         ("mul", lambda v: scalarize(ad.mul(v[0], v[1])), [a23, b3]),
@@ -126,9 +152,13 @@ def primitive_grad_cases(rng):
     ]
 
     # multilinear ops have mathematically exact central differences; their
-    # residual FD error is pure rounding, so sample FD-resolvable coordinates
+    # residual FD error is pure rounding, so sample FD-resolvable coordinates.
+    # Attention's rounding noise is ~1e-9 at this step, which resolves only
+    # gradients above ~1e-4; its exact match with the composite path is
+    # checked in test_layers
     floors = {"bilinear8/geom": 1e-3, "bilinear8/wedge": 1e-3,
               "bilinear8/join": 1e-3, "mv_linear": 1e-3, "matmul": 1e-3}
+    floors.update({name: 1e-3 for name, _fn, _arrays in raw if name.startswith("mv_attention/")})
     cases = []
     for name, fn, arrays in raw:
         with ad.Tape():

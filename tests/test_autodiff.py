@@ -136,6 +136,18 @@ def test_identity_linear_passes_cotangent_through():
     assert np.array_equal(grads[x], np.ones((2, 3)))
 
 
+def test_gradients_answer_only_for_leaves():
+    x = ad.Var(np.arange(6.0).reshape(2, 3))
+    with ad.Tape() as tape:
+        y = ad.mul(x, 2.0)
+        loss = ad.reduce_sum(ad.reshape(y, (-1,)), axis=0)
+    grads = ad.backward(tape, loss)
+    assert np.array_equal(grads[x], np.full((2, 3), 2.0))
+    for op_output in (y, loss):
+        with pytest.raises(ValueError, match="only leaf gradients"):
+            grads[op_output]
+
+
 def test_missing_vjp_raises_with_op_name():
     x = ad.Var(np.ones(3))
     with ad.Tape() as tape:
@@ -245,3 +257,10 @@ def test_every_primitive_over_twenty_instantiations():
             worst[name] = max(worst.get(name, 0.0), err)
     offenders = {k: v for k, v in worst.items() if v > 1e-5}
     assert not offenders, offenders
+
+
+def test_every_registered_vjp_has_a_grad_check_case():
+    from helpers import primitive_grad_cases
+
+    cases = {name.split("/")[0] for name, _fn, _arrays, _floor in primitive_grad_cases(np.random.default_rng(0))}
+    assert set(ad._VJPS) - cases == set()

@@ -12,6 +12,7 @@ from eqtraffic import pga
 from eqtraffic.batch import sandwich_array
 from eqtraffic.layers import (
     AttentionConfig,
+    _combine_mask,
     EqMlpBlockParams,
     MlpParams,
     distance_features_key,
@@ -317,6 +318,108 @@ def test_fused_primitives_keep_f32():
         loss = ad.reduce_sum(ad.reshape(distance_features_key(eq_layer_norm(x_var)), (-1,)), axis=0)
     assert all(node.output.dtype == np.float32 for node in tape.nodes)
     assert ad.backward(tape, loss)[x_var].dtype == np.float32
+
+    cfg = AttentionConfig(heads=2, mv_per_head=1, scalar_per_head=8, causal=True)
+    leaves = [ad.Var(a) for a in (x, x, x, s, s, s)]
+    with ad.Tape() as tape:
+        eq_attention(*leaves, cfg)
+    (node,) = tape.nodes
+    assert [out.dtype for out in node.outputs] == [np.float32] * 2
+    cotangents = ad._VJPS["mv_attention"](node, tuple(np.ones_like(out.data) for out in node.outputs))
+    assert [g.dtype for g in cotangents] == [np.float32] * 6
+
+
+# ---------------------------------------------------------------------------
+# fused attention against the composite attention it replaced
+# ---------------------------------------------------------------------------
+
+def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg, mask=None):
+    """Reference: eq_attention spelled out in elementary tape ops (36 nodes per call)."""
+    def heads_mv(x):
+        d = ad.data_of(x)
+        per = d.shape[-2] // cfg.heads
+        return ad.moveaxis(ad.reshape(x, d.shape[:-2] + (cfg.heads, per, 8)), -3, -4)
+
+    def heads_scalar(x):
+        d = ad.data_of(x)
+        per = d.shape[-1] // cfg.heads
+        return ad.moveaxis(ad.reshape(x, d.shape[:-1] + (cfg.heads, per)), -2, -3)
+
+    def merge_heads(x, tail):
+        d = ad.data_of(x)
+        ax = d.ndim - 3 - tail
+        moved = ad.moveaxis(x, ax, ax + 1)
+        return ad.reshape(moved, d.shape[:ax] + (d.shape[ax + 1], d.shape[ax] * d.shape[ax + 2]) + d.shape[ax + 3:])
+
+    def rows(mv, s, feature):
+        mv_h = heads_mv(mv)
+        lead = ad.data_of(mv_h).shape[:-2]
+        pieces = [ad.reshape(ad.take_last(mv_h, pga.INNER_INDICES), lead + (4 * cfg.mv_per_head,))]
+        if cfg.distance_awareness:
+            pieces.append(ad.reshape(feature(mv_h, cfg.eps), lead + (4 * cfg.mv_per_head,)))
+        pieces.append(heads_scalar(s))
+        return ad.concat(pieces, axis=-1)
+
+    qf = rows(mv_q, sq, distance_features_query)
+    kf = rows(mv_k, sk, distance_features_key)
+    logits = ad.div(ad.matmul(qf, ad.moveaxis(kf, -1, -2)), cfg.logit_denominator)
+    lq, lk = ad.data_of(logits).shape[-2:]
+    combined = _combine_mask(mask, cfg.causal, lq, lk)
+    if combined is not None and combined.ndim > 2:
+        combined = np.expand_dims(combined, -3)
+    weights = ad.masked_softmax(logits, combined)
+    mv_v_h = heads_mv(mv_v)
+    lead = ad.data_of(mv_v_h).shape[:-2]
+    v_flat = ad.concat([ad.reshape(mv_v_h, lead + (8 * cfg.mv_per_head,)), heads_scalar(sv)], axis=-1)
+    out = ad.matmul(weights, v_flat)
+    mv_flat, s_out = ad.split(out, [8 * cfg.mv_per_head, cfg.scalar_per_head], axis=-1)
+    mv_out = ad.reshape(mv_flat, ad.data_of(mv_flat).shape[:-1] + (cfg.mv_per_head, 8))
+    return merge_heads(mv_out, 1), merge_heads(s_out, 0)
+
+
+@st.composite
+def attention_cases(draw):
+    """Random head layouts, causal and masked rows, empty key sets, and keys without the queries' lead dims."""
+    heads, c, cs = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    lq, lk = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    lead_q = draw(st.sampled_from([(), (2,), (2, 3)]))
+    lead_k = draw(st.sampled_from([lead_q, lead_q[1:]]))
+    cfg = AttentionConfig(heads=heads, mv_per_head=c, scalar_per_head=cs,
+                          distance_awareness=draw(st.booleans()),
+                          causal=draw(st.booleans()) and lq <= lk)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arrays = [rng.normal(size=lead + (length,) + tail)
+              for lead, length, tail in ((lead_q, lq, (heads * c, 8)), (lead_k, lk, (heads * c, 8)),
+                                         (lead_k, lk, (heads * c, 8)), (lead_q, lq, (heads * cs,)),
+                                         (lead_k, lk, (heads * cs,)), (lead_k, lk, (heads * cs,)))]
+    mask = rng.random(size=lead_q + (lq, lk)) < 0.7 if draw(st.booleans()) else None
+    cotangents = [rng.normal(size=lead_q + (lq, heads * c, 8)), rng.normal(size=lead_q + (lq, heads * cs))]
+    return cfg, arrays, mask, cotangents
+
+
+def scale_dev(actual, expected) -> float:
+    """max |actual - expected| over max |expected|: the error relative to the array's scale."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    if expected.size == 0 or not np.any(expected):
+        return float(np.max(np.abs(actual), initial=0.0))
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(attention_cases())
+def test_fused_attention_matches_composite(case):
+    cfg, arrays, mask, cotangents = case
+    results = []
+    for attend in (eq_attention, composite_attention):
+        leaves = [ad.Var(a) for a in arrays]
+        with ad.Tape() as tape:
+            outs = attend(*leaves, cfg, mask=mask)
+            loss = ad.add(*[ad.reduce_sum(ad.reshape(ad.mul(out, g), (-1,)), axis=0)
+                            for out, g in zip(outs, cotangents)])
+        grads = ad.backward(tape, loss)
+        results.append([ad.data_of(out) for out in outs] + [grads[leaf] for leaf in leaves])
+    for fused, composite in zip(*results):
+        assert scale_dev(fused, composite) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -461,12 +461,34 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 
 
 def test_default_forward_tape_size_is_pinned():
-    """A fused rms_norm serves the three norms and a fused distance_features the attention features."""
+    """A fused rms_norm serves the three norms and one mv_attention node each attention call."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
     with ad.Tape() as tape:
         md.loss(md.forward(batch, params.as_vars(), cfg), batch.targets, batch.target_valid)
     ops = [node.op for node in tape.nodes]
-    assert (len(ops), ops.count("rms_norm"), ops.count("distance_features")) == (474, 23, 12)
+    counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
+    assert counts == (264, 23, 0, 6)
+
+
+def test_backward_keeps_only_leaf_cotangents():
+    scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
+    pvars = params.as_vars()
+    with ad.Tape() as tape:
+        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
+    grads = ad.backward(tape, loss)
+    assert grads._buffers and set(grads._buffers) <= {id(var) for var in pvars.values()}
+
+
+@pytest.mark.parametrize("distance_awareness", [True, False])
+def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
+    """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values."""
+    scene, vocab, cfg, params, batch = desk_setup(distance_awareness=distance_awareness)
+    with ad.Tape() as tape:
+        md.forward(batch, params.as_vars(), cfg)
+    taped = sum(2 * node.ctx["w"].size * (node.ctx["qf"].shape[-1] + node.ctx["vf"].shape[-1])
+                for node in tape.nodes if node.op == "mv_attention")
+    terms = md.flop_count(cfg, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"]
+    assert taped == terms["attn_scores"] + terms["attn_values"]
 
 
 def test_rpe_zero_mlp_reduces_to_vanilla_attention():
