@@ -147,7 +147,7 @@ def backward(tape: Tape, loss, cotangent=1.0):
                 continue
             buf = buffers.get(id(inp))
             if buf is None:
-                buffers[id(inp)] = np.asarray(gi, dtype=inp.data.dtype).copy()
+                buffers[id(inp)] = np.array(gi)  # a copy, in the dtype the VJP computed in
             else:
                 buf += gi
     return Gradients(buffers)
@@ -185,8 +185,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # primitives
 # ---------------------------------------------------------------------------
 
-def add(a, b):
+def _operands(a, b):
+    """Both operands' arrays; a Python scalar takes the other operand's dtype.
+
+    A 0-d float64 array is not a weak scalar under NEP 50, so `data_of(1.0)`
+    would promote a float32 operand to float64.
+    """
     da, db = data_of(a), data_of(b)
+    if isinstance(a, (int, float)):
+        da = da.astype(db.dtype)
+    elif isinstance(b, (int, float)):
+        db = db.astype(da.dtype)
+    return da, db
+
+
+def add(a, b):
+    da, db = _operands(a, b)
     return _record("add", da + db, (a, b), {"sa": da.shape, "sb": db.shape})
 
 
@@ -243,7 +257,7 @@ register_vjp("distance_features", lambda n, g: (_distance_features_grad(n.ctx["s
 
 
 def sub(a, b):
-    da, db = data_of(a), data_of(b)
+    da, db = _operands(a, b)
     return _record("sub", da - db, (a, b), {"sa": da.shape, "sb": db.shape})
 
 
@@ -258,7 +272,7 @@ register_vjp("neg", lambda n, g: (-g,))
 
 
 def mul(a, b):
-    da, db = data_of(a), data_of(b)
+    da, db = _operands(a, b)
     return _record("mul", da * db, (a, b), {"da": da, "db": db})
 
 
@@ -272,7 +286,7 @@ register_vjp(
 
 
 def div(a, b):
-    da, db = data_of(a), data_of(b)
+    da, db = _operands(a, b)
     return _record("div", da / db, (a, b), {"da": da, "db": db})
 
 
@@ -722,34 +736,51 @@ class ParamStore:
 
 
 class AdamState:
-    """First/second-moment buffers plus the step counter."""
+    """First/second-moment buffers, flat float64 over the parameters in store order, plus the step counter."""
 
     def __init__(self, params: ParamStore):
-        self.m = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params.items()}
-        self.v = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params.items()}
+        size = sum(arr.size for _, arr in params.items())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.step = 0
 
 
 def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8):
-    """One adaptive-moment update; mutates params and state in place."""
+    """One adaptive-moment update; mutates params and state in place.
+
+    Parameters and gradients are gathered into one flat float64 buffer, updated
+    there, and scattered back in each parameter's dtype.
+    """
+    items = list(params.items())
+    for name, arr in items:
+        if np.shape(grads[name]) != arr.shape:
+            raise ValueError(
+                f"gradient shape {np.shape(grads[name])} != parameter shape {arr.shape} for '{name}'")
     b1, b2 = betas
     state.step += 1
     t = state.step
-    for name, _ in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != params[name].shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {params[name].shape} for '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        update = lr * m_hat / (np.sqrt(v_hat) + eps)
-        params[name] = (params[name].astype(np.float64) - update).astype(params[name].dtype)
+    p = np.concatenate([arr.ravel() for _, arr in items], dtype=np.float64)
+    g = np.concatenate([np.ravel(grads[name]) for name, _ in items], dtype=np.float64)
+    # in place, through one scratch buffer: fresh temporaries of this size cost page faults
+    m, v = state.m, state.v
+    m *= b1
+    tmp = np.multiply(1.0 - b1, g)
+    m += tmp
+    v *= b2
+    np.multiply(1.0 - b2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    m_hat = np.divide(m, 1.0 - b1**t, out=tmp)
+    denom = np.divide(v, 1.0 - b2**t, out=g)     # v_hat
+    np.sqrt(denom, out=denom)
+    denom += eps
+    m_hat *= lr
+    m_hat /= denom
+    p -= m_hat
+    ends = np.cumsum([arr.size for _, arr in items])
+    for (name, arr), flat in zip(items, np.split(p, ends[:-1])):
+        params[name] = flat.reshape(arr.shape).astype(arr.dtype)
     return params, state
 
 

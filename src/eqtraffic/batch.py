@@ -42,12 +42,11 @@ def pose_frame_motors(poses: np.ndarray) -> np.ndarray:
     return np.stack([ch, x * ch + y * sh, x * sh - y * ch, sh], axis=-1)
 
 
-def sandwich_array(motors: np.ndarray, x):
-    """u x u^{-1} per token, broadcast over the channel axis of x [..., C, 8].
+def sandwich_matrix(motors: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The per-token matrices [..., 8, 8] with x @ matrix = u x u^{-1} for the motors [..., 4].
 
-    The sandwich is linear in x, so it is one product with the constant
-    per-token matrix [..., 8, 8] built from SANDWICH_TABLE.  `motors` is
-    always a constant; `x` may be a tracked Var.
+    The sandwich is linear in x, so it is one constant matrix per motor,
+    built from SANDWICH_TABLE in float64 and then cast to `dtype`.
     """
     m = np.asarray(motors)
     if m.shape[-1] != 4:
@@ -57,5 +56,12 @@ def sandwich_array(motors: np.ndarray, x):
         worst = float(np.max(np.abs(norm - 1.0)))
         raise ValueError(f"non-unit motor in batch: max |norm-1| = {worst:.3e}")
     pairs = (m[..., :, None] * m[..., None, :]).reshape(m.shape[:-1] + (16,))
-    matrix = (pairs @ SANDWICH_TABLE).reshape(m.shape[:-1] + (8, 8))
-    return ad.matmul(x, matrix)
+    return (pairs @ SANDWICH_TABLE).reshape(m.shape[:-1] + (8, 8)).astype(dtype, copy=False)
+
+
+def sandwich_array(motors: np.ndarray, x):
+    """u x u^{-1} per token, broadcast over the channel axis of x [..., C, 8].
+
+    `motors` is always a constant; `x` may be a tracked Var, and keeps its float dtype.
+    """
+    return ad.matmul(x, sandwich_matrix(motors, np.promote_types(ad.data_of(x).dtype, np.float32)))

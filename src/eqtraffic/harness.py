@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .batch import pose_frame_motors, sandwich_array
+from .batch import pose_frame_motors, sandwich_array, sandwich_matrix
 from .layers import (
     AttentionConfig,
     EqLinearParams,
@@ -298,7 +298,7 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
     )
     attn_cfg = AttentionConfig(heads=1, mv_per_head=c, scalar_per_head=cs)
     poses = rng.uniform([-20, -20, -math.pi], [20, 20, math.pi], size=(5, 3))
-    frames = pose_frame_motors(poses)
+    sandwich = sandwich_matrix(pose_frame_motors(poses))
     adapter_mlp = MlpParams(rng.normal(0, 0.3, (8 * c, 8)), rng.normal(0, 0.3, 8),
                             rng.normal(0, 0.3, (8, cs)), rng.normal(0, 0.3, cs))
     noneq_weight = np.concatenate([weight, rng.normal(size=(c, c, 1))], axis=-1)
@@ -317,7 +317,7 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
     base_attn = (np.asarray(base_attn[0]), np.asarray(base_attn[1]))
     base_block = eq_mlp_block(x, s, mlp_block)
     base_block = (np.asarray(base_block[0]), np.asarray(base_block[1]))
-    base_adapter = np.asarray(invariant_adapter(x, s, frames, adapter_mlp))
+    base_adapter = np.asarray(invariant_adapter(x, s, sandwich, adapter_mlp))
     base_noneq = np.asarray(noneq_linear(x, noneq_weight))
 
     for _ in range(n_transforms):
@@ -325,11 +325,11 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
         xt = _apply(u, x)
         g = u.pose()
         c, sn = math.cos(g.theta), math.sin(g.theta)
-        frames_t = pose_frame_motors(np.column_stack([
+        sandwich_t = sandwich_matrix(pose_frame_motors(np.column_stack([
             g.x + c * poses[:, 0] - sn * poses[:, 1],
             g.y + sn * poses[:, 0] + c * poses[:, 1],
             g.theta + poses[:, 2],
-        ]))
+        ])))
         devs["eq_linear"] = max(devs["eq_linear"],
                                 _dev(eq_linear(xt, weight, bias), _apply(u, base_linear)))
         devs["geometric_bilinear"] = max(
@@ -355,7 +355,7 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
         )
         devs["invariant_adapter"] = max(
             devs["invariant_adapter"],
-            _dev(invariant_adapter(xt, s, frames_t, adapter_mlp), base_adapter),
+            _dev(invariant_adapter(xt, s, sandwich_t, adapter_mlp), base_adapter),
         )
         devs["negative_control"] = max(
             devs["negative_control"],
@@ -475,6 +475,7 @@ def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=rng.uniform(0, 1, (map_tokens, MAP_FEATURE_WIDTH)),
         map_poses=map_poses,
+        map_group=np.zeros(map_tokens, dtype=np.int64),
         frames=pose_frame_motors(poses),
         valid=np.ones((agents, steps), dtype=bool),
         targets=np.full((agents, steps), -1, dtype=np.int64),

@@ -12,12 +12,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .pga import COMPONENTS, GEOM_TABLE, GRADES, INNER_INDICES, JOIN_TABLE
-from .batch import sandwich_array
 
 LAYER_NORM_EPS = 1e-6
 DISTANCE_EPS = 1e-6
 
-_UNIT_SCALAR = np.eye(COMPONENTS)[0]
+
+def _per_dtype(const: np.ndarray) -> dict:
+    """{dtype: const cast to it} for both float dtypes, so a float32 model never promotes."""
+    return {np.dtype(t): const.astype(t) for t in (np.float32, np.float64)}
+
+
+_UNIT_SCALAR = _per_dtype(np.eye(COMPONENTS)[0])
+_GEOM_TABLE, _JOIN_TABLE = _per_dtype(GEOM_TABLE), _per_dtype(JOIN_TABLE)
 _INNER_MASK = np.isin(np.arange(COMPONENTS), INNER_INDICES).astype(float)
 # [c^2, a^2 + b^2, ac, bc] @ mix: the query keeps it, the key gives [-(a^2 + b^2), -c^2, 2ac, 2bc]
 QUERY_MIX = np.eye(4)
@@ -46,6 +52,7 @@ def _build_linear_basis():
 
 
 LINEAR_BASIS = _build_linear_basis()
+_LINEAR_BASIS = _per_dtype(LINEAR_BASIS)
 
 # Deliberately broken 11th map (scalar -> e1) for negative-control tests: it
 # mixes grades in a way no roto-translation commutes with.
@@ -134,10 +141,10 @@ def eq_linear(x, params, bias=None):
         weight, bias = params.weight, params.bias
     else:
         weight = params
-    out = ad.mv_linear(x, weight, LINEAR_BASIS)
+    dw = ad.data_of(weight)
+    out = ad.mv_linear(x, weight, _LINEAR_BASIS[dw.dtype])
     if bias is not None:
-        c_out = ad.data_of(weight).shape[0]
-        bias_mv = ad.mul(ad.reshape(bias, (c_out, 1)), _UNIT_SCALAR)
+        bias_mv = ad.mul(ad.reshape(bias, (dw.shape[0], 1)), _UNIT_SCALAR[ad.data_of(bias).dtype])
         out = ad.add(out, bias_mv)
     return out
 
@@ -152,9 +159,8 @@ def geometric_bilinear(w, x, y, z):
     for name, arr in (("w", w), ("x", x), ("y", y), ("z", z)):
         if ad.data_of(arr).shape != ad.data_of(w).shape:
             raise ValueError(f"geometric_bilinear operand '{name}' shape mismatch")
-    return ad.concat(
-        [ad.bilinear8(w, x, GEOM_TABLE), ad.bilinear8(y, z, JOIN_TABLE)], axis=-2
-    )
+    dt = ad.data_of(w).dtype
+    return ad.concat([ad.bilinear8(w, x, _GEOM_TABLE[dt]), ad.bilinear8(y, z, _JOIN_TABLE[dt])], axis=-2)
 
 
 def gated_relu(x):
@@ -236,16 +242,17 @@ def rms_normalize(x, eps: float = LAYER_NORM_EPS):
     return ad.rms_norm(x, 1.0 / ad.data_of(x).shape[-1], -1, eps)
 
 
-def invariant_adapter(mv, s, frames: np.ndarray, mlp: MlpParams):
+def invariant_adapter(mv, s, sandwich: np.ndarray, mlp: MlpParams):
     """Residual update of scalars from the agent-frame view of the multivectors.
 
-    `frames` holds one motor per token mapping global coordinates into that
-    token's agent frame; it is a constant (never differentiated).  The
-    flattened agent-frame components are RMS-normalized before the MLP: they
-    are invariant scalars, so the normalization preserves invariance while
-    bounding their meters-scale magnitudes.
+    `sandwich` [..., 8, 8] holds, per token, the `batch.sandwich_matrix` of
+    the motor mapping global coordinates into that token's agent frame; it
+    is a constant (never differentiated), built once per forward and shared
+    by every block.  The flattened agent-frame components are RMS-normalized
+    before the MLP: they are invariant scalars, so the normalization
+    preserves invariance while bounding their meters-scale magnitudes.
     """
-    local = sandwich_array(frames, mv)
+    local = ad.matmul(mv, sandwich)
     d = ad.data_of(local)
     flat = ad.reshape(local, d.shape[:-2] + (d.shape[-2] * COMPONENTS,))
     return ad.add(s, mlp2(rms_normalize(flat), mlp))

@@ -34,7 +34,7 @@ from .layers import (
     mlp2,
     scalar_layer_norm,
 )
-from .batch import pose_frame_motors
+from .batch import pose_frame_motors, sandwich_matrix
 from .scene import (
     AGENT_CLASSES,
     AGENT_FEATURE_WIDTH,
@@ -112,18 +112,27 @@ class ModelConfig:
 
 @dataclass
 class TokenBatch:
-    """Model input for one scene; all arrays float64 until the forward cast."""
+    """Model input for one scene, or for several as groups; all arrays float64 until the forward cast.
+
+    Poses are relative to the scene's anchor (`scene_anchor`): a translation
+    only, so the model's invariance absorbs it, and the float32 cast then
+    sees scene-sized coordinates however far the scene lies from the origin.
+    The scalar baselines see these anchor-relative poses too, and the
+    end-to-end audit's translations are absorbed by the anchor; the layer
+    audit still moves its inputs by full roto-translations.
+    """
 
     mv: np.ndarray            # [A, T, 1, 8]
     scalars_raw: np.ndarray   # [A, T, AGENT_FEATURE_WIDTH]
-    raw_poses: np.ndarray     # [A, T, 3] global (x, y, theta): frames, knn, baselines
+    raw_poses: np.ndarray     # [A, T, 3] anchor-relative (x, y, theta): frames, knn, baselines
     prev_flat: np.ndarray     # [A, T] int indices into the flat action-embedding table
     class_idx: np.ndarray     # [A] int
     group: np.ndarray         # [A] int; agents attend only to agents of their own group
     map_mv: np.ndarray        # [M, 1, 8]
     map_scalars_raw: np.ndarray  # [M, MAP_FEATURE_WIDTH]
-    map_poses: np.ndarray     # [M, 3]
-    frames: np.ndarray        # [A, T, 4] motor coefficients (global -> agent frame)
+    map_poses: np.ndarray     # [M, 3] anchor-relative
+    map_group: np.ndarray     # [M] int; agents attend to map tokens of their group, or of group -1
+    frames: np.ndarray        # [A, T, 4] motor coefficients (anchor-relative -> agent frame)
     valid: np.ndarray         # [A, T] bool
     targets: np.ndarray       # [A, T] int, -1 where undefined
     target_valid: np.ndarray  # [A, T] bool
@@ -144,26 +153,61 @@ class TokenBatch:
 _MAP_FIELDS = ("map_mv", "map_scalars_raw", "map_poses")
 
 
+def _agent_fields(batches) -> dict:
+    """The batches' per-agent fields concatenated along the agent axis, as groups 0, 1, ..."""
+    out = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
+           for f in fields(TokenBatch) if not f.name.startswith("map_")}
+    out["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
+    return out
+
+
 def stack_samples(batches) -> TokenBatch:
     """Batches built from one scene, stacked along the agent axis as groups 0, 1, ...
 
-    The stack keeps the first batch's map; every batch must carry the same map.
+    The stack keeps one copy of the first batch's map, in group -1 so every
+    group attends to it; every batch must carry the same map.
     """
     first = batches[0]
     for b in batches[1:]:
         if not all(np.array_equal(getattr(b, n), getattr(first, n)) for n in _MAP_FIELDS):
             raise ValueError("stacked batches must share one map")
-    stacked = {
-        f.name: np.concatenate([getattr(b, f.name) for b in batches])
-        for f in fields(TokenBatch) if f.name not in _MAP_FIELDS
-    }
-    stacked["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
-    return TokenBatch(**stacked, **{n: getattr(first, n) for n in _MAP_FIELDS})
+    return TokenBatch(**_agent_fields(batches), **{n: getattr(first, n) for n in _MAP_FIELDS},
+                      map_group=np.full(first.num_map, -1))
+
+
+def pack_scenes(batches) -> TokenBatch:
+    """Batches of different scenes packed as groups 0, 1, ...: agents and maps concatenated.
+
+    Each map token carries its scene's group.  The batches need one step
+    count: build them with a common `t_end`, which pads a scene with a
+    shorter horizon with invalid rows that carry no target.
+    """
+    if len({b.num_steps for b in batches}) != 1:
+        raise ValueError("packed batches need one step count; build them with a common t_end")
+    maps = {n: np.concatenate([getattr(b, n) for b in batches]) for n in _MAP_FIELDS}
+    maps["map_group"] = np.repeat(np.arange(len(batches)), [b.num_map for b in batches])
+    return TokenBatch(**_agent_fields(batches), **maps)
 
 
 def flat_token_index(class_idx: int, token: int, max_vocab: int) -> int:
     """Index into the flat previous-action table; token == max_vocab is the start token."""
     return class_idx * (max_vocab + 1) + token
+
+
+def scene_anchor(scene: Scene) -> tuple:
+    """The (x, y) every pose of the scene is shifted by before encoding.
+
+    The first map node's position, or the ego's earliest position when the
+    map is empty: it depends only on the scene, so every batch built from it,
+    and every rollout sample of it, shares the anchor.
+    """
+    if scene.map_nodes:
+        pose = scene.map_nodes[0].pose
+    elif scene.ego().states:
+        pose = scene.ego().states[0].pose
+    else:
+        return 0.0, 0.0
+    return pose.x, pose.y
 
 
 def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
@@ -173,7 +217,9 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
 
     The previous-action token of row t_start comes from the state at
     t_start - 1, so the rows equal the same rows of a batch built from 0.
+    Poses are taken relative to `scene_anchor(scene)`.
     """
+    ax, ay = scene_anchor(scene)
     n_steps = scene.horizon if t_end is None else t_end
     if not 0 <= t_start <= n_steps:
         raise ValueError(f"t_start {t_start} outside [0, {n_steps}]")
@@ -212,7 +258,7 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
                 prev_flat[a, r] = flat_token_index(cls_i, vmax, vmax)
                 continue
             valid[a, r] = True
-            poses[a, r] = [s.pose.x, s.pose.y, s.pose.theta]
+            poses[a, r] = [s.pose.x - ax, s.pose.y - ay, s.pose.theta]
             scalars[a, r] = encode_agent_scalars(agent, t)
             prev_tok = token_of.get(t - 1)
             prev_flat[a, r] = flat_token_index(cls_i, vmax if prev_tok is None else int(prev_tok), vmax)
@@ -221,7 +267,7 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
                 target_valid[a, r] = True
 
     map_poses = np.array(
-        [[n.pose.x, n.pose.y, n.pose.theta] for n in scene.map_nodes]
+        [[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]
     ).reshape(-1, 3)
     map_scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(
         -1, MAP_FEATURE_WIDTH
@@ -237,6 +283,7 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
         map_mv=encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=map_scalars,
         map_poses=map_poses,
+        map_group=np.zeros(len(map_poses), dtype=np.int64),
         frames=pose_frame_motors(poses),
         valid=valid,
         targets=targets,
@@ -373,17 +420,29 @@ def _swap_at(x):
     return ad.moveaxis(x, 1, 0)
 
 
+def _group_mask(batch: TokenBatch, key_group: np.ndarray, key_valid: np.ndarray | None = None):
+    """[T, A, K]: a valid agent row sees the keys of its own group, and keys of group -1.
+
+    With `key_valid` [K, T], a key counts only at the steps where it is valid.
+    """
+    mask = batch.valid.T[:, :, None] & ((batch.group[:, None] == key_group) | (key_group < 0))
+    if key_valid is not None:
+        mask &= key_valid.T[:, None, :]
+    return mask
+
+
 def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
-    """[A, T, M] boolean mask keeping the k nearest map nodes per agent state."""
+    """[A, T, M] boolean mask keeping, per valid agent state, the k nearest map nodes it may see."""
+    seen = np.moveaxis(_group_mask(batch, batch.map_group), 0, 1)
     diff = batch.raw_poses[:, :, None, :2] - batch.map_poses[None, None, :, :2]
-    d2 = (diff**2).sum(-1)
+    d2 = np.where(seen, (diff**2).sum(-1), np.inf)
     k = min(k, batch.num_map)
     if k == 0:
         return np.zeros(d2.shape, dtype=bool)
     nearest = np.argpartition(d2, k - 1, axis=-1)[..., :k]
     mask = np.zeros(d2.shape, dtype=bool)
     np.put_along_axis(mask, nearest, True, axis=-1)
-    return mask
+    return mask & seen
 
 
 def _decode_logits(h, p, class_idx):
@@ -391,12 +450,6 @@ def _decode_logits(h, p, class_idx):
     heads = ad.embedding(p["decoder/heads"], class_idx)          # [A, H, V]
     bias = ad.embedding(p["decoder/bias"], class_idx[:, None])   # [A, 1, V]
     return ad.add(ad.matmul(h, heads), bias)
-
-
-def _agent_mask(batch: TokenBatch) -> np.ndarray:
-    """[T, Aq, Ak]: both tokens valid and in the same group."""
-    same_group = batch.group[:, None] == batch.group[None, :]
-    return batch.valid.T[:, None, :] & batch.valid.T[:, :, None] & same_group
 
 
 def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: AttentionParams,
@@ -426,7 +479,6 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     whole prefix.
     """
     dt = cfg.np_dtype
-    a_count, t_count, m_count = batch.num_agents, batch.num_steps, batch.num_map
 
     mv = eq_linear(batch.mv.astype(dt), _eq_params(p, "embed/agent_mv"))
     s = mlp2(batch.scalars_raw.astype(dt), _mlp_params(p, "embed/agent_in"))
@@ -439,11 +491,11 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     causal_cfg = cfg.attention_config(causal=True)
 
     if cfg.map_attention == "all":
-        map_mask = np.broadcast_to(batch.valid.T[:, :, None], (t_count, a_count, m_count))
+        map_mask = _group_mask(batch, batch.map_group)
     else:
-        knn = knn_map_mask(batch, int(cfg.map_attention))  # [A, T, M]
-        map_mask = np.moveaxis(knn, 1, 0) & batch.valid.T[:, :, None]
-    agent_mask = _agent_mask(batch)
+        map_mask = np.moveaxis(knn_map_mask(batch, int(cfg.map_attention)), 1, 0)
+    agent_mask = _group_mask(batch, batch.group, batch.valid)
+    sandwich = sandwich_matrix(batch.frames, dt) if cfg.include_adapter else None
     time_mask = (batch.valid[:, None, :] & batch.valid[:, :, None])       # [A, Tq, Tk]
 
     for i in range(cfg.blocks):
@@ -477,7 +529,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
             ),
         )
         if cfg.include_adapter:
-            s = invariant_adapter(mv, s, batch.frames, _mlp_params(p, f"block{i}/adapter"))
+            s = invariant_adapter(mv, s, sandwich, _mlp_params(p, f"block{i}/adapter"))
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = _decode_logits(h, p, batch.class_idx)
@@ -491,16 +543,20 @@ def _vocab_mask(class_idx: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return np.where(inside, 0.0, -1e30).astype(cfg.np_dtype)[:, None, :]
 
 
-def loss(logits, targets: np.ndarray, valid: np.ndarray):
-    """Mean cross entropy over valid (agent, step) positions."""
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("loss needs at least one valid target position")
+def loss(logits, targets: np.ndarray, valid: np.ndarray, group: np.ndarray | None = None):
+    """Cross entropy averaged over each group's valid (agent, step) positions, then over the groups.
+
+    `group` [A] numbers the agents' groups 0..G-1; None is one group.
+    """
+    group = np.zeros(len(valid), dtype=np.int64) if group is None else group
+    counts = np.bincount(group, weights=valid.sum(axis=1))
+    if not np.all(counts > 0):
+        raise ValueError("loss needs at least one valid target position in every group")
     log_probs = ad.log_softmax(logits)
     picked = ad.gather_last(log_probs, np.maximum(targets, 0))
-    weights = valid.astype(ad.data_of(picked).dtype)
+    weights = (valid / (counts[group] * len(counts))[:, None]).astype(ad.data_of(picked).dtype)
     total = ad.reduce_sum(ad.reshape(ad.mul(picked, weights), (-1,)), axis=0)
-    return ad.div(ad.neg(total), float(n_valid))
+    return ad.neg(total)
 
 
 def sample_action(logits_row: np.ndarray, mode: str, rng: np.random.Generator | None = None,
@@ -530,9 +586,11 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
           seed: int = 0, params: ParamStore | None = None, scenes_per_step: int = 2):
     """Adam with cosine annealing; deterministic per seed on a single thread.
 
-    Each optimizer step accumulates gradients over `scenes_per_step` scenes
-    (averaged), which tames the per-scene gradient noise of tiny batches.
-    Returns (params, curve) with curve rows (step, lr, loss).
+    Each optimizer step packs `scenes_per_step` scenes into one batch
+    (`pack_scenes`) and runs one forward and one backward over it; the loss
+    averages the scenes' mean losses, which tames the per-scene gradient
+    noise of tiny batches.  Returns (params, curve) with curve rows
+    (step, lr, loss).
     """
     if not scenes:
         raise ValueError("train needs a nonempty dataset")
@@ -540,39 +598,32 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         raise ValueError("scenes_per_step must be >= 1")
     if params is None:
         params = init_params(cfg)
-    batches = [build_token_batch(s, vocab, cfg) for s in scenes]
+    t_end = max(s.horizon for s in scenes)
+    batches = [build_token_batch(s, vocab, cfg, t_end=t_end) for s in scenes]
     state = AdamState(params)
     rng = np.random.default_rng(seed)
     order: list[int] = []
     curve = []
     for step in range(steps):
         step_lr = cosine_lr(step, steps, lr)
-        acc: dict | None = None
-        loss_total = 0.0
+        picked = []
         for _ in range(scenes_per_step):
             if not order:
                 order = list(rng.permutation(len(batches)))
-            batch = batches[order.pop()]
-            pvars = {name: ad.Var(arr) for name, arr in params.items()}
-            with ad.Tape() as tape:
-                logits = forward(batch, pvars, cfg)
-                loss_var = loss(logits, batch.targets, batch.target_valid)
-            loss_val = float(ad.data_of(loss_var))
-            if not math.isfinite(loss_val):
-                bad = next(i for i, nd in enumerate(tape.nodes)
-                           if not all(np.isfinite(out.data).all() for out in nd.outputs))
-                raise RuntimeError(f"non-finite loss {loss_val} at step {step}: first non-finite "
-                                   f"output at tape node {bad}, op '{tape.nodes[bad].op}'")
-            loss_total += loss_val
-            grads_view = ad.backward(tape, loss_var)
-            if acc is None:
-                acc = {name: grads_view[var].astype(np.float64) for name, var in pvars.items()}
-            else:
-                for name, var in pvars.items():
-                    acc[name] += grads_view[var]
-        grads = {name: g / scenes_per_step for name, g in acc.items()}
-        adam_step(params, grads, state, step_lr)
-        curve.append((step, step_lr, loss_total / scenes_per_step))
+            picked.append(int(order.pop()))
+        batch = pack_scenes([batches[k] for k in picked])
+        pvars = params.as_vars()
+        with ad.Tape() as tape:
+            loss_var = loss(forward(batch, pvars, cfg), batch.targets, batch.target_valid, batch.group)
+        loss_val = float(ad.data_of(loss_var))
+        if not math.isfinite(loss_val):
+            bad = next(i for i, nd in enumerate(tape.nodes)
+                       if not all(np.isfinite(out.data).all() for out in nd.outputs))
+            raise RuntimeError(f"non-finite loss {loss_val} at step {step} on scenes {picked}: first "
+                               f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
+        grads = ad.backward(tape, loss_var)
+        adam_step(params, {name: grads[var] for name, var in pvars.items()}, state, step_lr)
+        curve.append((step, step_lr, loss_val))
     return params, curve
 
 
@@ -692,7 +743,6 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
     if variant not in ("rpe", "vanilla"):
         raise ValueError(f"unknown baseline variant '{variant}'")
     dt = cfg.np_dtype
-    a_count, t_count, m_count = batch.num_agents, batch.num_steps, batch.num_map
 
     if variant == "vanilla":
         agents_in = np.concatenate([batch.scalars_raw, batch.raw_poses], axis=-1)
@@ -713,8 +763,8 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
     else:
         rel_map = rel_agent = rel_time = None
 
-    map_mask = np.broadcast_to(batch.valid.T[:, :, None], (t_count, a_count, m_count))
-    agent_mask = _agent_mask(batch)
+    map_mask = _group_mask(batch, batch.map_group)
+    agent_mask = _group_mask(batch, batch.group, batch.valid)
     time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
 
     for i in range(cfg.blocks):

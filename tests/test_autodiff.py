@@ -227,6 +227,44 @@ def test_adam_converges_on_quadratic():
     assert abs(params["w"][0]) < 1e-2
 
 
+def _adam_per_array(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
+    """The reference update: one parameter array at a time, moments in float64."""
+    b1, b2 = betas
+    state["t"] += 1
+    for name, arr in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m, v = state["m"][name], state["v"][name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** state["t"])
+        v_hat = v / (1.0 - b2 ** state["t"])
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        params[name] = (arr.astype(np.float64) - update).astype(arr.dtype)
+
+
+def test_flat_adam_is_bit_identical_to_the_per_array_update():
+    rng = np.random.default_rng(11)
+    shapes = {"a": ((3, 4), np.float32), "b": ((), np.float64),
+              "c": ((2, 2, 5), np.float32), "d": ((7,), np.float64)}
+    flat, ref = ad.ParamStore(), {}
+    for name, (shape, dt) in shapes.items():
+        flat.add(name, rng.normal(size=shape).astype(dt))
+        ref[name] = flat[name].copy()
+    state = ad.AdamState(flat)
+    ref_state = {"t": 0, "m": {n: np.zeros(np.shape(a)) for n, a in ref.items()},
+                 "v": {n: np.zeros(np.shape(a)) for n, a in ref.items()}}
+    for step in range(6):
+        grads = {n: rng.normal(size=np.shape(a)).astype(a.dtype) for n, a in ref.items()}
+        ad.adam_step(flat, grads, state, lr=ad.cosine_lr(step, 6, 1e-2))
+        _adam_per_array(ref, grads, ref_state, lr=ad.cosine_lr(step, 6, 1e-2))
+        for name, arr in ref.items():
+            assert flat[name].dtype == arr.dtype and np.array_equal(flat[name], arr), name
+    with pytest.raises(ValueError, match="gradient shape"):
+        ad.adam_step(flat, {**grads, "c": np.zeros(3)}, state, lr=1e-3)
+
+
 def test_cosine_schedule_endpoints():
     assert math.isclose(ad.cosine_lr(0, 100, 1e-3), 1e-3)
     assert abs(ad.cosine_lr(99, 100, 1e-3)) <= 1e-12

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from eqtraffic import autodiff as ad
 from eqtraffic import pga
-from eqtraffic.batch import sandwich_array
+from eqtraffic.batch import sandwich_array, sandwich_matrix
 from eqtraffic.layers import (
     AttentionConfig,
     _combine_mask,
@@ -612,9 +612,9 @@ def test_adapter_zero_mlp_keeps_scalars():
     rng = np.random.default_rng(20)
     mv = rng.normal(size=(4, 2, 8))
     s = rng.normal(size=(4, 5))
-    frames = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    sandwich = sandwich_matrix(np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))
     mlp = MlpParams(np.zeros((16, 3)), np.zeros(3), np.zeros((3, 5)), np.zeros(5))
-    out = np.asarray(invariant_adapter(mv, s, frames, mlp))
+    out = np.asarray(invariant_adapter(mv, s, sandwich, mlp))
     assert np.array_equal(out, s)
 
 
@@ -636,10 +636,10 @@ def test_adapter_invariance_under_scene_transform():
     s = rng.normal(size=(6, 4))
     mlp = rand_mlp(rng, 24, 8, 4)
 
-    def frames_of(pose_list):
-        return np.stack([pga.motor_from_pose(p).inverse().coeffs for p in pose_list])
+    def sandwich_of(pose_list):
+        return sandwich_matrix(np.stack([pga.motor_from_pose(p).inverse().coeffs for p in pose_list]))
 
-    base = np.asarray(invariant_adapter(mv, s, frames_of(poses), mlp))
+    base = np.asarray(invariant_adapter(mv, s, sandwich_of(poses), mlp))
     worst = 0.0
     for _ in range(100):
         g = rand_motor(rng)
@@ -648,7 +648,7 @@ def test_adapter_invariance_under_scene_transform():
             pga.Pose2(*_compose(gp, p)) for p in poses
         ]
         moved = np.asarray(
-            invariant_adapter(transform_mv(g, mv), s, frames_of(moved_poses), mlp)
+            invariant_adapter(transform_mv(g, mv), s, sandwich_of(moved_poses), mlp)
         )
         worst = max(worst, deviation(moved, base))
     assert worst <= 1e-10

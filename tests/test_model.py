@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
+from eqtraffic.batch import sandwich_matrix
 
 
 def make_vocab(rng, cap=16, k_r=0.05):
@@ -456,18 +458,122 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
         md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
     consumer = next(i for i, node in enumerate(tape.nodes) if any(x is pvars[name] for x in node.inputs))
     assert tape.nodes[consumer].op == op
-    with pytest.raises(RuntimeError, match=f"tape node {consumer}, op '{op}'"):
+    with pytest.raises(RuntimeError, match=rf"on scenes \[0\]: .*tape node {consumer}, op '{op}'"):
         md.train([scene], vocab, cfg, steps=1, params=params, scenes_per_step=1)
+    # a packed step names the corpus indices of every scene in it, in packing order
+    others = [sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=3, horizon=h, n_lanes=2), seed=h)
+              for h in (8, 12)]
+    with pytest.raises(RuntimeError, match=f"tape node {consumer}, op '{op}'") as err:
+        md.train([scene] + others, vocab, cfg, steps=1, params=params, scenes_per_step=2, seed=3)
+    order = np.random.default_rng(3).permutation(3)
+    assert f"on scenes [{order[-1]}, {order[-2]}]:" in str(err.value)
 
 
 def test_default_forward_tape_size_is_pinned():
-    """A fused rms_norm serves the three norms and one mv_attention node each attention call."""
+    """A fused rms_norm serves the three norms and one mv_attention node each attention call;
+    the loss folds its per-group means into constant weights, so it ends without a div."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
     with ad.Tape() as tape:
         md.loss(md.forward(batch, params.as_vars(), cfg), batch.targets, batch.target_valid)
     ops = [node.op for node in tape.nodes]
     counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
-    assert counts == (264, 23, 0, 6)
+    assert counts == (263, 23, 0, 6)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_forward_loss_and_backward_stay_in_the_config_dtype(dtype):
+    """No constant or Python scalar promotes a float32 model to float64, and float64 stays float64."""
+    scene, vocab, cfg, params, batch = desk_setup(dtype=dtype, map_attention=3)
+    pvars = params.as_vars()
+    with ad.Tape() as tape:
+        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
+    grads = ad.backward(tape, loss)
+    promoted = [(i, node.op) for i, node in enumerate(tape.nodes)
+                for out in node.outputs if out.data.dtype != cfg.np_dtype]
+    assert not promoted
+    assert all(grads[var].dtype == cfg.np_dtype for var in pvars.values())
+
+
+F32_DRIFT_SETUP = desk_setup(seed=31, dtype="f32")
+
+
+@settings(max_examples=12, deadline=None)
+@given(distance=st.floats(0.0, 1e5), heading=st.floats(-math.pi, math.pi),
+       theta=st.floats(-math.pi, math.pi))
+def test_f32_logits_do_not_drift_with_distance_from_origin(distance, heading, theta):
+    """The anchor keeps f32 inputs scene-sized: moving the scene up to 100 km
+    changes the logits by at most 1e-4 of their scale."""
+    scene, vocab, cfg, params, batch = F32_DRIFT_SETUP
+    g = pga.Pose2(distance * math.cos(heading), distance * math.sin(heading), theta)
+    base = np.asarray(md.forward(batch, params, cfg), dtype=np.float64)
+    moved = np.asarray(md.forward(md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg),
+                                  params, cfg), dtype=np.float64)
+    inside = base > -1e29
+    assert np.max(np.abs(moved - base)[inside]) <= 1e-4 * np.max(np.abs(base[inside]))
+
+
+def test_poses_are_anchor_relative():
+    scene, vocab, cfg, params, batch = desk_setup(seed=32)
+    assert np.array_equal(batch.map_poses[0, :2], [0.0, 0.0])
+    node = scene.map_nodes[0].pose
+    ax, ay = md.scene_anchor(scene)
+    assert (ax, ay) == (node.x, node.y)
+    rows = md.build_token_batch(scene, vocab, cfg, t_end=7, t_start=5)
+    assert np.array_equal(rows.raw_poses, batch.raw_poses[:, 5:7])
+    empty = sc.Scene(agents=scene.agents, map_nodes=(), ego_id=scene.ego_id,
+                     horizon=scene.horizon, dt=scene.dt)
+    first = scene.ego().states[0].pose
+    assert md.scene_anchor(empty) == (first.x, first.y)
+    ego_row = [a.id for a in scene.agents].index(scene.ego_id)
+    assert np.array_equal(md.build_token_batch(empty, vocab, cfg).raw_poses[ego_row, 0, :2], [0.0, 0.0])
+
+
+def _loss_and_grads(batch, params, cfg):
+    pvars = params.as_vars()
+    with ad.Tape() as tape:
+        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid, batch.group)
+    grads = ad.backward(tape, loss)
+    return float(ad.data_of(loss)), {name: grads[var] for name, var in pvars.items()}
+
+
+@pytest.mark.parametrize("map_attention", ["all", 3])
+@pytest.mark.parametrize("n_scenes", [1, 3])
+def test_packed_step_equals_the_per_scene_path(map_attention, n_scenes):
+    """One forward over packed scenes: loss and gradients are the mean of the per-scene ones."""
+    rng = np.random.default_rng(33)
+    vocab = make_vocab(rng)
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64",
+                         map_attention=map_attention)
+    params = md.init_params(cfg)
+    params["decoder/heads"][...] = rng.normal(0.0, 0.3, params["decoder/heads"].shape)
+    scenes = [gappy_scene(33, horizon=12),
+              sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=7, n_lanes=2), seed=34)]
+    base = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=3, horizon=9, n_lanes=2), seed=35)
+    scenes.append(sc.Scene(agents=base.agents, map_nodes=(), ego_id=base.ego_id,
+                           horizon=base.horizon, dt=base.dt))
+    batches = [md.build_token_batch(s, vocab, cfg) for s in scenes[:n_scenes]]
+
+    # a shorter scene is padded by encoding it up to the longest horizon
+    t_end = max(s.horizon for s in scenes[:n_scenes])
+    packed = md.pack_scenes([md.build_token_batch(s, vocab, cfg, t_end=t_end) for s in scenes[:n_scenes]])
+    assert packed.num_steps == t_end
+    assert packed.map_group.tolist() == [g for g, b in enumerate(batches) for _ in range(b.num_map)]
+    loss, grads = _loss_and_grads(packed, params, cfg)
+    alone = [_loss_and_grads(b, params, cfg) for b in batches]
+    assert abs(loss - np.mean([lv for lv, _ in alone])) <= 1e-12
+    for name, g in grads.items():
+        expect = np.mean([gr[name] for _, gr in alone], axis=0)
+        assert np.max(np.abs(g - expect)) <= 1e-12 * max(1.0, float(np.max(np.abs(expect)))), name
+
+    # every scene's valid rows keep their own logits
+    logits = np.asarray(md.forward(packed, params, cfg))
+    for g, b in enumerate(batches):
+        own = logits[packed.group == g][:, :b.num_steps]
+        solo = np.asarray(md.forward(b, params, cfg))
+        assert np.max(np.abs(own - solo)[b.valid]) <= 1e-12
+    if n_scenes > 1:
+        with pytest.raises(ValueError, match="one step count"):
+            md.pack_scenes(batches)
 
 
 def test_backward_keeps_only_leaf_cotangents():
@@ -685,9 +791,9 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     map_s = md.mlp2(batch.map_scalars_raw.astype(dt), md._mlp_params(p, "embed/map_in"))
     attn_cfg = cfg.attention_config()
     causal_cfg = cfg.attention_config(causal=True)
-    t_count, a_count, m_count = batch.num_steps, batch.num_agents, batch.num_map
-    map_mask = np.broadcast_to(batch.valid.T[:, :, None], (t_count, a_count, m_count))
-    agent_mask = md._agent_mask(batch)
+    map_mask = md._group_mask(batch, batch.map_group)
+    agent_mask = md._group_mask(batch, batch.group, batch.valid)
+    sandwich = sandwich_matrix(batch.frames)
     time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv), md._swap_at(s)
@@ -708,7 +814,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
             scalar=md._mlp_params(p, f"block{i}/mlp/scalar"),
         ))
         if cfg.include_adapter:
-            s = md.invariant_adapter(mv, s, batch.frames, md._mlp_params(p, f"block{i}/adapter"))
+            s = md.invariant_adapter(mv, s, sandwich, md._mlp_params(p, f"block{i}/adapter"))
     h = ad.relu(md.affine(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = md._decode_logits(h, p, batch.class_idx)
     logits = ad.add(logits, md._vocab_mask(batch.class_idx, cfg))
