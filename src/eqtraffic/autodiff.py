@@ -621,12 +621,12 @@ def _bilinear8_vjp(n, g):
 register_vjp("bilinear8", _bilinear8_vjp)
 
 
-def mv_linear(x, weight, basis):
-    """Channel-mixing multivector map.
+def mv_linear(x, weight, basis, bias=None):
+    """Channel-mixing multivector map, plus an optional bias on the scalar component.
 
     x: [..., C_in, 8]; weight: [C_out, C_in, P]; basis: constant [P, 8, 8]
-    stack of componentwise linear actions.  out[..., o, b] =
-    sum_{i,p,a} weight[o,i,p] basis[p,a,b] x[..., i, a].
+    stack of componentwise linear actions; bias: [C_out] or None.
+    out[..., o, b] = sum_{i,p,a} weight[o,i,p] basis[p,a,b] x[..., i, a] (+ bias[o] at b = 0).
     """
     dx, dw = data_of(x), data_of(weight)
     c_out, c_in, p = dw.shape
@@ -636,7 +636,10 @@ def mv_linear(x, weight, basis):
     mat = mixed.transpose(1, 2, 0, 3).reshape(c_in * 8, c_out * 8)
     flat = dx.reshape(dx.shape[:-2] + (c_in * 8,))
     out = (flat @ mat).reshape(dx.shape[:-2] + (c_out, 8))
-    return _record("mv_linear", out, (x, weight), {"dx": dx, "mat": mat, "basis": basis, "wshape": dw.shape})
+    if bias is not None:
+        out[..., 0] += data_of(bias)
+    return _record("mv_linear", out, (x, weight, bias),
+                   {"dx": dx, "mat": mat, "basis": basis, "wshape": dw.shape})
 
 
 def _mv_linear_vjp(n, g):
@@ -649,7 +652,7 @@ def _mv_linear_vjp(n, g):
     gmat = xf.T @ gf  # [C_in*8, C_out*8]
     gmixed = gmat.reshape(c_in, 8, c_out, 8).transpose(2, 0, 1, 3).reshape(c_out * c_in, 64)
     gw = (gmixed @ basis.reshape(p, 64).T).reshape(c_out, c_in, p)
-    return gx, gw
+    return gx, gw, None if n.inputs[2] is None else _unbroadcast(g, g.shape[-2:])[:, 0]
 
 
 register_vjp("mv_linear", _mv_linear_vjp)

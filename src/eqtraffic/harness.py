@@ -25,13 +25,14 @@ from .layers import (
     invariant_adapter,
     noneq_linear,
 )
-from .pga import Motor, Pose2, motor_from_pose
+from .pga import Motor, Pose2, compose_poses, motor_from_pose, wrap_angles
 from .scene import (
     ActionVocab,
     AgentState,
+    GeneratorConfig,
     Scene,
-    detokenize,
     dynamics_step,
+    generate_synthetic_scene,
     transform_scene,
 )
 
@@ -76,13 +77,13 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
 
     All agents step simultaneously from each forward pass.  `context` is the
     number of observed steps used as history (default: all available).  One
-    forward over the context fills a time-attention cache, which is tiled
-    once per sample; each step then stacks every sample's newest row along
-    the agent axis (one group per sample) and runs one forward for all of
-    them.  Sample r draws from its own generator, seeded `seed + r`.
-    An agent with no state at t0 - 1 (it left before the context ends) is
-    not predicted: its tokens read -1, it stays invalid from t0 on, and it
-    draws no random number.
+    forward over the context fills the key/value cache; its time prefix is
+    tiled once per sample, and each step encodes every sample's newest row
+    from state arrays [samples x agents, steps] (one group per sample, one
+    shared map) and runs one forward for all of them.  Sample r draws from
+    its own generator, seeded `seed + r`.  An agent with no state at t0 - 1
+    (it left before the context ends) is not predicted: its tokens read -1,
+    it stays invalid from t0 on, and it draws no random number.
     """
     if horizon <= 0 or n_rollouts <= 0:
         raise ValueError("horizon and n_rollouts must be positive")
@@ -91,74 +92,56 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     if mode not in ("greedy", "categorical"):
         raise ValueError(f"unknown rollout mode '{mode}'")
     t0 = scene.horizon if context is None else context
-    base = truncate_scene(scene, t0)
-    for agent in base.agents:
-        if not agent.states:
+    history = md.agent_states(scene, t0)
+    for agent, seen in zip(scene.agents, history.valid.any(axis=1)):
+        if not seen:
             raise ValueError(f"agent {agent.id} has no observed states before t={t0}")
+    table = md.vocab_table(vocab, cfg)
+    anchor = md.scene_anchor(scene)
 
     def last_logits(batch, cache):
         return np.asarray(ad.data_of(md.forward(batch, params, cfg, cache=cache)))[:, -1]
 
-    n_agents = len(base.agents)
-    cache = {}
-    logits = last_logits(
-        md.build_token_batch(base, vocab, cfg, t_end=t0, with_targets=False), cache
-    )
-    cache = {block: tuple(np.concatenate([part] * n_rollouts) for part in entry)
-             for block, entry in cache.items()}
-    logits = np.concatenate([logits] * n_rollouts)
-    rngs = [None if mode == "greedy" else np.random.default_rng(seed + r)
-            for r in range(n_rollouts)]
-    works = [base] * n_rollouts
-    tokens = np.full((n_rollouts, n_agents, horizon), -1, dtype=np.int64)
-    for step in range(horizon):
-        t_now = t0 + step
-        if step > 0:
-            rows = md.stack_samples([
-                md.build_token_batch(work, vocab, cfg, t_end=t_now, t_start=t_now - 1,
-                                     with_targets=False)
-                for work in works
-            ])
-            logits = last_logits(rows, cache)
-        for r, work in enumerate(works):
-            new_agents = []
-            for ai, agent in enumerate(work.agents):
-                last = agent.states[-1]
-                if last.t != t_now - 1:
-                    new_agents.append(agent)
-                    continue
-                token = md.sample_action(logits[r * n_agents + ai], mode, rngs[r], temperature)
-                tokens[r, ai, step] = token
-                delta = detokenize(token, vocab, agent.agent_class)
-                pose, speed = dynamics_step((last.pose, last.speed), delta, scene.dt)
-                new_agents.append(
-                    replace(agent, states=agent.states + (AgentState(t_now, pose, speed),))
-                )
-            works[r] = replace(work, agents=tuple(new_agents))
+    def tiled(x):
+        return np.concatenate([x] * n_rollouts)
 
-    out = []
-    for r, work in enumerate(works):
-        poses = np.zeros((n_agents, t0 + horizon, 3))
-        speeds = np.zeros((n_agents, t0 + horizon))
-        valid = np.zeros((n_agents, t0 + horizon), dtype=bool)
-        for ai, agent in enumerate(work.agents):
-            for s in agent.states:
-                poses[ai, s.t] = (s.pose.x, s.pose.y, s.pose.theta)
-                speeds[ai, s.t] = s.speed
-                valid[ai, s.t] = True
-        out.append(
-            Rollout(
-                agent_ids=tuple(a.id for a in work.agents),
-                poses=poses,
-                speeds=speeds,
-                valid=valid,
-                tokens=tokens[r],
-                context_steps=t0,
-                mode=mode,
-                seed=None if mode == "greedy" else seed + r,
-            )
-        )
-    return out
+    maps = md.map_fields(scene, anchor)
+    cache = {}
+    logits = tiled(last_logits(md.encode_states(history, anchor, table, maps, with_targets=False), cache))
+    # every sample continues the one context, and all share its map and the map's keys and values
+    cache = {key: entry if key == "map" else tuple(tiled(x) for x in entry) for key, entry in cache.items()}
+    shared_map = {**maps, "map_group": np.full(len(maps["map_group"]), -1)}
+
+    n_agents = len(scene.agents)
+    future = ((0, 0), (0, horizon))
+    states = md.AgentStates(tiled(np.pad(history.poses, future + ((0, 0),))),
+                            tiled(np.pad(history.speeds, future)), tiled(np.pad(history.valid, future)),
+                            tiled(history.class_idx), tiled(history.length), tiled(history.width))
+    group = np.repeat(np.arange(n_rollouts), n_agents)
+    live_agents = history.valid[:, t0 - 1]
+    live = tiled(live_agents)
+    rngs = [None if mode == "greedy" else np.random.default_rng(seed + r) for r in range(n_rollouts)]
+    tokens = np.full((n_rollouts * n_agents, horizon), -1, dtype=np.int64)
+    for step in range(horizon):
+        t = t0 + step
+        if step > 0:
+            rows = md.encode_states(states.steps(t - 2, t), anchor, table, shared_map, group,
+                                    with_targets=False, skip=1)
+            logits = last_logits(rows, cache)
+        per_sample = logits.reshape(n_rollouts, n_agents, -1)[:, live_agents]
+        tokens[live, step] = np.concatenate([md.sample_action(sample, mode, rng, temperature)
+                                             for sample, rng in zip(per_sample, rngs)])
+        delta = table.deltas[states.class_idx[live], tokens[live, step]]
+        # Pose2 wraps the increment's angle before composing (scene.dynamics_step)
+        delta[:, 2] = wrap_angles(delta[:, 2])
+        states.poses[live, t] = compose_poses(states.poses[live, t - 1], delta)
+        states.speeds[live, t] = np.hypot(delta[:, 0], delta[:, 1]) / scene.dt
+        states.valid[live, t] = True
+
+    samples = zip(*(np.split(x, n_rollouts) for x in (states.poses, states.speeds, states.valid, tokens)))
+    return [Rollout(tuple(a.id for a in scene.agents), *arrays, context_steps=t0, mode=mode,
+                    seed=None if mode == "greedy" else seed + r)
+            for r, arrays in enumerate(samples)]
 
 
 def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:
@@ -420,20 +403,11 @@ def equivariance_audit(params, cfg: md.ModelConfig, vocab: ActionVocab, scenes,
             total += 1
             if np.array_equal(base_ro.tokens, moved_ro.tokens):
                 agree += 1
-                back = transform_scene(
-                    rollout_to_scene(moved_ro, truncate_scene(scene, base_ro.context_steps)),
-                    g.inverse(),
-                )
-                ctx = base_ro.context_steps
-                for ai, t in zip(*np.nonzero(base_ro.valid[:, ctx:])):
-                    s = back.agents[ai].state_at(ctx + t)
-                    pose_dev = max(
-                        pose_dev,
-                        math.hypot(
-                            s.pose.x - base_ro.poses[ai, ctx + t, 0],
-                            s.pose.y - base_ro.poses[ai, ctx + t, 1],
-                        ),
-                    )
+                # the moved rollout's predicted positions, moved back
+                ctx, back = base_ro.context_steps, g.inverse()
+                moved_back = compose_poses(np.array([back.x, back.y, back.theta]), moved_ro.poses[:, ctx:])
+                gap = np.hypot(*np.moveaxis(moved_back[..., :2] - base_ro.poses[:, ctx:, :2], -1, 0))
+                pose_dev = max(pose_dev, float(gap[base_ro.valid[:, ctx:]].max(initial=0.0)))
         report.add("greedy_rollout_agreement", 1.0 - agree / max(total, 1), total,
                    cfg.dtype, 0.01)
         report.add("greedy_rollout_pose_dev_m", pose_dev, total, cfg.dtype, 1e-6)
@@ -446,41 +420,13 @@ def equivariance_audit(params, cfg: md.ModelConfig, vocab: ActionVocab, scenes,
 
 def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
                  seed: int = 0) -> md.TokenBatch:
-    """Random but valid token batch of the requested size (no scene needed)."""
+    """Token batch of the requested size: a synthetic scene with one lane of `map_tokens` nodes."""
+    gen = GeneratorConfig(n_agents=agents, n_lanes=1, horizon=max(steps, 2), seg_len=5.0,
+                          lane_length=5.0 * map_tokens)
     rng = np.random.default_rng(seed)
-    poses = np.column_stack(
-        [rng.uniform(-50, 50, agents * steps), rng.uniform(-50, 50, agents * steps),
-         rng.uniform(-math.pi, math.pi, agents * steps)]
-    ).reshape(agents, steps, 3)
-    map_poses = np.column_stack(
-        [rng.uniform(-50, 50, map_tokens), rng.uniform(-50, 50, map_tokens),
-         rng.uniform(-math.pi, math.pi, map_tokens)]
-    )
-    vmax = cfg.max_vocab
-    class_idx = rng.integers(0, len(md.AGENT_CLASSES), size=agents)
-    prev = np.array(
-        [[md.flat_token_index(int(class_idx[a]), int(rng.integers(0, vmax)), vmax)
-          for _ in range(steps)] for a in range(agents)]
-    )
-    from .scene import AGENT_FEATURE_WIDTH, MAP_FEATURE_WIDTH
-    from .scene import encode_pose_array
-
-    return md.TokenBatch(
-        mv=encode_pose_array(poses)[:, :, None, :],
-        scalars_raw=rng.uniform(0, 1, (agents, steps, AGENT_FEATURE_WIDTH)),
-        raw_poses=poses,
-        prev_flat=prev,
-        class_idx=class_idx,
-        group=np.zeros(agents, dtype=np.int64),
-        map_mv=encode_pose_array(map_poses)[:, None, :],
-        map_scalars_raw=rng.uniform(0, 1, (map_tokens, MAP_FEATURE_WIDTH)),
-        map_poses=map_poses,
-        map_group=np.zeros(map_tokens, dtype=np.int64),
-        frames=pose_frame_motors(poses),
-        valid=np.ones((agents, steps), dtype=bool),
-        targets=np.full((agents, steps), -1, dtype=np.int64),
-        target_valid=np.zeros((agents, steps), dtype=bool),
-    )
+    vocab = ActionVocab({c: rng.uniform(-1.0, 1.0, (n, 3)) for c, n in cfg.vocab_sizes.items()},
+                        k_r=0.1, w_theta=1.0, seed=seed)
+    return md.build_token_batch(generate_synthetic_scene(gen, seed), vocab, cfg, t_end=steps)
 
 
 def bench_scaling(cfg: md.ModelConfig, agent_counts, map_tokens: int = 32, steps: int = 10,

@@ -22,7 +22,6 @@ def _per_dtype(const: np.ndarray) -> dict:
     return {np.dtype(t): const.astype(t) for t in (np.float32, np.float64)}
 
 
-_UNIT_SCALAR = _per_dtype(np.eye(COMPONENTS)[0])
 _GEOM_TABLE, _JOIN_TABLE = _per_dtype(GEOM_TABLE), _per_dtype(JOIN_TABLE)
 _INNER_MASK = np.isin(np.arange(COMPONENTS), INNER_INDICES).astype(float)
 # [c^2, a^2 + b^2, ac, bc] @ mix: the query keeps it, the key gives [-(a^2 + b^2), -c^2, 2ac, 2bc]
@@ -141,12 +140,7 @@ def eq_linear(x, params, bias=None):
         weight, bias = params.weight, params.bias
     else:
         weight = params
-    dw = ad.data_of(weight)
-    out = ad.mv_linear(x, weight, _LINEAR_BASIS[dw.dtype])
-    if bias is not None:
-        bias_mv = ad.mul(ad.reshape(bias, (dw.shape[0], 1)), _UNIT_SCALAR[ad.data_of(bias).dtype])
-        out = ad.add(out, bias_mv)
-    return out
+    return ad.mv_linear(x, weight, _LINEAR_BASIS[ad.data_of(weight).dtype], bias)
 
 
 def noneq_linear(x, weight):

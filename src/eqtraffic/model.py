@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +36,16 @@ from .layers import (
     scalar_layer_norm,
 )
 from .batch import pose_frame_motors, sandwich_matrix
+from .pga import pose_deltas
 from .scene import (
     AGENT_CLASSES,
     AGENT_FEATURE_WIDTH,
     MAP_FEATURE_WIDTH,
     ActionVocab,
     Scene,
-    encode_agent_scalars,
     encode_map_scalars,
     encode_pose_array,
-    tokenize_batch,
+    nearest_action,
     vocab_to_json,
 )
 
@@ -150,31 +151,6 @@ class TokenBatch:
         return self.map_mv.shape[0]
 
 
-_MAP_FIELDS = ("map_mv", "map_scalars_raw", "map_poses")
-
-
-def _agent_fields(batches) -> dict:
-    """The batches' per-agent fields concatenated along the agent axis, as groups 0, 1, ..."""
-    out = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
-           for f in fields(TokenBatch) if not f.name.startswith("map_")}
-    out["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
-    return out
-
-
-def stack_samples(batches) -> TokenBatch:
-    """Batches built from one scene, stacked along the agent axis as groups 0, 1, ...
-
-    The stack keeps one copy of the first batch's map, in group -1 so every
-    group attends to it; every batch must carry the same map.
-    """
-    first = batches[0]
-    for b in batches[1:]:
-        if not all(np.array_equal(getattr(b, n), getattr(first, n)) for n in _MAP_FIELDS):
-            raise ValueError("stacked batches must share one map")
-    return TokenBatch(**_agent_fields(batches), **{n: getattr(first, n) for n in _MAP_FIELDS},
-                      map_group=np.full(first.num_map, -1))
-
-
 def pack_scenes(batches) -> TokenBatch:
     """Batches of different scenes packed as groups 0, 1, ...: agents and maps concatenated.
 
@@ -184,12 +160,14 @@ def pack_scenes(batches) -> TokenBatch:
     """
     if len({b.num_steps for b in batches}) != 1:
         raise ValueError("packed batches need one step count; build them with a common t_end")
-    maps = {n: np.concatenate([getattr(b, n) for b in batches]) for n in _MAP_FIELDS}
-    maps["map_group"] = np.repeat(np.arange(len(batches)), [b.num_map for b in batches])
-    return TokenBatch(**_agent_fields(batches), **maps)
+    out = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
+           for f in fields(TokenBatch) if f.name not in ("group", "map_group")}
+    out["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
+    out["map_group"] = np.repeat(np.arange(len(batches)), [b.num_map for b in batches])
+    return TokenBatch(**out)
 
 
-def flat_token_index(class_idx: int, token: int, max_vocab: int) -> int:
+def flat_token_index(class_idx, token, max_vocab: int):
     """Index into the flat previous-action table; token == max_vocab is the start token."""
     return class_idx * (max_vocab + 1) + token
 
@@ -210,85 +188,127 @@ def scene_anchor(scene: Scene) -> tuple:
     return pose.x, pose.y
 
 
-def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
-                      t_end: int | None = None, with_targets: bool = True,
-                      t_start: int = 0) -> TokenBatch:
-    """Encode rows t_start <= t < t_end of a scene, using states with t < t_end.
+@dataclass
+class AgentStates:
+    """Agent histories on the step grid as arrays; poses and speeds are zero where `valid` is False."""
 
-    The previous-action token of row t_start comes from the state at
-    t_start - 1, so the rows equal the same rows of a batch built from 0.
-    Poses are taken relative to `scene_anchor(scene)`.
-    """
-    ax, ay = scene_anchor(scene)
-    n_steps = scene.horizon if t_end is None else t_end
-    if not 0 <= t_start <= n_steps:
-        raise ValueError(f"t_start {t_start} outside [0, {n_steps}]")
+    poses: np.ndarray      # [A, T, 3] global (x, y, theta)
+    speeds: np.ndarray     # [A, T]
+    valid: np.ndarray      # [A, T] bool
+    class_idx: np.ndarray  # [A] int
+    length: np.ndarray     # [A]
+    width: np.ndarray      # [A]
+
+    def steps(self, start: int, stop: int) -> "AgentStates":
+        """Steps start <= t < stop, as views."""
+        cut = slice(start, stop)
+        return AgentStates(self.poses[:, cut], self.speeds[:, cut], self.valid[:, cut],
+                           self.class_idx, self.length, self.width)
+
+
+def agent_states(scene: Scene, n_steps: int) -> AgentStates:
+    """The one pass over the scene's agents: their states with 0 <= t < n_steps as arrays."""
     agents = scene.agents
-    n_agents = len(agents)
-    n_rows = n_steps - t_start
-    vmax = cfg.max_vocab
-
-    poses = np.zeros((n_agents, n_rows, 3))
-    scalars = np.zeros((n_agents, n_rows, AGENT_FEATURE_WIDTH))
-    valid = np.zeros((n_agents, n_rows), dtype=bool)
-    class_idx = np.zeros(n_agents, dtype=np.int64)
-    prev_flat = np.zeros((n_agents, n_rows), dtype=np.int64)
-    targets = np.full((n_agents, n_rows), -1, dtype=np.int64)
-    target_valid = np.zeros((n_agents, n_rows), dtype=bool)
-
+    poses = np.zeros((len(agents), n_steps, 3))
+    speeds = np.zeros((len(agents), n_steps))
+    valid = np.zeros((len(agents), n_steps), dtype=bool)
     for a, agent in enumerate(agents):
-        cls_i = AGENT_CLASSES.index(agent.agent_class)
-        class_idx[a] = cls_i
-        states = {s.t: s for s in agent.states if t_start - 1 <= s.t < n_steps}
-        deltas = {}
-        for t, s in states.items():
-            nxt = states.get(t + 1)
-            if nxt is not None:
-                d = s.pose.delta_to(nxt.pose)
-                deltas[t] = [d.x, d.y, d.theta]
-        if deltas:
-            steps_sorted = sorted(deltas)
-            ids = tokenize_batch(np.array([deltas[t] for t in steps_sorted]), vocab, agent.agent_class)
-            token_of = dict(zip(steps_sorted, ids))
-        else:
-            token_of = {}
-        for r, t in enumerate(range(t_start, n_steps)):
-            s = states.get(t)
-            if s is None:
-                prev_flat[a, r] = flat_token_index(cls_i, vmax, vmax)
-                continue
-            valid[a, r] = True
-            poses[a, r] = [s.pose.x - ax, s.pose.y - ay, s.pose.theta]
-            scalars[a, r] = encode_agent_scalars(agent, t)
-            prev_tok = token_of.get(t - 1)
-            prev_flat[a, r] = flat_token_index(cls_i, vmax if prev_tok is None else int(prev_tok), vmax)
-            if with_targets and t in token_of:
-                targets[a, r] = int(token_of[t])
-                target_valid[a, r] = True
-
-    map_poses = np.array(
-        [[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]
-    ).reshape(-1, 3)
-    map_scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(
-        -1, MAP_FEATURE_WIDTH
+        kept = [s for s in agent.states if 0 <= s.t < n_steps]
+        ts = [s.t for s in kept]
+        poses[a, ts] = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in kept]).reshape(-1, 3)
+        speeds[a, ts] = [s.speed for s in kept]
+        valid[a, ts] = True
+    return AgentStates(
+        poses, speeds, valid,
+        class_idx=np.array([AGENT_CLASSES.index(a.agent_class) for a in agents], dtype=np.int64),
+        length=np.array([a.length for a in agents], dtype=np.float64),
+        width=np.array([a.width for a in agents], dtype=np.float64),
     )
 
+
+class VocabTable(NamedTuple):
+    deltas: np.ndarray  # [classes, max_vocab, 3], zero past each class's size
+    sizes: np.ndarray   # [classes]
+    w_theta: float
+
+
+def vocab_table(vocab: ActionVocab, cfg: ModelConfig) -> VocabTable:
+    """The vocab as one padded table; each class's size must be the config's, or tokens would
+    index other classes' rows of the action embedding."""
+    table = np.zeros((len(AGENT_CLASSES), cfg.max_vocab, 3))
+    sizes = []
+    for k, cls in enumerate(AGENT_CLASSES):
+        size, expected = (vocab.size(cls) if cls in vocab.deltas else 0), cfg.vocab_sizes.get(cls)
+        if size != expected:
+            raise ValueError(f"vocab has {size} '{cls}' actions but the model config expects {expected}")
+        table[k, :size] = vocab.deltas[cls]
+        sizes.append(size)
+    return VocabTable(table, np.array(sizes), vocab.w_theta)
+
+
+def map_fields(scene: Scene, anchor: tuple) -> dict:
+    """The TokenBatch map fields of a scene, poses relative to `anchor`."""
+    ax, ay = anchor
+    poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]).reshape(-1, 3)
+    scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(-1, MAP_FEATURE_WIDTH)
+    return {"map_mv": encode_pose_array(poses)[:, None, :], "map_scalars_raw": scalars,
+            "map_poses": poses, "map_group": np.zeros(len(poses), dtype=np.int64)}
+
+
+def encode_states(states: AgentStates, anchor: tuple, table: VocabTable, maps: dict,
+                  group: np.ndarray | None = None, with_targets: bool = True,
+                  skip: int = 0) -> TokenBatch:
+    """Token rows of the state arrays from step `skip` on (earlier steps only give row `skip`
+    its previous action), poses relative to `anchor`, map fields `maps`, groups `group` or 0.
+
+    A row's previous action is the token of the increment from the state
+    before it, and its target that of the increment to the next state.
+    """
+    n_agents, n_steps = states.valid.shape
+    vmax = table.deltas.shape[1]
+    cls = states.class_idx
+    pair = states.valid[:, :-1] & states.valid[:, 1:]
+    tokens = nearest_action(table.deltas[cls][:, None], pose_deltas(states.poses[:, :-1], states.poses[:, 1:]),
+                            table.w_theta, table.sizes[cls][:, None])
+    prev = np.full((n_agents, n_steps), vmax)
+    prev[:, 1:] = np.where(pair, tokens, vmax)
+    targets = np.full((n_agents, n_steps), -1)
+    if with_targets:
+        targets[:, :-1] = np.where(pair, tokens, -1)
+
+    rows = slice(skip, None)
+    valid = states.valid[:, rows]
+    poses = np.where(valid[..., None], states.poses[:, rows] - np.array([anchor[0], anchor[1], 0.0]), 0.0)
+    scalars = np.zeros(valid.shape + (AGENT_FEATURE_WIDTH,))
+    scalars[..., 0] = states.speeds[:, rows]
+    scalars[..., 1] = states.length[:, None]
+    scalars[..., 2] = states.width[:, None]
+    scalars[np.arange(n_agents), :, 3 + cls] = 1.0
     return TokenBatch(
         mv=encode_pose_array(poses)[:, :, None, :],
-        scalars_raw=scalars,
+        scalars_raw=np.where(valid[..., None], scalars, 0.0),
         raw_poses=poses,
-        prev_flat=prev_flat,
-        class_idx=class_idx,
-        group=np.zeros(n_agents, dtype=np.int64),
-        map_mv=encode_pose_array(map_poses)[:, None, :],
-        map_scalars_raw=map_scalars,
-        map_poses=map_poses,
-        map_group=np.zeros(len(map_poses), dtype=np.int64),
+        prev_flat=flat_token_index(cls[:, None], prev[:, rows], vmax),
+        class_idx=cls,
+        group=np.zeros(n_agents, dtype=np.int64) if group is None else group,
         frames=pose_frame_motors(poses),
         valid=valid,
-        targets=targets,
-        target_valid=target_valid,
+        targets=targets[:, rows],
+        target_valid=targets[:, rows] >= 0,
+        **maps,
     )
+
+
+def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
+                      t_end: int | None = None, with_targets: bool = True) -> TokenBatch:
+    """Encode rows t < t_end of a scene (default: its horizon) from its states with t < t_end.
+
+    Poses are taken relative to `scene_anchor(scene)`.
+    """
+    anchor = scene_anchor(scene)
+    n_steps = scene.horizon if t_end is None else t_end
+    return encode_states(agent_states(scene, n_steps), anchor, vocab_table(vocab, cfg),
+                         map_fields(scene, anchor), with_targets=with_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +337,14 @@ def _add_mlp(params, rng, name, d_in, hidden, d_out, dtype, out_scale=None):
     params.add(f"{name}/b1", np.zeros(hidden, dtype=dtype))
     params.add(f"{name}/w2", _dense(rng, hidden, d_out, dtype, scale=out_scale))
     params.add(f"{name}/b2", np.zeros(d_out, dtype=dtype))
+
+
+def _add_decoder(params, rng, cfg: ModelConfig, dt):
+    params.add("decoder/w1", _dense(rng, cfg.scalar_channels, cfg.decoder_hidden, dt))
+    params.add("decoder/b1", np.zeros(cfg.decoder_hidden, dtype=dt))
+    params.add("decoder/heads", rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden,
+                                                            cfg.max_vocab)).astype(dt))
+    params.add("decoder/bias", np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt))
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> ParamStore:
@@ -359,13 +387,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Par
             _add_mlp(params, rng, f"block{i}/adapter", 8 * c, cfg.adapter_hidden, s, dt,
                      out_scale=0.0)
 
-    params.add("decoder/w1", _dense(rng, s, cfg.decoder_hidden, dt))
-    params.add("decoder/b1", np.zeros(cfg.decoder_hidden, dtype=dt))
-    params.add(
-        "decoder/heads",
-        rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden, cfg.max_vocab)).astype(dt),
-    )
-    params.add("decoder/bias", np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt))
+    _add_decoder(params, rng, cfg, dt)
     return params
 
 
@@ -392,27 +414,24 @@ def _attn_params(p, name) -> AttentionParams:
 # forward
 # ---------------------------------------------------------------------------
 
-def _attention_sublayer(mv_q, s_q, mv_kv, s_kv, prm: AttentionParams,
-                        attn_cfg: AttentionConfig, mask=None, self_attn=False):
-    """Pre-norm projections, equivariant attention, residual connections."""
-    mv_qn = eq_layer_norm(mv_q)
-    s_qn = scalar_layer_norm(s_q)
-    if self_attn:
-        mv_kn, s_kn = mv_qn, s_qn
-    else:
-        mv_kn = eq_layer_norm(mv_kv)
-        s_kn = scalar_layer_norm(s_kv)
-    out_mv, out_s = eq_attention(
-        eq_linear(mv_qn, prm.mv_q),
-        eq_linear(mv_kn, prm.mv_k),
-        eq_linear(mv_kn, prm.mv_v),
-        affine(s_qn, *prm.s_q),
-        affine(s_kn, *prm.s_k),
-        affine(s_kn, *prm.s_v),
-        attn_cfg,
-        mask=mask,
-    )
-    return ad.add(out_mv, mv_q), ad.add(out_s, s_q)
+def _norms(mv, s):
+    return eq_layer_norm(mv), scalar_layer_norm(s)
+
+
+def _keys_values(normed, prm: AttentionParams) -> tuple:
+    """Projected attention keys and values (mv_k, mv_v, s_k, s_v) of pre-normalized tokens."""
+    mv_n, s_n = normed
+    return (eq_linear(mv_n, prm.mv_k), eq_linear(mv_n, prm.mv_v),
+            affine(s_n, *prm.s_k), affine(s_n, *prm.s_v))
+
+
+def _attend(mv, s, normed, kv, prm: AttentionParams, attn_cfg: AttentionConfig, mask):
+    """Equivariant attention of the pre-normalized queries over `kv`, with residual connections."""
+    mv_n, s_n = normed
+    k_mv, v_mv, k_s, v_s = kv
+    out_mv, out_s = eq_attention(eq_linear(mv_n, prm.mv_q), k_mv, v_mv, affine(s_n, *prm.s_q),
+                                 k_s, v_s, attn_cfg, mask=mask)
+    return ad.add(out_mv, mv), ad.add(out_s, s)
 
 
 def _swap_at(x):
@@ -452,19 +471,29 @@ def _decode_logits(h, p, class_idx):
     return ad.add(ad.matmul(h, heads), bias)
 
 
-def _cached_time_attention(mv, s, valid, cache: dict, block: int, prm: AttentionParams,
-                           causal_cfg: AttentionConfig):
-    """Causal time attention from the batch's rows over the cached prefix and themselves.
+def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None) -> list:
+    """Each block's map-attention keys and values; a cache keeps those of its first call's map."""
+    if cache is not None and "map" in cache:
+        return cache["map"]
+    dt = cfg.np_dtype
+    map_mv = eq_linear(batch.map_mv.astype(dt), _eq_params(p, "embed/map_mv"))
+    map_s = mlp2(batch.map_scalars_raw.astype(dt), _mlp_params(p, "embed/map_in"))
+    normed = _norms(map_mv, map_s)
+    kv = [_keys_values(normed, _attn_params(p, f"block{i}/map_attn")) for i in range(cfg.blocks)]
+    if cache is not None:
+        cache["map"] = [tuple(ad.data_of(x) for x in entry) for entry in kv]
+    return kv
 
-    The cache entry is replaced by the prefix extended with the rows' inputs.
-    """
-    entry = (ad.data_of(mv), ad.data_of(s), valid)
-    if block in cache:
-        entry = tuple(np.concatenate(pair, axis=1) for pair in zip(cache[block], entry))
-    cache[block] = entry
-    mv_all, s_all, valid_all = entry
-    mask = valid[:, :, None] & valid_all[:, None, :]
-    return _attention_sublayer(mv, s, mv_all, s_all, prm, causal_cfg, mask=mask)
+
+def _extend(cache: dict | None, key, entry: tuple) -> tuple:
+    """`entry`'s arrays appended along the step axis to those cached at `key`, and cached."""
+    if cache is None:
+        return entry
+    entry = tuple(ad.data_of(x) for x in entry)
+    if key in cache:
+        entry = tuple(np.concatenate(pair, axis=1) for pair in zip(cache[key], entry))
+    cache[key] = entry
+    return entry
 
 
 def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
@@ -473,19 +502,21 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     `cache` (a dict, empty before the first call) makes decoding incremental:
     each call's batch holds the rows that follow those already cached, and
     only these rows are computed.  Every layer but causal time attention acts
-    per timestep or per token, so the cache holds just the residual stream
-    entering each block's time attention, as plain arrays: no gradient flows
-    into the prefix.  The logits equal the same rows of one forward over the
-    whole prefix.
+    per timestep or per token, so the cache holds plain arrays (no gradient
+    flows into them): under ("time", i) block i's projected time-attention
+    keys and values (mv_k, mv_v, s_k, s_v) of every row so far, and under
+    "valid" the rows' validity, all [A, T, ...] and extended by each call;
+    under "map" each block's map-attention keys and values, computed once
+    from the first call's map (later calls must carry the same map, whose
+    arrays then only shape the masks).  The logits equal the same rows of
+    one forward over the whole prefix.
     """
     dt = cfg.np_dtype
 
     mv = eq_linear(batch.mv.astype(dt), _eq_params(p, "embed/agent_mv"))
     s = mlp2(batch.scalars_raw.astype(dt), _mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-
-    map_mv = eq_linear(batch.map_mv.astype(dt), _eq_params(p, "embed/map_mv"))
-    map_s = mlp2(batch.map_scalars_raw.astype(dt), _mlp_params(p, "embed/map_in"))
+    map_kv = _map_keys_values(batch, p, cfg, cache)
 
     attn_cfg = cfg.attention_config()
     causal_cfg = cfg.attention_config(causal=True)
@@ -496,29 +527,23 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
         map_mask = np.moveaxis(knn_map_mask(batch, int(cfg.map_attention)), 1, 0)
     agent_mask = _group_mask(batch, batch.group, batch.valid)
     sandwich = sandwich_matrix(batch.frames, dt) if cfg.include_adapter else None
-    time_mask = (batch.valid[:, None, :] & batch.valid[:, :, None])       # [A, Tq, Tk]
+    (key_valid,) = _extend(cache, "valid", (batch.valid,))
+    time_mask = batch.valid[:, :, None] & key_valid[:, None, :]       # [A, Tq, Tk]
 
     for i in range(cfg.blocks):
         # agent-to-map cross attention, batched over timesteps
         mv_t, s_t = _swap_at(mv), _swap_at(s)
-        mv_t, s_t = _attention_sublayer(
-            mv_t, s_t, map_mv, map_s, _attn_params(p, f"block{i}/map_attn"),
-            attn_cfg, mask=map_mask,
-        )
+        mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i],
+                            _attn_params(p, f"block{i}/map_attn"), attn_cfg, map_mask)
         # agent-to-agent self attention, batched over timesteps
-        mv_t, s_t = _attention_sublayer(
-            mv_t, s_t, None, None, _attn_params(p, f"block{i}/agent_attn"),
-            attn_cfg, mask=agent_mask, self_attn=True,
-        )
+        agent_prm, normed = _attn_params(p, f"block{i}/agent_attn"), _norms(mv_t, s_t)
+        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, agent_prm), agent_prm, attn_cfg, agent_mask)
         mv, s = _swap_at(mv_t), _swap_at(s_t)
-        # causal self attention over time, batched over agents
+        # causal self attention over time (and the cached prefix), batched over agents
         time_prm = _attn_params(p, f"block{i}/time_attn")
-        if cache is None:
-            mv, s = _attention_sublayer(
-                mv, s, None, None, time_prm, causal_cfg, mask=time_mask, self_attn=True,
-            )
-        else:
-            mv, s = _cached_time_attention(mv, s, batch.valid, cache, i, time_prm, causal_cfg)
+        normed = _norms(mv, s)
+        kv = _extend(cache, ("time", i), _keys_values(normed, time_prm))
+        mv, s = _attend(mv, s, normed, kv, time_prm, causal_cfg, time_mask)
         mv, s = eq_mlp_block(
             mv, s,
             EqMlpBlockParams(
@@ -559,23 +584,32 @@ def loss(logits, targets: np.ndarray, valid: np.ndarray, group: np.ndarray | Non
     return ad.neg(total)
 
 
-def sample_action(logits_row: np.ndarray, mode: str, rng: np.random.Generator | None = None,
-                  temperature: float = 1.0) -> int:
-    """Greedy argmax (lowest index wins ties) or categorical at a temperature."""
-    row = np.asarray(logits_row, dtype=np.float64)
-    if not np.all(np.isfinite(np.maximum(row, -1e30))):
+def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None = None,
+                  temperature: float = 1.0):
+    """One action per row of logits [N, V] (an int for one row [V]): greedy argmax (lowest
+    index wins ties) or categorical at a temperature.
+
+    Categorical draws take one uniform per row from `rng`, in row order, and
+    invert the row's cumulative distribution as `rng.choice(V, p=probs)`
+    does, so N rows draw exactly what N per-row `rng.choice` calls draw.
+    """
+    rows = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(np.maximum(rows, -1e30))):
         raise ValueError("logits must be finite")
     if mode == "greedy":
-        return int(np.argmax(row))
-    if mode == "categorical":
+        out = np.argmax(rows, axis=-1)
+    elif mode == "categorical":
         if rng is None:
             raise ValueError("categorical sampling needs an rng")
-        scaled = row / max(temperature, 1e-12)
-        scaled = scaled - scaled.max()
-        probs = np.exp(scaled)
-        probs /= probs.sum()
-        return int(rng.choice(len(row), p=probs))
-    raise ValueError(f"unknown sampling mode '{mode}'")
+        scaled = rows / max(temperature, 1e-12)
+        probs = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        cdf = np.cumsum(probs, axis=-1)
+        cdf /= cdf[..., -1:]
+        out = (cdf <= rng.random(rows.shape[:-1])[..., None]).sum(axis=-1)
+    else:
+        raise ValueError(f"unknown sampling mode '{mode}'")
+    return int(out) if rows.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +741,7 @@ def init_baseline_params(cfg: ModelConfig, variant: str,
             if variant == "rpe":
                 _add_mlp(params, rng, f"{base}/rpe", 4, cfg.rpe_hidden, 2 * s, dt, out_scale=0.1)
         _add_mlp(params, rng, f"block{i}/mlp", s, 2 * s, s, dt)
-    params.add("decoder/w1", _dense(rng, s, cfg.decoder_hidden, dt))
-    params.add("decoder/b1", np.zeros(cfg.decoder_hidden, dtype=dt))
-    params.add(
-        "decoder/heads",
-        rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden, cfg.max_vocab)).astype(dt),
-    )
-    params.add("decoder/bias", np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt))
+    _add_decoder(params, rng, cfg, dt)
     return params
 
 

@@ -278,6 +278,29 @@ class Pose2:
         return self.inverse().compose(other)
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """`_wrap_angle` per angle, bit for bit."""
+    wrapped = np.remainder(theta + math.pi, 2.0 * math.pi) - math.pi
+    return np.where(wrapped == -math.pi, math.pi, wrapped)
+
+
+def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`Pose2.compose` on arrays [..., 3] of (x, y, theta), bit for bit; b's angles must be
+    wrapped already, as a Pose2's are."""
+    c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
+    x, y = b[..., 0], b[..., 1]
+    return np.stack([a[..., 0] + c * x - s * y, a[..., 1] + s * x + c * y,
+                     wrap_angles(a[..., 2] + b[..., 2])], axis=-1)
+
+
+def pose_deltas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`Pose2.delta_to` on arrays [..., 3], bit for bit: the local increments from a to b."""
+    c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
+    x, y = a[..., 0], a[..., 1]
+    inverse = np.stack([-(c * x + s * y), -(-s * x + c * y), wrap_angles(-a[..., 2])], axis=-1)
+    return compose_poses(inverse, b)
+
+
 # Motor coefficient slots within the even subalgebra: [s, e01, e20, e12].
 MOTOR_SLOTS = (0, 4, 5, 6)
 

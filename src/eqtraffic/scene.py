@@ -229,10 +229,16 @@ def tokenize_batch(deltas: np.ndarray, vocab: ActionVocab, agent_class: str) -> 
     """Nearest vocab entry per delta [N, 3] under the metric; ties resolve to the lowest index."""
     if agent_class not in vocab.deltas:
         raise KeyError(f"no vocabulary for class '{agent_class}'")
-    entries = vocab.deltas[agent_class]  # [V, 3]
-    d = np.asarray(deltas, dtype=np.float64)
-    dists = action_distance(entries[None, :, :], d[:, None, :], vocab.w_theta)
-    return np.argmin(dists, axis=1)
+    return nearest_action(vocab.deltas[agent_class], deltas, vocab.w_theta)
+
+
+def nearest_action(entries: np.ndarray, deltas, w_theta: float, sizes=None) -> np.ndarray:
+    """Index of the nearest of the entries [..., V, 3] to each delta [..., 3], lowest on ties;
+    with `sizes` only each row's first `sizes` entries compete (a zero-padded table)."""
+    dists = action_distance(entries, np.asarray(deltas, dtype=np.float64)[..., None, :], w_theta)
+    if sizes is not None:
+        dists = np.where(np.arange(dists.shape[-1]) < np.asarray(sizes)[..., None], dists, np.inf)
+    return np.argmin(dists, axis=-1)
 
 
 def detokenize(token: int, vocab: ActionVocab, agent_class: str) -> np.ndarray:

@@ -5,11 +5,16 @@ transforms are checked against plain 2x2 rotation matrices, distances against
 coordinate formulas.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
+from eqtraffic import model as md
 from eqtraffic.pga import Motor, Multivector, Pose2
+
+# TokenBatch fields with a step axis (axis 1)
+ROW_FIELDS = ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid", "targets", "target_valid")
 
 
 def rand_mv(rng, scale=1.0):
@@ -56,6 +61,22 @@ def max_rel_err(actual, expected, floor=1e-12):
     expected = np.asarray(expected, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(actual), np.abs(expected)), floor)
     return float(np.max(np.abs(actual - expected) / denom))
+
+
+def batch_rows(batch, start, stop=None):
+    """The batch's rows start <= t < stop, every other field shared."""
+    return dataclasses.replace(batch, **{name: getattr(batch, name)[:, start:stop] for name in ROW_FIELDS})
+
+
+def stack_samples(batches):
+    """Batches of one scene's samples as groups 0, 1, ... sharing the first batch's map in group -1,
+    as a rollout step lays them out."""
+    first = batches[0]
+    return dataclasses.replace(
+        md.pack_scenes(batches),
+        map_mv=first.map_mv, map_scalars_raw=first.map_scalars_raw, map_poses=first.map_poses,
+        map_group=np.full(first.num_map, -1),
+    )
 
 
 def primitive_grad_cases(rng):
@@ -142,6 +163,8 @@ def primitive_grad_cases(rng):
         ("bilinear8/wedge", lambda v: scalarize(ad.bilinear8(v[0], v[1], WEDGE_TABLE)), [mv, mv + 0.3]),
         ("bilinear8/join", lambda v: scalarize(ad.bilinear8(v[0], v[1], JOIN_TABLE)), [mv, mv + 0.3]),
         ("mv_linear", lambda v: scalarize(ad.mv_linear(v[0], v[1], LINEAR_BASIS)), [mv, weight]),
+        ("mv_linear/bias", lambda v: scalarize(ad.mv_linear(v[0], v[1], LINEAR_BASIS, v[2])),
+         [mv, weight, np.linspace(-1.0, 1.0, 2)]),
         ("rms_norm/channels",
          lambda v: scalarize(ad.rms_norm(v[0], inner_weights, (-2, -1), LAYER_NORM_EPS)), [mv3]),
         ("rms_norm/last", lambda v: scalarize(ad.rms_norm(v[0], 1.0 / 3.0, -1, LAYER_NORM_EPS)), [a23]),
@@ -157,7 +180,7 @@ def primitive_grad_cases(rng):
     # gradients above ~1e-4; its exact match with the composite path is
     # checked in test_layers
     floors = {"bilinear8/geom": 1e-3, "bilinear8/wedge": 1e-3,
-              "bilinear8/join": 1e-3, "mv_linear": 1e-3, "matmul": 1e-3}
+              "bilinear8/join": 1e-3, "mv_linear": 1e-3, "mv_linear/bias": 1e-3, "matmul": 1e-3}
     floors.update({name: 1e-3 for name, _fn, _arrays in raw if name.startswith("mv_attention/")})
     cases = []
     for name, fn, arrays in raw:

@@ -133,6 +133,18 @@ def test_batched_samples_match_standalone_rollouts(map_attention, include_adapte
         assert np.max(np.abs(ro.speeds - alone.speeds)) <= 1e-12
 
 
+def test_rollout_rejects_a_vocab_the_config_does_not_fit():
+    """Under a 4-slot config an 8-entry vocab's vehicle tokens 4..7 would read other classes'
+    action embeddings; the rollout refuses it before any forward."""
+    scene, _, _, _ = setup(seed=15, horizon=8)
+    rng = np.random.default_rng(15)
+    vocab8 = sc.ActionVocab(deltas={c: rng.uniform(-0.5, 0.5, (8, 3)) for c in sc.AGENT_CLASSES},
+                            k_r=0.05, w_theta=1.0, seed=0)
+    cfg4 = md.ModelConfig(vocab_sizes={c: 4 for c in sc.AGENT_CLASSES}, dtype="f64")
+    with pytest.raises(ValueError, match="vocab has 8 'vehicle' actions but the model config expects 4"):
+        hn.rollout(md.init_params(cfg4), cfg4, scene, vocab8, horizon=3, mode="sampled", context=5)
+
+
 def test_greedy_samples_are_identical():
     scene, vocab, cfg, params = setup(seed=14, horizon=10)
     first, second = hn.rollout(params, cfg, scene, vocab, horizon=5, mode="greedy",

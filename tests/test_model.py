@@ -1,5 +1,6 @@
 """Model-level contracts: invariance, causality, training, baselines, FLOPs, checkpoints."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from eqtraffic.batch import sandwich_matrix
+from eqtraffic.batch import pose_frame_motors, sandwich_matrix
+from helpers import ROW_FIELDS, batch_rows, stack_samples
 
 
 def make_vocab(rng, cap=16, k_r=0.05):
@@ -249,20 +251,27 @@ def gappy_scene(seed, horizon=22, n_agents=4):
 
 
 def test_token_batch_rows_match_full_batch():
+    """A batch cut at t_end, and the rows a rollout step encodes from state arrays, are rows
+    of the full batch; only the cut's last row lacks the target its next state would give."""
     rng = np.random.default_rng(21)
     vocab = make_vocab(rng)
     cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES})
     scene = gappy_scene(21)
     full = md.build_token_batch(scene, vocab, cfg)
+    anchor = md.scene_anchor(scene)
+    states = md.agent_states(scene, scene.horizon)
+    table, maps = md.vocab_table(vocab, cfg), md.map_fields(scene, anchor)
     for t_start, t_end in ((0, 22), (5, 6), (7, 12), (21, 22), (9, 9)):
-        part = md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start)
         cut = md.build_token_batch(scene, vocab, cfg, t_end=t_end)
-        for name in ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid",
-                     "targets", "target_valid"):
-            assert np.array_equal(getattr(part, name), getattr(cut, name)[:, t_start:]), name
-        assert np.array_equal(part.prev_flat, full.prev_flat[:, t_start:t_end])
-    with pytest.raises(ValueError):
-        md.build_token_batch(scene, vocab, cfg, t_end=5, t_start=6)
+        first = max(t_start - 1, 0)
+        rows = md.encode_states(states.steps(first, t_end), anchor, table, maps, skip=t_start - first)
+        for name in ROW_FIELDS:
+            expect = getattr(full, name)[:, t_start:t_end]
+            if name in ("targets", "target_valid"):
+                expect = expect.copy()
+                expect[:, t_end - t_start - 1:] = -1 if name == "targets" else False
+            assert np.array_equal(getattr(batch_rows(cut, t_start), name), expect), name
+            assert np.array_equal(getattr(rows, name), expect), name
 
 
 @pytest.mark.parametrize("map_attention", ["all", 3])
@@ -276,23 +285,122 @@ def test_cached_forward_matches_full_forward(map_attention, include_adapter):
     for seed, context in ((1, 1), (2, 7), (3, 20)):
         scene = gappy_scene(seed)
         cache = {}
-        t_end = context
-        rows = md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False)
+        t_start, t_end = 0, context
         while True:
+            full_batch = md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False)
+            rows = batch_rows(full_batch, t_start)
             cached = np.asarray(md.forward(rows, params, cfg, cache=cache))
-            full = np.asarray(md.forward(
-                md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False),
-                params, cfg))
+            full = np.asarray(md.forward(full_batch, params, cfg))
             assert cached.shape == (rows.num_agents, rows.num_steps, cfg.max_vocab)
             assert np.max(np.abs(cached - full[:, -rows.num_steps:])) <= 1e-12
-            assert all(entry[0].shape[1] == t_end for entry in cache.values())
+            # the time prefix grows with every row; the map's keys and values stay the first call's
+            assert cache["valid"][0].shape[1] == t_end
+            assert all(cache["time", i][k].shape[1] == t_end for i in range(cfg.blocks) for k in range(4))
+            if t_start == 0:
+                map_kv = cache["map"]
+            assert cache["map"] is map_kv and len(map_kv) == cfg.blocks
             if t_end == scene.horizon:
                 break
             # one new row per call, then several
             t_start, t_end = t_end, min(scene.horizon, t_end + 1 + (t_end > context + 2))
-            rows = md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start,
-                                        with_targets=False)
-    assert len(cache) == cfg.blocks
+    assert set(cache) == {"map", "valid"} | {("time", i) for i in range(cfg.blocks)}
+
+
+def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
+    """The per-agent encoder `build_token_batch` replaced: Pose2 deltas and a nearest-entry
+    search per agent, features per state."""
+    ax, ay = md.scene_anchor(scene)
+    n_steps = scene.horizon if t_end is None else t_end
+    n_agents, vmax = len(scene.agents), cfg.max_vocab
+    poses = np.zeros((n_agents, n_steps, 3))
+    scalars = np.zeros((n_agents, n_steps, sc.AGENT_FEATURE_WIDTH))
+    valid = np.zeros((n_agents, n_steps), dtype=bool)
+    class_idx = np.zeros(n_agents, dtype=np.int64)
+    prev_flat = np.zeros((n_agents, n_steps), dtype=np.int64)
+    targets = np.full((n_agents, n_steps), -1, dtype=np.int64)
+    for a, agent in enumerate(scene.agents):
+        cls_i = sc.AGENT_CLASSES.index(agent.agent_class)
+        class_idx[a] = cls_i
+        states = {s.t: s for s in agent.states if s.t < n_steps}
+        token_of = {}
+        for t, s in states.items():
+            if t + 1 in states:
+                d = s.pose.delta_to(states[t + 1].pose)
+                dists = sc.action_distance(vocab.deltas[agent.agent_class], np.array([d.x, d.y, d.theta]),
+                                           vocab.w_theta)
+                token_of[t] = int(np.argmin(dists))
+        for t in range(n_steps):
+            s = states.get(t)
+            if s is None:
+                prev_flat[a, t] = md.flat_token_index(cls_i, vmax, vmax)
+                continue
+            valid[a, t] = True
+            poses[a, t] = [s.pose.x - ax, s.pose.y - ay, s.pose.theta]
+            scalars[a, t] = sc.encode_agent_scalars(agent, t)
+            prev_flat[a, t] = md.flat_token_index(cls_i, token_of.get(t - 1, vmax), vmax)
+            if with_targets and t in token_of:
+                targets[a, t] = token_of[t]
+    map_poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta]
+                          for n in scene.map_nodes]).reshape(-1, 3)
+    return md.TokenBatch(
+        mv=sc.encode_pose_array(poses)[:, :, None, :], scalars_raw=scalars, raw_poses=poses,
+        prev_flat=prev_flat, class_idx=class_idx, group=np.zeros(n_agents, dtype=np.int64),
+        map_mv=sc.encode_pose_array(map_poses)[:, None, :],
+        map_scalars_raw=np.array([sc.encode_map_scalars(n) for n in scene.map_nodes]).reshape(
+            -1, sc.MAP_FEATURE_WIDTH),
+        map_poses=map_poses, map_group=np.zeros(len(map_poses), dtype=np.int64),
+        frames=pose_frame_motors(poses), valid=valid, targets=targets, target_valid=targets >= 0,
+    )
+
+
+def _oracle_vocabs():
+    kdisk = make_vocab(np.random.default_rng(40), cap=12)
+    # test_scene's tie vocab, and a vocab whose every entry appears twice: ties everywhere
+    tie = sc.ActionVocab(deltas={"vehicle": np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+                                 "pedestrian": np.array([[0.0, 0.0, 0.0]]),
+                                 "cyclist": np.array([[0.0, 0.0, 0.0]])},
+                         k_r=0.5, w_theta=1.0, seed=0)
+    doubled = sc.ActionVocab(deltas={c: np.concatenate([d, d]) for c, d in kdisk.deltas.items()},
+                             k_r=kdisk.k_r, w_theta=kdisk.w_theta, seed=0)
+    return {"kdisk": kdisk, "tie": tie, "doubled": doubled}
+
+
+ORACLE_VOCABS = _oracle_vocabs()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), keep=st.lists(st.booleans(), min_size=40, max_size=40),
+       t_end=st.integers(0, 10), empty_map=st.booleans(), with_targets=st.booleans(),
+       vocab_name=st.sampled_from(sorted(ORACLE_VOCABS)))
+def test_token_batch_matches_the_per_agent_encoder(seed, keep, t_end, empty_map, with_targets,
+                                                   vocab_name):
+    """Gappy histories (agents with no state at t - 1, or none at all), empty maps and tied
+    vocab entries: the array encoder gives the per-agent loop's batch, bit for bit."""
+    vocab = ORACLE_VOCABS[vocab_name]
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES})
+    scene = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=4, horizon=10, n_lanes=2), seed)
+    kept = np.array(keep).reshape(4, 10)
+    agents = tuple(sc.Agent(id=a.id, agent_class=a.agent_class, length=a.length, width=a.width,
+                            states=tuple(s for s in a.states if kept[i, s.t]))
+                   for i, a in enumerate(scene.agents))
+    scene = sc.Scene(agents=agents, map_nodes=() if empty_map else scene.map_nodes,
+                     ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    got = md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=with_targets)
+    expect = reference_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=with_targets)
+    for f in dataclasses.fields(md.TokenBatch):
+        a, b = getattr(got, f.name), getattr(expect, f.name)
+        assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b), f.name
+
+
+def test_vocab_sizes_must_match_the_config_in_training():
+    """An 8-entry vocab under a 4-slot config would alias vehicle tokens into pedestrian rows."""
+    scene, _, _, _, _ = desk_setup(seed=41)
+    rng = np.random.default_rng(41)
+    vocab8 = sc.ActionVocab(deltas={c: rng.uniform(-0.5, 0.5, (8, 3)) for c in sc.AGENT_CLASSES},
+                            k_r=0.05, w_theta=1.0, seed=0)
+    cfg4 = md.ModelConfig(vocab_sizes={c: 4 for c in sc.AGENT_CLASSES}, dtype="f64")
+    with pytest.raises(ValueError, match="vocab has 8 'vehicle' actions but the model config expects 4"):
+        md.train([scene], vocab8, cfg4, steps=1)
 
 
 def resampled_agents(scene, seed):
@@ -323,11 +431,11 @@ def test_stacked_samples_match_separate_forwards(map_attention):
     n_agents, context = len(base.agents), 8
 
     def rows(scene, t_start, t_end):
-        return md.build_token_batch(scene, vocab, cfg, t_end=t_end, t_start=t_start,
-                                    with_targets=False)
+        return batch_rows(md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False),
+                          t_start)
 
     # full forwards, geometric and scalar baselines: groups never see each other
-    stacked = md.stack_samples([rows(sc_, 0, context) for sc_ in samples])
+    stacked = stack_samples([rows(sc_, 0, context) for sc_ in samples])
     assert stacked.group.tolist() == [r for r in range(3) for _ in range(n_agents)]
     together = np.asarray(md.forward(stacked, params, cfg))
     for variant in ("vanilla", "rpe"):
@@ -345,16 +453,11 @@ def test_stacked_samples_match_separate_forwards(map_attention):
     np.asarray(md.forward(stacked, params, cfg, cache=shared))
     assert np.max(np.abs(together - np.concatenate(separate))) <= 1e-12
     for t in range(context, base.horizon):
-        batch = md.stack_samples([rows(sc_, t, t + 1) for sc_ in samples])
+        batch = stack_samples([rows(sc_, t, t + 1) for sc_ in samples])
         together = np.asarray(md.forward(batch, params, cfg, cache=shared))
         for r, (sc_, c) in enumerate(zip(samples, caches)):
             alone = np.asarray(md.forward(rows(sc_, t, t + 1), params, cfg, cache=c))
             assert np.max(np.abs(together[r * n_agents:(r + 1) * n_agents] - alone)) <= 1e-12
-
-    other_map = sc.Scene(agents=base.agents, map_nodes=base.map_nodes[1:], ego_id=base.ego_id,
-                         horizon=base.horizon, dt=base.dt)
-    with pytest.raises(ValueError, match="map"):
-        md.stack_samples([rows(base, 0, 3), rows(other_map, 0, 3)])
 
 
 def test_decoder_gathers_class_heads_and_masks_vocab():
@@ -433,6 +536,41 @@ def test_sampling_rules():
         md.sample_action(logits, "nucleus")
 
 
+def test_sampling_rows_greedy_ties_masks_and_finiteness():
+    rows = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [-1e30, 0.5, -1e30], [-np.inf, -1.0, 0.0]])
+    assert md.sample_action(rows, "greedy").tolist() == [1, 0, 1, 2]
+    masked = np.array([[-1e30, 0.0, -1e30, 5.0]] * 50)
+    drawn = md.sample_action(masked, "categorical", np.random.default_rng(0), temperature=3.0)
+    assert set(drawn.tolist()) <= {1, 3}
+    for bad in (np.nan, np.inf):
+        rows_bad = rows.copy()
+        rows_bad[2, 0] = bad
+        for mode in ("greedy", "categorical"):
+            with pytest.raises(ValueError, match="finite"):
+                md.sample_action(rows_bad, mode, np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 9), width=st.integers(1, 40),
+       temperature=st.sampled_from([1e-4, 0.3, 1.0, 3.0]), masked=st.floats(0.0, 0.9))
+def test_sampling_rows_draw_the_per_row_choice_stream(seed, n_rows, width, temperature, masked):
+    """N rows in one call draw what N per-row `rng.choice` calls draw, and leave the generator
+    where they leave it."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, 4.0, size=(n_rows, width))
+    logits[rng.random(size=logits.shape) < masked] = -1e30
+    logits[np.arange(n_rows), rng.integers(0, width, n_rows)] = rng.normal(size=n_rows)
+    per_row = np.random.default_rng(seed + 1)
+    expect = []
+    for row in logits:
+        scaled = row / temperature
+        probs = np.exp(scaled - scaled.max())
+        expect.append(int(per_row.choice(width, p=probs / probs.sum())))
+    batched = np.random.default_rng(seed + 1)
+    assert md.sample_action(logits, "categorical", batched, temperature).tolist() == expect
+    assert batched.random() == per_row.random()
+
+
 def test_train_determinism_and_descent():
     rng = np.random.default_rng(9)
     vocab = make_vocab(rng, cap=16, k_r=0.02)
@@ -471,13 +609,15 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 
 def test_default_forward_tape_size_is_pinned():
     """A fused rms_norm serves the three norms and one mv_attention node each attention call;
-    the loss folds its per-group means into constant weights, so it ends without a div."""
+    an eq_linear bias rides in its mv_linear node, the map is normalized once for every
+    block's map attention, and the loss folds its per-group means into constant weights,
+    so it ends without a div."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
     with ad.Tape() as tape:
         md.loss(md.forward(batch, params.as_vars(), cfg), batch.targets, batch.target_valid)
     ops = [node.op for node in tape.nodes]
     counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
-    assert counts == (263, 23, 0, 6)
+    assert counts == (199, 21, 0, 6)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -518,8 +658,8 @@ def test_poses_are_anchor_relative():
     node = scene.map_nodes[0].pose
     ax, ay = md.scene_anchor(scene)
     assert (ax, ay) == (node.x, node.y)
-    rows = md.build_token_batch(scene, vocab, cfg, t_end=7, t_start=5)
-    assert np.array_equal(rows.raw_poses, batch.raw_poses[:, 5:7])
+    cut = md.build_token_batch(scene, vocab, cfg, t_end=7)
+    assert np.array_equal(cut.raw_poses[:, 5:], batch.raw_poses[:, 5:7])
     empty = sc.Scene(agents=scene.agents, map_nodes=(), ego_id=scene.ego_id,
                      horizon=scene.horizon, dt=scene.dt)
     first = scene.ego().states[0].pose
@@ -781,14 +921,18 @@ def test_invariant_loss_gradients_transform_contravariantly():
         assert float(np.max(np.abs(moved - base))) <= 1e-8 * scale
 
 
+def _self_attention(mv, s, prm, attn_cfg, mask):
+    normed = md._norms(mv, s)
+    return md._attend(mv, s, normed, md._keys_values(normed, prm), prm, attn_cfg, mask)
+
+
 def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     """forward() with the agent multivector input taken from a tracked Var."""
     dt = cfg.np_dtype
     mv = md.eq_linear(mv_tracked, md._eq_params(p, "embed/agent_mv"))
     s = md.mlp2(batch.scalars_raw.astype(dt), md._mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_mv = md.eq_linear(batch.map_mv.astype(dt), md._eq_params(p, "embed/map_mv"))
-    map_s = md.mlp2(batch.map_scalars_raw.astype(dt), md._mlp_params(p, "embed/map_in"))
+    map_kv = md._map_keys_values(batch, p, cfg, None)
     attn_cfg = cfg.attention_config()
     causal_cfg = cfg.attention_config(causal=True)
     map_mask = md._group_mask(batch, batch.map_group)
@@ -797,16 +941,12 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv), md._swap_at(s)
-        mv_t, s_t = md._attention_sublayer(mv_t, s_t, map_mv, map_s,
-                                           md._attn_params(p, f"block{i}/map_attn"),
-                                           attn_cfg, mask=map_mask)
-        mv_t, s_t = md._attention_sublayer(mv_t, s_t, None, None,
-                                           md._attn_params(p, f"block{i}/agent_attn"),
-                                           attn_cfg, mask=agent_mask, self_attn=True)
+        mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i],
+                               md._attn_params(p, f"block{i}/map_attn"), attn_cfg, map_mask)
+        mv_t, s_t = _self_attention(mv_t, s_t, md._attn_params(p, f"block{i}/agent_attn"),
+                                    attn_cfg, agent_mask)
         mv, s = md._swap_at(mv_t), md._swap_at(s_t)
-        mv, s = md._attention_sublayer(mv, s, None, None,
-                                       md._attn_params(p, f"block{i}/time_attn"),
-                                       causal_cfg, mask=time_mask, self_attn=True)
+        mv, s = _self_attention(mv, s, md._attn_params(p, f"block{i}/time_attn"), causal_cfg, time_mask)
         mv, s = md.eq_mlp_block(mv, s, md.EqMlpBlockParams(
             expand=md._eq_params(p, f"block{i}/mlp/expand"),
             mid=md._eq_params(p, f"block{i}/mlp/mid"),

@@ -439,3 +439,19 @@ def test_pose_wrapping():
     d = p.delta_to(Pose2(2.0, 1.0, -0.2))
     assert p.compose(d).x == pytest.approx(2.0, abs=1e-12)
     assert p.compose(d).theta == pytest.approx(-0.2, abs=1e-12)
+
+
+def test_pose_arrays_round_exactly_as_pose2():
+    """The rollout's array dynamics and the encoder's increments reproduce Pose2 bit for bit,
+    angles at and beyond +-pi included."""
+    rng = np.random.default_rng(61)
+    raw = np.column_stack([rng.uniform(-1e3, 1e3, (400, 2)), rng.uniform(-7.0, 7.0, 400)])
+    raw[:4, 2] = [math.pi, -math.pi, 3.0 * math.pi, 0.0]
+    poses = [Pose2(*row) for row in raw]
+    a = np.array([(p.x, p.y, p.theta) for p in poses])
+    b = a[::-1].copy()
+    assert np.array_equal(pga.wrap_angles(raw[:, 2]), a[:, 2])
+    composed = [p.compose(q) for p, q in zip(poses, poses[::-1])]
+    deltas = [p.delta_to(q) for p, q in zip(poses, poses[::-1])]
+    assert np.array_equal(pga.compose_poses(a, b), [(p.x, p.y, p.theta) for p in composed])
+    assert np.array_equal(pga.pose_deltas(a, b), [(p.x, p.y, p.theta) for p in deltas])
