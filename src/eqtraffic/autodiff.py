@@ -223,15 +223,10 @@ def _rms_norm_vjp(n, g):
 register_vjp("rms_norm", _rms_norm_vjp)
 
 
-def distance_features(x, mix, eps: float):
-    """[..., 8] -> [..., 4]: c / (c^2 + eps) * ([c^2, a^2 + b^2, ac, bc] @ mix) for a constant
-    [4, 4] `mix`, with a, b, c the e01, e20, e12 components."""
-    out, saved = _distance_features(data_of(x), mix, eps)
-    return _record("distance_features", out, (x,), {"saved": saved})
-
-
 def _distance_features(dx, mix, eps: float):
-    """The distance features of `dx` and what `_distance_features_grad` needs."""
+    """[..., 8] -> [..., 4]: c / (c^2 + eps) * ([c^2, a^2 + b^2, ac, bc] @ mix) for a constant
+    [4, 4] `mix`, with a, b, c the e01, e20, e12 components; and what `_distance_features_grad`
+    needs."""
     a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
     den = c * c + eps
     parts = np.stack([c * c, a * a + b * b, a * c, b * c], axis=-1)
@@ -251,9 +246,6 @@ def _distance_features_grad(saved, g):
     gx[..., 6] = (2.0 * c * fh[..., 0] + a * fh[..., 2] + b * fh[..., 3]
                   + g_factor * (den - 2.0 * c * c) / (den * den))
     return gx
-
-
-register_vjp("distance_features", lambda n, g: (_distance_features_grad(n.ctx["saved"], g),))
 
 
 def sub(a, b):
@@ -445,14 +437,6 @@ def relu(a):
 
 
 register_vjp("relu", lambda n, g: (g * n.ctx["mask"],))
-
-
-def sqrt(a):
-    out = np.sqrt(data_of(a))
-    return _record("sqrt", out, (a,), {"out": out})
-
-
-register_vjp("sqrt", lambda n, g: (g * 0.5 / n.ctx["out"],))
 
 
 def masked_softmax(logits, mask):
@@ -713,9 +697,6 @@ class ParamStore:
     def __setitem__(self, name: str, array: np.ndarray) -> None:
         self._arrays[name] = np.asarray(array)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
     def names(self) -> list[str]:
         return list(self._arrays)
 
@@ -726,12 +707,6 @@ class ParamStore:
         out = ParamStore()
         for name, arr in self._arrays.items():
             out.add(name, arr.astype(dtype))
-        return out
-
-    def copy(self) -> "ParamStore":
-        out = ParamStore()
-        for name, arr in self._arrays.items():
-            out.add(name, arr.copy())
         return out
 
     def as_vars(self) -> dict[str, Var]:
@@ -793,65 +768,3 @@ def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) 
         return min_lr
     frac = min(max(step / (total_steps - 1), 0.0), 1.0)
     return min_lr + (base_lr - min_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-def grad_check(fn, arrays, step: float = 1e-6, max_coords: int = 200, seed: int = 0,
-               min_grad: float = 0.0) -> float:
-    """Compare analytic gradients of a scalar-valued fn against central differences.
-
-    `fn` takes a list of tracked Vars (one per input array) and returns a
-    scalar Var.  All coordinates are checked unless an input exceeds
-    `max_coords`, in which case a seeded subsample of that many coordinates is
-    drawn.  Returns the max relative error with denominator
-    max(|analytic|, |numeric|, 1e-8).
-
-    Central differences at step h resolve a gradient only down to roughly
-    (rounding noise of fn) / h; for deep compositions that floor sits near
-    1e-10.  Passing `min_grad` restricts sampling to coordinates whose
-    analytic gradient clears that floor; inputs with no such coordinate are
-    skipped (they carry no FD-resolvable signal at this step).
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    tracked = [Var(a) for a in arrays]
-    with Tape() as tape:
-        loss = fn(tracked)
-    if not isinstance(loss, Var) or loss.data.shape != ():
-        raise ValueError("grad_check target must return a scalar Var")
-    grads = backward(tape, loss)
-    analytic = [grads[t] for t in tracked]
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for slot, base in enumerate(arrays):
-        flat_size = base.size
-        if min_grad > 0.0:
-            mags = np.abs(analytic[slot]).ravel()
-            eligible = np.flatnonzero(mags >= min_grad)
-            if eligible.size == 0:
-                continue
-            if eligible.size > max_coords:
-                coords = rng.choice(eligible, size=max_coords, replace=False)
-            else:
-                coords = eligible
-        elif flat_size > max_coords:
-            coords = rng.choice(flat_size, size=max_coords, replace=False)
-        else:
-            coords = np.arange(flat_size)
-        for coord in coords:
-            idx = np.unravel_index(int(coord), base.shape) if base.shape else ()
-            perturbed = [a.copy() for a in arrays]
-            perturbed[slot][idx] += step
-            with Tape():
-                f_plus = float(data_of(fn([Var(a) for a in perturbed])))
-            perturbed[slot][idx] -= 2.0 * step
-            with Tape():
-                f_minus = float(data_of(fn([Var(a) for a in perturbed])))
-            numeric = (f_plus - f_minus) / (2.0 * step)
-            a_val = float(analytic[slot][idx])
-            err = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

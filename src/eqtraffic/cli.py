@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -120,24 +119,15 @@ def cmd_gen(args, run_cfg) -> int:
     out = Path(_resolved(args, run_cfg, "out", "scenes"))
     count = int(_resolved(args, run_cfg, "count", 16))
     seed = int(_resolved(args, run_cfg, "seed", 0))
-    threads = int(_resolved(args, run_cfg, "threads", os.cpu_count() or 1))
     gen_cfg = _generator_config(run_cfg)
     resolved = {"count": count, "seed": seed, "out": str(out),
                 "generator": dataclasses.asdict(gen_cfg)}
     _print_resolved("gen", resolved)
     meta = _meta(seed, resolved)
 
-    def build(i):
-        return sc.scene_to_json(sc.generate_synthetic_scene(gen_cfg, seed + i))
-
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            texts = list(pool.map(build, range(count)))
-    else:
-        texts = [build(i) for i in range(count)]
-
     entries = []
-    for i, text in enumerate(texts):
+    for i in range(count):
+        text = sc.scene_to_json(sc.generate_synthetic_scene(gen_cfg, seed + i))
         name = f"scene_{i:05d}.json"
         _atomic_write(out / name, _with_meta(text, {**meta, "seed": seed + i}))
         entries.append({"file": name, "seed": seed + i})
@@ -380,7 +370,6 @@ def build_parser() -> _Parser:
         p.add_argument("--dtype", choices=("f32", "f64"))
         p.add_argument("--config", help="JSON run-config file; flags override its values")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument("--threads", type=int, help="parallel workers (training stays single-threaded)")
 
     p = sub.add_parser("gen", help="generate synthetic scenes")
     common(p)

@@ -25,12 +25,14 @@ from .layers import (
     invariant_adapter,
     noneq_linear,
 )
-from .pga import Motor, Pose2, compose_poses, motor_from_pose, wrap_angles
+from .pga import Motor, Pose2, compose_poses, motor_from_pose
 from .scene import (
     ActionVocab,
     AgentState,
+    AgentStates,
     GeneratorConfig,
     Scene,
+    agent_states,
     dynamics_step,
     generate_synthetic_scene,
     transform_scene,
@@ -92,7 +94,7 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     if mode not in ("greedy", "categorical"):
         raise ValueError(f"unknown rollout mode '{mode}'")
     t0 = scene.horizon if context is None else context
-    history = md.agent_states(scene, t0)
+    history = agent_states(scene, t0)
     for agent, seen in zip(scene.agents, history.valid.any(axis=1)):
         if not seen:
             raise ValueError(f"agent {agent.id} has no observed states before t={t0}")
@@ -114,9 +116,9 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
 
     n_agents = len(scene.agents)
     future = ((0, 0), (0, horizon))
-    states = md.AgentStates(tiled(np.pad(history.poses, future + ((0, 0),))),
-                            tiled(np.pad(history.speeds, future)), tiled(np.pad(history.valid, future)),
-                            tiled(history.class_idx), tiled(history.length), tiled(history.width))
+    states = AgentStates(tiled(np.pad(history.poses, future + ((0, 0),))),
+                         tiled(np.pad(history.speeds, future)), tiled(np.pad(history.valid, future)),
+                         tiled(history.class_idx), tiled(history.length), tiled(history.width))
     group = np.repeat(np.arange(n_rollouts), n_agents)
     live_agents = history.valid[:, t0 - 1]
     live = tiled(live_agents)
@@ -131,11 +133,8 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
         per_sample = logits.reshape(n_rollouts, n_agents, -1)[:, live_agents]
         tokens[live, step] = np.concatenate([md.sample_action(sample, mode, rng, temperature)
                                              for sample, rng in zip(per_sample, rngs)])
-        delta = table.deltas[states.class_idx[live], tokens[live, step]]
-        # Pose2 wraps the increment's angle before composing (scene.dynamics_step)
-        delta[:, 2] = wrap_angles(delta[:, 2])
-        states.poses[live, t] = compose_poses(states.poses[live, t - 1], delta)
-        states.speeds[live, t] = np.hypot(delta[:, 0], delta[:, 1]) / scene.dt
+        states.poses[live, t], states.speeds[live, t] = dynamics_step(
+            states.poses[live, t - 1], table.deltas[states.class_idx[live], tokens[live, step]], scene.dt)
         states.valid[live, t] = True
 
     samples = zip(*(np.split(x, n_rollouts) for x in (states.poses, states.speeds, states.valid, tokens)))
@@ -159,30 +158,26 @@ def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:
 
 def constant_velocity_positions(scene: Scene, context: int, horizon: int) -> np.ndarray:
     """Straight-line baseline: hold the last observed speed and heading."""
+    states = agent_states(scene, context)
+    seen = states.valid.any(axis=1)
+    if not seen.all():
+        raise ValueError(f"agent {scene.agents[int(np.argmin(seen))].id} has no state before t={context}")
+    last = (np.arange(len(scene.agents)), context - 1 - np.argmax(states.valid[:, ::-1], axis=1))
+    pose, step = states.poses[last], np.zeros((len(scene.agents), 3))
+    step[:, 0] = states.speeds[last] * scene.dt
     preds = np.zeros((len(scene.agents), horizon, 2))
-    for ai, agent in enumerate(scene.agents):
-        hist = [s for s in agent.states if s.t < context]
-        if not hist:
-            raise ValueError(f"agent {agent.id} has no state before t={context}")
-        last = hist[-1]
-        pose, speed = last.pose, last.speed
-        step = (speed * scene.dt, 0.0, 0.0)
-        for h in range(horizon):
-            pose, speed = dynamics_step((pose, speed), step, scene.dt)
-            preds[ai, h] = (pose.x, pose.y)
+    for h in range(horizon):
+        pose, _speed = dynamics_step(pose, step, scene.dt)
+        preds[:, h] = pose[:, :2]
     return preds
 
 
 def ground_truth_positions(scene: Scene, context: int, horizon: int) -> np.ndarray:
-    gt = np.zeros((len(scene.agents), horizon, 2))
-    for ai, agent in enumerate(scene.agents):
-        lookup = {s.t: s for s in agent.states}
-        for h in range(horizon):
-            s = lookup.get(context + h)
-            if s is None:
-                raise ValueError(f"agent {agent.id} missing ground truth at t={context + h}")
-            gt[ai, h] = (s.pose.x, s.pose.y)
-    return gt
+    states = agent_states(scene, context + horizon).steps(context, context + horizon)
+    if not states.valid.all():
+        a, h = np.argwhere(~states.valid)[0]
+        raise ValueError(f"agent {scene.agents[a].id} missing ground truth at t={context + h}")
+    return states.poses[..., :2]
 
 
 def min_ade(predictions, ground_truth: np.ndarray) -> float:
@@ -430,8 +425,8 @@ def _bench_batch(agents: int, map_tokens: int, steps: int, cfg: md.ModelConfig,
 
 
 def bench_scaling(cfg: md.ModelConfig, agent_counts, map_tokens: int = 32, steps: int = 10,
-                  seed: int = 0, time_forward: bool = True) -> list:
-    """FLOP counts and (optionally) timed forward passes per variant and agent count."""
+                  seed: int = 0) -> list:
+    """FLOP counts and timed forward passes per variant and agent count."""
     rows = []
     param_sets = {}
     for count in agent_counts:
@@ -440,20 +435,18 @@ def bench_scaling(cfg: md.ModelConfig, agent_counts, map_tokens: int = 32, steps
         batch = _bench_batch(count, map_tokens, steps, cfg, seed=seed)
         for variant in md.VARIANTS:
             flops = md.flop_count(cfg, count, map_tokens, steps, variant)
-            wall = float("nan")
-            if time_forward:
-                if variant not in param_sets:
-                    param_sets[variant] = (
-                        md.init_params(cfg) if variant == "geometric"
-                        else md.init_baseline_params(cfg, variant)
-                    )
-                params = param_sets[variant]
-                start = time.perf_counter()
-                if variant == "geometric":
-                    md.forward(batch, params, cfg)
-                else:
-                    md.baseline_forward(batch, params, cfg, variant)
-                wall = time.perf_counter() - start
+            if variant not in param_sets:
+                param_sets[variant] = (
+                    md.init_params(cfg) if variant == "geometric"
+                    else md.init_baseline_params(cfg, variant)
+                )
+            params = param_sets[variant]
+            start = time.perf_counter()
+            if variant == "geometric":
+                md.forward(batch, params, cfg)
+            else:
+                md.baseline_forward(batch, params, cfg, variant)
+            wall = time.perf_counter() - start
             rows.append(
                 {
                     "agents": count,

@@ -173,17 +173,6 @@ def scalar_layer_norm(s, eps: float = LAYER_NORM_EPS):
     return ad.rms_norm(centered, 1.0 / ad.data_of(s).shape[-1], -1, eps)
 
 
-def distance_features_query(q, eps: float = DISTANCE_EPS):
-    """Query-side distance features, [..., C, 8] -> [..., C, 4]."""
-    return ad.distance_features(q, QUERY_MIX, eps)
-
-
-def distance_features_key(k, eps: float = DISTANCE_EPS):
-    """Key-side distance features; dotted with the query side they give
-    (up to the eps factor) the negative squared distance between encoded points."""
-    return ad.distance_features(k, KEY_MIX, eps)
-
-
 def _combine_mask(mask, causal: bool, lq: int, lk: int):
     """AND of an optional [..., Lq, Lk] mask with the causal rule, or None.
 

@@ -42,7 +42,9 @@ from .scene import (
     AGENT_FEATURE_WIDTH,
     MAP_FEATURE_WIDTH,
     ActionVocab,
+    AgentStates,
     Scene,
+    agent_states,
     encode_map_scalars,
     encode_pose_array,
     nearest_action,
@@ -186,44 +188,6 @@ def scene_anchor(scene: Scene) -> tuple:
     else:
         return 0.0, 0.0
     return pose.x, pose.y
-
-
-@dataclass
-class AgentStates:
-    """Agent histories on the step grid as arrays; poses and speeds are zero where `valid` is False."""
-
-    poses: np.ndarray      # [A, T, 3] global (x, y, theta)
-    speeds: np.ndarray     # [A, T]
-    valid: np.ndarray      # [A, T] bool
-    class_idx: np.ndarray  # [A] int
-    length: np.ndarray     # [A]
-    width: np.ndarray      # [A]
-
-    def steps(self, start: int, stop: int) -> "AgentStates":
-        """Steps start <= t < stop, as views."""
-        cut = slice(start, stop)
-        return AgentStates(self.poses[:, cut], self.speeds[:, cut], self.valid[:, cut],
-                           self.class_idx, self.length, self.width)
-
-
-def agent_states(scene: Scene, n_steps: int) -> AgentStates:
-    """The one pass over the scene's agents: their states with 0 <= t < n_steps as arrays."""
-    agents = scene.agents
-    poses = np.zeros((len(agents), n_steps, 3))
-    speeds = np.zeros((len(agents), n_steps))
-    valid = np.zeros((len(agents), n_steps), dtype=bool)
-    for a, agent in enumerate(agents):
-        kept = [s for s in agent.states if 0 <= s.t < n_steps]
-        ts = [s.t for s in kept]
-        poses[a, ts] = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in kept]).reshape(-1, 3)
-        speeds[a, ts] = [s.speed for s in kept]
-        valid[a, ts] = True
-    return AgentStates(
-        poses, speeds, valid,
-        class_idx=np.array([AGENT_CLASSES.index(a.agent_class) for a in agents], dtype=np.int64),
-        length=np.array([a.length for a in agents], dtype=np.float64),
-        width=np.array([a.width for a in agents], dtype=np.float64),
-    )
 
 
 class VocabTable(NamedTuple):
@@ -689,7 +653,7 @@ def scalar_attention(q, k, v, mask=None, causal=False):
 
 
 def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
-                  mask=None, causal=False, stats: dict | None = None):
+                  mask=None, causal=False):
     """Attention with per-pair key/value offsets from a relative-pose MLP.
 
     rel_feats [..., Lq, Lk, 4] featurizes pose_j in the frame of i.  The MLP
@@ -699,10 +663,6 @@ def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
     d = ad.data_of(q).shape[-1]
     pair = mlp2(rel_feats, rpe_mlp)  # [..., Lq, Lk, 2d]
     k_off, v_off = ad.split(pair, [d, d], axis=-1)
-    if stats is not None:
-        stats["pair_evals"] = stats.get("pair_evals", 0) + int(
-            np.prod(rel_feats.shape[:-1])
-        )
     base = ad.matmul(q, ad.moveaxis(k, -1, -2))
     qd = ad.data_of(q)
     extra = ad.reduce_sum(ad.mul(ad.reshape(q, qd.shape[:-1] + (1, d)), k_off), axis=-1)
@@ -746,7 +706,7 @@ def init_baseline_params(cfg: ModelConfig, variant: str,
 
 
 def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats,
-                                 mask=None, causal=False, stats=None):
+                                 mask=None, causal=False):
     s_qn = scalar_layer_norm(s_q)
     s_kn = s_qn if s_kv is None else scalar_layer_norm(s_kv)
     q = affine(s_qn, p[f"{name}/s_q/w"], p[f"{name}/s_q/b"])
@@ -754,14 +714,13 @@ def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats,
     v = affine(s_kn, p[f"{name}/s_v/w"], p[f"{name}/s_v/b"])
     if variant == "rpe":
         out = rpe_attention(q, k, v, rel_feats, _mlp_params(p, f"{name}/rpe"),
-                            mask=mask, causal=causal, stats=stats)
+                            mask=mask, causal=causal)
     else:
         out = scalar_attention(q, k, v, mask=mask, causal=causal)
     return ad.add(out, s_q)
 
 
-def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
-                     stats: dict | None = None):
+def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
     """Scalar-only stack mirroring the factorized block structure.
 
     `vanilla` feeds raw global poses into the input MLPs (the non-equivariant
@@ -797,17 +756,13 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str,
 
     for i in range(cfg.blocks):
         s_t = _swap_at(s)
-        s_t = _baseline_attention_sublayer(
-            s_t, map_s, p, f"block{i}/map_attn", variant, rel_map, mask=map_mask, stats=stats
-        )
-        s_t = _baseline_attention_sublayer(
-            s_t, None, p, f"block{i}/agent_attn", variant, rel_agent, mask=agent_mask, stats=stats
-        )
+        s_t = _baseline_attention_sublayer(s_t, map_s, p, f"block{i}/map_attn", variant, rel_map,
+                                           mask=map_mask)
+        s_t = _baseline_attention_sublayer(s_t, None, p, f"block{i}/agent_attn", variant, rel_agent,
+                                           mask=agent_mask)
         s = _swap_at(s_t)
-        s = _baseline_attention_sublayer(
-            s, None, p, f"block{i}/time_attn", variant, rel_time,
-            mask=time_mask, causal=True, stats=stats,
-        )
+        s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time,
+                                         mask=time_mask, causal=True)
         s = ad.add(mlp2(scalar_layer_norm(s), _mlp_params(p, f"block{i}/mlp")), s)
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))

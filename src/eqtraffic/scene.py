@@ -1,9 +1,9 @@
-"""Scene data model, algebra encodings, action vocabulary, and dynamics.
+"""Scene data model, its state arrays, algebra encodings, action vocabulary, and dynamics.
 
 A scene is a set of agents (pose histories on a shared step grid) plus static
-map nodes.  Actions are local SE(2) pose increments per step, discretized
-against a per-class vocabulary built with a greedy disk-packing pass over
-observed transitions.
+map nodes; `agent_states` reads the histories into arrays.  Actions are local
+SE(2) pose increments per step, discretized against a per-class vocabulary
+built with a greedy disk-packing pass over observed transitions.
 """
 
 import json
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pga import COMPONENTS, Pose2, motor_from_pose
+from .pga import COMPONENTS, Pose2, compose_poses, pose_deltas, wrap_angles
 
 AGENT_CLASSES = ("vehicle", "pedestrian", "cyclist")
 BOUNDARY_TYPES = ("none", "dashed", "solid", "curb")
@@ -54,12 +54,6 @@ class Agent:
             raise ValueError(f"agent {self.id} states must be strictly increasing in t")
         object.__setattr__(self, "states", tuple(self.states))
 
-    def state_at(self, t: int):
-        for s in self.states:
-            if s.t == t:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class MapNode:
@@ -96,12 +90,53 @@ class Scene:
             raise ValueError("dt must be positive")
         if self.ego() is None:
             raise ValueError(f"ego id {self.ego_id} not among agents")
+        for a in self.agents:
+            if a.states and not 0 <= a.states[0].t <= a.states[-1].t < self.horizon:
+                raise ValueError(f"agent {a.id} has a state outside [0, {self.horizon})")
 
     def ego(self):
         for a in self.agents:
             if a.id == self.ego_id:
                 return a
         return None
+
+
+@dataclass
+class AgentStates:
+    """Agent histories on the step grid as arrays; poses and speeds are zero where `valid` is False."""
+
+    poses: np.ndarray      # [A, T, 3] global (x, y, theta)
+    speeds: np.ndarray     # [A, T]
+    valid: np.ndarray      # [A, T] bool
+    class_idx: np.ndarray  # [A] int
+    length: np.ndarray     # [A]
+    width: np.ndarray      # [A]
+
+    def steps(self, start: int, stop: int) -> "AgentStates":
+        """Steps start <= t < stop, as views."""
+        cut = slice(start, stop)
+        return AgentStates(self.poses[:, cut], self.speeds[:, cut], self.valid[:, cut],
+                           self.class_idx, self.length, self.width)
+
+
+def agent_states(scene: Scene, n_steps: int) -> AgentStates:
+    """The one pass from scene objects to arrays: the agents' states with t < n_steps."""
+    agents = scene.agents
+    poses = np.zeros((len(agents), n_steps, 3))
+    speeds = np.zeros((len(agents), n_steps))
+    valid = np.zeros((len(agents), n_steps), dtype=bool)
+    for a, agent in enumerate(agents):
+        kept = [s for s in agent.states if s.t < n_steps]
+        ts = [s.t for s in kept]
+        poses[a, ts] = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in kept]).reshape(-1, 3)
+        speeds[a, ts] = [s.speed for s in kept]
+        valid[a, ts] = True
+    return AgentStates(
+        poses, speeds, valid,
+        class_idx=np.array([AGENT_CLASSES.index(a.agent_class) for a in agents], dtype=np.int64),
+        length=np.array([a.length for a in agents], dtype=np.float64),
+        width=np.array([a.width for a in agents], dtype=np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +159,6 @@ def encode_pose_array(poses: np.ndarray) -> np.ndarray:
     out[..., 5] = x                    # e20: point x
     out[..., 4] = y                    # e01: point y
     out[..., 6] = 1.0                  # e12: point weight
-    return out
-
-
-def encode_agent_scalars(agent: Agent, t: int) -> np.ndarray:
-    state = agent.state_at(t)
-    if state is None:
-        raise ValueError(f"agent {agent.id} has no state at t={t}")
-    out = np.zeros(AGENT_FEATURE_WIDTH)
-    out[0] = state.speed
-    out[1] = agent.length
-    out[2] = agent.width
-    out[3 + AGENT_CLASSES.index(agent.agent_class)] = 1.0
     return out
 
 
@@ -225,13 +248,6 @@ def build_kdisk_vocab(
     return ActionVocab(deltas=vocab, k_r=k_r, w_theta=w_theta, seed=seed, source_counts=counts)
 
 
-def tokenize_batch(deltas: np.ndarray, vocab: ActionVocab, agent_class: str) -> np.ndarray:
-    """Nearest vocab entry per delta [N, 3] under the metric; ties resolve to the lowest index."""
-    if agent_class not in vocab.deltas:
-        raise KeyError(f"no vocabulary for class '{agent_class}'")
-    return nearest_action(vocab.deltas[agent_class], deltas, vocab.w_theta)
-
-
 def nearest_action(entries: np.ndarray, deltas, w_theta: float, sizes=None) -> np.ndarray:
     """Index of the nearest of the entries [..., V, 3] to each delta [..., 3], lowest on ties;
     with `sizes` only each row's first `sizes` entries compete (a zero-padded table)."""
@@ -241,53 +257,38 @@ def nearest_action(entries: np.ndarray, deltas, w_theta: float, sizes=None) -> n
     return np.argmin(dists, axis=-1)
 
 
-def detokenize(token: int, vocab: ActionVocab, agent_class: str) -> np.ndarray:
-    if agent_class not in vocab.deltas:
-        raise KeyError(f"no vocabulary for class '{agent_class}'")
-    return vocab.deltas[agent_class][int(token)].copy()
-
-
 # ---------------------------------------------------------------------------
 # dynamics and frame handling
 # ---------------------------------------------------------------------------
 
-def dynamics_step(state, action_delta, dt: float):
-    """Advance (pose, speed) by a local pose increment over one step of dt seconds.
+def dynamics_step(poses, deltas, dt: float):
+    """Advance poses [..., 3] by local pose increments [..., 3] over one step of dt seconds.
 
-    The increment composes in the agent frame, so for any motor g,
-    f(g . state, delta) = g . f(state, delta) holds by construction.
+    Returns the new poses and speeds [...].  The increment composes in the
+    agent frame, so for any motor g, f(g . pose, delta) = g . f(pose, delta)
+    holds by construction.  The increment's angle is wrapped first and the
+    result rounds as `Pose2.compose` does.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pose, _speed = state
-    dx, dy, dth = (float(v) for v in action_delta)
-    new_pose = pose.compose(Pose2(dx, dy, dth))
-    return new_pose, math.hypot(dx, dy) / dt
-
-
-def agent_transitions(agent: Agent) -> np.ndarray:
-    """Local deltas between consecutive recorded steps, [N, 3]."""
-    out = []
-    for a, b in zip(agent.states, agent.states[1:]):
-        if b.t != a.t + 1:
-            continue
-        d = a.pose.delta_to(b.pose)
-        out.append([d.x, d.y, d.theta])
-    return np.asarray(out, dtype=np.float64).reshape(-1, 3)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    dx, dy = deltas[..., 0], deltas[..., 1]
+    stepped = compose_poses(np.asarray(poses, dtype=np.float64),
+                            np.stack([dx, dy, wrap_angles(deltas[..., 2])], axis=-1))
+    return stepped, np.hypot(dx, dy) / dt
 
 
 def collect_transitions(scenes) -> dict:
-    """Pool local deltas from many scenes, keyed by agent class."""
+    """Local deltas between consecutive recorded steps, pooled over scenes, agents and
+    time in that order and keyed by agent class, [N, 3] each."""
     pools: dict[str, list] = {cls: [] for cls in AGENT_CLASSES}
     for scene in scenes:
-        for agent in scene.agents:
-            arr = agent_transitions(agent)
-            if arr.size:
-                pools[agent.agent_class].append(arr)
-    return {
-        cls: (np.concatenate(parts) if parts else np.zeros((0, 3)))
-        for cls, parts in pools.items()
-    }
+        states = agent_states(scene, scene.horizon)
+        pair = states.valid[:, :-1] & states.valid[:, 1:]
+        deltas = pose_deltas(states.poses[:, :-1], states.poses[:, 1:])
+        for k, cls in enumerate(AGENT_CLASSES):
+            pools[cls].append(deltas[pair & (states.class_idx == k)[:, None]])
+    return {cls: np.concatenate(parts or [np.zeros((0, 3))]) for cls, parts in pools.items()}
 
 
 def transform_scene(scene: Scene, g: Pose2) -> Scene:
@@ -303,19 +304,6 @@ def transform_scene(scene: Scene, g: Pose2) -> Scene:
     )
     nodes = tuple(replace(n, pose=g.compose(n.pose)) for n in scene.map_nodes)
     return replace(scene, agents=agents, map_nodes=nodes)
-
-
-def recenter_scene(scene: Scene):
-    """Express all poses relative to the ego's initial pose.
-
-    Returns the recentered scene and the motor that undoes the recentering.
-    """
-    ego0 = scene.ego().state_at(0)
-    if ego0 is None:
-        raise ValueError("ego agent has no state at t=0")
-    origin = ego0.pose
-    recentered = transform_scene(scene, origin.inverse())
-    return recentered, motor_from_pose(origin)
 
 
 # ---------------------------------------------------------------------------

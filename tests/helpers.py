@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
+from eqtraffic import autodiff as ad
 from eqtraffic import model as md
+from eqtraffic import scene as sc
 from eqtraffic.pga import Motor, Multivector, Pose2
 
 # TokenBatch fields with a step axis (axis 1)
@@ -63,6 +65,22 @@ def max_rel_err(actual, expected, floor=1e-12):
     return float(np.max(np.abs(actual - expected) / denom))
 
 
+def gappy_scene(seed, horizon=22, n_agents=4):
+    """Synthetic scene whose agents start late, pause, or stop early."""
+    rng = np.random.default_rng(seed)
+    gen = sc.GeneratorConfig(n_agents=n_agents, horizon=horizon, n_lanes=2)
+    scene = sc.generate_synthetic_scene(gen, seed=seed)
+    agents = [scene.agents[0]]
+    for agent in scene.agents[1:]:
+        start, gap, stop = sorted(rng.choice(horizon, size=3, replace=False))
+        keep = tuple(s for s in agent.states
+                     if start <= s.t < stop and not gap <= s.t < gap + 2)
+        agents.append(sc.Agent(id=agent.id, agent_class=agent.agent_class,
+                               length=agent.length, width=agent.width, states=keep))
+    return sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
+                    ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+
+
 def batch_rows(batch, start, stop=None):
     """The batch's rows start <= t < stop, every other field shared."""
     return dataclasses.replace(batch, **{name: getattr(batch, name)[:, start:stop] for name in ROW_FIELDS})
@@ -79,6 +97,74 @@ def stack_samples(batches):
     )
 
 
+def distance_features(x, mix, eps: float):
+    """The distance features `ad.mv_attention` computes inside its node, [..., 8] -> [..., 4],
+    as a tape node of their own, sharing the attention's formula and VJP."""
+    out, saved = ad._distance_features(ad.data_of(x), mix, eps)
+    return ad._record("distance_features", out, (x,), {"saved": saved})
+
+
+ad.register_vjp("distance_features", lambda n, g: (ad._distance_features_grad(n.ctx["saved"], g),))
+
+
+def grad_check(fn, arrays, step: float = 1e-6, max_coords: int = 200, seed: int = 0,
+               min_grad: float = 0.0) -> float:
+    """Compare analytic gradients of a scalar-valued fn against central differences.
+
+    `fn` takes a list of tracked Vars (one per input array) and returns a
+    scalar Var.  All coordinates are checked unless an input exceeds
+    `max_coords`, in which case a seeded subsample of that many coordinates is
+    drawn.  Returns the max relative error with denominator
+    max(|analytic|, |numeric|, 1e-8).
+
+    Central differences at step h resolve a gradient only down to roughly
+    (rounding noise of fn) / h; for deep compositions that floor sits near
+    1e-10.  Passing `min_grad` restricts sampling to coordinates whose
+    analytic gradient clears that floor; inputs with no such coordinate are
+    skipped (they carry no FD-resolvable signal at this step).
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    tracked = [ad.Var(a) for a in arrays]
+    with ad.Tape() as tape:
+        loss = fn(tracked)
+    if not isinstance(loss, ad.Var) or loss.data.shape != ():
+        raise ValueError("grad_check target must return a scalar Var")
+    grads = ad.backward(tape, loss)
+    analytic = [grads[t] for t in tracked]
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for slot, base in enumerate(arrays):
+        flat_size = base.size
+        if min_grad > 0.0:
+            mags = np.abs(analytic[slot]).ravel()
+            eligible = np.flatnonzero(mags >= min_grad)
+            if eligible.size == 0:
+                continue
+            if eligible.size > max_coords:
+                coords = rng.choice(eligible, size=max_coords, replace=False)
+            else:
+                coords = eligible
+        elif flat_size > max_coords:
+            coords = rng.choice(flat_size, size=max_coords, replace=False)
+        else:
+            coords = np.arange(flat_size)
+        for coord in coords:
+            idx = np.unravel_index(int(coord), base.shape) if base.shape else ()
+            perturbed = [a.copy() for a in arrays]
+            perturbed[slot][idx] += step
+            with ad.Tape():
+                f_plus = float(ad.data_of(fn([ad.Var(a) for a in perturbed])))
+            perturbed[slot][idx] -= 2.0 * step
+            with ad.Tape():
+                f_minus = float(ad.data_of(fn([ad.Var(a) for a in perturbed])))
+            numeric = (f_plus - f_minus) / (2.0 * step)
+            a_val = float(analytic[slot][idx])
+            err = abs(a_val - numeric) / max(abs(a_val), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
 def primitive_grad_cases(rng):
     """(name, scalar fn, input arrays) for every registered autodiff primitive.
 
@@ -86,7 +172,6 @@ def primitive_grad_cases(rng):
     finite-difference evaluations stay near zero; this keeps the rounding
     noise of the final reduction out of the difference quotient.
     """
-    from eqtraffic import autodiff as ad
     from eqtraffic.layers import DISTANCE_EPS, KEY_MIX, LAYER_NORM_EPS, LINEAR_BASIS, QUERY_MIX
     from eqtraffic.pga import GEOM_TABLE, INNER_INDICES, JOIN_TABLE, WEDGE_TABLE
 
@@ -154,7 +239,6 @@ def primitive_grad_cases(rng):
         ("reduce_sum", lambda v: scalarize(ad.reduce_sum(v[0], axis=0)), [a23]),
         ("reduce_mean", lambda v: scalarize(ad.reduce_mean(v[0], axis=1)), [a23]),
         ("relu", lambda v: scalarize(ad.relu(v[0])), [a23]),
-        ("sqrt", lambda v: scalarize(ad.sqrt(v[0])), [pos]),
         ("masked_softmax", lambda v: scalarize(ad.masked_softmax(v[0], mask)), [a23]),
         ("log_softmax", lambda v: scalarize(ad.log_softmax(v[0])), [a23]),
         ("gather_last", lambda v: scalarize(ad.gather_last(v[0], np.array([0, 2]))), [a23]),
@@ -169,9 +253,9 @@ def primitive_grad_cases(rng):
          lambda v: scalarize(ad.rms_norm(v[0], inner_weights, (-2, -1), LAYER_NORM_EPS)), [mv3]),
         ("rms_norm/last", lambda v: scalarize(ad.rms_norm(v[0], 1.0 / 3.0, -1, LAYER_NORM_EPS)), [a23]),
         ("distance_features/query",
-         lambda v: scalarize(ad.distance_features(v[0], QUERY_MIX, DISTANCE_EPS)), [points]),
+         lambda v: scalarize(distance_features(v[0], QUERY_MIX, DISTANCE_EPS)), [points]),
         ("distance_features/key",
-         lambda v: scalarize(ad.distance_features(v[0], KEY_MIX, DISTANCE_EPS)), [points]),
+         lambda v: scalarize(distance_features(v[0], KEY_MIX, DISTANCE_EPS)), [points]),
     ]
 
     # multilinear ops have mathematically exact central differences; their

@@ -15,8 +15,8 @@ from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from eqtraffic.layers import distance_features_key, distance_features_query
-from helpers import matrix_apply_pose, rand_pose
+from eqtraffic.layers import DISTANCE_EPS, KEY_MIX, QUERY_MIX
+from helpers import distance_features, grad_check, matrix_apply_pose, rand_pose
 
 RESULTS = []
 
@@ -171,7 +171,7 @@ def test_criterion_4_distance_awareness():
     for _ in range(1000):
         qx, qy, kx, ky = rng.uniform(-100, 100, size=4)
         q, k = pga.encode_point(qx, qy), pga.encode_point(kx, ky)
-        dot = float(np.dot(distance_features_query(q.coeffs, eps=eps), distance_features_key(k.coeffs, eps=eps)))
+        dot = float(np.dot(distance_features(q.coeffs, QUERY_MIX, eps), distance_features(k.coeffs, KEY_MIX, eps)))
         want = -((kx - qx) ** 2 + (ky - qy) ** 2) / (1.0 + eps) ** 2
         worst = max(worst, abs(dot - want) / max(1.0, abs(want)))
 
@@ -195,7 +195,8 @@ def test_criterion_4_distance_awareness():
                     qc = pga.Multivector(mv_q[i, h * c + cc])
                     kc = pga.Multivector(mv_k[j, h * c + cc])
                     total += pga.invariant_inner_product(qc, kc)
-                    total += float(np.dot(distance_features_query(qc.coeffs), distance_features_key(kc.coeffs)))
+                    total += float(np.dot(distance_features(qc.coeffs, QUERY_MIX, DISTANCE_EPS),
+                                          distance_features(kc.coeffs, KEY_MIX, DISTANCE_EPS)))
                 total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
                 fused_dev = max(fused_dev, abs(logits[h, i, j] - total / denom) / max(1.0, abs(total / denom)))
     elapsed = time.time() - start
@@ -283,7 +284,7 @@ def test_criterion_6_gradient_correctness():
     for trial in range(3):
         rng = np.random.default_rng(100 + trial)
         for name, fn, arrays, floor in primitive_grad_cases(rng):
-            err = ad.grad_check(fn, arrays, step=1e-6, seed=trial, min_grad=floor)
+            err = grad_check(fn, arrays, step=1e-6, seed=trial, min_grad=floor)
             if err > worst_primitive[1]:
                 worst_primitive = (name, err)
 
@@ -296,7 +297,7 @@ def test_criterion_6_gradient_correctness():
         p = dict(zip(names, tracked))
         return md.loss(md.forward(batch, p, cfg), batch.targets, batch.target_valid)
 
-    model_err = ad.grad_check(full, arrays, step=1e-6, max_coords=8, seed=0, min_grad=1e-4)
+    model_err = grad_check(full, arrays, step=1e-6, max_coords=8, seed=0, min_grad=1e-4)
     elapsed = time.time() - start
     record(
         6, "gradient correctness",
@@ -364,7 +365,7 @@ def test_criterion_8_scaling_law():
     geo32 = md.flop_count(cfg, 32, 32, 10, "geometric")
     lin_ratio = geo32["terms"]["pos_agent_tokens"] / geo16["terms"]["pos_agent_tokens"]
 
-    rows = hn.bench_scaling(cfg, [8, 16, 32, 64], map_tokens=32, steps=10, time_forward=True)
+    rows = hn.bench_scaling(cfg, [8, 16, 32, 64], map_tokens=32, steps=10)
     csv_text = hn.bench_rows_to_csv(rows)
     # parse the CSV back and confirm the rpe/vanilla ratio diverges monotonically
     table = {}

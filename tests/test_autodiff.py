@@ -7,6 +7,7 @@ import pytest
 
 from eqtraffic import autodiff as ad
 from eqtraffic.pga import GEOM_TABLE, WEDGE_TABLE
+from helpers import grad_check
 
 
 def scalarize(x):
@@ -20,15 +21,16 @@ def test_add_mul_broadcast_gradients():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4,))
-    err = ad.grad_check(lambda v: scalarize(ad.mul(ad.add(v[0], v[1]), v[0])), [a, b])
+    err = grad_check(lambda v: scalarize(ad.mul(ad.add(v[0], v[1]), v[0])), [a, b])
     assert err <= 1e-7
 
 
 def test_div_sqrt_gradients():
+    # the library's square root is the one inside rms_norm: x / sqrt(sum w x^2 + eps)
     rng = np.random.default_rng(1)
     a = rng.uniform(0.5, 2.0, size=(5,))
     b = rng.uniform(0.5, 2.0, size=(5,))
-    err = ad.grad_check(lambda v: scalarize(ad.div(ad.sqrt(v[0]), v[1])), [a, b])
+    err = grad_check(lambda v: scalarize(ad.div(ad.rms_norm(v[0], 0.2, -1, 1e-6), v[1])), [a, b])
     assert err <= 1e-7
 
 
@@ -36,7 +38,7 @@ def test_matmul_gradients():
     rng = np.random.default_rng(2)
     a = rng.normal(size=(2, 3, 4))
     b = rng.normal(size=(4, 5))
-    err = ad.grad_check(lambda v: scalarize(ad.matmul(v[0], v[1])), [a, b])
+    err = grad_check(lambda v: scalarize(ad.matmul(v[0], v[1])), [a, b])
     assert err <= 1e-6
 
 
@@ -52,7 +54,7 @@ def test_reshape_moveaxis_concat_slice_gradients():
         head, tail = ad.split(joined, [2, 4], axis=-1)
         return ad.add(scalarize(head), scalarize(ad.reshape(tail, (2, 12))))
 
-    assert ad.grad_check(fn, [a, b]) <= 1e-7
+    assert grad_check(fn, [a, b]) <= 1e-7
 
 
 def test_take_last_and_reductions():
@@ -64,12 +66,12 @@ def test_take_last_and_reductions():
         m = ad.reduce_mean(picked, axis=0)
         return ad.reduce_sum(ad.mul(m, m), axis=0)
 
-    assert ad.grad_check(fn, [a]) <= 1e-7
+    assert grad_check(fn, [a]) <= 1e-7
 
 
 def test_relu_gradient():
     a = np.array([-1.0, -0.3, 0.4, 2.0])
-    err = ad.grad_check(lambda v: scalarize(ad.relu(v[0])), [a])
+    err = grad_check(lambda v: scalarize(ad.relu(v[0])), [a])
     assert err <= 1e-8
 
 
@@ -82,7 +84,7 @@ def test_masked_softmax_gradient_and_all_masked_row():
     assert math.isclose(out[0].sum(), 1.0, abs_tol=1e-12)
     assert out[0, 2] == 0.0
 
-    err = ad.grad_check(lambda v: scalarize(ad.masked_softmax(v[0], mask)), [logits])
+    err = grad_check(lambda v: scalarize(ad.masked_softmax(v[0], mask)), [logits])
     assert err <= 1e-7
 
 
@@ -95,7 +97,7 @@ def test_log_softmax_gradient():
         ls = ad.log_softmax(v[0])
         return ad.neg(ad.reduce_mean(ad.gather_last(ls, idx), axis=0))
 
-    assert ad.grad_check(fn, [x]) <= 1e-7
+    assert grad_check(fn, [x]) <= 1e-7
 
 
 def test_bilinear8_matches_inner_loop_and_gradients():
@@ -107,7 +109,7 @@ def test_bilinear8_matches_inner_loop_and_gradients():
     assert np.allclose(out, oracle, atol=1e-13)
 
     for table in (GEOM_TABLE, WEDGE_TABLE):
-        err = ad.grad_check(lambda v, t=table: scalarize(ad.bilinear8(v[0], v[1], t)), [a, b])
+        err = grad_check(lambda v, t=table: scalarize(ad.bilinear8(v[0], v[1], t)), [a, b])
         assert err <= 1e-6
 
 
@@ -115,7 +117,7 @@ def test_bilinear8_broadcasting_gradients():
     rng = np.random.default_rng(8)
     u = rng.normal(size=(4, 1, 8))
     x = rng.normal(size=(4, 3, 8))
-    err = ad.grad_check(lambda v: scalarize(ad.bilinear8(v[0], v[1], GEOM_TABLE)), [u, x])
+    err = grad_check(lambda v: scalarize(ad.bilinear8(v[0], v[1], GEOM_TABLE)), [u, x])
     assert err <= 1e-6
 
 
@@ -123,7 +125,7 @@ def test_embedding_and_gather_gradients():
     rng = np.random.default_rng(9)
     table = rng.normal(size=(6, 3))
     idx = np.array([[0, 5], [5, 2]])
-    err = ad.grad_check(lambda v: scalarize(ad.embedding(v[0], idx)), [table])
+    err = grad_check(lambda v: scalarize(ad.embedding(v[0], idx)), [table])
     assert err <= 1e-7
 
 
@@ -273,7 +275,7 @@ def test_cosine_schedule_endpoints():
 
 
 def test_grad_check_constant_function_is_exact():
-    err = ad.grad_check(lambda v: ad.reduce_sum(ad.mul(v[0], np.zeros(3)), axis=0), [np.ones(3)])
+    err = grad_check(lambda v: ad.reduce_sum(ad.mul(v[0], np.zeros(3)), axis=0), [np.ones(3)])
     assert err == 0.0
 
 
@@ -291,7 +293,7 @@ def test_every_primitive_over_twenty_instantiations():
     for trial in range(20):
         rng = np.random.default_rng(1000 + trial)
         for name, fn, arrays, floor in primitive_grad_cases(rng):
-            err = ad.grad_check(fn, arrays, step=1e-6, seed=trial, min_grad=floor)
+            err = grad_check(fn, arrays, step=1e-6, seed=trial, min_grad=floor)
             worst[name] = max(worst.get(name, 0.0), err)
     offenders = {k: v for k, v in worst.items() if v > 1e-5}
     assert not offenders, offenders

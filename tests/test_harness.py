@@ -8,6 +8,7 @@ import pytest
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
+from helpers import gappy_scene
 
 
 def setup(seed=0, horizon=12, n_agents=3, dtype="f64"):
@@ -40,13 +41,12 @@ def test_rollout_poses_consistent_with_dynamics():
     assert ro.poses.shape[1] == 5 + 4
     for ai, agent in enumerate(scene.agents):
         pose = pga.Pose2(*ro.poses[ai, 4])
-        speed = ro.speeds[ai, 4]
         for h in range(4):
-            delta = sc.detokenize(int(ro.tokens[ai, h]), vocab, agent.agent_class)
-            pose, speed = sc.dynamics_step((pose, speed), delta, scene.dt)
+            dx, dy, dth = vocab.deltas[agent.agent_class][ro.tokens[ai, h]]
+            pose = pose.compose(pga.Pose2(dx, dy, dth))
             assert math.isclose(pose.x, ro.poses[ai, 5 + h, 0], abs_tol=1e-12)
             assert math.isclose(pose.y, ro.poses[ai, 5 + h, 1], abs_tol=1e-12)
-            assert math.isclose(speed, ro.speeds[ai, 5 + h], abs_tol=1e-12)
+            assert math.isclose(math.hypot(dx, dy) / scene.dt, ro.speeds[ai, 5 + h], abs_tol=1e-12)
 
 
 def test_sampled_rollouts_distinct():
@@ -248,6 +248,27 @@ def test_constant_velocity_baseline_straight():
         assert np.allclose(preds[ai, 0], expect, atol=1e-9)
 
 
+def test_baseline_positions_match_pose_objects():
+    """The array baselines equal, bit for bit, a loop over each agent's Pose2 states: the last
+    state before the context stepped at its speed, and the recorded states after it."""
+    scenes = [sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=n, horizon=14), seed=n)
+              for n in (1, 4, 9)]
+    for scene, context in [(s, 6) for s in scenes] + [(gappy_scene(s, n_agents=6), 22) for s in (1, 2, 3)]:
+        expect = np.zeros((len(scene.agents), 8, 2))
+        for ai, agent in enumerate(scene.agents):
+            last = [s for s in agent.states if s.t < context][-1]
+            pose, step = last.pose, pga.Pose2(last.speed * scene.dt, 0.0, 0.0)
+            for h in range(8):
+                pose = pose.compose(step)
+                expect[ai, h] = pose.x, pose.y
+        assert np.array_equal(hn.constant_velocity_positions(scene, context, 8), expect)
+    for scene in scenes:
+        truth = [[(s.pose.x, s.pose.y) for s in agent.states[6:]] for agent in scene.agents]
+        assert np.array_equal(hn.ground_truth_positions(scene, 6, 8), truth)
+    with pytest.raises(ValueError, match="missing ground truth at t=14"):
+        hn.ground_truth_positions(scenes[0], 6, 9)
+
+
 def test_layer_audit_passes_and_negative_control_fails():
     report = hn.layer_audit(n_transforms=50, seed=0)
     by_name = {e.name: e for e in report.entries}
@@ -299,7 +320,7 @@ def test_negative_control_audit_fails_loudly():
 
 def test_bench_scaling_rows():
     cfg = md.ModelConfig(dtype="f32")
-    rows = hn.bench_scaling(cfg, [2, 4], map_tokens=6, steps=4, time_forward=True)
+    rows = hn.bench_scaling(cfg, [2, 4], map_tokens=6, steps=4)
     assert len(rows) == 2 * len(md.VARIANTS)
     by = {(r["agents"], r["variant"]): r for r in rows}
     assert by[(4, "rpe")]["flops_total"] > by[(2, "rpe")]["flops_total"]
@@ -318,4 +339,4 @@ def test_rollout_serializes_to_scene_json():
     merged = hn.rollout_to_scene(ro, hn.truncate_scene(scene, 5))
     text = sc.scene_to_json(merged)
     back = sc.scene_from_json(text)
-    assert back.agents[0].state_at(7) is not None
+    assert back.agents[0].states[-1].t == 7

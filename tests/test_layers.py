@@ -11,12 +11,13 @@ from eqtraffic import autodiff as ad
 from eqtraffic import pga
 from eqtraffic.batch import sandwich_array, sandwich_matrix
 from eqtraffic.layers import (
+    DISTANCE_EPS,
+    KEY_MIX,
+    QUERY_MIX,
     AttentionConfig,
     _combine_mask,
     EqMlpBlockParams,
     MlpParams,
-    distance_features_key,
-    distance_features_query,
     eq_attention,
     eq_attention_logits,
     eq_layer_norm,
@@ -29,7 +30,18 @@ from eqtraffic.layers import (
     rms_normalize,
     scalar_layer_norm,
 )
-from helpers import max_rel_err, rand_motor, rand_pose
+from helpers import distance_features, grad_check, max_rel_err, rand_motor, rand_pose
+
+
+def distance_features_query(x, eps=DISTANCE_EPS):
+    """Query-side features, [..., C, 8] -> [..., C, 4]."""
+    return distance_features(x, QUERY_MIX, eps)
+
+
+def distance_features_key(x, eps=DISTANCE_EPS):
+    """Key-side features; dotted with the query side they give (up to the eps factor) the
+    negative squared distance between encoded points."""
+    return distance_features(x, KEY_MIX, eps)
 
 
 def transform_mv(motor, x):
@@ -726,7 +738,7 @@ def test_eq_linear_grad_check():
         out = eq_linear(v[0], v[1], v[2])
         return ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
 
-    assert ad.grad_check(fn, [x, weight, bias]) <= 1e-6
+    assert grad_check(fn, [x, weight, bias]) <= 1e-6
 
 
 def test_attention_grad_check():
@@ -741,7 +753,7 @@ def test_attention_grad_check():
         b = ad.reduce_sum(ad.reshape(ad.mul(s_out, s_out), (-1,)), axis=0)
         return ad.add(a, b)
 
-    assert ad.grad_check(fn, [mv, s], max_coords=80) <= 1e-5
+    assert grad_check(fn, [mv, s], max_coords=80) <= 1e-5
 
 
 def test_mlp_block_grad_check():
@@ -772,4 +784,4 @@ def test_mlp_block_grad_check():
         b = ad.reduce_sum(ad.reshape(ad.mul(s_out, s_out), (-1,)), axis=0)
         return ad.add(a, b)
 
-    assert ad.grad_check(fn, arrays, max_coords=40) <= 1e-5
+    assert grad_check(fn, arrays, max_coords=40) <= 1e-5

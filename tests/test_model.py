@@ -12,7 +12,7 @@ from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
 from eqtraffic.batch import pose_frame_motors, sandwich_matrix
-from helpers import ROW_FIELDS, batch_rows, stack_samples
+from helpers import ROW_FIELDS, batch_rows, gappy_scene, grad_check, stack_samples
 
 
 def make_vocab(rng, cap=16, k_r=0.05):
@@ -234,22 +234,6 @@ def test_minimal_scene_runs():
     assert logits.shape[0] == 1 and np.all(np.isfinite(np.maximum(logits, -1e30)))
 
 
-def gappy_scene(seed, horizon=22, n_agents=4):
-    """Synthetic scene whose agents start late, pause, or stop early."""
-    rng = np.random.default_rng(seed)
-    gen = sc.GeneratorConfig(n_agents=n_agents, horizon=horizon, n_lanes=2)
-    scene = sc.generate_synthetic_scene(gen, seed=seed)
-    agents = [scene.agents[0]]
-    for agent in scene.agents[1:]:
-        start, gap, stop = sorted(rng.choice(horizon, size=3, replace=False))
-        keep = tuple(s for s in agent.states
-                     if start <= s.t < stop and not gap <= s.t < gap + 2)
-        agents.append(sc.Agent(id=agent.id, agent_class=agent.agent_class,
-                               length=agent.length, width=agent.width, states=keep))
-    return sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
-                    ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
-
-
 def test_token_batch_rows_match_full_batch():
     """A batch cut at t_end, and the rows a rollout step encodes from state arrays, are rows
     of the full batch; only the cut's last row lacks the target its next state would give."""
@@ -259,7 +243,7 @@ def test_token_batch_rows_match_full_batch():
     scene = gappy_scene(21)
     full = md.build_token_batch(scene, vocab, cfg)
     anchor = md.scene_anchor(scene)
-    states = md.agent_states(scene, scene.horizon)
+    states = sc.agent_states(scene, scene.horizon)
     table, maps = md.vocab_table(vocab, cfg), md.map_fields(scene, anchor)
     for t_start, t_end in ((0, 22), (5, 6), (7, 12), (21, 22), (9, 9)):
         cut = md.build_token_batch(scene, vocab, cfg, t_end=t_end)
@@ -336,7 +320,8 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
                 continue
             valid[a, t] = True
             poses[a, t] = [s.pose.x - ax, s.pose.y - ay, s.pose.theta]
-            scalars[a, t] = sc.encode_agent_scalars(agent, t)
+            scalars[a, t, :3] = s.speed, agent.length, agent.width
+            scalars[a, t, 3 + cls_i] = 1.0
             prev_flat[a, t] = md.flat_token_index(cls_i, token_of.get(t - 1, vmax), vmax)
             if with_targets and t in token_of:
                 targets[a, t] = token_of[t]
@@ -483,7 +468,7 @@ def test_decoder_gathers_class_heads_and_masks_vocab():
         return ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
 
     arrays = [h, params["decoder/heads"], params["decoder/bias"]]
-    assert ad.grad_check(fn, arrays, step=1e-6, max_coords=40, seed=0, min_grad=1e-3) <= 1e-5
+    assert grad_check(fn, arrays, step=1e-6, max_coords=40, seed=0, min_grad=1e-3) <= 1e-5
 
 
 @pytest.mark.parametrize("map_attention", ["all", 3])
@@ -750,19 +735,6 @@ def test_rpe_zero_mlp_reduces_to_vanilla_attention():
     assert np.allclose(out_rpe, out_vanilla, atol=1e-14)
 
 
-def test_rpe_pair_counter():
-    rng = np.random.default_rng(11)
-    d = 4
-    q = rng.normal(size=(3, d))
-    k = rng.normal(size=(7, d))
-    v = rng.normal(size=(7, d))
-    rel = rng.normal(size=(3, 7, 4))
-    mlp = md.MlpParams(rng.normal(size=(4, 6)), np.zeros(6), rng.normal(size=(6, 2 * d)), np.zeros(2 * d))
-    stats = {}
-    md.rpe_attention(q, k, v, rel, mlp, stats=stats)
-    assert stats["pair_evals"] == 3 * 7
-
-
 def test_rpe_baseline_invariant_vanilla_not():
     scene, vocab, cfg, _, batch = desk_setup(seed=12)
     g = pga.Pose2(100.0, 0.0, math.pi / 2)
@@ -880,7 +852,7 @@ def test_full_model_grad_check():
         p = dict(zip(names, tracked))
         return md.loss(md.forward(batch, p, cfg), batch.targets, batch.target_valid)
 
-    err = ad.grad_check(fn, arrays, step=1e-6, max_coords=8, seed=0, min_grad=1e-4)
+    err = grad_check(fn, arrays, step=1e-6, max_coords=8, seed=0, min_grad=1e-4)
     assert err <= 1e-5
 
 

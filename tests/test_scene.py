@@ -1,18 +1,32 @@
 """Scene model: encodings, k-disk vocabulary, dynamics, generator, serialization."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from helpers import compose_pose_oracle, line_residual, rand_pose
+from helpers import compose_pose_oracle, gappy_scene, line_residual, rand_pose
 
 
 def small_scene(seed=0, **overrides):
     cfg = sc.GeneratorConfig(**overrides) if overrides else sc.GeneratorConfig()
     return sc.generate_synthetic_scene(cfg, seed)
+
+
+def token_batch(scene):
+    """`build_token_batch` with one zero action per class: the scene's features and poses."""
+    vocab = sc.ActionVocab({c: np.zeros((1, 3)) for c in sc.AGENT_CLASSES}, k_r=0.1, w_theta=1.0, seed=0)
+    return md.build_token_batch(scene, vocab, md.ModelConfig(vocab_sizes={c: 1 for c in sc.AGENT_CLASSES}))
+
+
+def agent_deltas(scene):
+    """Local increments between consecutive steps [A, T - 1, 3] of a scene without gaps."""
+    states = sc.agent_states(scene, scene.horizon)
+    return pga.pose_deltas(states.poses[:, :-1], states.poses[:, 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +87,10 @@ def test_agent_scalar_features():
         id=1, agent_class="vehicle", length=1.0, width=1.0,
         states=(sc.AgentState(0, pga.Pose2(5.0, 5.0, 1.0), 0.0),),
     )
-    assert np.array_equal(sc.encode_agent_scalars(agent, 0), [0, 1, 1, 1, 0, 0])
-    with pytest.raises(ValueError):
-        sc.encode_agent_scalars(agent, 3)
+    scene = sc.Scene(agents=(agent,), map_nodes=(), ego_id=1, horizon=4, dt=0.1)
+    scalars = token_batch(scene).scalars_raw[0]
+    assert np.array_equal(scalars[0], [0, 1, 1, 1, 0, 0])
+    assert not scalars[3].any()  # no state at t=3: the row carries no features
 
 
 def test_map_scalar_features_pose_independent():
@@ -94,7 +109,8 @@ def test_feature_width_constant_across_classes():
             id=0, agent_class=cls, length=1.0, width=0.5,
             states=(sc.AgentState(0, pga.Pose2(0, 0, 0), 2.0),),
         )
-        widths.add(sc.encode_agent_scalars(agent, 0).shape[0])
+        scene = sc.Scene(agents=(agent,), map_nodes=(), ego_id=0, horizon=1, dt=0.1)
+        widths.add(token_batch(scene).scalars_raw.shape[-1])
     assert widths == {sc.AGENT_FEATURE_WIDTH}
 
 
@@ -157,18 +173,14 @@ def test_tokenize_roundtrip_and_ties():
     corpus = uniform_transitions(rng, 200)
     vocab = sc.build_kdisk_vocab(corpus, k_r=0.3, seed=4)
     for cls in sc.AGENT_CLASSES:
-        decoded = np.stack([sc.detokenize(t, vocab, cls) for t in range(vocab.size(cls))])
-        assert np.array_equal(sc.tokenize_batch(decoded, vocab, cls), np.arange(vocab.size(cls)))
+        entries = vocab.deltas[cls]
+        assert np.array_equal(sc.nearest_action(entries, entries, vocab.w_theta), np.arange(vocab.size(cls)))
     # equidistant candidates resolve to the lowest index
-    tie_vocab = sc.ActionVocab(
-        deltas={"vehicle": np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-                "pedestrian": np.array([[0.0, 0.0, 0.0]]),
-                "cyclist": np.array([[0.0, 0.0, 0.0]])},
-        k_r=0.5, w_theta=1.0, seed=0,
-    )
-    assert sc.tokenize_batch([[0.0, 0.5, 0.0]], tie_vocab, "vehicle")[0] == 0
-    with pytest.raises(KeyError):
-        sc.tokenize_batch([[0, 0, 0]], tie_vocab, "bus")
+    tie = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert sc.nearest_action(tie, [[0.0, 0.5, 0.0]], 1.0)[0] == 0
+    # in a zero-padded table, entries past a row's size never win
+    padded = np.stack([tie, tie])
+    assert sc.nearest_action(padded, [[-1.0, 0.0, 0.0]] * 2, 1.0, sizes=[2, 1]).tolist() == [1, 0]
 
 
 def test_quantization_error_bounded_by_k_r():
@@ -177,7 +189,7 @@ def test_quantization_error_bounded_by_k_r():
     k_r = 0.2
     vocab = sc.build_kdisk_vocab(corpus, k_r=k_r, seed=5)
     for cls in sc.AGENT_CLASSES:
-        ids = sc.tokenize_batch(corpus[cls], vocab, cls)
+        ids = sc.nearest_action(vocab.deltas[cls], corpus[cls], vocab.w_theta)
         reconstructed = vocab.deltas[cls][ids]
         errs = sc.action_distance(reconstructed, corpus[cls], vocab.w_theta)
         assert np.max(errs) <= k_r
@@ -188,16 +200,16 @@ def test_quantization_error_bounded_by_k_r():
 # ---------------------------------------------------------------------------
 
 def test_dynamics_identity_frame():
-    pose, speed = sc.dynamics_step((pga.Pose2(0, 0, 0), 0.0), (1.0, 0.0, 0.0), dt=0.1)
-    assert (pose.x, pose.y, pose.theta) == (1.0, 0.0, 0.0)
+    pose, speed = sc.dynamics_step([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], dt=0.1)
+    assert tuple(pose) == (1.0, 0.0, 0.0)
     assert speed == pytest.approx(10.0)
 
 
 def test_dynamics_rotated_frame():
-    pose, _ = sc.dynamics_step((pga.Pose2(0, 0, math.pi / 2), 0.0), (1.0, 0.0, 0.0), dt=0.1)
-    assert pose.x == pytest.approx(0.0, abs=1e-12)
-    assert pose.y == pytest.approx(1.0, abs=1e-12)
-    assert pose.theta == pytest.approx(math.pi / 2)
+    pose, _ = sc.dynamics_step([0.0, 0.0, math.pi / 2], [1.0, 0.0, 0.0], dt=0.1)
+    assert pose[0] == pytest.approx(0.0, abs=1e-12)
+    assert pose[1] == pytest.approx(1.0, abs=1e-12)
+    assert pose[2] == pytest.approx(math.pi / 2)
 
 
 def test_dynamics_equivariance():
@@ -205,21 +217,35 @@ def test_dynamics_equivariance():
     for _ in range(1000):
         g, a = rand_pose(rng), rand_pose(rng)
         mu = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
-        moved_then_stepped, _ = sc.dynamics_step((compose_pose_oracle(g, a), 1.0), mu, dt=0.1)
-        stepped, _ = sc.dynamics_step((a, 1.0), mu, dt=0.1)
-        stepped_then_moved = compose_pose_oracle(g, stepped)
-        assert abs(moved_then_stepped.x - stepped_then_moved.x) <= 1e-12 * max(1, abs(stepped_then_moved.x))
-        assert abs(moved_then_stepped.y - stepped_then_moved.y) <= 1e-12 * max(1, abs(stepped_then_moved.y))
+        moved = compose_pose_oracle(g, a)
+        moved_then_stepped, _ = sc.dynamics_step([moved.x, moved.y, moved.theta], mu, dt=0.1)
+        stepped, _ = sc.dynamics_step([a.x, a.y, a.theta], mu, dt=0.1)
+        stepped_then_moved = compose_pose_oracle(g, pga.Pose2(*stepped))
+        assert abs(moved_then_stepped[0] - stepped_then_moved.x) <= 1e-12 * max(1, abs(stepped_then_moved.x))
+        assert abs(moved_then_stepped[1] - stepped_then_moved.y) <= 1e-12 * max(1, abs(stepped_then_moved.y))
         dth = math.atan2(
-            math.sin(moved_then_stepped.theta - stepped_then_moved.theta),
-            math.cos(moved_then_stepped.theta - stepped_then_moved.theta),
+            math.sin(moved_then_stepped[2] - stepped_then_moved.theta),
+            math.cos(moved_then_stepped[2] - stepped_then_moved.theta),
         )
         assert abs(dth) <= 1e-12
 
 
 def test_dynamics_rejects_bad_dt():
     with pytest.raises(ValueError):
-        sc.dynamics_step((pga.Pose2(0, 0, 0), 0.0), (1, 0, 0), dt=0.0)
+        sc.dynamics_step([0.0, 0.0, 0.0], [1, 0, 0], dt=0.0)
+
+
+def test_dynamics_matches_pose_compose():
+    """The array step's poses equal Pose2.compose bit for bit, with increment angles to be wrapped;
+    its speeds come from numpy's hypot, which at times rounds the last bit unlike math.hypot."""
+    rng = np.random.default_rng(10)
+    poses = np.array([[p.x, p.y, p.theta] for p in (rand_pose(rng, trans=1e4) for _ in range(600))])
+    deltas = rng.uniform([-2.0, -2.0, -7.0], [2.0, 2.0, 7.0], size=(600, 3))
+    stepped, speeds = sc.dynamics_step(poses.reshape(20, 30, 3), deltas.reshape(20, 30, 3), dt=0.1)
+    for pose, delta, got, speed in zip(poses, deltas, stepped.reshape(-1, 3), speeds.ravel()):
+        want = pga.Pose2(*pose).compose(pga.Pose2(*delta))
+        assert tuple(got) == (want.x, want.y, want.theta)
+        assert math.isclose(speed, math.hypot(delta[0], delta[1]) / 0.1, rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -227,27 +253,22 @@ def test_dynamics_rejects_bad_dt():
 # ---------------------------------------------------------------------------
 
 def test_recenter_scene():
+    """Token batches hold poses relative to the scene's anchor, its first map node."""
     scene = small_scene(seed=10)
-    recentered, undo = sc.recenter_scene(scene)
-    ego0 = recentered.ego().state_at(0).pose
-    assert abs(ego0.x) <= 1e-12 and abs(ego0.y) <= 1e-12 and abs(ego0.theta) <= 1e-12
-
-    undo_pose = undo.pose()
-    restored = sc.transform_scene(recentered, undo_pose)
-    for a_orig, a_back in zip(scene.agents, restored.agents):
-        for s_orig, s_back in zip(a_orig.states, a_back.states):
-            assert abs(s_orig.pose.x - s_back.pose.x) <= 1e-9
-            assert abs(s_orig.pose.y - s_back.pose.y) <= 1e-9
+    batch = token_batch(scene)
+    anchor = md.scene_anchor(scene)
+    assert anchor == (scene.map_nodes[0].pose.x, scene.map_nodes[0].pose.y)
+    assert np.array_equal(batch.map_poses[0, :2], [0.0, 0.0])
+    restored = batch.raw_poses + [*anchor, 0.0]
+    assert np.allclose(restored, sc.agent_states(scene, scene.horizon).poses, rtol=0.0, atol=1e-9)
 
 
 def test_recenter_already_centered_is_identity():
     scene = small_scene(seed=11)
-    centered, _ = sc.recenter_scene(scene)
-    again, undo = sc.recenter_scene(centered)
-    assert np.allclose(undo.coeffs, [1, 0, 0, 0], atol=1e-12)
-    for a1, a2 in zip(centered.agents, again.agents):
-        for s1, s2 in zip(a1.states, a2.states):
-            assert abs(s1.pose.x - s2.pose.x) <= 1e-12
+    ax, ay = md.scene_anchor(scene)
+    centered = sc.transform_scene(scene, pga.Pose2(-ax, -ay, 0.0))
+    assert md.scene_anchor(centered) == (0.0, 0.0)
+    assert np.max(np.abs(token_batch(centered).raw_poses - token_batch(scene).raw_poses)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +285,7 @@ def test_generator_deterministic():
 
 def test_generator_deltas_within_bounds():
     scene = small_scene(seed=14)
-    for agent in scene.agents:
-        deltas = sc.agent_transitions(agent)
+    for deltas in agent_deltas(scene):
         assert deltas.shape[0] == scene.horizon - 1
         # forward motion bounded by max speed * dt plus jitter slack
         assert np.all(np.abs(deltas[:, 0]) <= 11.0 * scene.dt * 1.5 + 0.1)
@@ -279,8 +299,7 @@ def test_generator_zero_noise_on_centerline():
     scene = sc.generate_synthetic_scene(cfg, seed=15)
     node = scene.map_nodes[0]
     curvature = node.curvature
-    for agent in scene.agents:
-        deltas = sc.agent_transitions(agent)
+    for deltas in agent_deltas(scene):
         # constant speed, constant curvature: all deltas identical
         assert np.max(np.std(deltas, axis=0)) <= 1e-9
         # heading change over arc length recovers the lane curvature exactly;
@@ -400,13 +419,40 @@ def test_tokenize_dynamics_roundtrip_bound():
     k_r = 0.003
     vocab = sc.build_kdisk_vocab(corpus, k_r=k_r, seed=0, cap=None)
     for scene in scenes[:4]:
-        for agent in scene.agents:
-            deltas = sc.agent_transitions(agent)
-            tokens = sc.tokenize_batch(deltas, vocab, agent.agent_class)
-            pose, speed = agent.states[0].pose, agent.states[0].speed
+        poses = sc.agent_states(scene, scene.horizon).poses
+        for agent, deltas, track in zip(scene.agents, agent_deltas(scene), poses):
+            entries = vocab.deltas[agent.agent_class]
+            tokens = sc.nearest_action(entries, deltas, vocab.w_theta)
+            pose = track[0]
             for tok in tokens:
-                d = sc.detokenize(int(tok), vocab, agent.agent_class)
-                pose, speed = sc.dynamics_step((pose, speed), d, scene.dt)
-            gt = agent.states[-1].pose
-            err = math.hypot(pose.x - gt.x, pose.y - gt.y)
+                pose, _speed = sc.dynamics_step(pose, entries[tok], scene.dt)
+            err = math.hypot(*(pose[:2] - track[-1, :2]))
             assert err <= len(tokens) * k_r
+
+
+def test_transitions_match_pose_pairs():
+    """Pooled transitions equal, bit for bit, Pose2.delta_to over each agent's consecutive states,
+    in scene, agent and time order."""
+    scenes = [small_scene(seed=40 + n, n_agents=n) for n in (1, 4, 9)] + [gappy_scene(s, n_agents=6)
+                                                                         for s in (43, 44)]
+    expect = {cls: [] for cls in sc.AGENT_CLASSES}
+    for scene in scenes:
+        for agent in scene.agents:
+            for a, b in zip(agent.states, agent.states[1:]):
+                if b.t == a.t + 1:
+                    d = a.pose.delta_to(b.pose)
+                    expect[agent.agent_class].append((d.x, d.y, d.theta))
+    pools = sc.collect_transitions(scenes)
+    for cls in sc.AGENT_CLASSES:
+        assert np.array_equal(pools[cls], np.array(expect[cls]).reshape(-1, 3))
+
+
+def test_scene_rejects_states_outside_horizon():
+    scene = small_scene(seed=45)
+    agent = scene.agents[1]
+    pose = agent.states[0].pose
+    for states in (agent.states + (sc.AgentState(scene.horizon, pose, 1.0),),
+                   (sc.AgentState(-1, pose, 1.0),) + agent.states):
+        moved = dataclasses.replace(agent, states=states)
+        with pytest.raises(ValueError, match=rf"agent {agent.id} has a state outside \[0, {scene.horizon}\)"):
+            dataclasses.replace(scene, agents=(scene.agents[0], moved) + scene.agents[2:])
