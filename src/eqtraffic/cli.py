@@ -26,6 +26,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 TOOL = f"eqtraffic {__version__}"
+_SECTIONS = ("model", "generator")  # run-config keys holding ModelConfig / GeneratorConfig fields
 
 
 class _UsageError(Exception):
@@ -63,14 +64,24 @@ def _atomic_write(path: Path, data) -> None:
         raise
 
 
-def _load_run_config(path) -> dict:
+def _load_run_config(path, keys: set) -> dict:
+    """The JSON object in `path` ({} for None); a key outside `keys` is an error."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ValueError(f"unknown key '{unknown[0]}'; known keys: {', '.join(sorted(keys))}")
     return doc
+
+
+def _config_keys(parser, command: str) -> set:
+    """Run-config keys of `command`: its flags' dests in hyphen spelling, and the config sections."""
+    dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
+    return {dest.replace("_", "-") for dest in dests} | set(_SECTIONS)
 
 
 def _resolved(args, run_cfg: dict, key: str, default=None):
@@ -216,8 +227,8 @@ def cmd_check(args, run_cfg) -> int:
     trials = int(_resolved(args, run_cfg, "trials", 20))
     seed = int(_resolved(args, run_cfg, "seed", 0))
     dtype = _resolved(args, run_cfg, "dtype", "f64")
-    negative = bool(getattr(args, "negative_control", False))
-    random_params = bool(getattr(args, "random_params", False))
+    negative = bool(_resolved(args, run_cfg, "negative-control", False))
+    random_params = bool(_resolved(args, run_cfg, "random-params", False))
     horizon = int(_resolved(args, run_cfg, "rollout-horizon", 0))
     ckpt_path = _resolved(args, run_cfg, "checkpoint")
     vocab_path = _resolved(args, run_cfg, "vocab")
@@ -394,8 +405,8 @@ def build_parser() -> _Parser:
     p.add_argument("--scenes")
     p.add_argument("--vocab")
     p.add_argument("--checkpoint")
-    p.add_argument("--random-params", action="store_true", dest="random_params")
-    p.add_argument("--negative-control", action="store_true", dest="negative_control")
+    p.add_argument("--random-params", action="store_true", default=None, dest="random_params")
+    p.add_argument("--negative-control", action="store_true", default=None, dest="negative_control")
     p.add_argument("--trials", type=int)
     p.add_argument("--rollout-horizon", type=int, dest="rollout_horizon")
 
@@ -439,7 +450,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        run_cfg = _load_run_config(args.config)
+        run_cfg = _load_run_config(args.config, _config_keys(parser, args.command))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

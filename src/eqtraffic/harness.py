@@ -11,7 +11,6 @@ from . import autodiff as ad
 from . import model as md
 from .batch import pose_frame_motors, sandwich_array, sandwich_matrix
 from .layers import (
-    AttentionConfig,
     EqLinearParams,
     EqMlpBlockParams,
     MlpParams,
@@ -72,6 +71,11 @@ def truncate_scene(scene: Scene, steps: int) -> Scene:
     return replace(scene, agents=agents)
 
 
+def _check_context(scene: Scene, context: int) -> None:
+    if not 1 <= context <= scene.horizon:
+        raise ValueError(f"context {context} outside [1, {scene.horizon}], the scene's horizon")
+
+
 def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horizon: int,
             mode: str = "greedy", n_rollouts: int = 1, seed: int = 0,
             context: int | None = None, temperature: float = 1.0) -> list:
@@ -94,6 +98,7 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     if mode not in ("greedy", "categorical"):
         raise ValueError(f"unknown rollout mode '{mode}'")
     t0 = scene.horizon if context is None else context
+    _check_context(scene, t0)
     history = agent_states(scene, t0)
     for agent, seen in zip(scene.agents, history.valid.any(axis=1)):
         if not seen:
@@ -158,6 +163,7 @@ def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:
 
 def constant_velocity_positions(scene: Scene, context: int, horizon: int) -> np.ndarray:
     """Straight-line baseline: hold the last observed speed and heading."""
+    _check_context(scene, context)
     states = agent_states(scene, context)
     seen = states.valid.any(axis=1)
     if not seen.all():
@@ -173,6 +179,7 @@ def constant_velocity_positions(scene: Scene, context: int, horizon: int) -> np.
 
 
 def ground_truth_positions(scene: Scene, context: int, horizon: int) -> np.ndarray:
+    _check_context(scene, context)
     states = agent_states(scene, context + horizon).steps(context, context + horizon)
     if not states.valid.all():
         a, h = np.argwhere(~states.valid)[0]
@@ -274,79 +281,51 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
         scalar=MlpParams(rng.normal(0, 0.4, (cs, 2 * cs)), rng.normal(0, 0.4, 2 * cs),
                          rng.normal(0, 0.4, (2 * cs, cs)), rng.normal(0, 0.4, cs)),
     )
-    attn_cfg = AttentionConfig(heads=1, mv_per_head=c, scalar_per_head=cs)
     poses = rng.uniform([-20, -20, -math.pi], [20, 20, math.pi], size=(5, 3))
-    sandwich = sandwich_matrix(pose_frame_motors(poses))
     adapter_mlp = MlpParams(rng.normal(0, 0.3, (8 * c, 8)), rng.normal(0, 0.3, 8),
                             rng.normal(0, 0.3, (8, cs)), rng.normal(0, 0.3, cs))
     noneq_weight = np.concatenate([weight, rng.normal(size=(c, c, 1))], axis=-1)
 
-    devs = {key: 0.0 for key in (
-        "eq_linear", "geometric_bilinear", "gated_relu", "eq_layer_norm",
-        "eq_attention_logits", "eq_attention_values", "eq_mlp_block",
-        "invariant_adapter", "negative_control",
-    )}
-    base_linear = np.asarray(eq_linear(x, weight, bias))
-    base_bilinear = np.asarray(geometric_bilinear(x, x, x, x))
-    base_gate = np.asarray(gated_relu(x))
-    base_norm = np.asarray(eq_layer_norm(x))
-    base_logits = np.asarray(eq_attention_logits(x, x, s, s, attn_cfg))
-    base_attn = eq_attention(x, x, x, s, s, s, attn_cfg)
-    base_attn = (np.asarray(base_attn[0]), np.asarray(base_attn[1]))
-    base_block = eq_mlp_block(x, s, mlp_block)
-    base_block = (np.asarray(base_block[0]), np.asarray(base_block[1]))
-    base_adapter = np.asarray(invariant_adapter(x, s, sandwich, adapter_mlp))
-    base_noneq = np.asarray(noneq_linear(x, noneq_weight))
+    # name -> (layer of the multivectors and the adapter's sandwich, kind of each output):
+    # "mv" outputs move with the motor, "s" outputs are invariant
+    table = {
+        "eq_linear": (lambda v, _: eq_linear(v, weight, bias), "mv"),
+        "geometric_bilinear": (lambda v, _: geometric_bilinear(v, v, v, v), "mv"),
+        "gated_relu": (lambda v, _: gated_relu(v), "mv"),
+        "eq_layer_norm": (lambda v, _: eq_layer_norm(v), "mv"),
+        "eq_attention_logits": (lambda v, _: eq_attention_logits(v, v, s, s, heads=1), "s"),
+        "eq_attention_values": (lambda v, _: eq_attention(v, v, v, s, s, s, heads=1), "mv s"),
+        "eq_mlp_block": (lambda v, _: eq_mlp_block(v, s, mlp_block), "mv s"),
+        "invariant_adapter": (lambda v, w: invariant_adapter(v, s, w, adapter_mlp), "s"),
+        "negative_control": (lambda v, _: noneq_linear(v, noneq_weight), "mv"),
+    }
 
+    def outputs(layer, v, w):
+        out = layer(v, w)
+        return [np.asarray(o) for o in (out if isinstance(out, tuple) else (out,))]
+
+    sandwich = sandwich_matrix(pose_frame_motors(poses))
+    base = {name: outputs(layer, x, sandwich) for name, (layer, _) in table.items()}
+    devs = dict.fromkeys(table, 0.0)
     for _ in range(n_transforms):
         u = _rand_motor(rng)
         xt = _apply(u, x)
         g = u.pose()
-        c, sn = math.cos(g.theta), math.sin(g.theta)
+        cos, sin = math.cos(g.theta), math.sin(g.theta)
         sandwich_t = sandwich_matrix(pose_frame_motors(np.column_stack([
-            g.x + c * poses[:, 0] - sn * poses[:, 1],
-            g.y + sn * poses[:, 0] + c * poses[:, 1],
+            g.x + cos * poses[:, 0] - sin * poses[:, 1],
+            g.y + sin * poses[:, 0] + cos * poses[:, 1],
             g.theta + poses[:, 2],
         ])))
-        devs["eq_linear"] = max(devs["eq_linear"],
-                                _dev(eq_linear(xt, weight, bias), _apply(u, base_linear)))
-        devs["geometric_bilinear"] = max(
-            devs["geometric_bilinear"],
-            _dev(geometric_bilinear(xt, xt, xt, xt), _apply(u, base_bilinear)),
-        )
-        devs["gated_relu"] = max(devs["gated_relu"], _dev(gated_relu(xt), _apply(u, base_gate)))
-        devs["eq_layer_norm"] = max(devs["eq_layer_norm"],
-                                    _dev(eq_layer_norm(xt), _apply(u, base_norm)))
-        devs["eq_attention_logits"] = max(
-            devs["eq_attention_logits"],
-            _dev(eq_attention_logits(xt, xt, s, s, attn_cfg), base_logits),
-        )
-        mv_o, s_o = eq_attention(xt, xt, xt, s, s, s, attn_cfg)
-        devs["eq_attention_values"] = max(
-            devs["eq_attention_values"],
-            max(_dev(mv_o, _apply(u, base_attn[0])), _dev(s_o, base_attn[1])),
-        )
-        mv_b, s_b = eq_mlp_block(xt, s, mlp_block)
-        devs["eq_mlp_block"] = max(
-            devs["eq_mlp_block"],
-            max(_dev(mv_b, _apply(u, base_block[0])), _dev(s_b, base_block[1])),
-        )
-        devs["invariant_adapter"] = max(
-            devs["invariant_adapter"],
-            _dev(invariant_adapter(xt, s, sandwich_t, adapter_mlp), base_adapter),
-        )
-        devs["negative_control"] = max(
-            devs["negative_control"],
-            _dev(noneq_linear(xt, noneq_weight), _apply(u, base_noneq)),
-        )
+        for name, (layer, kinds) in table.items():
+            moved = outputs(layer, xt, sandwich_t)
+            for kind, out, ref in zip(kinds.split(), moved, base[name]):
+                devs[name] = max(devs[name], _dev(out, _apply(u, ref) if kind == "mv" else ref))
 
     for name, dev in devs.items():
-        if name == "negative_control":
-            # must FAIL equivariance by a wide margin
-            report.add(name, dev, n_transforms, "f64", tolerance)
-            report.entries[-1].passed = dev >= tolerance * 1e3
-        else:
-            report.add(name, dev, n_transforms, "f64", tolerance)
+        report.add(name, dev, n_transforms, "f64", tolerance)
+    # the negative control must FAIL equivariance by a wide margin
+    report.entries[-1].passed = devs["negative_control"] >= tolerance * 1e3
     return report
 
 

@@ -80,32 +80,6 @@ class MlpParams:
 
 
 @dataclass
-class AttentionConfig:
-    heads: int
-    mv_per_head: int
-    scalar_per_head: int
-    distance_awareness: bool = True
-    eps: float = DISTANCE_EPS
-    causal: bool = False
-
-    def check(self, mv_channels: int, scalar_channels: int) -> None:
-        if mv_channels != self.heads * self.mv_per_head:
-            raise ValueError(
-                f"mv channels {mv_channels} != heads {self.heads} x {self.mv_per_head}"
-            )
-        if scalar_channels != self.heads * self.scalar_per_head:
-            raise ValueError(
-                f"scalar channels {scalar_channels} != heads {self.heads} x {self.scalar_per_head}"
-            )
-
-    @property
-    def logit_denominator(self) -> float:
-        c, cs = self.mv_per_head, self.scalar_per_head
-        width = 4 * c + 4 * c + cs if self.distance_awareness else 4 * c + cs
-        return float(np.sqrt(width))
-
-
-@dataclass
 class AttentionParams:
     mv_q: EqLinearParams
     mv_k: EqLinearParams
@@ -173,51 +147,40 @@ def scalar_layer_norm(s, eps: float = LAYER_NORM_EPS):
     return ad.rms_norm(centered, 1.0 / ad.data_of(s).shape[-1], -1, eps)
 
 
-def _combine_mask(mask, causal: bool, lq: int, lk: int):
-    """AND of an optional [..., Lq, Lk] mask with the causal rule, or None.
+def _attention_terms(mv_q, sq, heads: int, distance_awareness: bool) -> tuple:
+    """(query mix, key mix, eps, logit denominator) of `heads` heads over the queries' channels.
 
-    Causal: the lq queries are the last lq of the lk key positions, so query
-    i sees keys up to position lk - lq + i.
+    The denominator is the square root of a head's logit row width: 4c inner
+    components, 4c distance features when distance-aware, and S/heads scalars.
     """
-    out = None
-    if causal:
-        if lq > lk:
-            raise ValueError(f"causal attention needs lq <= lk, got {lq}x{lk}")
-        out = np.tri(lq, lk, lk - lq, dtype=bool)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        out = m if out is None else (m & out)
-    return out
+    c, cs = ad.data_of(mv_q).shape[-2], ad.data_of(sq).shape[-1]
+    if c % heads or cs % heads:
+        raise ValueError(f"{c} mv channels and {cs} scalar channels do not split into {heads} heads")
+    mixes = (QUERY_MIX, KEY_MIX) if distance_awareness else (None, None)
+    width = (8 if distance_awareness else 4) * (c // heads) + cs // heads
+    return (*mixes, DISTANCE_EPS, float(np.sqrt(width)))
 
 
-def _distance_mixes(cfg: AttentionConfig):
-    return (QUERY_MIX, KEY_MIX) if cfg.distance_awareness else (None, None)
-
-
-def eq_attention_logits(mv_q, mv_k, sq, sk, cfg: AttentionConfig) -> np.ndarray:
+def eq_attention_logits(mv_q, mv_k, sq, sk, heads: int, distance_awareness: bool = True) -> np.ndarray:
     """Pre-softmax invariant logits [..., H, Lq, Lk], the ones `eq_attention` computes, as a plain array."""
-    cfg.check(ad.data_of(mv_q).shape[-2], ad.data_of(sq).shape[-1])
     return ad._attention_logits(
         ad.data_of(mv_q), ad.data_of(mv_k), ad.data_of(sq), ad.data_of(sk),
-        cfg.heads, *_distance_mixes(cfg), cfg.eps, cfg.logit_denominator,
+        heads, *_attention_terms(mv_q, sq, heads, distance_awareness),
     )[0]
 
 
-def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg: AttentionConfig, mask=None):
+def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_awareness: bool = True):
     """Multivector scaled dot-product attention, one `ad.mv_attention` node.
 
     Logits follow the fused construction: concatenate the [s, e1, e2, e12]
     components, the distance-awareness features, and the invariant scalars of
-    queries/keys, then take one dot product scaled by the configured
-    denominator.  Values carry all 8 multivector components plus scalars.
-    Rows whose mask admits no key yield zero outputs.
+    queries/keys, then take one dot product scaled by the square root of that
+    row width.  Values carry all 8 multivector components plus scalars.
+    `mask` [..., Lq, Lk] (True = attend) keeps keys per query; rows whose mask
+    admits no key yield zero outputs.
     """
-    cfg.check(ad.data_of(mv_q).shape[-2], ad.data_of(sq).shape[-1])
-    lq, lk = ad.data_of(mv_q).shape[-3], ad.data_of(mv_k).shape[-3]
-    return ad.mv_attention(
-        mv_q, mv_k, mv_v, sq, sk, sv, cfg.heads, *_distance_mixes(cfg), cfg.eps,
-        cfg.logit_denominator, _combine_mask(mask, cfg.causal, lq, lk),
-    )
+    return ad.mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads,
+                           *_attention_terms(mv_q, sq, heads, distance_awareness), mask)
 
 
 def rms_normalize(x, eps: float = LAYER_NORM_EPS):

@@ -20,12 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, ParamStore, adam_step, cosine_lr
 from .layers import (
-    AttentionConfig,
     AttentionParams,
     EqLinearParams,
     EqMlpBlockParams,
     MlpParams,
-    _combine_mask,
     affine,
     eq_attention,
     eq_layer_norm,
@@ -95,15 +93,6 @@ class ModelConfig:
     @property
     def max_vocab(self) -> int:
         return max(self.vocab_sizes.values())
-
-    def attention_config(self, causal: bool = False) -> AttentionConfig:
-        return AttentionConfig(
-            heads=self.heads,
-            mv_per_head=self.mv_channels // self.heads,
-            scalar_per_head=self.scalar_channels // self.heads,
-            distance_awareness=self.distance_awareness,
-            causal=causal,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -389,12 +378,12 @@ def _keys_values(normed, prm: AttentionParams) -> tuple:
             affine(s_n, *prm.s_k), affine(s_n, *prm.s_v))
 
 
-def _attend(mv, s, normed, kv, prm: AttentionParams, attn_cfg: AttentionConfig, mask):
+def _attend(mv, s, normed, kv, prm: AttentionParams, cfg: ModelConfig, mask):
     """Equivariant attention of the pre-normalized queries over `kv`, with residual connections."""
     mv_n, s_n = normed
     k_mv, v_mv, k_s, v_s = kv
     out_mv, out_s = eq_attention(eq_linear(mv_n, prm.mv_q), k_mv, v_mv, affine(s_n, *prm.s_q),
-                                 k_s, v_s, attn_cfg, mask=mask)
+                                 k_s, v_s, cfg.heads, mask, cfg.distance_awareness)
     return ad.add(out_mv, mv), ad.add(out_s, s)
 
 
@@ -412,6 +401,16 @@ def _group_mask(batch: TokenBatch, key_group: np.ndarray, key_valid: np.ndarray 
     if key_valid is not None:
         mask &= key_valid.T[:, None, :]
     return mask
+
+
+def _time_mask(batch: TokenBatch, key_valid: np.ndarray) -> np.ndarray:
+    """[A, Tq, Tk]: a valid row sees its agent's valid keys up to its own step.
+
+    The Tq rows are the last Tq of the Tk key steps (a cached prefix comes
+    first), so row i sees keys up to step Tk - Tq + i.
+    """
+    tq, tk = batch.valid.shape[1], key_valid.shape[1]
+    return batch.valid[:, :, None] & key_valid[:, None, :] & np.tri(tq, tk, tk - tq, dtype=bool)
 
 
 def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
@@ -482,32 +481,28 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = _map_keys_values(batch, p, cfg, cache)
 
-    attn_cfg = cfg.attention_config()
-    causal_cfg = cfg.attention_config(causal=True)
-
     if cfg.map_attention == "all":
         map_mask = _group_mask(batch, batch.map_group)
     else:
         map_mask = np.moveaxis(knn_map_mask(batch, int(cfg.map_attention)), 1, 0)
     agent_mask = _group_mask(batch, batch.group, batch.valid)
     sandwich = sandwich_matrix(batch.frames, dt) if cfg.include_adapter else None
-    (key_valid,) = _extend(cache, "valid", (batch.valid,))
-    time_mask = batch.valid[:, :, None] & key_valid[:, None, :]       # [A, Tq, Tk]
+    time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,)))
 
     for i in range(cfg.blocks):
         # agent-to-map cross attention, batched over timesteps
         mv_t, s_t = _swap_at(mv), _swap_at(s)
         mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i],
-                            _attn_params(p, f"block{i}/map_attn"), attn_cfg, map_mask)
+                            _attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
         # agent-to-agent self attention, batched over timesteps
         agent_prm, normed = _attn_params(p, f"block{i}/agent_attn"), _norms(mv_t, s_t)
-        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, agent_prm), agent_prm, attn_cfg, agent_mask)
+        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, agent_prm), agent_prm, cfg, agent_mask)
         mv, s = _swap_at(mv_t), _swap_at(s_t)
         # causal self attention over time (and the cached prefix), batched over agents
         time_prm = _attn_params(p, f"block{i}/time_attn")
         normed = _norms(mv, s)
         kv = _extend(cache, ("time", i), _keys_values(normed, time_prm))
-        mv, s = _attend(mv, s, normed, kv, time_prm, causal_cfg, time_mask)
+        mv, s = _attend(mv, s, normed, kv, time_prm, cfg, time_mask)
         mv, s = eq_mlp_block(
             mv, s,
             EqMlpBlockParams(
@@ -643,17 +638,15 @@ def pairwise_pose_features(poses_q: np.ndarray, poses_k: np.ndarray) -> np.ndarr
     )
 
 
-def scalar_attention(q, k, v, mask=None, causal=False):
+def scalar_attention(q, k, v, mask=None):
     """Plain scaled dot-product attention over the last two axes."""
     d = ad.data_of(q).shape[-1]
     logits = ad.div(ad.matmul(q, ad.moveaxis(k, -1, -2)), math.sqrt(d))
-    shape = ad.data_of(logits).shape
-    weights = ad.masked_softmax(logits, _combine_mask(mask, causal, shape[-2], shape[-1]))
+    weights = ad.masked_softmax(logits, mask)
     return ad.matmul(weights, v)
 
 
-def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
-                  mask=None, causal=False):
+def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams, mask=None):
     """Attention with per-pair key/value offsets from a relative-pose MLP.
 
     rel_feats [..., Lq, Lk, 4] featurizes pose_j in the frame of i.  The MLP
@@ -667,8 +660,7 @@ def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams,
     qd = ad.data_of(q)
     extra = ad.reduce_sum(ad.mul(ad.reshape(q, qd.shape[:-1] + (1, d)), k_off), axis=-1)
     logits = ad.div(ad.add(base, extra), math.sqrt(d))
-    shape = ad.data_of(logits).shape
-    weights = ad.masked_softmax(logits, _combine_mask(mask, causal, shape[-2], shape[-1]))
+    weights = ad.masked_softmax(logits, mask)
     out = ad.matmul(weights, v)
     wd = ad.data_of(weights)
     offset = ad.reduce_sum(ad.mul(ad.reshape(weights, wd.shape + (1,)), v_off), axis=-2)
@@ -705,18 +697,16 @@ def init_baseline_params(cfg: ModelConfig, variant: str,
     return params
 
 
-def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats,
-                                 mask=None, causal=False):
+def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats, mask):
     s_qn = scalar_layer_norm(s_q)
     s_kn = s_qn if s_kv is None else scalar_layer_norm(s_kv)
     q = affine(s_qn, p[f"{name}/s_q/w"], p[f"{name}/s_q/b"])
     k = affine(s_kn, p[f"{name}/s_k/w"])
     v = affine(s_kn, p[f"{name}/s_v/w"], p[f"{name}/s_v/b"])
     if variant == "rpe":
-        out = rpe_attention(q, k, v, rel_feats, _mlp_params(p, f"{name}/rpe"),
-                            mask=mask, causal=causal)
+        out = rpe_attention(q, k, v, rel_feats, _mlp_params(p, f"{name}/rpe"), mask)
     else:
-        out = scalar_attention(q, k, v, mask=mask, causal=causal)
+        out = scalar_attention(q, k, v, mask)
     return ad.add(out, s_q)
 
 
@@ -752,17 +742,15 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
 
     map_mask = _group_mask(batch, batch.map_group)
     agent_mask = _group_mask(batch, batch.group, batch.valid)
-    time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
+    time_mask = _time_mask(batch, batch.valid)
 
     for i in range(cfg.blocks):
         s_t = _swap_at(s)
-        s_t = _baseline_attention_sublayer(s_t, map_s, p, f"block{i}/map_attn", variant, rel_map,
-                                           mask=map_mask)
+        s_t = _baseline_attention_sublayer(s_t, map_s, p, f"block{i}/map_attn", variant, rel_map, map_mask)
         s_t = _baseline_attention_sublayer(s_t, None, p, f"block{i}/agent_attn", variant, rel_agent,
-                                           mask=agent_mask)
+                                           agent_mask)
         s = _swap_at(s_t)
-        s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time,
-                                         mask=time_mask, causal=True)
+        s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time, time_mask)
         s = ad.add(mlp2(scalar_layer_norm(s), _mlp_params(p, f"block{i}/mlp")), s)
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))

@@ -592,13 +592,20 @@ def vocab_from_json(text) -> ActionVocab:
     except json.JSONDecodeError as exc:
         raise SceneParseError(f"$: invalid JSON ({exc})") from exc
     _require(doc, ("k_r", "w_theta", "seed", "classes"), "$", optional=("meta",))
-    deltas = {}
-    counts = {}
+    _require(doc["classes"], (), "$.classes", optional=AGENT_CLASSES)
+    deltas, counts = {}, {}
     for cls, entry in doc["classes"].items():
-        _require(entry, ("deltas", "source_count"), f"$.classes.{cls}")
+        path = f"$.classes.{cls}"
+        _require(entry, ("deltas", "source_count"), path)
+        for j, row in enumerate(_list(entry, "deltas", path)):
+            if not isinstance(row, list) or len(row) != 3:
+                raise SceneParseError(f"{path}.deltas[{j}]: expected [dx, dy, dtheta], got {row!r}")
+            for k in range(3):
+                _number(row, k, f"{path}.deltas[{j}]")
         deltas[cls] = np.asarray(entry["deltas"], dtype=np.float64)
-        counts[cls] = int(entry["source_count"])
-    return ActionVocab(
-        deltas=deltas, k_r=float(doc["k_r"]), w_theta=float(doc["w_theta"]),
-        seed=int(doc["seed"]), source_counts=counts,
-    )
+        counts[cls] = _integer(entry, "source_count", path, low=0)
+    k_r, w_theta, seed = _number(doc, "k_r", "$"), _number(doc, "w_theta", "$"), _integer(doc, "seed", "$")
+    try:
+        return ActionVocab(deltas=deltas, k_r=k_r, w_theta=w_theta, seed=seed, source_counts=counts)
+    except ValueError as exc:
+        raise SceneParseError(f"$.classes: {exc}") from exc

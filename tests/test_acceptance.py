@@ -176,15 +176,14 @@ def test_criterion_4_distance_awareness():
         worst = max(worst, abs(dot - want) / max(1.0, abs(want)))
 
     # fused concatenated dot product vs the explicit three-term sum
-    from eqtraffic.layers import AttentionConfig, eq_attention_logits
+    from eqtraffic.layers import eq_attention_logits
 
     heads, c, cs = 2, 2, 3
-    cfg = AttentionConfig(heads=heads, mv_per_head=c, scalar_per_head=cs)
     mv_q = rng.normal(size=(4, heads * c, 8))
     mv_k = rng.normal(size=(5, heads * c, 8))
     sq = rng.normal(size=(4, heads * cs))
     sk = rng.normal(size=(5, heads * cs))
-    logits = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, cfg))
+    logits = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, heads))
     denom = math.sqrt(4 * c + 4 * c + cs)
     fused_dev = 0.0
     for h in range(heads):

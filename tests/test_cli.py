@@ -198,3 +198,43 @@ def test_flags_override_config_file(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["count"] == 1            # flag wins
     assert manifest["scenes"][0]["seed"] == 9  # config-file seed used
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda d: d.update(classes=[1]), "$.classes: expected an object"),
+    (lambda d: d["classes"]["vehicle"].update(source_count=2.7), "$.classes.vehicle.source_count"),
+])
+def test_bad_vocab_file_exits_2(workspace, tmp_path, capsys, mutate, where):
+    doc = json.loads(Path(workspace["vocab"]).read_text())
+    mutate(doc)
+    bad = tmp_path / "bad_vocab.json"
+    bad.write_text(json.dumps(doc))
+    code = cli.main(["train", "--scenes", str(workspace["scenes"]), "--vocab", str(bad),
+                     "--steps", "1", "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_VALIDATION
+    assert where in capsys.readouterr().err
+
+
+def test_unknown_run_config_key_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    out = tmp_path / "s"
+    for doc, key in (({"cuont": 3}, "cuont"), ({"count": 1, "threads": 4}, "threads"),
+                     ({"count": 1, "steps": 5}, "steps")):  # steps is a train/bench flag, not gen's
+        cfg_file.write_text(json.dumps(doc))
+        assert cli.main(["gen", "--config", str(cfg_file), "--out", str(out)]) == cli.EXIT_USAGE
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_sets_check_flags(workspace, tmp_path):
+    """Every flag's dest, in hyphen spelling, is a run-config key, the switches included."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({**json.loads(workspace["cfg"].read_text()),
+                                    "negative-control": True, "trials": 2, "dtype": "f64"}))
+    code = cli.main(["check", "--scenes", str(workspace["scenes"]), "--vocab", str(workspace["vocab"]),
+                     "--out", str(tmp_path / "audit"), "--config", str(cfg_file)])
+    assert code == cli.EXIT_VALIDATION
+    doc = json.loads((tmp_path / "audit" / "audit.json").read_text())
+    assert doc["entries"][-1]["name"] == "end_to_end_logits_negative_control"
+    assert doc["entries"][-1]["trials"] == (2 + 1) * 6  # the trials and the reference transform, per scene
+    assert doc["entries"][-1]["dtype"] == "f64"

@@ -269,6 +269,19 @@ def test_baseline_positions_match_pose_objects():
         hn.ground_truth_positions(scenes[0], 6, 9)
 
 
+@pytest.mark.parametrize("context", [-3, 0, 9, 20])
+def test_context_outside_the_scene_is_rejected(context):
+    scene, vocab, cfg, params = setup(seed=16, horizon=8)
+    calls = (lambda: hn.rollout(params, cfg, scene, vocab, horizon=3, context=context),
+             lambda: hn.constant_velocity_positions(scene, context, 3),
+             lambda: hn.ground_truth_positions(scene, context, 3))
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"context {context} outside \[1, 8\]"):
+            call()
+    assert hn.ground_truth_positions(scene, 5, 3).shape == (3, 3, 2)
+    assert hn.rollout(params, cfg, scene, vocab, horizon=2, context=8)[0].valid[:, 8:].all()
+
+
 def test_layer_audit_passes_and_negative_control_fails():
     report = hn.layer_audit(n_transforms=50, seed=0)
     by_name = {e.name: e for e in report.entries}

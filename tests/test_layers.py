@@ -14,8 +14,6 @@ from eqtraffic.layers import (
     DISTANCE_EPS,
     KEY_MIX,
     QUERY_MIX,
-    AttentionConfig,
-    _combine_mask,
     EqMlpBlockParams,
     MlpParams,
     eq_attention,
@@ -331,10 +329,9 @@ def test_fused_primitives_keep_f32():
     assert all(node.output.dtype == np.float32 for node in tape.nodes)
     assert ad.backward(tape, loss)[x_var].dtype == np.float32
 
-    cfg = AttentionConfig(heads=2, mv_per_head=1, scalar_per_head=8, causal=True)
     leaves = [ad.Var(a) for a in (x, x, x, s, s, s)]
     with ad.Tape() as tape:
-        eq_attention(*leaves, cfg)
+        eq_attention(*leaves, heads=2, mask=np.tri(3, dtype=bool))
     (node,) = tape.nodes
     assert [out.dtype for out in node.outputs] == [np.float32] * 2
     cotangents = ad._VJPS["mv_attention"](node, tuple(np.ones_like(out.data) for out in node.outputs))
@@ -345,17 +342,17 @@ def test_fused_primitives_keep_f32():
 # fused attention against the composite attention it replaced
 # ---------------------------------------------------------------------------
 
-def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg, mask=None):
+def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads, mask=None, distance_awareness=True):
     """Reference: eq_attention spelled out in elementary tape ops (36 nodes per call)."""
+    c, cs = ad.data_of(mv_q).shape[-2] // heads, ad.data_of(sq).shape[-1] // heads
+
     def heads_mv(x):
         d = ad.data_of(x)
-        per = d.shape[-2] // cfg.heads
-        return ad.moveaxis(ad.reshape(x, d.shape[:-2] + (cfg.heads, per, 8)), -3, -4)
+        return ad.moveaxis(ad.reshape(x, d.shape[:-2] + (heads, c, 8)), -3, -4)
 
     def heads_scalar(x):
         d = ad.data_of(x)
-        per = d.shape[-1] // cfg.heads
-        return ad.moveaxis(ad.reshape(x, d.shape[:-1] + (cfg.heads, per)), -2, -3)
+        return ad.moveaxis(ad.reshape(x, d.shape[:-1] + (heads, cs)), -2, -3)
 
     def merge_heads(x, tail):
         d = ad.data_of(x)
@@ -366,26 +363,25 @@ def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, cfg, mask=None):
     def rows(mv, s, feature):
         mv_h = heads_mv(mv)
         lead = ad.data_of(mv_h).shape[:-2]
-        pieces = [ad.reshape(ad.take_last(mv_h, pga.INNER_INDICES), lead + (4 * cfg.mv_per_head,))]
-        if cfg.distance_awareness:
-            pieces.append(ad.reshape(feature(mv_h, cfg.eps), lead + (4 * cfg.mv_per_head,)))
+        pieces = [ad.reshape(ad.take_last(mv_h, pga.INNER_INDICES), lead + (4 * c,))]
+        if distance_awareness:
+            pieces.append(ad.reshape(feature(mv_h, DISTANCE_EPS), lead + (4 * c,)))
         pieces.append(heads_scalar(s))
         return ad.concat(pieces, axis=-1)
 
     qf = rows(mv_q, sq, distance_features_query)
     kf = rows(mv_k, sk, distance_features_key)
-    logits = ad.div(ad.matmul(qf, ad.moveaxis(kf, -1, -2)), cfg.logit_denominator)
-    lq, lk = ad.data_of(logits).shape[-2:]
-    combined = _combine_mask(mask, cfg.causal, lq, lk)
-    if combined is not None and combined.ndim > 2:
-        combined = np.expand_dims(combined, -3)
-    weights = ad.masked_softmax(logits, combined)
+    width = (8 if distance_awareness else 4) * c + cs
+    logits = ad.div(ad.matmul(qf, ad.moveaxis(kf, -1, -2)), math.sqrt(width))
+    if mask is not None and mask.ndim > 2:
+        mask = np.expand_dims(mask, -3)
+    weights = ad.masked_softmax(logits, mask)
     mv_v_h = heads_mv(mv_v)
     lead = ad.data_of(mv_v_h).shape[:-2]
-    v_flat = ad.concat([ad.reshape(mv_v_h, lead + (8 * cfg.mv_per_head,)), heads_scalar(sv)], axis=-1)
+    v_flat = ad.concat([ad.reshape(mv_v_h, lead + (8 * c,)), heads_scalar(sv)], axis=-1)
     out = ad.matmul(weights, v_flat)
-    mv_flat, s_out = ad.split(out, [8 * cfg.mv_per_head, cfg.scalar_per_head], axis=-1)
-    mv_out = ad.reshape(mv_flat, ad.data_of(mv_flat).shape[:-1] + (cfg.mv_per_head, 8))
+    mv_flat, s_out = ad.split(out, [8 * c, cs], axis=-1)
+    mv_out = ad.reshape(mv_flat, ad.data_of(mv_flat).shape[:-1] + (c, 8))
     return merge_heads(mv_out, 1), merge_heads(s_out, 0)
 
 
@@ -396,17 +392,19 @@ def attention_cases(draw):
     lq, lk = draw(st.integers(1, 3)), draw(st.integers(0, 4))
     lead_q = draw(st.sampled_from([(), (2,), (2, 3)]))
     lead_k = draw(st.sampled_from([lead_q, lead_q[1:]]))
-    cfg = AttentionConfig(heads=heads, mv_per_head=c, scalar_per_head=cs,
-                          distance_awareness=draw(st.booleans()),
-                          causal=draw(st.booleans()) and lq <= lk)
+    distance_awareness = draw(st.booleans())
+    causal = draw(st.booleans()) and lq <= lk
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     arrays = [rng.normal(size=lead + (length,) + tail)
               for lead, length, tail in ((lead_q, lq, (heads * c, 8)), (lead_k, lk, (heads * c, 8)),
                                          (lead_k, lk, (heads * c, 8)), (lead_q, lq, (heads * cs,)),
                                          (lead_k, lk, (heads * cs,)), (lead_k, lk, (heads * cs,)))]
     mask = rng.random(size=lead_q + (lq, lk)) < 0.7 if draw(st.booleans()) else None
+    if causal:  # the queries are the last lq of the lk key positions
+        tri = np.tri(lq, lk, lk - lq, dtype=bool)
+        mask = tri if mask is None else mask & tri
     cotangents = [rng.normal(size=lead_q + (lq, heads * c, 8)), rng.normal(size=lead_q + (lq, heads * cs))]
-    return cfg, arrays, mask, cotangents
+    return heads, distance_awareness, arrays, mask, cotangents
 
 
 def scale_dev(actual, expected) -> float:
@@ -420,12 +418,12 @@ def scale_dev(actual, expected) -> float:
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(attention_cases())
 def test_fused_attention_matches_composite(case):
-    cfg, arrays, mask, cotangents = case
+    heads, distance_awareness, arrays, mask, cotangents = case
     results = []
     for attend in (eq_attention, composite_attention):
         leaves = [ad.Var(a) for a in arrays]
         with ad.Tape() as tape:
-            outs = attend(*leaves, cfg, mask=mask)
+            outs = attend(*leaves, heads, mask, distance_awareness)
             loss = ad.add(*[ad.reduce_sum(ad.reshape(ad.mul(out, g), (-1,)), axis=0)
                             for out, g in zip(outs, cotangents)])
         grads = ad.backward(tape, loss)
@@ -472,12 +470,11 @@ def test_distance_identity_random_points():
 def test_concatenated_logits_equal_three_term_sum():
     rng = np.random.default_rng(13)
     heads, c, cs, lq, lk = 2, 3, 5, 4, 6
-    cfg = AttentionConfig(heads=heads, mv_per_head=c, scalar_per_head=cs)
     mv_q = rng.normal(size=(lq, heads * c, 8))
     mv_k = rng.normal(size=(lk, heads * c, 8))
     sq = rng.normal(size=(lq, heads * cs))
     sk = rng.normal(size=(lk, heads * cs))
-    logits = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, cfg))
+    logits = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, heads))
 
     denom = math.sqrt(4 * c + 4 * c + cs)
     for h in range(heads):
@@ -496,8 +493,20 @@ def test_concatenated_logits_equal_three_term_sum():
 
 
 def test_logit_denominator_without_distance_awareness():
-    cfg = AttentionConfig(heads=1, mv_per_head=2, scalar_per_head=3, distance_awareness=False)
-    assert cfg.logit_denominator == math.sqrt(4 * 2 + 3)
+    """Without distance features a head's row is its 4c inner components and its scalars."""
+    rng = np.random.default_rng(20)
+    heads, c, cs = 2, 2, 3
+    mv_q, mv_k = rng.normal(size=(3, heads * c, 8)), rng.normal(size=(4, heads * c, 8))
+    sq, sk = rng.normal(size=(3, heads * cs)), rng.normal(size=(4, heads * cs))
+    logits = eq_attention_logits(mv_q, mv_k, sq, sk, heads, distance_awareness=False)
+    for h in range(heads):
+        for i in range(3):
+            for j in range(4):
+                total = sum(pga.invariant_inner_product(pga.Multivector(mv_q[i, h * c + cc]),
+                                                        pga.Multivector(mv_k[j, h * c + cc]))
+                            for cc in range(c))
+                total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
+                assert abs(logits[h, i, j] - total / math.sqrt(4 * c + cs)) <= 1e-12 * max(1.0, abs(total))
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +514,19 @@ def test_logit_denominator_without_distance_awareness():
 # ---------------------------------------------------------------------------
 
 def test_single_key_passes_value_through():
-    cfg = AttentionConfig(heads=1, mv_per_head=1, scalar_per_head=0, distance_awareness=False)
     e1 = np.zeros((1, 1, 8))
     e1[0, 0, 2] = 1.0
     value = np.random.default_rng(14).normal(size=(1, 1, 8))
     empty = np.zeros((1, 0))
-    logits = np.asarray(eq_attention_logits(e1, e1, empty, empty, cfg))
+    logits = np.asarray(eq_attention_logits(e1, e1, empty, empty, heads=1, distance_awareness=False))
     assert np.allclose(logits, 1.0 / math.sqrt(4.0))
-    mv_out, s_out = eq_attention(e1, e1, value, empty, empty, empty, cfg)
+    mv_out, s_out = eq_attention(e1, e1, value, empty, empty, empty, heads=1, distance_awareness=False)
     assert np.allclose(np.asarray(mv_out), value, atol=1e-14)
     assert np.asarray(s_out).shape == (1, 0)
 
 
 def test_identical_keys_average_values():
     rng = np.random.default_rng(15)
-    cfg = AttentionConfig(heads=1, mv_per_head=2, scalar_per_head=2)
     key = rng.normal(size=(1, 2, 8))
     keys = np.concatenate([key, key], axis=0)
     sk = np.tile(rng.normal(size=(1, 2)), (2, 1))
@@ -527,24 +534,23 @@ def test_identical_keys_average_values():
     sv = rng.normal(size=(2, 2))
     q = rng.normal(size=(1, 2, 8))
     sq = rng.normal(size=(1, 2))
-    mv_out, s_out = eq_attention(q, keys, values, sq, sk, sv, cfg)
+    mv_out, s_out = eq_attention(q, keys, values, sq, sk, sv, heads=1)
     assert np.allclose(np.asarray(mv_out)[0], values.mean(0), atol=1e-12)
     assert np.allclose(np.asarray(s_out)[0], sv.mean(0), atol=1e-12)
 
 
 def test_attention_logits_invariant_under_motors():
     rng = np.random.default_rng(16)
-    cfg = AttentionConfig(heads=2, mv_per_head=2, scalar_per_head=3)
     mv_q = rng.normal(size=(3, 4, 8))
     mv_k = rng.normal(size=(5, 4, 8))
     sq = rng.normal(size=(3, 6))
     sk = rng.normal(size=(5, 6))
-    base = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, cfg))
+    base = np.asarray(eq_attention_logits(mv_q, mv_k, sq, sk, heads=2))
     worst = 0.0
     for _ in range(1000):
         u = rand_motor(rng)
         moved = np.asarray(
-            eq_attention_logits(transform_mv(u, mv_q), transform_mv(u, mv_k), sq, sk, cfg)
+            eq_attention_logits(transform_mv(u, mv_q), transform_mv(u, mv_k), sq, sk, heads=2)
         )
         worst = max(worst, deviation(moved, base))
     assert worst <= 1e-10
@@ -552,15 +558,14 @@ def test_attention_logits_invariant_under_motors():
 
 def test_attention_value_path_equivariance():
     rng = np.random.default_rng(17)
-    cfg = AttentionConfig(heads=2, mv_per_head=2, scalar_per_head=2)
     mv = rng.normal(size=(4, 4, 8))
     s = rng.normal(size=(4, 4))
     worst = 0.0
     for _ in range(200):
         u = rand_motor(rng)
         mv_t = transform_mv(u, mv)
-        out_t, s_t = eq_attention(mv_t, mv_t, mv_t, s, s, s, cfg)
-        out, s_base = eq_attention(mv, mv, mv, s, s, s, cfg)
+        out_t, s_t = eq_attention(mv_t, mv_t, mv_t, s, s, s, heads=2)
+        out, s_base = eq_attention(mv, mv, mv, s, s, s, heads=2)
         worst = max(worst, deviation(np.asarray(out_t), transform_mv(u, np.asarray(out))))
         worst = max(worst, deviation(np.asarray(s_t), np.asarray(s_base)))
     assert worst <= 1e-10
@@ -568,11 +573,10 @@ def test_attention_value_path_equivariance():
 
 def test_attention_all_masked_rows_are_zero():
     rng = np.random.default_rng(18)
-    cfg = AttentionConfig(heads=1, mv_per_head=1, scalar_per_head=1)
     mv = rng.normal(size=(3, 1, 8))
     s = rng.normal(size=(3, 1))
     mask = np.array([[True, True, True], [False, False, False], [True, False, True]])
-    mv_out, s_out = eq_attention(mv, mv, mv, s, s, s, cfg, mask=mask)
+    mv_out, s_out = eq_attention(mv, mv, mv, s, s, s, heads=1, mask=mask)
     assert np.allclose(np.asarray(mv_out)[1], 0.0)
     assert np.allclose(np.asarray(s_out)[1], 0.0)
     assert np.all(np.isfinite(np.asarray(mv_out)))
@@ -580,31 +584,29 @@ def test_attention_all_masked_rows_are_zero():
 
 def test_causal_attention_ignores_future():
     rng = np.random.default_rng(19)
-    cfg = AttentionConfig(heads=1, mv_per_head=1, scalar_per_head=2, causal=True)
     mv = rng.normal(size=(5, 1, 8))
     s = rng.normal(size=(5, 2))
-    out1, s1 = eq_attention(mv, mv, mv, s, s, s, cfg)
+    out1, s1 = eq_attention(mv, mv, mv, s, s, s, heads=1, mask=np.tri(5, dtype=bool))
     mv2 = mv.copy()
     mv2[3:] = rng.normal(size=(2, 1, 8))
     s2_in = s.copy()
     s2_in[3:] = rng.normal(size=(2, 2))
-    out2, s2 = eq_attention(mv2, mv2, mv2, s2_in, s2_in, s2_in, cfg)
+    out2, s2 = eq_attention(mv2, mv2, mv2, s2_in, s2_in, s2_in, heads=1, mask=np.tri(5, dtype=bool))
     assert np.array_equal(np.asarray(out1)[:3], np.asarray(out2)[:3])
     assert np.array_equal(np.asarray(s1)[:3], np.asarray(s2)[:3])
     # fewer queries than keys: the queries are the last positions
-    tail, s_tail = eq_attention(mv[3:], mv, mv, s[3:], s, s, cfg)
+    tail, s_tail = eq_attention(mv[3:], mv, mv, s[3:], s, s, heads=1, mask=np.tri(2, 5, 3, dtype=bool))
     assert np.allclose(np.asarray(tail), np.asarray(out1)[3:], rtol=0, atol=1e-14)
     assert np.allclose(np.asarray(s_tail), np.asarray(s1)[3:], rtol=0, atol=1e-14)
-    with pytest.raises(ValueError, match="lq <= lk"):
-        eq_attention(mv, mv[:3], mv[:3], s, s[:3], s[:3], cfg)
 
 
-def test_attention_config_validation():
-    cfg = AttentionConfig(heads=2, mv_per_head=2, scalar_per_head=1)
-    with pytest.raises(ValueError):
-        eq_attention_logits(
-            np.zeros((2, 3, 8)), np.zeros((2, 3, 8)), np.zeros((2, 2)), np.zeros((2, 2)), cfg
-        )
+def test_attention_rejects_heads_that_do_not_split_the_channels():
+    mv, s = np.zeros((2, 3, 8)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="3 mv channels and 2 scalar channels do not split into 2 heads"):
+        eq_attention_logits(mv, mv, s, s, heads=2)
+    mv, s = np.zeros((2, 4, 8)), np.zeros((2, 3))
+    with pytest.raises(ValueError, match="4 mv channels and 3 scalar channels do not split into 2 heads"):
+        eq_attention(mv, mv, mv, s, s, s, heads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +745,11 @@ def test_eq_linear_grad_check():
 
 def test_attention_grad_check():
     rng = np.random.default_rng(26)
-    cfg = AttentionConfig(heads=1, mv_per_head=2, scalar_per_head=2)
     mv = rng.normal(size=(3, 2, 8))
     s = rng.normal(size=(3, 2))
 
     def fn(v):
-        mv_out, s_out = eq_attention(v[0], v[0], v[0], v[1], v[1], v[1], cfg)
+        mv_out, s_out = eq_attention(v[0], v[0], v[0], v[1], v[1], v[1], heads=1)
         a = ad.reduce_sum(ad.reshape(ad.mul(mv_out, mv_out), (-1,)), axis=0)
         b = ad.reduce_sum(ad.reshape(ad.mul(s_out, s_out), (-1,)), axis=0)
         return ad.add(a, b)

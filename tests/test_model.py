@@ -151,6 +151,24 @@ def test_causality_exact():
     assert not np.array_equal(out[:, t_cut + 1:], base[:, t_cut + 1:])
 
 
+def test_time_mask_of_the_last_rows_matches_a_row_loop():
+    """Rows cut from the end of a gappy batch see exactly their valid keys at or before their step."""
+    _, vocab, cfg, _, _ = desk_setup(seed=6)
+    batch = md.build_token_batch(gappy_scene(3), vocab, cfg)
+    key_valid = batch.valid
+    tk = key_valid.shape[1]
+    assert not key_valid.all()
+    for tq in (1, 3, tk):
+        rows = batch_rows(batch, tk - tq)
+        expect = np.zeros((len(key_valid), tq, tk), dtype=bool)
+        for a in range(len(key_valid)):
+            for i in range(tq):
+                t = tk - tq + i
+                for k in range(tk):
+                    expect[a, i, k] = key_valid[a, t] and key_valid[a, k] and k <= t
+        assert np.array_equal(md._time_mask(rows, key_valid), expect)
+
+
 def test_agent_permutation_equivariance():
     scene, vocab, cfg, params, batch = desk_setup(seed=7)
     base = np.asarray(md.forward(batch, params, cfg))
@@ -893,9 +911,9 @@ def test_invariant_loss_gradients_transform_contravariantly():
         assert float(np.max(np.abs(moved - base))) <= 1e-8 * scale
 
 
-def _self_attention(mv, s, prm, attn_cfg, mask):
+def _self_attention(mv, s, prm, cfg, mask):
     normed = md._norms(mv, s)
-    return md._attend(mv, s, normed, md._keys_values(normed, prm), prm, attn_cfg, mask)
+    return md._attend(mv, s, normed, md._keys_values(normed, prm), prm, cfg, mask)
 
 
 def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
@@ -905,20 +923,18 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     s = md.mlp2(batch.scalars_raw.astype(dt), md._mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = md._map_keys_values(batch, p, cfg, None)
-    attn_cfg = cfg.attention_config()
-    causal_cfg = cfg.attention_config(causal=True)
     map_mask = md._group_mask(batch, batch.map_group)
     agent_mask = md._group_mask(batch, batch.group, batch.valid)
     sandwich = sandwich_matrix(batch.frames)
-    time_mask = batch.valid[:, None, :] & batch.valid[:, :, None]
+    time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv), md._swap_at(s)
         mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i],
-                               md._attn_params(p, f"block{i}/map_attn"), attn_cfg, map_mask)
+                               md._attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
         mv_t, s_t = _self_attention(mv_t, s_t, md._attn_params(p, f"block{i}/agent_attn"),
-                                    attn_cfg, agent_mask)
+                                    cfg, agent_mask)
         mv, s = md._swap_at(mv_t), md._swap_at(s_t)
-        mv, s = _self_attention(mv, s, md._attn_params(p, f"block{i}/time_attn"), causal_cfg, time_mask)
+        mv, s = _self_attention(mv, s, md._attn_params(p, f"block{i}/time_attn"), cfg, time_mask)
         mv, s = md.eq_mlp_block(mv, s, md.EqMlpBlockParams(
             expand=md._eq_params(p, f"block{i}/mlp/expand"),
             mid=md._eq_params(p, f"block{i}/mlp/mid"),

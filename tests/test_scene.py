@@ -403,6 +403,38 @@ def test_vocab_json_roundtrip():
         assert np.array_equal(back.deltas[cls], vocab.deltas[cls])
 
 
+BAD_VOCAB_VALUES = {
+    "fractional_source_count": (lambda d: d["classes"]["vehicle"].update(source_count=2.7),
+                                r"\$\.classes\.vehicle\.source_count: expected an integer"),
+    "negative_source_count": (lambda d: d["classes"]["vehicle"].update(source_count=-1),
+                              r"\$\.classes\.vehicle\.source_count: .* outside"),
+    "fractional_seed": (lambda d: d.update(seed=1.9), r"\$\.seed: expected an integer"),
+    "nan_k_r": (lambda d: d.update(k_r=float("nan")), r"\$\.k_r: expected a finite number"),
+    "string_w_theta": (lambda d: d.update(w_theta="1"), r"\$\.w_theta: expected a finite number"),
+    "infinite_delta": (lambda d: d["classes"]["vehicle"]["deltas"][0].__setitem__(1, float("inf")),
+                       r"\$\.classes\.vehicle\.deltas\[0\]\.1: expected a finite number"),
+    "short_delta": (lambda d: d["classes"]["vehicle"]["deltas"].__setitem__(0, [0.1, 0.0]),
+                    r"\$\.classes\.vehicle\.deltas\[0\]: expected \[dx, dy, dtheta\]"),
+    "non_array_deltas": (lambda d: d["classes"]["vehicle"].update(deltas=5),
+                         r"\$\.classes\.vehicle\.deltas: expected an array"),
+    "empty_deltas": (lambda d: d["classes"]["vehicle"].update(deltas=[]),
+                     r"\$\.classes: vocab for 'vehicle' must be a nonempty"),
+    "classes_array": (lambda d: d.update(classes=[1]), r"\$\.classes: expected an object"),
+    "unknown_class": (lambda d: d["classes"].update(truck=d["classes"]["vehicle"]),
+                      r"\$\.classes: unknown field 'truck'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VOCAB_VALUES))
+def test_vocab_json_rejects_bad_values_with_path(case):
+    mutate, where = BAD_VOCAB_VALUES[case]
+    vocab = sc.build_kdisk_vocab(uniform_transitions(np.random.default_rng(21), 100), k_r=0.3, seed=6, cap=8)
+    doc = json.loads(sc.vocab_to_json(vocab))
+    mutate(doc)
+    with pytest.raises(sc.SceneParseError, match=where):
+        sc.vocab_from_json(json.dumps(doc))
+
+
 def test_transition_collection():
     scenes = [small_scene(seed=s) for s in (22, 23)]
     pools = sc.collect_transitions(scenes)
