@@ -472,7 +472,7 @@ register_vjp("masked_softmax", lambda n, g: (_softmax_grad(n.ctx["out"], g),))
 
 def mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, query_mix, key_mix, eps: float,
                  denom: float, mask):
-    """Multivector attention as one tape node: (mv [..., Lq, C, 8], s [..., Lq, S]).
+    """Attention between multivectors as one tape node: (mv [..., Lq, C, 8], s [..., Lq, S]).
 
     Keys and values are [..., Lk, C, 8] and [..., Lk, S]; their leading dims
     broadcast against the queries'.  Per head, a query row is [inner-product

@@ -1,6 +1,6 @@
 """Per-token motor actions on batched multivector arrays.
 
-Multivector features live in arrays of shape [..., C, 8] (last axis = the
+Features live in multivector arrays of shape [..., C, 8] (last axis = the
 canonical component order from :mod:`eqtraffic.pga`); motors in arrays of
 coefficients [..., 4] over the slots [s, e01, e20, e12].  `x` may be an
 autodiff Var so the same code path serves training.
@@ -31,10 +31,10 @@ SANDWICH_TABLE = _build_sandwich_table()
 
 
 def pose_frame_motors(poses: np.ndarray) -> np.ndarray:
-    """Motors [..., 4] mapping global coordinates into the frame of each pose [..., 3].
+    """The motors [..., 4] mapping global coordinates into the frame of each pose [..., 3].
 
-    Closed form of `motor_from_pose(p).inverse()`, the reverse of
-    translator(x, y) @ rotor(theta); the zero pose gives the identity.
+    In closed form, the reverse of translator(x, y) * rotor(theta), the motor
+    that sends the origin frame to the pose; the zero pose gives the identity.
     """
     p = np.asarray(poses, dtype=np.float64)
     x, y = p[..., 0] / 2.0, p[..., 1] / 2.0

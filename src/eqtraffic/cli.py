@@ -26,7 +26,7 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 TOOL = f"eqtraffic {__version__}"
-_SECTIONS = ("model", "generator")  # run-config keys holding ModelConfig / GeneratorConfig fields
+_SECTIONS = {"model": md.ModelConfig, "generator": sc.GeneratorConfig}  # run-config sections
 
 
 class _UsageError(Exception):
@@ -64,17 +64,24 @@ def _atomic_write(path: Path, data) -> None:
         raise
 
 
+def _check_keys(doc, keys, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key '{unknown[0]}' in {where}; known keys: {', '.join(sorted(keys))}")
+
+
 def _load_run_config(path, keys: set) -> dict:
-    """The JSON object in `path` ({} for None); a key outside `keys` is an error."""
+    """The JSON object in `path` ({} for None); a key outside `keys` or a section's fields is an error."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise ValueError(f"unknown key '{unknown[0]}'; known keys: {', '.join(sorted(keys))}")
+    _check_keys(doc, keys, "config file")
+    for section, cls in _SECTIONS.items():
+        if section in doc:
+            _check_keys(doc[section], [f.name for f in dataclasses.fields(cls)], f"section '{section}'")
     return doc
 
 

@@ -24,7 +24,7 @@ from .layers import (
     invariant_adapter,
     noneq_linear,
 )
-from .pga import Motor, Pose2, compose_poses, motor_from_pose
+from .pga import Pose2, compose_poses, wrap_angles
 from .scene import (
     ActionVocab,
     AgentState,
@@ -244,16 +244,6 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _rand_motor(rng) -> Motor:
-    return motor_from_pose(
-        Pose2(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
-    )
-
-
-def _apply(motor: Motor, mv: np.ndarray) -> np.ndarray:
-    return np.asarray(sandwich_array(motor.coeffs, mv))
-
-
 def _dev(a, b) -> float:
     a, b = np.asarray(a), np.asarray(b)
     return float(np.max(np.abs(a - b)) / max(1.0, float(np.max(np.abs(b)))))
@@ -308,19 +298,16 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
     base = {name: outputs(layer, x, sandwich) for name, (layer, _) in table.items()}
     devs = dict.fromkeys(table, 0.0)
     for _ in range(n_transforms):
-        u = _rand_motor(rng)
-        xt = _apply(u, x)
-        g = u.pose()
-        cos, sin = math.cos(g.theta), math.sin(g.theta)
-        sandwich_t = sandwich_matrix(pose_frame_motors(np.column_stack([
-            g.x + cos * poses[:, 0] - sin * poses[:, 1],
-            g.y + sin * poses[:, 0] + cos * poses[:, 1],
-            g.theta + poses[:, 2],
-        ])))
+        g = np.array([rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi)])
+        g[2] = wrap_angles(g[2])
+        # the reverse of the frame motor sends the origin frame to g
+        u = pose_frame_motors(g) * np.array([1.0, -1.0, -1.0, -1.0])
+        xt = sandwich_array(u, x)
+        sandwich_t = sandwich_matrix(pose_frame_motors(compose_poses(g, poses)))
         for name, (layer, kinds) in table.items():
             moved = outputs(layer, xt, sandwich_t)
             for kind, out, ref in zip(kinds.split(), moved, base[name]):
-                devs[name] = max(devs[name], _dev(out, _apply(u, ref) if kind == "mv" else ref))
+                devs[name] = max(devs[name], _dev(out, sandwich_array(u, ref) if kind == "mv" else ref))
 
     for name, dev in devs.items():
         report.add(name, dev, n_transforms, "f64", tolerance)

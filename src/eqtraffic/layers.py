@@ -170,7 +170,7 @@ def eq_attention_logits(mv_q, mv_k, sq, sk, heads: int, distance_awareness: bool
 
 
 def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_awareness: bool = True):
-    """Multivector scaled dot-product attention, one `ad.mv_attention` node.
+    """Scaled dot-product attention between multivectors, one `ad.mv_attention` node.
 
     Logits follow the fused construction: concatenate the [s, e1, e2, e12]
     components, the distance-awareness features, and the invariant scalars of

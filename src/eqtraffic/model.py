@@ -877,30 +877,71 @@ def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, vocab: ActionVoc
 
 
 def load_checkpoint(path):
-    """Returns (params, config, manifest)."""
+    """Returns (params, config, manifest).
+
+    The manifest must list exactly the parameters `init_params(config)` makes,
+    with their shapes and dtype, and every value must be finite; anything else
+    is a ValueError that names its manifest path, such as `$.params[3].dtype`.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     newline = blob.find(b"\n")
     if newline < 0:
         raise ValueError(f"checkpoint {path} is truncated inside its manifest line")
     manifest = json.loads(blob[:newline].decode("utf-8"))
-    if manifest.get("format") != "eqtraffic-checkpoint-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "eqtraffic-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    params = ParamStore()
-    offset = newline + 1
-    for entry in manifest["params"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dtype.itemsize
-        if nbytes > len(blob) - offset:
-            raise ValueError(
-                f"checkpoint {path} is truncated: parameter '{entry['name']}' needs "
-                f"{nbytes} bytes, {len(blob) - offset} available"
-            )
-        arr = np.frombuffer(blob[offset:offset + nbytes], dtype=dtype).reshape(entry["shape"])
-        params.add(entry["name"], arr.copy())
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"checkpoint has {len(blob) - offset} trailing bytes")
-    cfg = ModelConfig.from_dict(manifest["config"])
+    try:
+        params, cfg = _checkpoint_params(manifest, blob[newline + 1:])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None
     return params, cfg, manifest
+
+
+def _checkpoint_params(manifest: dict, payload: bytes) -> tuple:
+    config, entries = manifest.get("config"), manifest.get("params")
+    if not isinstance(config, dict):
+        raise ValueError("$.config must be an object")
+    unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ValueError(f"$.config.{unknown[0]} is not a ModelConfig field")
+    try:  # a field of the wrong type fails in the config's checks or in init_params
+        cfg = ModelConfig.from_dict(config)
+        kind = "<f4" if cfg.dtype == "f32" else "<f8"
+        expected = {name: {"shape": list(arr.shape), "dtype": kind} for name, arr in init_params(cfg).items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"$.config: {exc}") from None
+    if not isinstance(manifest.get("vocab_hash"), str):
+        raise ValueError("$.vocab_hash must be a string")
+    if not isinstance(entries, list):
+        raise ValueError("$.params must be a list")
+    params, offset = ParamStore(), 0
+    for i, entry in enumerate(entries):
+        at = f"$.params[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ValueError(f"{at} must be an object with a string name")
+        name, shape, dtype = entry["name"], entry.get("shape"), entry.get("dtype")
+        if dtype not in ("<f4", "<f8"):
+            raise ValueError(f"{at}.dtype is {dtype!r}; a checkpoint holds '<f4' or '<f8'")
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(f"{at}.shape must be a list of non-negative integers, got {shape!r}")
+        if name not in expected:
+            raise ValueError(f"{at}.name {name!r} is not a parameter of the configured model, or repeats")
+        for key, want in expected.pop(name).items():
+            if entry[key] != want:
+                raise ValueError(f"{at}.{key} of {name!r} is {entry[key]}; the configured model's is {want}")
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if nbytes > len(payload) - offset:
+            raise ValueError(f"truncated: parameter {name!r} needs {nbytes} bytes, "
+                             f"{len(payload) - offset} available")
+        arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{at}: parameter {name!r} holds a non-finite value")
+        params.add(name, arr.copy())
+        offset += nbytes
+    if expected:
+        raise ValueError(f"$.params lacks {len(expected)} of the configured model's parameters, "
+                         f"first {next(iter(expected))!r}")
+    if offset != len(payload):
+        raise ValueError(f"{len(payload) - offset} trailing bytes")
+    return params, cfg

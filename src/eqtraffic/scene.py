@@ -8,6 +8,7 @@ built with a greedy disk-packing pass over observed transitions.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -444,7 +445,9 @@ def _require(obj, keys, path: str, optional=()):
 
 def _number(obj: dict, key: str, path: str) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # a JSON integer beyond the float range counts as infinite
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max)):
         raise SceneParseError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -455,6 +458,8 @@ def _integer(obj: dict, key: str, path: str, low: int | None = None,
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise SceneParseError(f"{path}.{key}: expected an integer, got {value!r}")
+    if not -2**63 <= value < 2**63:
+        raise SceneParseError(f"{path}.{key}: {value!r} outside the 64-bit integer range")
     if (low is not None and value < low) or (high is not None and value >= high):
         raise SceneParseError(f"{path}.{key}: {value} outside [{low}, {high})")
     return value

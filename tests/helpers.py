@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's algebra paths: rigid
 transforms are checked against plain 2x2 rotation matrices, distances against
-coordinate formulas.
+coordinate formulas.  The algebra oracle is one einsum per product over the
+structure tables, which test_pga checks entry by entry against transcribed
+references; multivectors are arrays [8], motors arrays [4] over MOTOR_SLOTS.
 """
 
 import dataclasses
@@ -13,14 +15,76 @@ import numpy as np
 from eqtraffic import autodiff as ad
 from eqtraffic import model as md
 from eqtraffic import scene as sc
-from eqtraffic.pga import Motor, Multivector, Pose2
+from eqtraffic.pga import GEOM_TABLE, GRADES, INNER_INDICES, MOTOR_SLOTS, WEDGE_TABLE, Pose2
 
 # TokenBatch fields with a step axis (axis 1)
 ROW_FIELDS = ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid", "targets", "target_valid")
 
 
+def gp(a, b):
+    return np.einsum("i,j,ijk->k", a, b, GEOM_TABLE)
+
+
+def wedge(a, b):
+    return np.einsum("i,j,ijk->k", a, b, WEDGE_TABLE)
+
+
+def dual(x):
+    return np.asarray(x)[::-1]
+
+
+def join(a, b):
+    return dual(wedge(dual(a), dual(b)))
+
+
+def grade(x, k):
+    return np.where(np.equal(GRADES, k), x, 0.0)
+
+
+def inner(a, b):
+    return float(np.dot(np.asarray(a)[list(INNER_INDICES)], np.asarray(b)[list(INNER_INDICES)]))
+
+
+def _even(u):  # the motor u [4] as a multivector [8]
+    full = np.zeros(8)
+    full[list(MOTOR_SLOTS)] = u
+    return full
+
+
+def motor_product(u, v):
+    return gp(_even(u), _even(v))[list(MOTOR_SLOTS)]
+
+
+def motor_from_pose(pose):
+    """translator(x, y) * rotor(theta): the motor that sends the origin frame to `pose`."""
+    half = pose.theta / 2.0
+    return motor_product([1.0, -pose.x / 2.0, pose.y / 2.0, 0.0], [math.cos(half), 0.0, 0.0, -math.sin(half)])
+
+
+def reverse(u):
+    """The inverse of a unit motor."""
+    return np.asarray(u) * [1.0, -1.0, -1.0, -1.0]
+
+
+def sandwich(u, x):
+    """u x u^{-1}: the motor u [4] applied to the multivector x [8]."""
+    return gp(gp(_even(u), x), _even(reverse(u)))
+
+
+def encode_point(x, y):
+    return np.array([0.0, 0.0, 0.0, 0.0, y, x, 1.0, 0.0])
+
+
+def decode_point(m):
+    return m[5] / m[6], m[4] / m[6]
+
+
+def encode_line(a, b, c, normalize=True):  # the line a*x + b*y + c = 0
+    return np.array([0.0, c, a, b, 0.0, 0.0, 0.0, 0.0]) / (math.hypot(a, b) if normalize else 1.0)
+
+
 def rand_mv(rng, scale=1.0):
-    return Multivector(rng.normal(0.0, scale, size=8))
+    return rng.normal(0.0, scale, size=8)
 
 
 def rand_pose(rng, trans=50.0):
@@ -32,7 +96,7 @@ def rand_pose(rng, trans=50.0):
 
 
 def rand_motor(rng, trans=50.0):
-    return Motor.from_pose(rand_pose(rng, trans=trans))
+    return motor_from_pose(rand_pose(rng, trans=trans))
 
 
 def rot_matrix(theta):
@@ -52,10 +116,9 @@ def compose_pose_oracle(g, p):
     return Pose2(x, y, g.theta + p.theta)
 
 
-def line_residual(line_mv, x, y):
+def line_residual(line, x, y):
     """a*x + b*y + c for the line encoding [.., c(e0), a(e1), b(e2), ..]."""
-    c = line_mv.coeffs
-    return c[2] * x + c[3] * y + c[1]
+    return line[2] * x + line[3] * y + line[1]
 
 
 def max_rel_err(actual, expected, floor=1e-12):

@@ -1,4 +1,4 @@
-"""Batched motor actions against the scalar multivector path."""
+"""Batched motor actions against the per-multivector oracle in helpers."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eqtraffic import pga
 from eqtraffic.batch import pose_frame_motors, sandwich_array
-from helpers import rand_motor, rand_pose
+from eqtraffic.pga import Pose2
+from helpers import encode_point, motor_from_pose, motor_product, rand_motor, rand_pose, reverse, sandwich
 
 
 def test_batched_sandwich_identity_and_reduction():
@@ -20,8 +20,8 @@ def test_batched_sandwich_identity_and_reduction():
 
     u = rand_motor(rng)
     single = rng.normal(size=(1, 1, 8))
-    got = sandwich_array(u.coeffs[None, :], single)[0, 0]
-    want = pga.sandwich(u, pga.Multivector(single[0, 0])).coeffs
+    got = sandwich_array(u[None, :], single)[0, 0]
+    want = sandwich(u, single[0, 0])
     assert np.allclose(got, want, atol=1e-13)
 
 
@@ -29,15 +29,14 @@ def test_batched_sandwich_matches_scalar_loop_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 4, 8))
     motors = np.stack(
-        [rand_motor(rng).coeffs for _ in range(6)], axis=0
+        [rand_motor(rng) for _ in range(6)], axis=0
     ).reshape(2, 3, 4)
     out = sandwich_array(motors, x)
     worst = 0.0
     for i in range(2):
         for j in range(3):
-            u = pga.Motor(motors[i, j])
             for c in range(4):
-                want = pga.sandwich(u, pga.Multivector(x[i, j, c])).coeffs
+                want = sandwich(motors[i, j], x[i, j, c])
                 worst = max(worst, float(np.max(np.abs(out[i, j, c] - want))))
     assert worst <= 1e-13
 
@@ -58,25 +57,23 @@ def test_motor_embedding_roundtrip():
     rng = np.random.default_rng(6)
     for _ in range(20):
         u = rand_motor(rng, trans=1e4)
-        tol = 1e-13 * (1.0 + np.max(np.abs(u.coeffs)))
-        rows = sandwich_array(u.coeffs, np.eye(8))
+        tol = 1e-13 * (1.0 + np.max(np.abs(u)))
+        rows = sandwich_array(u, np.eye(8))
         for a in range(8):
-            want = pga.sandwich(u, pga.Multivector.basis(a)).coeffs
-            assert np.max(np.abs(rows[a] - want)) <= tol
+            assert np.max(np.abs(rows[a] - sandwich(u, np.eye(8)[a]))) <= tol
         x = rng.normal(size=(3, 8))
-        back = sandwich_array(u.inverse().coeffs, sandwich_array(u.coeffs, x))
+        back = sandwich_array(reverse(u), sandwich_array(u, x))
         assert np.max(np.abs(back - x)) <= tol * np.max(np.abs(x))
 
 
 def test_sandwich_array_composes_with_pose_motors():
     rng = np.random.default_rng(7)
     poses = [rand_pose(rng) for _ in range(6)]
-    motors = np.stack([pga.motor_from_pose(p).coeffs for p in poses])
-    pts = np.stack([pga.encode_point(*rng.normal(0, 10, 2)).coeffs for _ in range(6)])
+    motors = np.stack([motor_from_pose(p) for p in poses])
+    pts = np.stack([encode_point(*rng.normal(0, 10, 2)) for _ in range(6)])
     out = sandwich_array(motors, pts[:, None, :])[:, 0, :]
-    for i, p in enumerate(poses):
-        want = pga.sandwich(pga.motor_from_pose(p), pga.Multivector(pts[i])).coeffs
-        assert np.allclose(out[i], want, atol=1e-12)
+    for i in range(6):
+        assert np.allclose(out[i], sandwich(motors[i], pts[i]), atol=1e-12)
 
 
 def test_pose_frame_motors_match_motor_inverse():
@@ -88,7 +85,7 @@ def test_pose_frame_motors_match_motor_inverse():
     poses = np.column_stack([rng.uniform(-1e5, 1e5, n), rng.uniform(-1e5, 1e5, n), theta])
     got = pose_frame_motors(poses.reshape(20, 20, 3)).reshape(n, 4)
     for i in range(n):
-        want = pga.motor_from_pose(pga.Pose2(*poses[i])).inverse().coeffs
+        want = reverse(motor_from_pose(Pose2(*poses[i])))
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(pose_frame_motors(np.zeros((2, 3))), np.tile([1.0, 0, 0, 0], (2, 1)))
 
@@ -108,7 +105,7 @@ def motor_arrays(draw, lead):
     xs = draw(st.lists(coord, min_size=n, max_size=n))
     ys = draw(st.lists(coord, min_size=n, max_size=n))
     ts = draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
-    coeffs = [pga.motor_from_pose(pga.Pose2(*p)).coeffs for p in zip(xs, ys, ts)]
+    coeffs = [motor_from_pose(Pose2(*p)) for p in zip(xs, ys, ts)]
     return np.array(coeffs).reshape(lead + (4,))
 
 
@@ -131,9 +128,8 @@ def test_sandwich_array_equals_scalar_sandwich_per_token(case):
     x, motors = case
     out = sandwich_array(motors, x)
     for idx in np.ndindex(motors.shape[:-1]):
-        u = pga.Motor(motors[idx])
         for c in range(x.shape[-2]):
-            want = pga.sandwich(u, pga.Multivector(x[idx + (c,)])).coeffs
+            want = sandwich(motors[idx], x[idx + (c,)])
             assert np.max(np.abs(out[idx + (c,)] - want)) <= _tolerance(x, motors)
 
 
@@ -143,7 +139,7 @@ def test_sandwich_array_composition_is_motor_product(case):
     x, u1, u2 = case
     product = np.empty_like(u1)
     for idx in np.ndindex(u1.shape[:-1]):
-        product[idx] = (pga.Motor(u1[idx]) @ pga.Motor(u2[idx])).coeffs
+        product[idx] = motor_product(u1[idx], u2[idx])
     nested = sandwich_array(u1, sandwich_array(u2, x))
     once = sandwich_array(product, x)
     assert np.max(np.abs(nested - once)) <= _tolerance(x, u1, u2)

@@ -146,6 +146,52 @@ def test_rollout_rejects_vocab_of_another_checkpoint(workspace, tmp_path):
     assert not (tmp_path / "ro").exists()
 
 
+def _drop_last(m, payload):
+    entry = m["params"].pop()
+    del payload[-4 * int(np.prod(entry["shape"])):]
+
+
+def _poison_first_value(m, payload):
+    payload[:4] = np.float32(np.nan).tobytes()
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda m, p: m.pop("params"), "$.params must be a list"),
+    (lambda m, p: m.update(params={}), "$.params must be a list"),
+    (lambda m, p: m["params"].__setitem__(3, [m["params"][3]["name"]]), "$.params[3] must be an object"),
+    (lambda m, p: m["params"][3].update(dtype="<i8"), "$.params[3].dtype is '<i8'"),
+    (lambda m, p: m["params"][3].update(dtype="<f8"), "$.params[3].dtype of 'embed/map_mv/bias' is <f8"),
+    (lambda m, p: m["params"][3].update(shape=[-1]), "$.params[3].shape"),
+    (lambda m, p: m["params"][3].update(shape=[2.5]), "$.params[3].shape"),
+    (lambda m, p: m["params"][0].update(shape=[int(np.prod(m["params"][0]["shape"]))]),
+     "$.params[0].shape"),
+    (lambda m, p: m["params"][0].update(name="embed/agent_mv/weights"), "$.params[0].name"),
+    (lambda m, p: m["params"].append({**m["params"][-1], "name": "extra"}), "'extra' is not a parameter"),
+    (lambda m, p: m["config"].update(blocks=0), "'block0/"),
+    (lambda m, p: m["config"].update(blocks=2),
+     "$.params lacks 44 of the configured model's parameters, first 'block1/"),
+    (lambda m, p: m["config"].update(bloks=2), "$.config.bloks"),
+    (lambda m, p: m["config"].update(vocab_sizes=5), "$.config: "),
+    (_drop_last, "$.params lacks 1 of the configured model's parameters, first 'decoder/bias'"),
+    (_poison_first_value, "$.params[0]: parameter 'embed/agent_mv/weight' holds a non-finite value"),
+])
+def test_malformed_checkpoint_exits_2(workspace, tmp_path, capsys, mutate, where):
+    """A checkpoint is loaded only if it holds exactly the configured model's finite parameters."""
+    blob = (workspace["run"] / "checkpoint.ckpt").read_bytes()
+    newline = blob.index(b"\n")
+    manifest, payload = json.loads(blob[:newline]), bytearray(blob[newline + 1:])
+    mutate(manifest, payload)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    scene_file = sorted(workspace["scenes"].glob("scene_*.json"))[0]
+    code = cli.main(["rollout", "--checkpoint", str(bad), "--scene", str(scene_file),
+                     "--vocab", str(workspace["vocab"]), "--horizon", "2", "--context", "5",
+                     "--out", str(tmp_path / "ro")])
+    assert code == cli.EXIT_VALIDATION
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "ro").exists()
+
+
 def test_bench_csv(workspace, tmp_path):
     out = tmp_path / "bench"
     code = cli.main(["bench", "--agents", "2,4", "--map-tokens", "6", "--steps", "4",
@@ -219,7 +265,8 @@ def test_unknown_run_config_key_exits_1(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     out = tmp_path / "s"
     for doc, key in (({"cuont": 3}, "cuont"), ({"count": 1, "threads": 4}, "threads"),
-                     ({"count": 1, "steps": 5}, "steps")):  # steps is a train/bench flag, not gen's
+                     ({"count": 1, "steps": 5}, "steps"),  # steps is a train/bench flag, not gen's
+                     ({"generator": {"n_agnets": 2}}, "n_agnets"), ({"model": {"head": 2}}, "head")):
         cfg_file.write_text(json.dumps(doc))
         assert cli.main(["gen", "--config", str(cfg_file), "--out", str(out)]) == cli.EXIT_USAGE
         assert f"unknown key '{key}'" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eqtraffic import autodiff as ad
-from eqtraffic import pga
 from eqtraffic.batch import sandwich_array, sandwich_matrix
 from eqtraffic.layers import (
     DISTANCE_EPS,
@@ -28,7 +27,21 @@ from eqtraffic.layers import (
     rms_normalize,
     scalar_layer_norm,
 )
-from helpers import distance_features, grad_check, max_rel_err, rand_motor, rand_pose
+from eqtraffic.pga import INNER_INDICES, Pose2
+from helpers import (
+    distance_features,
+    encode_point,
+    gp,
+    grad_check,
+    grade,
+    inner,
+    join,
+    max_rel_err,
+    motor_from_pose,
+    rand_motor,
+    rand_pose,
+    reverse,
+)
 
 
 def distance_features_query(x, eps=DISTANCE_EPS):
@@ -44,7 +57,7 @@ def distance_features_key(x, eps=DISTANCE_EPS):
 
 def transform_mv(motor, x):
     """Apply one motor to every token/channel of [..., C, 8]."""
-    return np.asarray(sandwich_array(np.asarray(motor.coeffs), np.asarray(x)))
+    return np.asarray(sandwich_array(motor, np.asarray(x)))
 
 
 def deviation(a, b):
@@ -110,13 +123,12 @@ def test_eq_linear_channel_mixing_matches_loop():
         for t in range(4):
             acc = np.zeros(8)
             for i in range(2):
-                mv = pga.Multivector(x[t, i])
                 for k in range(4):
-                    acc += weight[o, i, k] * pga.grade_project(mv, k).coeffs
+                    acc += weight[o, i, k] * grade(x[t, i], k)
                 for k in range(3):
-                    gk = pga.grade_project(mv, k)
-                    acc += weight[o, i, 4 + k] * pga.geometric_product(pga.Multivector.basis(1), gk).coeffs
-                    acc += weight[o, i, 7 + k] * pga.geometric_product(pga.Multivector.basis(7), gk).coeffs
+                    gk = grade(x[t, i], k)
+                    acc += weight[o, i, 4 + k] * gp(np.eye(8)[1], gk)
+                    acc += weight[o, i, 7 + k] * gp(np.eye(8)[7], gk)
             assert np.allclose(got[t, o], acc, atol=1e-12)
 
 
@@ -180,7 +192,7 @@ def test_geometric_bilinear_join_matches_scalar_join():
     out = np.asarray(geometric_bilinear(y, y, y, z))[:, 3:]
     for t in range(4):
         for c in range(3):
-            want = pga.join(pga.Multivector(y[t, c]), pga.Multivector(z[t, c])).coeffs
+            want = join(y[t, c], z[t, c])
             assert np.allclose(out[t, c], want, atol=1e-12)
 
 
@@ -267,8 +279,8 @@ def test_scalar_layer_norm_moments():
 # ---------------------------------------------------------------------------
 
 def ref_eq_layer_norm(x, eps):
-    inner = x[..., list(pga.INNER_INDICES)]
-    mean_sq = (inner * inner).sum(axis=-1).mean(axis=-1, keepdims=True)
+    parts = x[..., list(INNER_INDICES)]
+    mean_sq = (parts * parts).sum(axis=-1).mean(axis=-1, keepdims=True)
     return x / np.sqrt(mean_sq + eps)[..., None]
 
 
@@ -363,7 +375,7 @@ def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads, mask=None, distance
     def rows(mv, s, feature):
         mv_h = heads_mv(mv)
         lead = ad.data_of(mv_h).shape[:-2]
-        pieces = [ad.reshape(ad.take_last(mv_h, pga.INNER_INDICES), lead + (4 * c,))]
+        pieces = [ad.reshape(ad.take_last(mv_h, INNER_INDICES), lead + (4 * c,))]
         if distance_awareness:
             pieces.append(ad.reshape(feature(mv_h, DISTANCE_EPS), lead + (4 * c,)))
         pieces.append(heads_scalar(s))
@@ -437,9 +449,9 @@ def test_fused_attention_matches_composite(case):
 # ---------------------------------------------------------------------------
 
 def test_distance_features_negative_squared_distance():
-    q = pga.encode_point(0.0, 0.0)
-    k = pga.encode_point(3.0, 4.0)
-    dot = float(np.dot(distance_features_query(q.coeffs, eps=0.0), distance_features_key(k.coeffs, eps=0.0)))
+    q = encode_point(0.0, 0.0)
+    k = encode_point(3.0, 4.0)
+    dot = float(np.dot(distance_features_query(q, eps=0.0), distance_features_key(k, eps=0.0)))
     assert math.isclose(dot, -25.0, abs_tol=1e-12)
 
 
@@ -451,8 +463,8 @@ def test_distance_features_zero_bivector_weight():
 
 
 def test_distance_features_identical_points():
-    p = pga.encode_point(-2.0, 7.0)
-    dot = float(np.dot(distance_features_query(p.coeffs, eps=0.0), distance_features_key(p.coeffs, eps=0.0)))
+    p = encode_point(-2.0, 7.0)
+    dot = float(np.dot(distance_features_query(p, eps=0.0), distance_features_key(p, eps=0.0)))
     assert abs(dot) <= 1e-12
 
 
@@ -461,8 +473,8 @@ def test_distance_identity_random_points():
     eps = 1e-6
     for _ in range(1000):
         qx, qy, kx, ky = rng.uniform(-50, 50, size=4)
-        q, k = pga.encode_point(qx, qy), pga.encode_point(kx, ky)
-        dot = float(np.dot(distance_features_query(q.coeffs, eps=eps), distance_features_key(k.coeffs, eps=eps)))
+        q, k = encode_point(qx, qy), encode_point(kx, ky)
+        dot = float(np.dot(distance_features_query(q, eps=eps), distance_features_key(k, eps=eps)))
         want = -((kx - qx) ** 2 + (ky - qy) ** 2) / (1.0 + eps) ** 2
         assert abs(dot - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -482,12 +494,9 @@ def test_concatenated_logits_equal_three_term_sum():
             for j in range(lk):
                 total = 0.0
                 for cc in range(c):
-                    qc = pga.Multivector(mv_q[i, h * c + cc])
-                    kc = pga.Multivector(mv_k[j, h * c + cc])
-                    total += pga.invariant_inner_product(qc, kc)
-                    total += float(
-                        np.dot(distance_features_query(qc.coeffs), distance_features_key(kc.coeffs))
-                    )
+                    qc, kc = mv_q[i, h * c + cc], mv_k[j, h * c + cc]
+                    total += inner(qc, kc)
+                    total += float(np.dot(distance_features_query(qc), distance_features_key(kc)))
                 total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
                 assert abs(logits[h, i, j] - total / denom) <= 1e-12 * max(1.0, abs(total))
 
@@ -502,9 +511,7 @@ def test_logit_denominator_without_distance_awareness():
     for h in range(heads):
         for i in range(3):
             for j in range(4):
-                total = sum(pga.invariant_inner_product(pga.Multivector(mv_q[i, h * c + cc]),
-                                                        pga.Multivector(mv_k[j, h * c + cc]))
-                            for cc in range(c))
+                total = sum(inner(mv_q[i, h * c + cc], mv_k[j, h * c + cc]) for cc in range(c))
                 total += float(np.dot(sq[i, h * cs:(h + 1) * cs], sk[j, h * cs:(h + 1) * cs]))
                 assert abs(logits[h, i, j] - total / math.sqrt(4 * c + cs)) <= 1e-12 * max(1.0, abs(total))
 
@@ -635,10 +642,10 @@ def test_adapter_zero_mlp_keeps_scalars():
 def test_adapter_sees_own_position_at_origin():
     rng = np.random.default_rng(21)
     poses = [rand_pose(rng) for _ in range(5)]
-    mv = np.stack([[pga.encode_point(p.x, p.y).coeffs] for p in poses])  # [5, 1, 8]
-    frames = np.stack([pga.motor_from_pose(p).inverse().coeffs for p in poses])
+    mv = np.stack([[encode_point(p.x, p.y)] for p in poses])  # [5, 1, 8]
+    frames = np.stack([reverse(motor_from_pose(p)) for p in poses])
     local = np.asarray(sandwich_array(frames, mv))
-    origin = pga.encode_point(0.0, 0.0).coeffs
+    origin = encode_point(0.0, 0.0)
     for n in range(5):
         assert np.allclose(local[n, 0], origin, atol=1e-10)
 
@@ -651,18 +658,15 @@ def test_adapter_invariance_under_scene_transform():
     mlp = rand_mlp(rng, 24, 8, 4)
 
     def sandwich_of(pose_list):
-        return sandwich_matrix(np.stack([pga.motor_from_pose(p).inverse().coeffs for p in pose_list]))
+        return sandwich_matrix(np.stack([reverse(motor_from_pose(p)) for p in pose_list]))
 
     base = np.asarray(invariant_adapter(mv, s, sandwich_of(poses), mlp))
     worst = 0.0
     for _ in range(100):
-        g = rand_motor(rng)
-        gp = g.pose()
-        moved_poses = [
-            pga.Pose2(*_compose(gp, p)) for p in poses
-        ]
+        g = rand_pose(rng)
+        moved_poses = [Pose2(*_compose(g, p)) for p in poses]
         moved = np.asarray(
-            invariant_adapter(transform_mv(g, mv), s, sandwich_of(moved_poses), mlp)
+            invariant_adapter(transform_mv(motor_from_pose(g), mv), s, sandwich_of(moved_poses), mlp)
         )
         worst = max(worst, deviation(moved, base))
     assert worst <= 1e-10

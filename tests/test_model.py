@@ -12,7 +12,18 @@ from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
 from eqtraffic.batch import pose_frame_motors, sandwich_matrix
-from helpers import ROW_FIELDS, batch_rows, gappy_scene, grad_check, stack_samples
+from helpers import (
+    ROW_FIELDS,
+    batch_rows,
+    decode_point,
+    encode_point,
+    gappy_scene,
+    grad_check,
+    motor_from_pose,
+    reverse,
+    sandwich,
+    stack_samples,
+)
 
 
 def make_vocab(rng, cap=16, k_r=0.05):
@@ -69,8 +80,7 @@ def test_token_batch_shapes_and_alignment():
     # frames map each token's own position to the origin
     for ai in range(a):
         for ti in range(t):
-            u = pga.Motor(batch.frames[ai, ti])
-            x, y = pga.decode_point(u.apply(pga.encode_point(*batch.raw_poses[ai, ti, :2])))
+            x, y = decode_point(sandwich(batch.frames[ai, ti], encode_point(*batch.raw_poses[ai, ti, :2])))
             assert abs(x) <= 1e-9 and abs(y) <= 1e-9
 
 
@@ -327,7 +337,7 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
         token_of = {}
         for t, s in states.items():
             if t + 1 in states:
-                d = s.pose.delta_to(states[t + 1].pose)
+                d = s.pose.inverse().compose(states[t + 1].pose)
                 dists = sc.action_distance(vocab.deltas[agent.agent_class], np.array([d.x, d.y, d.theta]),
                                            vocab.w_theta)
                 token_of[t] = int(np.argmin(dists))
@@ -740,6 +750,31 @@ def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
     assert taped == terms["attn_scores"] + terms["attn_values"]
 
 
+def test_rpe_pair_flops_from_the_tape_match_flop_count():
+    """The rpe baseline's per-pair cost, counted on recorded ops: its relative-pose MLP
+    matmuls (2*rows*k*n) plus the key and value offset products (one flop per element of
+    each mul's output and of each reduce_sum's input)."""
+    scene, vocab, cfg, _, batch = desk_setup()
+    p = md.init_baseline_params(cfg, "rpe").as_vars()
+    rpe_weights = {id(v) for n, v in p.items() if "/rpe/w" in n}
+    with ad.Tape() as tape:
+        md.baseline_forward(batch, p, cfg, "rpe")
+    produced_by = {id(out): node for node in tape.nodes for out in node.outputs}
+    mlp = sum(2 * ad.data_of(node.output).size * node.ctx["da"].shape[-1] for node in tape.nodes
+              if node.op == "matmul" and id(node.inputs[1]) in rpe_weights)
+    # the offsets are split off the MLP output, so each offset product reads a take_slice
+    offset_muls = [node for node in tape.nodes if node.op == "mul"
+                   and any(getattr(produced_by.get(id(x)), "op", None) == "take_slice" for x in node.inputs)]
+    offset_sums = [node for node in tape.nodes if node.op == "reduce_sum"
+                   and produced_by.get(id(node.inputs[0])) in offset_muls]
+    offsets = sum(ad.data_of(node.output).size for node in offset_muls) + sum(
+        math.prod(node.ctx["shape"]) for node in offset_sums)
+    assert len(offset_muls) == len(offset_sums) == 2 * 3 * cfg.blocks
+    terms = md.flop_count(cfg, batch.num_agents, batch.num_map, batch.num_steps, "rpe")["terms"]
+    pairs = terms["pos_pairs_agent_map"] + terms["pos_pairs_agent_agent"] + terms["pos_pairs_time"]
+    assert mlp + offsets == pairs
+
+
 def test_rpe_zero_mlp_reduces_to_vanilla_attention():
     rng = np.random.default_rng(10)
     d = 6
@@ -879,25 +914,25 @@ def test_invariant_loss_gradients_transform_contravariantly():
     # must reproduce the untransformed gradient: d/dx loss(u[x]) = d/dx loss(x)
     batch, cfg, names, params = tiny_grad_setup()
     from eqtraffic.batch import sandwich_array
-    from helpers import rand_motor
+    from helpers import rand_pose
 
     mv_in = batch.mv.copy()
     pdict = {n: params[n] for n in names}
 
-    def grad_of_transformed(motor_coeffs):
+    def grad_of_transformed(g):
         x = ad.Var(mv_in)
         with ad.Tape() as tape:
-            if motor_coeffs is None:
+            if g is None:
                 moved, frames, map_mv = x, batch.frames, batch.map_mv
             else:
-                moved = sandwich_array(motor_coeffs, x)
-                gp = pga.Motor(motor_coeffs).pose()
+                u = motor_from_pose(g)
+                moved = sandwich_array(u, x)
                 frames = np.zeros_like(batch.frames)
                 for a in range(batch.num_agents):
                     for t in range(batch.num_steps):
                         p = pga.Pose2(*batch.raw_poses[a, t])
-                        frames[a, t] = pga.motor_from_pose(gp.compose(p)).inverse().coeffs
-                map_mv = np.asarray(sandwich_array(motor_coeffs, batch.map_mv))
+                        frames[a, t] = reverse(motor_from_pose(g.compose(p)))
+                map_mv = np.asarray(sandwich_array(u, batch.map_mv))
             patched = md.TokenBatch(**{**batch.__dict__, "map_mv": map_mv, "frames": frames})
             lv = _forward_loss_with_tracked_mv(moved, patched, pdict, cfg)
         return ad.backward(tape, lv)[x]
@@ -905,8 +940,7 @@ def test_invariant_loss_gradients_transform_contravariantly():
     base = grad_of_transformed(None)
     rng = np.random.default_rng(3)
     for _ in range(3):
-        u = rand_motor(rng)
-        moved = grad_of_transformed(np.asarray(u.coeffs))
+        moved = grad_of_transformed(rand_pose(rng))
         scale = max(1.0, float(np.max(np.abs(base))))
         assert float(np.max(np.abs(moved - base))) <= 1e-8 * scale
 

@@ -9,7 +9,15 @@ import pytest
 
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from helpers import compose_pose_oracle, gappy_scene, line_residual, rand_pose
+from helpers import (
+    compose_pose_oracle,
+    decode_point,
+    gappy_scene,
+    line_residual,
+    motor_from_pose,
+    rand_pose,
+    sandwich,
+)
 
 
 def small_scene(seed=0, **overrides):
@@ -33,8 +41,8 @@ def agent_deltas(scene):
 # token pose encoding
 # ---------------------------------------------------------------------------
 
-def encode_pose(p: pga.Pose2) -> pga.Multivector:
-    return pga.Multivector(sc.encode_pose_array([p.x, p.y, p.theta]))
+def encode_pose(p: pga.Pose2) -> np.ndarray:
+    return sc.encode_pose_array([p.x, p.y, p.theta])
 
 
 def test_encode_token_pose_origin():
@@ -42,7 +50,7 @@ def test_encode_token_pose_origin():
     want = np.zeros(8)
     want[3] = 1.0  # e2, the x-axis line
     want[6] = 1.0  # e12, the origin point
-    assert np.allclose(mv.coeffs, want)
+    assert np.allclose(mv, want)
 
 
 def test_encoded_line_passes_through_pose_point():
@@ -52,10 +60,10 @@ def test_encoded_line_passes_through_pose_point():
         mv = encode_pose(p)
         assert abs(line_residual(mv, p.x, p.y)) <= 1e-12 * max(1.0, abs(p.x) + abs(p.y))
         # bivector part decodes back to the position
-        x, y = pga.decode_point(mv)
+        x, y = decode_point(mv)
         assert math.isclose(x, p.x, abs_tol=1e-12) and math.isclose(y, p.y, abs_tol=1e-12)
         # the line direction matches the heading
-        a, b = mv.coeffs[2], mv.coeffs[3]
+        a, b = mv[2], mv[3]
         assert math.isclose(a * math.cos(p.theta) + b * math.sin(p.theta), 0.0, abs_tol=1e-12)
 
 
@@ -63,10 +71,10 @@ def test_encode_commutes_with_motors():
     rng = np.random.default_rng(2)
     for _ in range(200):
         g, p = rand_pose(rng), rand_pose(rng)
-        encoded_then_moved = pga.sandwich(pga.motor_from_pose(g), encode_pose(p))
+        encoded_then_moved = sandwich(motor_from_pose(g), encode_pose(p))
         moved_then_encoded = encode_pose(compose_pose_oracle(g, p))
-        scale = max(1.0, np.max(np.abs(moved_then_encoded.coeffs)))
-        assert np.max(np.abs(encoded_then_moved.coeffs - moved_then_encoded.coeffs)) <= 1e-12 * scale
+        scale = max(1.0, np.max(np.abs(moved_then_encoded)))
+        assert np.max(np.abs(encoded_then_moved - moved_then_encoded)) <= 1e-12 * scale
 
 
 def test_encode_pose_array_matches_scalar_path():
@@ -75,7 +83,7 @@ def test_encode_pose_array_matches_scalar_path():
     arr = np.array([[p.x, p.y, p.theta] for p in poses])
     batch = sc.encode_pose_array(arr)
     for i, p in enumerate(poses):
-        assert np.array_equal(batch[i], encode_pose(p).coeffs)
+        assert np.array_equal(batch[i], encode_pose(p))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,9 @@ BAD_SCENE_VALUES = {
     "non_object_agent": (lambda d: d["agents"].__setitem__(1, 7),
                          r"\$\.agents\[1\]: expected an object"),
     "infinite_map_x": (lambda d: d["map"][0].update(x=float("inf")), r"\$\.map\[0\]\.x"),
+    "huge_dt": (lambda d: d.update(dt=10**400), r"\$\.dt: expected a finite number"),
+    "huge_agent_id": (lambda d: d["agents"][1].update(id=10**400),
+                      r"\$\.agents\[1\]\.id: \d+ outside the 64-bit integer range"),
 }
 
 
@@ -422,6 +433,8 @@ BAD_VOCAB_VALUES = {
     "classes_array": (lambda d: d.update(classes=[1]), r"\$\.classes: expected an object"),
     "unknown_class": (lambda d: d["classes"].update(truck=d["classes"]["vehicle"]),
                       r"\$\.classes: unknown field 'truck'"),
+    "huge_k_r": (lambda d: d.update(k_r=10**400), r"\$\.k_r: expected a finite number"),
+    "huge_seed": (lambda d: d.update(seed=-10**400), r"\$\.seed: -\d+ outside the 64-bit integer range"),
 }
 
 
@@ -463,7 +476,7 @@ def test_tokenize_dynamics_roundtrip_bound():
 
 
 def test_transitions_match_pose_pairs():
-    """Pooled transitions equal, bit for bit, Pose2.delta_to over each agent's consecutive states,
+    """Pooled transitions equal, bit for bit, Pose2 increments over each agent's consecutive states,
     in scene, agent and time order."""
     scenes = [small_scene(seed=40 + n, n_agents=n) for n in (1, 4, 9)] + [gappy_scene(s, n_agents=6)
                                                                          for s in (43, 44)]
@@ -472,7 +485,7 @@ def test_transitions_match_pose_pairs():
         for agent in scene.agents:
             for a, b in zip(agent.states, agent.states[1:]):
                 if b.t == a.t + 1:
-                    d = a.pose.delta_to(b.pose)
+                    d = a.pose.inverse().compose(b.pose)
                     expect[agent.agent_class].append((d.x, d.y, d.theta))
     pools = sc.collect_transitions(scenes)
     for cls in sc.AGENT_CLASSES:
