@@ -515,14 +515,16 @@ def _merge_heads(x, tail: int):
 
 
 def _attention_rows(mv, s, heads: int, mix, eps: float):
-    """Per-head rows [..., H, L, 4c (+ 4c) + cs] and the saved distance-feature state (or None)."""
+    """Per-head rows [..., H, L, 4c (+ 4c) + cs] and the saved distance-feature state (or None),
+    computed on the head-split multivectors copied once to flat [N, 8] rows (2-D products only)."""
     mv_h = _split_heads(mv, heads, 1)
     rows_shape = mv_h.shape[:-2]
     width = 4 * mv_h.shape[-2]
-    pieces = [mv_h[..., list(INNER_INDICES)].reshape(rows_shape + (width,))]
+    x = mv_h.reshape(-1, 8)
+    pieces = [x[:, list(INNER_INDICES)].reshape(rows_shape + (width,))]
     saved = None
     if mix is not None:
-        feats, saved = _distance_features(mv_h, mix, eps)
+        feats, saved = _distance_features(x, mix, eps)
         pieces.append(feats.reshape(rows_shape + (width,)))
     pieces.append(_split_heads(s, heads, 0))
     return np.concatenate(pieces, axis=-1), saved
@@ -532,10 +534,10 @@ def _attention_rows_grad(g, saved, c: int):
     """Cotangents (mv [..., L, C, 8], s [..., L, S]) of the rows built by `_attention_rows`."""
     rows_shape = g.shape[:-1]
     width = 4 * c if saved is None else 8 * c
-    g_mv = (np.zeros(rows_shape + (c, 8), dtype=g.dtype) if saved is None
-            else _distance_features_grad(saved, g[..., 4 * c:width].reshape(rows_shape + (c, 4))))
-    g_mv[..., list(INNER_INDICES)] += g[..., :4 * c].reshape(rows_shape + (c, 4))
-    return _merge_heads(g_mv, 1), _merge_heads(g[..., width:], 0)
+    gx = (np.zeros((math.prod(rows_shape) * c, 8), dtype=g.dtype) if saved is None
+          else _distance_features_grad(saved, g[..., 4 * c:width].reshape(-1, 4)))
+    gx[:, list(INNER_INDICES)] += g[..., :4 * c].reshape(-1, 4)
+    return _merge_heads(gx.reshape(rows_shape + (c, 8)), 1), _merge_heads(g[..., width:], 0)
 
 
 def _attention_logits(mv_q, mv_k, sq, sk, heads: int, query_mix, key_mix, eps: float, denom: float):
@@ -545,6 +547,22 @@ def _attention_logits(mv_q, mv_k, sq, sk, heads: int, query_mix, key_mix, eps: f
     logits = qf @ kf.swapaxes(-1, -2)
     logits /= denom
     return logits, qf, kf, q_saved, k_saved
+
+
+def _key_grad(p, x, shape: tuple):
+    """pᵀ @ x for p [..., H, Lq, Lk] and x [..., H, Lq, n], summed to the keys' `shape` [..., H, Lk, n]:
+    the lead axes the keys broadcast over (missing or 1) join the row axis, so each head is one
+    [Lk, E·Lq] @ [E·Lq, n] product and no [..., H, Lk, n] stack is formed and summed."""
+    lead, nd = p.shape[:-3], p.ndim - 3
+    k_lead = (1,) * (nd + 3 - len(shape)) + shape[:-3]
+    keep = [i for i in range(nd) if k_lead[i] != 1]
+    perm = keep + [nd] + [i for i in range(nd) if k_lead[i] == 1] + [nd + 1, nd + 2]
+
+    def rows(a):
+        a = np.broadcast_to(a, lead + a.shape[-3:]).transpose(perm)
+        return a.reshape(a.shape[:len(keep) + 1] + (math.prod(a.shape[len(keep) + 1:-1]), a.shape[-1]))
+
+    return (rows(p).swapaxes(-1, -2) @ rows(x)).reshape(shape)
 
 
 def _mv_attention_vjp(n, g):
@@ -557,8 +575,8 @@ def _mv_attention_vjp(n, g):
     g_logits = _softmax_grad(w, g_out @ vf.swapaxes(-1, -2))
     g_logits /= ctx["denom"]
     g_qf = _unbroadcast(g_logits @ kf, qf.shape)
-    g_kf = _unbroadcast((qf.swapaxes(-1, -2) @ g_logits).swapaxes(-1, -2), kf.shape)
-    g_vf = _unbroadcast(w.swapaxes(-1, -2) @ g_out, vf.shape)
+    g_kf = _key_grad(g_logits, qf, kf.shape)
+    g_vf = _key_grad(w, g_out, vf.shape)
     g_mv_q, g_sq = _attention_rows_grad(g_qf, ctx["q_saved"], c)
     g_mv_k, g_sk = _attention_rows_grad(g_kf, ctx["k_saved"], c)
     g_mv_v = _merge_heads(g_vf[..., :8 * c].reshape(g_vf.shape[:-1] + (c, 8)), 1)
@@ -595,10 +613,14 @@ def bilinear8(a, b, table):
 
 
 def _bilinear8_vjp(n, g):
+    """Over the table's non-zeros (i, j, k): the cotangent of each term a_i b_j t_ijk, times the
+    other operand, scattered to its component by one [N, nnz] @ [nnz, 8] product."""
     da, db, table = n.ctx["da"], n.ctx["db"], n.ctx["table"]
-    tg = np.tensordot(g, table, axes=([-1], [2]))  # [..., i, j]
-    ga = (tg * db[..., None, :]).sum(axis=-1)
-    gb = (tg * da[..., :, None]).sum(axis=-2)
+    i, j, k = np.nonzero(table)
+    gp = g[..., k] * table[i, j, k]
+    flat, onehot = (math.prod(g.shape[:-1]), i.size), np.eye(8, dtype=gp.dtype)
+    ga = ((gp * db[..., j]).reshape(flat) @ onehot[i]).reshape(g.shape)
+    gb = ((gp * da[..., i]).reshape(flat) @ onehot[j]).reshape(g.shape)
     return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape)
 
 

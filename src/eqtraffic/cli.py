@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -72,23 +73,54 @@ def _check_keys(doc, keys, where: str) -> None:
         raise ValueError(f"unknown key '{unknown[0]}' in {where}; known keys: {', '.join(sorted(keys))}")
 
 
-def _load_run_config(path, keys: set) -> dict:
-    """The JSON object in `path` ({} for None); a key outside `keys` or a section's fields is an error."""
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+
+
+def _check_value(value, kind, name: str, choices=None) -> None:
+    """`value` is a JSON value of type `kind` (any for a kind outside `_JSON_KINDS`) and one of
+    `choices`; integers, also where a number is expected, fit in 64 bits, and numbers are finite."""
+    if kind not in _JSON_KINDS:
+        return
+    shown = json.dumps(value)[:40]
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {shown}")
+    if type(value) is int and not -2**63 <= value < 2**63 or type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{name} is out of range: {shown}")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {shown}")
+
+
+def _load_run_config(path, keys: dict) -> dict:
+    """The JSON object in `path` ({} for None). Every key must be one of `keys`, a flag's value must
+    have the flag's type and choices, and each section must build its dataclass."""
     if path is None:
         return {}
     with open(path) as fh:
         doc = json.load(fh)
     _check_keys(doc, keys, "config file")
+    for key, action in keys.items():
+        if key in doc and action is not None:
+            kind = bool if action.nargs == 0 else action.type or str
+            _check_value(doc[key], kind, f"key '{key}'", action.choices)
     for section, cls in _SECTIONS.items():
         if section in doc:
-            _check_keys(doc[section], [f.name for f in dataclasses.fields(cls)], f"section '{section}'")
+            kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+            _check_keys(doc[section], kinds, f"section '{section}'")
+            try:
+                for name, value in doc[section].items():
+                    _check_value(value, kinds[name], name)
+                cls(**doc[section])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"section '{section}': {exc}") from None
     return doc
 
 
-def _config_keys(parser, command: str) -> set:
-    """Run-config keys of `command`: its flags' dests in hyphen spelling, and the config sections."""
-    dests = set(vars(parser.parse_args([command]))) - {"command", "config"}
-    return {dest.replace("_", "-") for dest in dests} | set(_SECTIONS)
+def _config_keys(parser, command: str) -> dict:
+    """Run-config keys of `command`: its flags' dests in hyphen spelling, to the flags' actions,
+    and the sections, to None."""
+    actions = parser.commands[command]._actions
+    flags = {a.dest.replace("_", "-"): a for a in actions if a.dest not in ("help", "config")}
+    return flags | dict.fromkeys(_SECTIONS)
 
 
 def _resolved(args, run_cfg: dict, key: str, default=None):
@@ -382,6 +414,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="eqtraffic", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p):
         p.add_argument("--seed", type=int)

@@ -9,7 +9,7 @@ built with a greedy disk-packing pass over observed transitions.
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -313,6 +313,7 @@ def transform_scene(scene: Scene, g: Pose2) -> Scene:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    _MAX = 1e6  # bound on every field's magnitude, and on a scene's agent states and map nodes
     n_agents: int = 4
     n_lanes: int = 3
     horizon: int = 26
@@ -326,11 +327,16 @@ class GeneratorConfig:
     lateral_spread: float = 0.4   # fixed per-agent offset from the centerline, m
     heading_noise: float = 0.01   # per-step heading jitter, rad
 
-    def validate(self):
+    def __post_init__(self):
+        for f in fields(self):
+            if not abs(getattr(self, f.name)) <= self._MAX:
+                raise ValueError(f"{f.name} must be finite and at most {self._MAX:g} in magnitude")
         if self.n_agents < 1 or self.n_lanes < 1 or self.horizon < 2:
             raise ValueError("generator needs >= 1 agent, >= 1 lane, horizon >= 2")
         if self.dt <= 0 or self.seg_len <= 0 or self.lane_length <= 0:
             raise ValueError("dt, seg_len, lane_length must be positive")
+        if max(self.n_agents * self.horizon, self.n_lanes * self.lane_length / self.seg_len) > self._MAX:
+            raise ValueError(f"a generated scene holds at most {self._MAX:g} agent states and map nodes")
 
 
 _SPEED_RANGES = {"vehicle": (3.0, 11.0), "pedestrian": (0.6, 1.8), "cyclist": (3.0, 6.5)}
@@ -351,7 +357,6 @@ def _lane_pose(start: Pose2, curvature: float, s: float) -> Pose2:
 
 def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
     """Lane arcs plus agents that follow them with mild, bounded noise."""
-    cfg.validate()
     rng = np.random.default_rng(seed)
 
     lanes = []

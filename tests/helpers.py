@@ -170,6 +170,15 @@ def distance_features(x, mix, eps: float):
 ad.register_vjp("distance_features", lambda n, g: (ad._distance_features_grad(n.ctx["saved"], g),))
 
 
+def bilinear8_vjp(a, b, table, g):
+    """Cotangents of `ad.bilinear8(a, b, table)` by the dense formula: `tensordot` of the output
+    cotangent with the table, one reduction per operand, summed over the broadcast axes."""
+    tg = np.tensordot(g, table, axes=([-1], [2]))  # [..., i, j]
+    ga = (tg * b[..., None, :]).sum(axis=-1)
+    gb = (tg * a[..., :, None]).sum(axis=-2)
+    return ad._unbroadcast(ga, a.shape), ad._unbroadcast(gb, b.shape)
+
+
 def grad_check(fn, arrays, step: float = 1e-6, max_coords: int = 200, seed: int = 0,
                min_grad: float = 0.0) -> float:
     """Compare analytic gradients of a scalar-valued fn against central differences.

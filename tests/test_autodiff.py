@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eqtraffic import autodiff as ad
-from eqtraffic.pga import GEOM_TABLE, WEDGE_TABLE
-from helpers import grad_check
+from eqtraffic.pga import GEOM_TABLE, JOIN_TABLE, WEDGE_TABLE
+from helpers import bilinear8_vjp, grad_check
 
 
 def scalarize(x):
@@ -119,6 +119,21 @@ def test_bilinear8_broadcasting_gradients():
     x = rng.normal(size=(4, 3, 8))
     err = grad_check(lambda v: scalarize(ad.bilinear8(v[0], v[1], GEOM_TABLE)), [u, x])
     assert err <= 1e-6
+
+
+@pytest.mark.parametrize("table", [GEOM_TABLE, WEDGE_TABLE, JOIN_TABLE], ids=["geom", "wedge", "join"])
+def test_bilinear8_vjp_matches_the_dense_formula(table):
+    rng = np.random.default_rng(10)
+    for shape_a, shape_b in (((1, 3, 8), (4, 5, 3, 8)), ((4, 5, 3, 8), (1, 3, 8)), ((2, 3, 8), (2, 3, 8)),
+                             ((0, 3, 8), (1, 3, 8))):
+        a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        with ad.Tape() as tape:
+            out = ad.bilinear8(ad.Var(a), ad.Var(b), table)
+        g = rng.normal(size=out.shape)
+        for actual, expected in zip(ad._VJPS["bilinear8"](tape.nodes[0], g), bilinear8_vjp(a, b, table, g)):
+            assert actual.shape == expected.shape and actual.dtype == expected.dtype
+            scale = np.max(np.abs(expected), initial=0.0)
+            assert np.max(np.abs(actual - expected), initial=0.0) <= 1e-13 * scale
 
 
 def test_embedding_and_gather_gradients():

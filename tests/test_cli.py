@@ -1,13 +1,19 @@
 """CLI pipeline: gen -> vocab -> train -> check -> rollout -> bench, exit codes, reruns."""
 
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqtraffic import cli, scene as sc
-from eqtraffic.model import load_checkpoint
+from eqtraffic.model import ModelConfig, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +277,81 @@ def test_unknown_run_config_key_exits_1(tmp_path, capsys):
         assert cli.main(["gen", "--config", str(cfg_file), "--out", str(out)]) == cli.EXIT_USAGE
         assert f"unknown key '{key}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    out = tmp_path / "s"
+    for doc, message in (
+        ({"generator": {"n_agents": "3"}}, "section 'generator': n_agents must be an integer, got \"3\""),
+        ({"model": {"heads": "2"}}, "section 'model': heads must be an integer, got \"2\""),
+        ({"model": {"heads": 3}}, "section 'model': channel counts must be divisible by the head count"),
+        ({"generator": {"dt": 1e308}}, "section 'generator': dt must be finite and at most 1e+06 in magnitude"),
+        ({"generator": {"horizon": 10**400}}, "section 'generator': horizon is out of range: 1000"),
+        ({"count": "3"}, "key 'count' must be an integer, got \"3\""),
+        ({"dtype": "f16"}, "key 'dtype' must be one of f32, f64, got \"f16\""),
+    ):
+        cfg_file.write_text(json.dumps(doc))
+        assert cli.main(["gen", "--config", str(cfg_file), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+_VALID_RUN_CONFIG = {
+    "count": 2, "seed": 3, "out": "scenes", "dtype": "f64",
+    "generator": dataclasses.asdict(sc.GeneratorConfig(n_agents=2, n_lanes=1, horizon=4)),
+    "model": dataclasses.asdict(ModelConfig(mv_channels=2, scalar_channels=4, heads=1, blocks=1)),
+}
+_MUTATIONS = {
+    "retyped": st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.lists(st.integers(-3, 3), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2)),
+    "huge": st.sampled_from([10**400, -10**400, 2**63, 1e308, -1e308]),
+    "nan": st.just(float("nan")),
+}
+
+
+@st.composite
+def run_config_texts(draw):
+    """A valid `gen` run-config file with top-level keys or section fields dropped, retyped (a value
+    of another JSON type), huge or NaN, and the text possibly truncated."""
+    doc = json.loads(json.dumps(_VALID_RUN_CONFIG))
+    paths = [(key,) for key in doc] + [(sec, name) for sec in ("generator", "model") for name in doc[sec]]
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
+        parent = doc if len(path) == 1 else doc.get(path[0])
+        if not isinstance(parent, dict) or path[-1] not in parent:
+            continue  # the section went in an earlier mutation
+        kind, old = draw(st.sampled_from(["dropped", *_MUTATIONS])), parent[path[-1]]
+        if kind == "dropped":
+            del parent[path[-1]]
+        elif kind == "retyped":
+            parent[path[-1]] = draw(_MUTATIONS[kind].filter(lambda v: type(v) is not type(old)))
+        else:
+            parent[path[-1]] = draw(_MUTATIONS[kind])
+    text = json.dumps(doc)
+    return text[:draw(st.integers(0, len(text) - 1))] if draw(st.booleans()) else text
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(run_config_texts())
+def test_mutated_run_config_exits_0_or_1_with_one_line(text):
+    """`gen --config` on a mutated file ends in exit 0 with its scenes, or exit 1 with a one-line message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "run.json"
+        cfg_file.write_text(text)
+        err, here = io.StringIO(), os.getcwd()
+        os.chdir(tmp)  # a dropped "out" writes to ./scenes
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["gen", "--config", str(cfg_file)])
+        finally:
+            os.chdir(here)
+        if code == cli.EXIT_OK:
+            doc = json.loads(text)
+            manifest = json.loads((Path(tmp) / doc.get("out", "scenes") / "manifest.json").read_text())
+            assert len(manifest["scenes"]) == max(0, doc.get("count", 16))
+        else:
+            assert code == cli.EXIT_USAGE and err.getvalue().count("\n") == 1, (code, err.getvalue())
 
 
 def test_config_file_sets_check_flags(workspace, tmp_path):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eqtraffic import autodiff as ad
@@ -349,6 +349,14 @@ def test_fused_primitives_keep_f32():
     cotangents = ad._VJPS["mv_attention"](node, tuple(np.ones_like(out.data) for out in node.outputs))
     assert [g.dtype for g in cotangents] == [np.float32] * 6
 
+    with ad.Tape() as tape:
+        out = geometric_bilinear(*leaves[:3], leaves[0])
+    assert out.dtype == np.float32
+    for node in tape.nodes[:2]:  # the geometric product and the join
+        assert node.op == "bilinear8"
+        cotangents = ad._VJPS["bilinear8"](node, np.ones_like(node.output.data))
+        assert [g.dtype for g in cotangents] == [np.float32] * 2
+
 
 # ---------------------------------------------------------------------------
 # fused attention against the composite attention it replaced
@@ -397,6 +405,24 @@ def composite_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads, mask=None, distance
     return merge_heads(mv_out, 1), merge_heads(s_out, 0)
 
 
+def attention_case(heads, c, cs, lq, lk, lead_q, lead_k, distance_awareness, mask_kind, causal, seed):
+    """Arrays, mask and output cotangents of one fused-attention check; `mask_kind` is None,
+    "random" or "row_off" (random, with the first query row masked entirely)."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=lead + (length,) + tail)
+              for lead, length, tail in ((lead_q, lq, (heads * c, 8)), (lead_k, lk, (heads * c, 8)),
+                                         (lead_k, lk, (heads * c, 8)), (lead_q, lq, (heads * cs,)),
+                                         (lead_k, lk, (heads * cs,)), (lead_k, lk, (heads * cs,)))]
+    mask = None if mask_kind is None else rng.random(size=lead_q + (lq, lk)) < 0.7
+    if mask_kind == "row_off":
+        mask[..., 0, :] = False
+    if causal:  # the queries are the last lq of the lk key positions
+        tri = np.tri(lq, lk, lk - lq, dtype=bool)
+        mask = tri if mask is None else mask & tri
+    cotangents = [rng.normal(size=lead_q + (lq, heads * c, 8)), rng.normal(size=lead_q + (lq, heads * cs))]
+    return heads, distance_awareness, arrays, mask, cotangents
+
+
 @st.composite
 def attention_cases(draw):
     """Random head layouts, causal and masked rows, empty key sets, and keys without the queries' lead dims."""
@@ -406,17 +432,9 @@ def attention_cases(draw):
     lead_k = draw(st.sampled_from([lead_q, lead_q[1:]]))
     distance_awareness = draw(st.booleans())
     causal = draw(st.booleans()) and lq <= lk
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    arrays = [rng.normal(size=lead + (length,) + tail)
-              for lead, length, tail in ((lead_q, lq, (heads * c, 8)), (lead_k, lk, (heads * c, 8)),
-                                         (lead_k, lk, (heads * c, 8)), (lead_q, lq, (heads * cs,)),
-                                         (lead_k, lk, (heads * cs,)), (lead_k, lk, (heads * cs,)))]
-    mask = rng.random(size=lead_q + (lq, lk)) < 0.7 if draw(st.booleans()) else None
-    if causal:  # the queries are the last lq of the lk key positions
-        tri = np.tri(lq, lk, lk - lq, dtype=bool)
-        mask = tri if mask is None else mask & tri
-    cotangents = [rng.normal(size=lead_q + (lq, heads * c, 8)), rng.normal(size=lead_q + (lq, heads * cs))]
-    return heads, distance_awareness, arrays, mask, cotangents
+    seed = draw(st.integers(0, 2**32 - 1))
+    mask_kind = "random" if draw(st.booleans()) else None
+    return attention_case(heads, c, cs, lq, lk, lead_q, lead_k, distance_awareness, mask_kind, causal, seed)
 
 
 def scale_dev(actual, expected) -> float:
@@ -429,6 +447,15 @@ def scale_dev(actual, expected) -> float:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
 @given(attention_cases())
+# keys with fewer (and with size-1) leading dims than the queries, which the VJP folds into its rows
+@example(attention_case(2, 2, 1, 3, 4, (2, 3), (3,), True, "random", False, 1))
+@example(attention_case(1, 2, 2, 2, 3, (2, 3), (1, 3), True, None, False, 2))
+# no keys at all, with keys that broadcast over the queries' leading dims
+@example(attention_case(2, 1, 2, 3, 0, (2, 3), (3,), True, "random", False, 3))
+@example(attention_case(1, 1, 0, 2, 0, (2,), (), False, None, False, 4))
+# a query row with every key masked
+@example(attention_case(2, 2, 2, 3, 4, (2,), (), True, "row_off", False, 5))
+@example(attention_case(1, 2, 1, 2, 3, (), (), True, "row_off", True, 6))
 def test_fused_attention_matches_composite(case):
     heads, distance_awareness, arrays, mask, cotangents = case
     results = []
