@@ -84,12 +84,12 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     All agents step simultaneously from each forward pass.  `context` is the
     number of observed steps used as history (default: all available).  One
     forward over the context fills the key/value cache; its time prefix is
-    tiled once per sample, and each step encodes every sample's newest row
-    from state arrays [samples x agents, steps] (one group per sample, one
-    shared map) and runs one forward for all of them.  Sample r draws from
-    its own generator, seeded `seed + r`.  An agent with no state at t0 - 1
-    (it left before the context ends) is not predicted: its tokens read -1,
-    it stays invalid from t0 on, and it draws no random number.
+    stacked once per sample, and each step encodes every sample's newest row
+    from state arrays [samples, agents, steps] over the one unstacked map and
+    runs one forward for all of them.  Sample r draws from its own generator,
+    seeded `seed + r`.  An agent with no state at t0 - 1 (it left before the
+    context ends) is not predicted: its tokens read -1, it stays invalid from
+    t0 on, and it draws no random number.
     """
     if horizon <= 0 or n_rollouts <= 0:
         raise ValueError("horizon and n_rollouts must be positive")
@@ -107,45 +107,38 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     anchor = md.scene_anchor(scene)
 
     def last_logits(batch, cache):
-        return np.asarray(ad.data_of(md.forward(batch, params, cfg, cache=cache)))[:, -1]
+        return np.asarray(ad.data_of(md.forward(batch, params, cfg, cache=cache)))[..., -1, :]
 
-    def tiled(x):
-        return np.concatenate([x] * n_rollouts)
+    def stacked(x):
+        return np.stack([x] * n_rollouts)
 
     maps = md.map_fields(scene, anchor)
     cache = {}
-    logits = tiled(last_logits(md.encode_states(history, anchor, table, maps, with_targets=False), cache))
+    logits = stacked(last_logits(md.encode_states(history, anchor, table, maps, with_targets=False), cache))
     # every sample continues the one context, and all share its map and the map's keys and values
-    cache = {key: entry if key == "map" else tuple(tiled(x) for x in entry) for key, entry in cache.items()}
-    shared_map = {**maps, "map_group": np.full(len(maps["map_group"]), -1)}
+    cache = {key: entry if key == "map" else tuple(stacked(x) for x in entry) for key, entry in cache.items()}
 
-    n_agents = len(scene.agents)
     future = ((0, 0), (0, horizon))
-    states = AgentStates(tiled(np.pad(history.poses, future + ((0, 0),))),
-                         tiled(np.pad(history.speeds, future)), tiled(np.pad(history.valid, future)),
-                         tiled(history.class_idx), tiled(history.length), tiled(history.width))
-    group = np.repeat(np.arange(n_rollouts), n_agents)
-    live_agents = history.valid[:, t0 - 1]
-    live = tiled(live_agents)
+    states = AgentStates(stacked(np.pad(history.poses, future + ((0, 0),))),
+                         stacked(np.pad(history.speeds, future)), stacked(np.pad(history.valid, future)),
+                         stacked(history.class_idx), stacked(history.length), stacked(history.width))
+    live = history.valid[:, t0 - 1]
     rngs = [None if mode == "greedy" else np.random.default_rng(seed + r) for r in range(n_rollouts)]
-    tokens = np.full((n_rollouts * n_agents, horizon), -1, dtype=np.int64)
+    tokens = np.full((n_rollouts, len(scene.agents), horizon), -1, dtype=np.int64)
     for step in range(horizon):
         t = t0 + step
         if step > 0:
-            rows = md.encode_states(states.steps(t - 2, t), anchor, table, shared_map, group,
-                                    with_targets=False, skip=1)
+            rows = md.encode_states(states.steps(t - 2, t), anchor, table, maps, with_targets=False, skip=1)
             logits = last_logits(rows, cache)
-        per_sample = logits.reshape(n_rollouts, n_agents, -1)[:, live_agents]
-        tokens[live, step] = np.concatenate([md.sample_action(sample, mode, rng, temperature)
-                                             for sample, rng in zip(per_sample, rngs)])
-        states.poses[live, t], states.speeds[live, t] = dynamics_step(
-            states.poses[live, t - 1], table.deltas[states.class_idx[live], tokens[live, step]], scene.dt)
-        states.valid[live, t] = True
+        tokens[:, live, step] = [md.sample_action(sample, mode, rng, temperature)
+                                 for sample, rng in zip(logits[:, live], rngs)]
+        deltas = table.deltas[states.class_idx[:, live], tokens[:, live, step]]
+        poses, speeds = dynamics_step(states.poses[:, live, t - 1], deltas, scene.dt)
+        states.poses[:, live, t], states.speeds[:, live, t], states.valid[:, live, t] = poses, speeds, True
 
-    samples = zip(*(np.split(x, n_rollouts) for x in (states.poses, states.speeds, states.valid, tokens)))
-    return [Rollout(tuple(a.id for a in scene.agents), *arrays, context_steps=t0, mode=mode,
-                    seed=None if mode == "greedy" else seed + r)
-            for r, arrays in enumerate(samples)]
+    return [Rollout(tuple(a.id for a in scene.agents), states.poses[r], states.speeds[r], states.valid[r],
+                    tokens[r], context_steps=t0, mode=mode, seed=None if mode == "greedy" else seed + r)
+            for r in range(n_rollouts)]
 
 
 def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:

@@ -75,6 +75,13 @@ class ModelConfig:
     rpe_hidden: int = 16
 
     def __post_init__(self):
+        for name in ("mv_channels", "scalar_channels", "heads", "input_hidden", "adapter_hidden",
+                     "decoder_hidden", "rpe_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (isinstance(self.vocab_sizes, dict) and set(self.vocab_sizes) == set(AGENT_CLASSES)
+                and all(type(n) is int and n >= 1 for n in self.vocab_sizes.values())):
+            raise ValueError(f"vocab_sizes must map each of {', '.join(AGENT_CLASSES)} to a positive integer")
         if self.mv_channels % self.heads or self.scalar_channels % self.heads:
             raise ValueError("channel counts must be divisible by the head count")
         if self.blocks < 0:
@@ -104,8 +111,11 @@ class ModelConfig:
 
 @dataclass
 class TokenBatch:
-    """Model input for one scene, or for several as groups; all arrays float64 until the forward cast.
+    """Model input for one scene, or several stacked on leading axes; arrays float64 until the forward cast.
 
+    Agent fields are [..., A, T, ...] and map fields [..., M, ...]; the map's
+    leading axes broadcast against the agents' (rollout samples share one
+    unstacked map), so attention only ever pairs tokens of one scene.
     Poses are relative to the scene's anchor (`scene_anchor`): a translation
     only, so the model's invariance absorbs it, and the float32 cast then
     sees scene-sized coordinates however far the scene lies from the origin.
@@ -114,48 +124,56 @@ class TokenBatch:
     audit still moves its inputs by full roto-translations.
     """
 
-    mv: np.ndarray            # [A, T, 1, 8]
-    scalars_raw: np.ndarray   # [A, T, AGENT_FEATURE_WIDTH]
-    raw_poses: np.ndarray     # [A, T, 3] anchor-relative (x, y, theta): frames, knn, baselines
-    prev_flat: np.ndarray     # [A, T] int indices into the flat action-embedding table
-    class_idx: np.ndarray     # [A] int
-    group: np.ndarray         # [A] int; agents attend only to agents of their own group
-    map_mv: np.ndarray        # [M, 1, 8]
-    map_scalars_raw: np.ndarray  # [M, MAP_FEATURE_WIDTH]
-    map_poses: np.ndarray     # [M, 3] anchor-relative
-    map_group: np.ndarray     # [M] int; agents attend to map tokens of their group, or of group -1
-    frames: np.ndarray        # [A, T, 4] motor coefficients (anchor-relative -> agent frame)
-    valid: np.ndarray         # [A, T] bool
-    targets: np.ndarray       # [A, T] int, -1 where undefined
-    target_valid: np.ndarray  # [A, T] bool
+    mv: np.ndarray            # [..., A, T, 1, 8]
+    scalars_raw: np.ndarray   # [..., A, T, AGENT_FEATURE_WIDTH]
+    raw_poses: np.ndarray     # [..., A, T, 3] anchor-relative (x, y, theta): frames, knn, baselines
+    prev_flat: np.ndarray     # [..., A, T] int indices into the flat action-embedding table
+    class_idx: np.ndarray     # [..., A] int
+    map_mv: np.ndarray        # [..., M, 1, 8]
+    map_scalars_raw: np.ndarray  # [..., M, MAP_FEATURE_WIDTH]
+    map_poses: np.ndarray     # [..., M, 3] anchor-relative
+    map_valid: np.ndarray     # [..., M] bool, False on padding
+    frames: np.ndarray        # [..., A, T, 4] motor coefficients (anchor-relative -> agent frame)
+    valid: np.ndarray         # [..., A, T] bool
+    targets: np.ndarray       # [..., A, T] int, -1 where undefined
+    target_valid: np.ndarray  # [..., A, T] bool
 
     @property
     def num_agents(self) -> int:
-        return self.mv.shape[0]
+        return self.valid.shape[-2]
 
     @property
     def num_steps(self) -> int:
-        return self.mv.shape[1]
+        return self.valid.shape[-1]
 
     @property
     def num_map(self) -> int:
-        return self.map_mv.shape[0]
+        return self.map_valid.shape[-1]
+
+
+# `pack_scenes` padding: no target, and the identity frame (`sandwich_matrix` rejects the zero motor)
+_PAD = {"targets": -1, "frames": (1.0, 0.0, 0.0, 0.0)}
 
 
 def pack_scenes(batches) -> TokenBatch:
-    """Batches of different scenes packed as groups 0, 1, ...: agents and maps concatenated.
+    """One-scene batches stacked as [G, ...], padded to the largest agent and map counts.
 
-    Each map token carries its scene's group.  The batches need one step
-    count: build them with a common `t_end`, which pads a scene with a
-    shorter horizon with invalid rows that carry no target.
+    Padded agents and map tokens are invalid, so no scene sees another's
+    tokens or the padding.  The batches need one step count: build them with
+    a common `t_end`, which pads a scene with a shorter horizon with invalid
+    rows that carry no target.
     """
     if len({b.num_steps for b in batches}) != 1:
         raise ValueError("packed batches need one step count; build them with a common t_end")
-    out = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
-           for f in fields(TokenBatch) if f.name not in ("group", "map_group")}
-    out["group"] = np.repeat(np.arange(len(batches)), [b.num_agents for b in batches])
-    out["map_group"] = np.repeat(np.arange(len(batches)), [b.num_map for b in batches])
-    return TokenBatch(**out)
+
+    def padded_stack(parts, fill):
+        out = np.full((len(parts), max(map(len, parts)), *parts[0].shape[1:]), fill, parts[0].dtype)
+        for g, x in enumerate(parts):
+            out[g, :len(x)] = x
+        return out
+
+    return TokenBatch(**{f.name: padded_stack([getattr(b, f.name) for b in batches], _PAD.get(f.name, 0))
+                         for f in fields(TokenBatch)})
 
 
 def flat_token_index(class_idx, token, max_vocab: int):
@@ -205,49 +223,47 @@ def map_fields(scene: Scene, anchor: tuple) -> dict:
     poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]).reshape(-1, 3)
     scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(-1, MAP_FEATURE_WIDTH)
     return {"map_mv": encode_pose_array(poses)[:, None, :], "map_scalars_raw": scalars,
-            "map_poses": poses, "map_group": np.zeros(len(poses), dtype=np.int64)}
+            "map_poses": poses, "map_valid": np.ones(len(poses), dtype=bool)}
 
 
 def encode_states(states: AgentStates, anchor: tuple, table: VocabTable, maps: dict,
-                  group: np.ndarray | None = None, with_targets: bool = True,
-                  skip: int = 0) -> TokenBatch:
+                  with_targets: bool = True, skip: int = 0) -> TokenBatch:
     """Token rows of the state arrays from step `skip` on (earlier steps only give row `skip`
-    its previous action), poses relative to `anchor`, map fields `maps`, groups `group` or 0.
+    its previous action), poses relative to `anchor`, map fields `maps`.
 
     A row's previous action is the token of the increment from the state
-    before it, and its target that of the increment to the next state.
+    before it, and its target that of the increment to the next state.  The
+    states' leading axes, if any, become the batch's.
     """
-    n_agents, n_steps = states.valid.shape
     vmax = table.deltas.shape[1]
     cls = states.class_idx
-    pair = states.valid[:, :-1] & states.valid[:, 1:]
-    tokens = nearest_action(table.deltas[cls][:, None], pose_deltas(states.poses[:, :-1], states.poses[:, 1:]),
-                            table.w_theta, table.sizes[cls][:, None])
-    prev = np.full((n_agents, n_steps), vmax)
-    prev[:, 1:] = np.where(pair, tokens, vmax)
-    targets = np.full((n_agents, n_steps), -1)
+    pair = states.valid[..., :-1] & states.valid[..., 1:]
+    tokens = nearest_action(table.deltas[cls][..., None, :, :],
+                            pose_deltas(states.poses[..., :-1, :], states.poses[..., 1:, :]),
+                            table.w_theta, table.sizes[cls][..., None])
+    prev = np.full(states.valid.shape, vmax)
+    prev[..., 1:] = np.where(pair, tokens, vmax)
+    targets = np.full(states.valid.shape, -1)
     if with_targets:
-        targets[:, :-1] = np.where(pair, tokens, -1)
+        targets[..., :-1] = np.where(pair, tokens, -1)
 
-    rows = slice(skip, None)
-    valid = states.valid[:, rows]
-    poses = np.where(valid[..., None], states.poses[:, rows] - np.array([anchor[0], anchor[1], 0.0]), 0.0)
+    valid = states.valid[..., skip:]
+    poses = np.where(valid[..., None], states.poses[..., skip:, :] - np.array([*anchor, 0.0]), 0.0)
     scalars = np.zeros(valid.shape + (AGENT_FEATURE_WIDTH,))
-    scalars[..., 0] = states.speeds[:, rows]
-    scalars[..., 1] = states.length[:, None]
-    scalars[..., 2] = states.width[:, None]
-    scalars[np.arange(n_agents), :, 3 + cls] = 1.0
+    scalars[..., 0] = states.speeds[..., skip:]
+    scalars[..., 1] = states.length[..., None]
+    scalars[..., 2] = states.width[..., None]
+    scalars[..., 3:] = np.eye(len(AGENT_CLASSES))[cls][..., None, :]
     return TokenBatch(
-        mv=encode_pose_array(poses)[:, :, None, :],
+        mv=encode_pose_array(poses)[..., None, :],
         scalars_raw=np.where(valid[..., None], scalars, 0.0),
         raw_poses=poses,
-        prev_flat=flat_token_index(cls[:, None], prev[:, rows], vmax),
+        prev_flat=flat_token_index(cls[..., None], prev[..., skip:], vmax),
         class_idx=cls,
-        group=np.zeros(n_agents, dtype=np.int64) if group is None else group,
         frames=pose_frame_motors(poses),
         valid=valid,
-        targets=targets[:, rows],
-        target_valid=targets[:, rows] >= 0,
+        targets=targets[..., skip:],
+        target_valid=targets[..., skip:] >= 0,
         **maps,
     )
 
@@ -387,36 +403,31 @@ def _attend(mv, s, normed, kv, prm: AttentionParams, cfg: ModelConfig, mask):
     return ad.add(out_mv, mv), ad.add(out_s, s)
 
 
-def _swap_at(x):
-    """[A, T, ...] <-> [T, A, ...] for the per-timestep attention arrangements."""
-    return ad.moveaxis(x, 1, 0)
+def _swap_at(x, lead: int):
+    """[..., A, T, ...] <-> [..., T, A, ...] behind `lead` leading axes, for per-timestep attention."""
+    return ad.moveaxis(x, lead + 1, lead)
 
 
-def _group_mask(batch: TokenBatch, key_group: np.ndarray, key_valid: np.ndarray | None = None):
-    """[T, A, K]: a valid agent row sees the keys of its own group, and keys of group -1.
-
-    With `key_valid` [K, T], a key counts only at the steps where it is valid.
-    """
-    mask = batch.valid.T[:, :, None] & ((batch.group[:, None] == key_group) | (key_group < 0))
-    if key_valid is not None:
-        mask &= key_valid.T[:, None, :]
-    return mask
+def _step_masks(batch: TokenBatch) -> tuple:
+    """[..., T, A, M] map and [..., T, A, A] agent masks: a valid row sees valid map tokens and agents."""
+    rows = np.swapaxes(batch.valid, -1, -2)[..., None]
+    return rows & batch.map_valid[..., None, None, :], rows & np.swapaxes(rows, -1, -2)
 
 
 def _time_mask(batch: TokenBatch, key_valid: np.ndarray) -> np.ndarray:
-    """[A, Tq, Tk]: a valid row sees its agent's valid keys up to its own step.
+    """[..., A, Tq, Tk]: a valid row sees its agent's valid keys up to its own step.
 
     The Tq rows are the last Tq of the Tk key steps (a cached prefix comes
     first), so row i sees keys up to step Tk - Tq + i.
     """
-    tq, tk = batch.valid.shape[1], key_valid.shape[1]
-    return batch.valid[:, :, None] & key_valid[:, None, :] & np.tri(tq, tk, tk - tq, dtype=bool)
+    tq, tk = batch.valid.shape[-1], key_valid.shape[-1]
+    return batch.valid[..., None] & key_valid[..., None, :] & np.tri(tq, tk, tk - tq, dtype=bool)
 
 
 def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
-    """[A, T, M] boolean mask keeping, per valid agent state, the k nearest map nodes it may see."""
-    seen = np.moveaxis(_group_mask(batch, batch.map_group), 0, 1)
-    diff = batch.raw_poses[:, :, None, :2] - batch.map_poses[None, None, :, :2]
+    """[..., A, T, M] boolean mask keeping, per valid agent state, the k nearest valid map nodes."""
+    seen = batch.valid[..., None] & batch.map_valid[..., None, None, :]
+    diff = batch.raw_poses[..., None, :2] - batch.map_poses[..., None, None, :, :2]
     d2 = np.where(seen, (diff**2).sum(-1), np.inf)
     k = min(k, batch.num_map)
     if k == 0:
@@ -429,18 +440,19 @@ def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
 
 def _decode_logits(h, p, class_idx):
     """Per-class decoder heads and biases, gathered by each agent's class."""
-    heads = ad.embedding(p["decoder/heads"], class_idx)          # [A, H, V]
-    bias = ad.embedding(p["decoder/bias"], class_idx[:, None])   # [A, 1, V]
+    heads = ad.embedding(p["decoder/heads"], class_idx)            # [..., A, H, V]
+    bias = ad.embedding(p["decoder/bias"], class_idx[..., None])   # [..., A, 1, V]
     return ad.add(ad.matmul(h, heads), bias)
 
 
 def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None) -> list:
-    """Each block's map-attention keys and values; a cache keeps those of its first call's map."""
+    """Each block's map-attention keys and values [..., 1, M, ...], the 1 broadcasting over the
+    queries' steps; a cache keeps those of its first call's map."""
     if cache is not None and "map" in cache:
         return cache["map"]
     dt = cfg.np_dtype
-    map_mv = eq_linear(batch.map_mv.astype(dt), _eq_params(p, "embed/map_mv"))
-    map_s = mlp2(batch.map_scalars_raw.astype(dt), _mlp_params(p, "embed/map_in"))
+    map_mv = eq_linear(batch.map_mv[..., None, :, :, :].astype(dt), _eq_params(p, "embed/map_mv"))
+    map_s = mlp2(batch.map_scalars_raw[..., None, :, :].astype(dt), _mlp_params(p, "embed/map_in"))
     normed = _norms(map_mv, map_s)
     kv = [_keys_values(normed, _attn_params(p, f"block{i}/map_attn")) for i in range(cfg.blocks)]
     if cache is not None:
@@ -448,19 +460,19 @@ def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None)
     return kv
 
 
-def _extend(cache: dict | None, key, entry: tuple) -> tuple:
-    """`entry`'s arrays appended along the step axis to those cached at `key`, and cached."""
+def _extend(cache: dict | None, key, entry: tuple, lead: int) -> tuple:
+    """`entry`'s arrays appended along the step axis `lead + 1` to those cached at `key`, and cached."""
     if cache is None:
         return entry
     entry = tuple(ad.data_of(x) for x in entry)
     if key in cache:
-        entry = tuple(np.concatenate(pair, axis=1) for pair in zip(cache[key], entry))
+        entry = tuple(np.concatenate(pair, axis=lead + 1) for pair in zip(cache[key], entry))
     cache[key] = entry
     return entry
 
 
 def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
-    """Next-action logits [A, T, max_vocab].
+    """Next-action logits [..., A, T, max_vocab].
 
     `cache` (a dict, empty before the first call) makes decoding incremental:
     each call's batch holds the rows that follow those already cached, and
@@ -468,40 +480,38 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     per timestep or per token, so the cache holds plain arrays (no gradient
     flows into them): under ("time", i) block i's projected time-attention
     keys and values (mv_k, mv_v, s_k, s_v) of every row so far, and under
-    "valid" the rows' validity, all [A, T, ...] and extended by each call;
+    "valid" the rows' validity, all [..., A, T, ...] and extended by each call;
     under "map" each block's map-attention keys and values, computed once
     from the first call's map (later calls must carry the same map, whose
     arrays then only shape the masks).  The logits equal the same rows of
     one forward over the whole prefix.
     """
-    dt = cfg.np_dtype
+    dt, lead = cfg.np_dtype, batch.valid.ndim - 2
 
     mv = eq_linear(batch.mv.astype(dt), _eq_params(p, "embed/agent_mv"))
     s = mlp2(batch.scalars_raw.astype(dt), _mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = _map_keys_values(batch, p, cfg, cache)
 
-    if cfg.map_attention == "all":
-        map_mask = _group_mask(batch, batch.map_group)
-    else:
-        map_mask = np.moveaxis(knn_map_mask(batch, int(cfg.map_attention)), 1, 0)
-    agent_mask = _group_mask(batch, batch.group, batch.valid)
+    map_mask, agent_mask = _step_masks(batch)
+    if cfg.map_attention != "all":
+        map_mask = np.swapaxes(knn_map_mask(batch, int(cfg.map_attention)), -3, -2)
     sandwich = sandwich_matrix(batch.frames, dt) if cfg.include_adapter else None
-    time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,)))
+    time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,), lead))
 
     for i in range(cfg.blocks):
         # agent-to-map cross attention, batched over timesteps
-        mv_t, s_t = _swap_at(mv), _swap_at(s)
+        mv_t, s_t = _swap_at(mv, lead), _swap_at(s, lead)
         mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i],
                             _attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
         # agent-to-agent self attention, batched over timesteps
         agent_prm, normed = _attn_params(p, f"block{i}/agent_attn"), _norms(mv_t, s_t)
         mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, agent_prm), agent_prm, cfg, agent_mask)
-        mv, s = _swap_at(mv_t), _swap_at(s_t)
+        mv, s = _swap_at(mv_t, lead), _swap_at(s_t, lead)
         # causal self attention over time (and the cached prefix), batched over agents
         time_prm = _attn_params(p, f"block{i}/time_attn")
         normed = _norms(mv, s)
-        kv = _extend(cache, ("time", i), _keys_values(normed, time_prm))
+        kv = _extend(cache, ("time", i), _keys_values(normed, time_prm), lead)
         mv, s = _attend(mv, s, normed, kv, time_prm, cfg, time_mask)
         mv, s = eq_mlp_block(
             mv, s,
@@ -521,24 +531,20 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
 
 
 def _vocab_mask(class_idx: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """[A, 1, V] additive mask pinning out-of-vocabulary slots for small-vocab classes."""
+    """[..., A, 1, V] additive mask pinning out-of-vocabulary slots for small-vocab classes."""
     sizes = np.array([cfg.vocab_sizes[c] for c in AGENT_CLASSES])
-    inside = np.arange(cfg.max_vocab) < sizes[class_idx][:, None]
-    return np.where(inside, 0.0, -1e30).astype(cfg.np_dtype)[:, None, :]
+    inside = np.arange(cfg.max_vocab) < sizes[class_idx][..., None]
+    return np.where(inside, 0.0, -1e30).astype(cfg.np_dtype)[..., None, :]
 
 
-def loss(logits, targets: np.ndarray, valid: np.ndarray, group: np.ndarray | None = None):
-    """Cross entropy averaged over each group's valid (agent, step) positions, then over the groups.
-
-    `group` [A] numbers the agents' groups 0..G-1; None is one group.
-    """
-    group = np.zeros(len(valid), dtype=np.int64) if group is None else group
-    counts = np.bincount(group, weights=valid.sum(axis=1))
+def loss(logits, targets: np.ndarray, valid: np.ndarray):
+    """Cross entropy averaged over each scene's valid (agent, step) positions, then over the scenes."""
+    counts = valid.sum(axis=(-2, -1), keepdims=True)
     if not np.all(counts > 0):
-        raise ValueError("loss needs at least one valid target position in every group")
+        raise ValueError("loss needs at least one valid target position in every scene")
     log_probs = ad.log_softmax(logits)
     picked = ad.gather_last(log_probs, np.maximum(targets, 0))
-    weights = (valid / (counts[group] * len(counts))[:, None]).astype(ad.data_of(picked).dtype)
+    weights = (valid / (counts * counts.size)).astype(ad.data_of(picked).dtype)
     total = ad.reduce_sum(ad.reshape(ad.mul(picked, weights), (-1,)), axis=0)
     return ad.neg(total)
 
@@ -607,7 +613,7 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         batch = pack_scenes([batches[k] for k in picked])
         pvars = params.as_vars()
         with ad.Tape() as tape:
-            loss_var = loss(forward(batch, pvars, cfg), batch.targets, batch.target_valid, batch.group)
+            loss_var = loss(forward(batch, pvars, cfg), batch.targets, batch.target_valid)
         loss_val = float(ad.data_of(loss_var))
         if not math.isfinite(loss_val):
             bad = next(i for i, nd in enumerate(tape.nodes)
@@ -719,7 +725,7 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
     """
     if variant not in ("rpe", "vanilla"):
         raise ValueError(f"unknown baseline variant '{variant}'")
-    dt = cfg.np_dtype
+    dt, lead = cfg.np_dtype, batch.valid.ndim - 2
 
     if variant == "vanilla":
         agents_in = np.concatenate([batch.scalars_raw, batch.raw_poses], axis=-1)
@@ -729,27 +735,25 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
         map_in = batch.map_scalars_raw
     s = mlp2(agents_in.astype(dt), _mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_s = mlp2(map_in.astype(dt), _mlp_params(p, "embed/map_in"))
+    map_s = mlp2(map_in[..., None, :, :].astype(dt), _mlp_params(p, "embed/map_in"))  # [..., 1, M, S]
 
     if variant == "rpe":
-        rel_map = np.moveaxis(pairwise_pose_features(batch.raw_poses, batch.map_poses), 1, 0)
-        rel_agent = pairwise_pose_features(
-            np.moveaxis(batch.raw_poses, 1, 0), np.moveaxis(batch.raw_poses, 1, 0)
-        )
+        poses_t = np.swapaxes(batch.raw_poses, -3, -2)
+        rel_map = pairwise_pose_features(poses_t, batch.map_poses[..., None, :, :])
+        rel_agent = pairwise_pose_features(poses_t, poses_t)
         rel_time = pairwise_pose_features(batch.raw_poses, batch.raw_poses)
     else:
         rel_map = rel_agent = rel_time = None
 
-    map_mask = _group_mask(batch, batch.map_group)
-    agent_mask = _group_mask(batch, batch.group, batch.valid)
+    map_mask, agent_mask = _step_masks(batch)
     time_mask = _time_mask(batch, batch.valid)
 
     for i in range(cfg.blocks):
-        s_t = _swap_at(s)
+        s_t = _swap_at(s, lead)
         s_t = _baseline_attention_sublayer(s_t, map_s, p, f"block{i}/map_attn", variant, rel_map, map_mask)
         s_t = _baseline_attention_sublayer(s_t, None, p, f"block{i}/agent_attn", variant, rel_agent,
                                            agent_mask)
-        s = _swap_at(s_t)
+        s = _swap_at(s_t, lead)
         s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time, time_mask)
         s = ad.add(mlp2(scalar_layer_norm(s), _mlp_params(p, f"block{i}/mlp")), s)
 

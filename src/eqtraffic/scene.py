@@ -8,7 +8,6 @@ built with a greedy disk-packing pass over observed transitions.
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -104,20 +103,20 @@ class Scene:
 
 @dataclass
 class AgentStates:
-    """Agent histories on the step grid as arrays; poses and speeds are zero where `valid` is False."""
+    """Agent histories on the step grid as arrays, with optional leading axes (rollout samples);
+    poses and speeds are zero where `valid` is False."""
 
-    poses: np.ndarray      # [A, T, 3] global (x, y, theta)
-    speeds: np.ndarray     # [A, T]
-    valid: np.ndarray      # [A, T] bool
-    class_idx: np.ndarray  # [A] int
-    length: np.ndarray     # [A]
-    width: np.ndarray      # [A]
+    poses: np.ndarray      # [..., A, T, 3] global (x, y, theta)
+    speeds: np.ndarray     # [..., A, T]
+    valid: np.ndarray      # [..., A, T] bool
+    class_idx: np.ndarray  # [..., A] int
+    length: np.ndarray     # [..., A]
+    width: np.ndarray      # [..., A]
 
     def steps(self, start: int, stop: int) -> "AgentStates":
         """Steps start <= t < stop, as views."""
-        cut = slice(start, stop)
-        return AgentStates(self.poses[:, cut], self.speeds[:, cut], self.valid[:, cut],
-                           self.class_idx, self.length, self.width)
+        return AgentStates(self.poses[..., start:stop, :], self.speeds[..., start:stop],
+                           self.valid[..., start:stop], self.class_idx, self.length, self.width)
 
 
 def agent_states(scene: Scene, n_steps: int) -> AgentStates:
@@ -448,12 +447,16 @@ def _require(obj, keys, path: str, optional=()):
             raise SceneParseError(f"{path}: unknown field '{key}'")
 
 
+# bound on every number of a scene or vocab file: UTM-sized coordinates fit, and pose
+# differences and their squares stay far from overflow (1e308 and -1e308 gave -inf deltas)
+_NUMBER_MAX = 1e9
+
+
 def _number(obj: dict, key: str, path: str) -> float:
     value = obj[key]
-    # a JSON integer beyond the float range counts as infinite
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (math.isfinite(value) if isinstance(value, float) else abs(value) <= sys.float_info.max)):
-        raise SceneParseError(f"{path}.{key}: expected a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _NUMBER_MAX:
+        raise SceneParseError(f"{path}.{key}: expected a finite number of magnitude at most "
+                              f"{_NUMBER_MAX:g}, got {value!r:.40}")
     return float(value)
 
 

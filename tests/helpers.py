@@ -17,8 +17,9 @@ from eqtraffic import model as md
 from eqtraffic import scene as sc
 from eqtraffic.pga import GEOM_TABLE, GRADES, INNER_INDICES, MOTOR_SLOTS, WEDGE_TABLE, Pose2
 
-# TokenBatch fields with a step axis (axis 1)
+# TokenBatch fields with a step axis (axis 1 of a one-scene batch), and the map fields
 ROW_FIELDS = ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid", "targets", "target_valid")
+MAP_FIELDS = ("map_mv", "map_scalars_raw", "map_poses", "map_valid")
 
 
 def gp(a, b):
@@ -150,14 +151,9 @@ def batch_rows(batch, start, stop=None):
 
 
 def stack_samples(batches):
-    """Batches of one scene's samples as groups 0, 1, ... sharing the first batch's map in group -1,
-    as a rollout step lays them out."""
-    first = batches[0]
-    return dataclasses.replace(
-        md.pack_scenes(batches),
-        map_mv=first.map_mv, map_scalars_raw=first.map_scalars_raw, map_poses=first.map_poses,
-        map_group=np.full(first.num_map, -1),
-    )
+    """Batches of one scene's samples stacked on a leading sample axis over the first batch's map,
+    unstacked, as a rollout step lays them out."""
+    return dataclasses.replace(md.pack_scenes(batches), **{f: getattr(batches[0], f) for f in MAP_FIELDS})
 
 
 def distance_features(x, mix, eps: float):

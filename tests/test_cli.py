@@ -2,8 +2,10 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
+import operator
 import os
 import tempfile
 from pathlib import Path
@@ -286,6 +288,12 @@ def test_run_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
         ({"generator": {"n_agents": "3"}}, "section 'generator': n_agents must be an integer, got \"3\""),
         ({"model": {"heads": "2"}}, "section 'model': heads must be an integer, got \"2\""),
         ({"model": {"heads": 3}}, "section 'model': channel counts must be divisible by the head count"),
+        ({"model": {"input_hidden": 0}}, "section 'model': input_hidden must be >= 1, got 0"),
+        ({"model": {"decoder_hidden": -1}}, "section 'model': decoder_hidden must be >= 1, got -1"),
+        ({"model": {"vocab_sizes": {"vehicle": "x", "pedestrian": 2, "cyclist": 2}}},
+         "section 'model': vocab_sizes must map each of vehicle, pedestrian, cyclist to a positive integer"),
+        ({"model": {"vocab_sizes": {"vehicle": 0, "pedestrian": 2, "cyclist": 2}}},
+         "section 'model': vocab_sizes must map each of vehicle, pedestrian, cyclist to a positive integer"),
         ({"generator": {"dt": 1e308}}, "section 'generator': dt must be finite and at most 1e+06 in magnitude"),
         ({"generator": {"horizon": 10**400}}, "section 'generator': horizon is out of range: 1000"),
         ({"count": "3"}, "key 'count' must be an integer, got \"3\""),
@@ -311,17 +319,19 @@ _MUTATIONS = {
 }
 
 
-@st.composite
-def run_config_texts(draw):
-    """A valid `gen` run-config file with top-level keys or section fields dropped, retyped (a value
-    of another JSON type), huge or NaN, and the text possibly truncated."""
-    doc = json.loads(json.dumps(_VALID_RUN_CONFIG))
-    paths = [(key,) for key in doc] + [(sec, name) for sec in ("generator", "model") for name in doc[sec]]
+def _mutated_text(draw, valid: dict, paths: list) -> str:
+    """`valid` as JSON text with the values at up to three of `paths` dropped, retyped (a value of
+    another JSON type), huge or NaN, and the text possibly truncated."""
+    doc = json.loads(json.dumps(valid))
     for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3, unique=True)):
-        parent = doc if len(path) == 1 else doc.get(path[0])
-        if not isinstance(parent, dict) or path[-1] not in parent:
-            continue  # the section went in an earlier mutation
-        kind, old = draw(st.sampled_from(["dropped", *_MUTATIONS])), parent[path[-1]]
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            old = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation replaced or removed it
+        if not isinstance(parent, (dict, list)):
+            continue
+        kind = draw(st.sampled_from(["dropped", *_MUTATIONS]))
         if kind == "dropped":
             del parent[path[-1]]
         elif kind == "retyped":
@@ -330,6 +340,14 @@ def run_config_texts(draw):
             parent[path[-1]] = draw(_MUTATIONS[kind])
     text = json.dumps(doc)
     return text[:draw(st.integers(0, len(text) - 1))] if draw(st.booleans()) else text
+
+
+@st.composite
+def run_config_texts(draw):
+    """A valid `gen` run-config file, mutated in its top-level keys and both sections' fields."""
+    paths = [(key,) for key in _VALID_RUN_CONFIG]
+    paths += [(sec, name) for sec in ("generator", "model") for name in _VALID_RUN_CONFIG[sec]]
+    return _mutated_text(draw, _VALID_RUN_CONFIG, paths)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
@@ -352,6 +370,59 @@ def test_mutated_run_config_exits_0_or_1_with_one_line(text):
             assert len(manifest["scenes"]) == max(0, doc.get("count", 16))
         else:
             assert code == cli.EXIT_USAGE and err.getvalue().count("\n") == 1, (code, err.getvalue())
+
+
+def _valid_scene_doc() -> dict:
+    """A small generated scene whose agents hold all three classes, as parsed JSON."""
+    gen = sc.GeneratorConfig(n_agents=3, n_lanes=1, horizon=4, lane_length=15.0)
+    scene = sc.generate_synthetic_scene(gen, seed=5)
+    agents = tuple(dataclasses.replace(a, agent_class=cls) for a, cls in zip(scene.agents, sc.AGENT_CLASSES))
+    return json.loads(sc.scene_to_json(dataclasses.replace(scene, agents=agents)))
+
+
+_VALID_SCENE = _valid_scene_doc()
+
+
+def _paths(node, path=()):
+    """Paths of every value inside `node`, containers and their members."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def scene_texts(draw):
+    """The valid scene file, mutated anywhere: in its fields, list members and containers."""
+    return _mutated_text(draw, _VALID_SCENE, list(_paths(_VALID_SCENE)))
+
+
+def test_the_valid_scene_makes_a_vocab(tmp_path):
+    (tmp_path / "scenes").mkdir()
+    (tmp_path / "scenes" / "scene_00000.json").write_text(json.dumps(_VALID_SCENE))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["vocab", "--scenes", str(tmp_path / "scenes"), "--out", str(tmp_path / "v.json")])
+    assert code == cli.EXIT_OK
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(scene_texts())
+def test_mutated_scene_exits_0_or_fails_with_one_line(text):
+    """`vocab` on a mutated scene file ends in exit 0 with a finite vocab, or exit 1, 2 or 3 with a
+    one-line message; never in a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes, out = Path(tmp) / "scenes", Path(tmp) / "vocab.json"
+        scenes.mkdir()
+        (scenes / "scene_00000.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["vocab", "--scenes", str(scenes), "--out", str(out)])
+        if code == cli.EXIT_OK:
+            vocab = sc.vocab_from_json(out.read_text())  # rejects a non-finite number
+            assert all(np.isfinite(d).all() for d in vocab.deltas.values())
+        else:
+            assert code in (cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_IO), code
+            assert err.getvalue().count("\n") == 1, (code, err.getvalue())
 
 
 def test_config_file_sets_check_flags(workspace, tmp_path):

@@ -58,6 +58,16 @@ def test_config_validation():
         md.ModelConfig(dtype="f16")
     with pytest.raises(ValueError):
         md.ModelConfig(map_attention=0)
+    for name in ("mv_channels", "scalar_channels", "heads", "input_hidden", "adapter_hidden",
+                 "decoder_hidden", "rpe_hidden"):
+        for width in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                md.ModelConfig(**{name: width})
+    two = {c: 2 for c in sc.AGENT_CLASSES}
+    for sizes in (5, {**two, "vehicle": "x"}, {**two, "vehicle": 0}, {**two, "vehicle": True},
+                  {"vehicle": 2, "pedestrian": 2}, {**two, "bus": 2}):
+        with pytest.raises(ValueError, match="vocab_sizes must map each of vehicle, pedestrian, cyclist"):
+            md.ModelConfig(vocab_sizes=sizes)
 
 
 def test_token_batch_shapes_and_alignment():
@@ -357,11 +367,11 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
                           for n in scene.map_nodes]).reshape(-1, 3)
     return md.TokenBatch(
         mv=sc.encode_pose_array(poses)[:, :, None, :], scalars_raw=scalars, raw_poses=poses,
-        prev_flat=prev_flat, class_idx=class_idx, group=np.zeros(n_agents, dtype=np.int64),
+        prev_flat=prev_flat, class_idx=class_idx,
         map_mv=sc.encode_pose_array(map_poses)[:, None, :],
         map_scalars_raw=np.array([sc.encode_map_scalars(n) for n in scene.map_nodes]).reshape(
             -1, sc.MAP_FEATURE_WIDTH),
-        map_poses=map_poses, map_group=np.zeros(len(map_poses), dtype=np.int64),
+        map_poses=map_poses, map_valid=np.ones(len(map_poses), dtype=bool),
         frames=pose_frame_motors(poses), valid=valid, targets=targets, target_valid=targets >= 0,
     )
 
@@ -447,16 +457,18 @@ def test_stacked_samples_match_separate_forwards(map_attention):
         return batch_rows(md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=False),
                           t_start)
 
-    # full forwards, geometric and scalar baselines: groups never see each other
+    # full forwards, geometric and scalar baselines: samples on a leading axis over one unstacked map
     stacked = stack_samples([rows(sc_, 0, context) for sc_ in samples])
-    assert stacked.group.tolist() == [r for r in range(3) for _ in range(n_agents)]
+    assert stacked.valid.shape == (3, n_agents, context) and stacked.class_idx.shape == (3, n_agents)
+    assert stacked.map_valid.shape == (len(base.map_nodes),) and stacked.map_mv.shape[0] == len(base.map_nodes)
     together = np.asarray(md.forward(stacked, params, cfg))
+    assert together.shape == (3, n_agents, context, cfg.max_vocab)
     for variant in ("vanilla", "rpe"):
         bparams = md.init_baseline_params(cfg, variant)
         b_together = np.asarray(md.baseline_forward(stacked, bparams, cfg, variant))
         for r, sc_ in enumerate(samples):
             alone = np.asarray(md.baseline_forward(rows(sc_, 0, context), bparams, cfg, variant))
-            assert np.max(np.abs(b_together[r * n_agents:(r + 1) * n_agents] - alone)) <= 1e-12
+            assert np.max(np.abs(b_together[r] - alone)) <= 1e-12
 
     # cached forwards: one stacked cache against one cache per sample
     caches = [{} for _ in samples]
@@ -464,13 +476,13 @@ def test_stacked_samples_match_separate_forwards(map_attention):
                 for sc_, c in zip(samples, caches)]
     shared = {}
     np.asarray(md.forward(stacked, params, cfg, cache=shared))
-    assert np.max(np.abs(together - np.concatenate(separate))) <= 1e-12
+    assert np.max(np.abs(together - np.stack(separate))) <= 1e-12
     for t in range(context, base.horizon):
         batch = stack_samples([rows(sc_, t, t + 1) for sc_ in samples])
         together = np.asarray(md.forward(batch, params, cfg, cache=shared))
         for r, (sc_, c) in enumerate(zip(samples, caches)):
             alone = np.asarray(md.forward(rows(sc_, t, t + 1), params, cfg, cache=c))
-            assert np.max(np.abs(together[r * n_agents:(r + 1) * n_agents] - alone)) <= 1e-12
+            assert np.max(np.abs(together[r] - alone)) <= 1e-12
 
 
 def test_decoder_gathers_class_heads_and_masks_vocab():
@@ -623,14 +635,16 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 def test_default_forward_tape_size_is_pinned():
     """A fused rms_norm serves the three norms and one mv_attention node each attention call;
     an eq_linear bias rides in its mv_linear node, the map is normalized once for every
-    block's map attention, and the loss folds its per-group means into constant weights,
-    so it ends without a div."""
+    block's map attention, and the loss folds its per-scene means into constant weights,
+    so it ends without a div.  Scenes packed on a leading axis record the same nodes."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
-    with ad.Tape() as tape:
-        md.loss(md.forward(batch, params.as_vars(), cfg), batch.targets, batch.target_valid)
-    ops = [node.op for node in tape.nodes]
-    counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
-    assert counts == (199, 21, 0, 6)
+    other = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=10), seed=1)
+    for tokens in (batch, md.pack_scenes([batch, md.build_token_batch(other, vocab, cfg)])):
+        with ad.Tape() as tape:
+            md.loss(md.forward(tokens, params.as_vars(), cfg), tokens.targets, tokens.target_valid)
+        ops = [node.op for node in tape.nodes]
+        counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
+        assert counts == (199, 21, 0, 6)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -684,7 +698,7 @@ def test_poses_are_anchor_relative():
 def _loss_and_grads(batch, params, cfg):
     pvars = params.as_vars()
     with ad.Tape() as tape:
-        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid, batch.group)
+        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
     grads = ad.backward(tape, loss)
     return float(ad.data_of(loss)), {name: grads[var] for name, var in pvars.items()}
 
@@ -710,7 +724,13 @@ def test_packed_step_equals_the_per_scene_path(map_attention, n_scenes):
     t_end = max(s.horizon for s in scenes[:n_scenes])
     packed = md.pack_scenes([md.build_token_batch(s, vocab, cfg, t_end=t_end) for s in scenes[:n_scenes]])
     assert packed.num_steps == t_end
-    assert packed.map_group.tolist() == [g for g, b in enumerate(batches) for _ in range(b.num_map)]
+    # scenes on a leading axis, padded to the largest agent and map counts: masks are per scene
+    n_agents, n_map = max(b.num_agents for b in batches), max(b.num_map for b in batches)
+    assert packed.valid.shape == (n_scenes, n_agents, t_end)
+    assert packed.map_valid.tolist() == [[m < b.num_map for m in range(n_map)] for b in batches]
+    map_mask, agent_mask = md._step_masks(packed)
+    assert map_mask.shape == (n_scenes, t_end, n_agents, n_map)
+    assert agent_mask.shape == (n_scenes, t_end, n_agents, n_agents)
     loss, grads = _loss_and_grads(packed, params, cfg)
     alone = [_loss_and_grads(b, params, cfg) for b in batches]
     assert abs(loss - np.mean([lv for lv, _ in alone])) <= 1e-12
@@ -721,7 +741,7 @@ def test_packed_step_equals_the_per_scene_path(map_attention, n_scenes):
     # every scene's valid rows keep their own logits
     logits = np.asarray(md.forward(packed, params, cfg))
     for g, b in enumerate(batches):
-        own = logits[packed.group == g][:, :b.num_steps]
+        own = logits[g, :b.num_agents, :b.num_steps]
         solo = np.asarray(md.forward(b, params, cfg))
         assert np.max(np.abs(own - solo)[b.valid]) <= 1e-12
     if n_scenes > 1:
@@ -957,17 +977,16 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     s = md.mlp2(batch.scalars_raw.astype(dt), md._mlp_params(p, "embed/agent_in"))
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = md._map_keys_values(batch, p, cfg, None)
-    map_mask = md._group_mask(batch, batch.map_group)
-    agent_mask = md._group_mask(batch, batch.group, batch.valid)
+    map_mask, agent_mask = md._step_masks(batch)
     sandwich = sandwich_matrix(batch.frames)
     time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
-        mv_t, s_t = md._swap_at(mv), md._swap_at(s)
+        mv_t, s_t = md._swap_at(mv, 0), md._swap_at(s, 0)
         mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i],
                                md._attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
         mv_t, s_t = _self_attention(mv_t, s_t, md._attn_params(p, f"block{i}/agent_attn"),
                                     cfg, agent_mask)
-        mv, s = md._swap_at(mv_t), md._swap_at(s_t)
+        mv, s = md._swap_at(mv_t, 0), md._swap_at(s_t, 0)
         mv, s = _self_attention(mv, s, md._attn_params(p, f"block{i}/time_attn"), cfg, time_mask)
         mv, s = md.eq_mlp_block(mv, s, md.EqMlpBlockParams(
             expand=md._eq_params(p, f"block{i}/mlp/expand"),

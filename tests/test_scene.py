@@ -390,6 +390,8 @@ BAD_SCENE_VALUES = {
                          r"\$\.agents\[1\]: expected an object"),
     "infinite_map_x": (lambda d: d["map"][0].update(x=float("inf")), r"\$\.map\[0\]\.x"),
     "huge_dt": (lambda d: d.update(dt=10**400), r"\$\.dt: expected a finite number"),
+    "huge_x": (lambda d: _set_state(d, "x", -1e308),
+               r"\$\.agents\[0\]\.states\[1\]\.x: expected a finite number of magnitude at most 1e\+09"),
     "huge_agent_id": (lambda d: d["agents"][1].update(id=10**400),
                       r"\$\.agents\[1\]\.id: \d+ outside the 64-bit integer range"),
 }
