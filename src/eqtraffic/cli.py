@@ -106,6 +106,8 @@ def _load_run_config(path, keys: dict) -> dict:
         if section in doc:
             kinds = {f.name: f.type for f in dataclasses.fields(cls)}
             _check_keys(doc[section], kinds, f"section '{section}'")
+            if section == "model" and "dtype" in doc[section]:
+                raise ValueError("key 'model.dtype' is not allowed; set the top-level key 'dtype' or --dtype")
             try:
                 for name, value in doc[section].items():
                     _check_value(value, kinds[name], name)
@@ -123,25 +125,13 @@ def _config_keys(parser, command: str) -> dict:
     return flags | dict.fromkeys(_SECTIONS)
 
 
-def _resolved(args, run_cfg: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return run_cfg.get(key, default)
-
-
-def _model_config(run_cfg: dict, vocab: sc.ActionVocab | None, dtype: str, seed: int) -> md.ModelConfig:
-    fields = dict(run_cfg.get("model", {}))
+def _model_config(args, run_cfg: dict, vocab: sc.ActionVocab | None) -> md.ModelConfig:
+    """The `model` section with the dtype option; the vocab's sizes and the seed option fill the
+    section's `vocab_sizes` and `seed` where it leaves them out."""
+    fields = {"seed": args.seed, **run_cfg.get("model", {}), "dtype": args.dtype}
     if vocab is not None and "vocab_sizes" not in fields:
         fields["vocab_sizes"] = {c: vocab.size(c) for c in vocab.deltas}
-    fields.setdefault("dtype", dtype)
-    fields.setdefault("seed", seed)
     return md.ModelConfig(**fields)
-
-
-def _generator_config(run_cfg: dict) -> sc.GeneratorConfig:
-    return sc.GeneratorConfig(**run_cfg.get("generator", {}))
 
 
 def _load_scenes(scenes_dir) -> list:
@@ -166,87 +156,64 @@ def _print_resolved(name: str, resolved: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args, run_cfg) -> int:
-    out = Path(_resolved(args, run_cfg, "out", "scenes"))
-    count = int(_resolved(args, run_cfg, "count", 16))
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    gen_cfg = _generator_config(run_cfg)
-    resolved = {"count": count, "seed": seed, "out": str(out),
+    out, seed = Path(args.out), args.seed
+    gen_cfg = sc.GeneratorConfig(**run_cfg.get("generator", {}))
+    resolved = {"count": args.count, "seed": seed, "out": str(out),
                 "generator": dataclasses.asdict(gen_cfg)}
     _print_resolved("gen", resolved)
     meta = _meta(seed, resolved)
 
     entries = []
-    for i in range(count):
+    for i in range(args.count):
         text = sc.scene_to_json(sc.generate_synthetic_scene(gen_cfg, seed + i))
         name = f"scene_{i:05d}.json"
         _atomic_write(out / name, _with_meta(text, {**meta, "seed": seed + i}))
         entries.append({"file": name, "seed": seed + i})
-    manifest = {"meta": meta, "count": count, "scenes": entries}
+    manifest = {"meta": meta, "count": args.count, "scenes": entries}
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=1))
-    print(f"wrote {count} scenes + manifest to {out}")
+    print(f"wrote {args.count} scenes + manifest to {out}")
     return EXIT_OK
 
 
 def cmd_vocab(args, run_cfg) -> int:
-    scenes_dir = _resolved(args, run_cfg, "scenes")
-    if scenes_dir is None:
+    if args.scenes is None:
         raise _UsageError("vocab requires --scenes")
-    out = Path(_resolved(args, run_cfg, "out", "vocab.json"))
-    k_r = float(_resolved(args, run_cfg, "k-r", 0.05))
-    cap = _resolved(args, run_cfg, "cap", 64)
-    cap = None if cap in (None, "none", 0) else int(cap)
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    w_theta = float(_resolved(args, run_cfg, "w-theta", 1.0))
-    resolved = {"scenes": str(scenes_dir), "k_r": k_r, "cap": cap, "seed": seed,
-                "w_theta": w_theta, "out": str(out)}
+    out = Path(args.out)
+    cap = args.cap or None  # 0 disables the cap
+    resolved = {"scenes": args.scenes, "k_r": args.k_r, "cap": cap, "seed": args.seed,
+                "w_theta": args.w_theta, "out": str(out)}
     _print_resolved("vocab", resolved)
 
-    scenes = _load_scenes(scenes_dir)
+    scenes = _load_scenes(args.scenes)
     transitions = sc.collect_transitions(scenes)
-    vocab = sc.build_kdisk_vocab(transitions, k_r=k_r, seed=seed, cap=cap, w_theta=w_theta)
-    _atomic_write(out, _with_meta(sc.vocab_to_json(vocab), _meta(seed, resolved)))
+    vocab = sc.build_kdisk_vocab(transitions, k_r=args.k_r, seed=args.seed, cap=cap, w_theta=args.w_theta)
+    _atomic_write(out, _with_meta(sc.vocab_to_json(vocab), _meta(args.seed, resolved)))
     sizes = {c: vocab.size(c) for c in vocab.deltas}
     print(f"wrote vocab {sizes} to {out}")
     return EXIT_OK
 
 
 def cmd_train(args, run_cfg) -> int:
-    scenes_dir = _resolved(args, run_cfg, "scenes")
-    vocab_path = _resolved(args, run_cfg, "vocab")
-    if scenes_dir is None or vocab_path is None:
+    if args.scenes is None or args.vocab is None:
         raise _UsageError("train requires --scenes and --vocab")
-    out = Path(_resolved(args, run_cfg, "out", "run"))
-    steps = int(_resolved(args, run_cfg, "steps", 2000))
-    lr = float(_resolved(args, run_cfg, "lr", 1e-3))
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    dtype = _resolved(args, run_cfg, "dtype", "f32")
+    out, seed = Path(args.out), args.seed
 
-    vocab = sc.vocab_from_json(Path(vocab_path).read_text())
-    cfg = _model_config(run_cfg, vocab, dtype, seed)
-    resolved = {"scenes": str(scenes_dir), "vocab": str(vocab_path), "steps": steps,
-                "lr": lr, "seed": seed, "model": cfg.to_dict(), "out": str(out)}
+    vocab = sc.vocab_from_json(Path(args.vocab).read_text())
+    cfg = _model_config(args, run_cfg, vocab)
+    resolved = {"scenes": args.scenes, "vocab": args.vocab, "steps": args.steps,
+                "lr": args.lr, "seed": seed, "model": cfg.to_dict(), "out": str(out)}
     _print_resolved("train", resolved)
     meta = _meta(seed, resolved)
 
-    scenes = _load_scenes(scenes_dir)
-    params, curve = md.train(scenes, vocab, cfg, steps=steps, lr=lr, seed=seed)
+    scenes = _load_scenes(args.scenes)
+    params, curve = md.train(scenes, vocab, cfg, steps=args.steps, lr=args.lr, seed=seed)
 
     lines = [f"# {TOOL} config_hash={meta['config_hash']} seed={seed}", "step,lr,loss"]
     lines += [f"{s},{l:.8e},{v:.8e}" for s, l, v in curve]
     _atomic_write(out / "loss.csv", "\n".join(lines) + "\n")
-
     ckpt = out / "checkpoint.ckpt"
-    ckpt.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=ckpt.parent, prefix=ckpt.name + ".tmp")
-    os.close(fd)
-    try:
-        md.save_checkpoint(tmp, params, cfg, vocab, meta=meta)
-        os.replace(tmp, ckpt)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    print(f"final loss {curve[-1][2]:.4f} after {steps} steps; wrote {ckpt}")
+    _atomic_write(ckpt, md.checkpoint_bytes(params, cfg, vocab, meta=meta))
+    print(f"final loss {curve[-1][2]:.4f} after {args.steps} steps; wrote {ckpt}")
     return EXIT_OK
 
 
@@ -259,48 +226,43 @@ def _checkpoint_vocab(vocab_path, manifest: dict) -> sc.ActionVocab:
 
 
 def cmd_check(args, run_cfg) -> int:
-    scenes_dir = _resolved(args, run_cfg, "scenes")
-    if scenes_dir is None:
+    if args.scenes is None:
         raise _UsageError("check requires --scenes")
-    out = Path(_resolved(args, run_cfg, "out", "audit"))
-    trials = int(_resolved(args, run_cfg, "trials", 20))
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    dtype = _resolved(args, run_cfg, "dtype", "f64")
-    negative = bool(_resolved(args, run_cfg, "negative-control", False))
-    random_params = bool(_resolved(args, run_cfg, "random-params", False))
-    horizon = int(_resolved(args, run_cfg, "rollout-horizon", 0))
-    ckpt_path = _resolved(args, run_cfg, "checkpoint")
-    vocab_path = _resolved(args, run_cfg, "vocab")
-    if ckpt_path is None and not (random_params or negative):
+    negative, seed = args.negative_control, args.seed
+    fresh = "--negative-control" if negative else "--random-params" if args.random_params else None
+    if args.checkpoint is None and fresh is None:
         raise _UsageError("check requires --checkpoint or --random-params")
+    if args.checkpoint is not None and fresh is not None:
+        raise _UsageError(f"check takes --checkpoint or {fresh}, not both")
 
-    if ckpt_path is not None:
-        params, cfg, manifest = md.load_checkpoint(ckpt_path)
-        if dtype != cfg.dtype:
-            cfg = dataclasses.replace(cfg, dtype=dtype)
+    if args.checkpoint is not None:
+        params, cfg, manifest = md.load_checkpoint(args.checkpoint)
+        if args.dtype != cfg.dtype:
+            cfg = dataclasses.replace(cfg, dtype=args.dtype)
             params = params.astype(cfg.np_dtype)
-        if vocab_path is None:
+        if args.vocab is None:
             raise _UsageError("check with --checkpoint also requires --vocab")
-        vocab = _checkpoint_vocab(vocab_path, manifest)
+        vocab = _checkpoint_vocab(args.vocab, manifest)
     else:
-        if vocab_path is None:
+        if args.vocab is None:
             raise _UsageError("check requires --vocab (with --checkpoint or --random-params)")
-        vocab = sc.vocab_from_json(Path(vocab_path).read_text())
-        cfg = _model_config(run_cfg, vocab, dtype, seed)
+        vocab = sc.vocab_from_json(Path(args.vocab).read_text())
+        cfg = _model_config(args, run_cfg, vocab)
         params = (md.init_baseline_params(cfg, "vanilla") if negative
                   else md.init_params(cfg))
 
     tolerance = 1e-8 if cfg.dtype == "f64" else 1e-3
-    resolved = {"scenes": str(scenes_dir), "trials": trials, "seed": seed,
-                "dtype": cfg.dtype, "negative_control": negative,
+    resolved = {"scenes": args.scenes, "trials": args.trials, "seed": seed,
+                "dtype": cfg.dtype, "negative_control": negative, "rollout_horizon": args.rollout_horizon,
                 "tolerance": tolerance, "model": cfg.to_dict()}
     _print_resolved("check", resolved)
     meta = _meta(seed, resolved)
 
-    scenes = _load_scenes(scenes_dir)
+    out = Path(args.out)
+    scenes = _load_scenes(args.scenes)
     report = hn.equivariance_audit(
-        params, cfg, vocab, scenes, n_transforms=trials, seed=seed,
-        tolerance=tolerance, rollout_horizon=horizon,
+        params, cfg, vocab, scenes, n_transforms=args.trials, seed=seed,
+        tolerance=tolerance, rollout_horizon=args.rollout_horizon,
         include_layers=not negative, negative_control=negative,
     )
     doc = json.loads(report.to_json())
@@ -320,32 +282,21 @@ def cmd_check(args, run_cfg) -> int:
 
 
 def cmd_rollout(args, run_cfg) -> int:
-    ckpt_path = _resolved(args, run_cfg, "checkpoint")
-    scene_path = _resolved(args, run_cfg, "scene")
-    vocab_path = _resolved(args, run_cfg, "vocab")
-    if ckpt_path is None or scene_path is None or vocab_path is None:
+    if args.checkpoint is None or args.scene is None or args.vocab is None:
         raise _UsageError("rollout requires --checkpoint, --scene, and --vocab")
-    out = Path(_resolved(args, run_cfg, "out", "rollouts"))
-    horizon = int(_resolved(args, run_cfg, "horizon", 20))
-    mode = _resolved(args, run_cfg, "mode", "greedy")
-    count = int(_resolved(args, run_cfg, "n", 1))
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    context = _resolved(args, run_cfg, "context")
-    context = None if context is None else int(context)
-    temperature = float(_resolved(args, run_cfg, "temperature", 1.0))
+    out, seed, horizon, mode = Path(args.out), args.seed, args.horizon, args.mode
 
-    params, cfg, manifest = md.load_checkpoint(ckpt_path)
-    vocab = _checkpoint_vocab(vocab_path, manifest)
-    scene = sc.scene_from_json(Path(scene_path).read_text())
-    resolved = {"checkpoint": str(ckpt_path), "scene": str(scene_path), "horizon": horizon,
-                "mode": mode, "n": count, "seed": seed, "context": context,
-                "temperature": temperature}
+    params, cfg, manifest = md.load_checkpoint(args.checkpoint)
+    vocab = _checkpoint_vocab(args.vocab, manifest)
+    scene = sc.scene_from_json(Path(args.scene).read_text())
+    resolved = {"checkpoint": args.checkpoint, "scene": args.scene, "horizon": horizon,
+                "mode": mode, "n": args.n, "seed": seed, "context": args.context,
+                "temperature": args.temperature}
     _print_resolved("rollout", resolved)
     meta = _meta(seed, resolved)
 
-    rollouts = hn.rollout(params, cfg, scene, vocab, horizon, mode=mode,
-                          n_rollouts=count, seed=seed, context=context,
-                          temperature=temperature)
+    rollouts = hn.rollout(params, cfg, scene, vocab, horizon, mode=mode, n_rollouts=args.n,
+                          seed=seed, context=args.context, temperature=args.temperature)
     t0 = rollouts[0].context_steps
     template = hn.truncate_scene(scene, t0)
     for i, ro in enumerate(rollouts):
@@ -376,25 +327,20 @@ def cmd_rollout(args, run_cfg) -> int:
         print("scene has no ground truth beyond the context; skipping minADE")
     _atomic_write(out / "minade.csv", "\n".join(lines) + "\n")
     _atomic_write(out / "summary.json", json.dumps(summary, indent=1))
-    print(f"wrote {count} rollouts to {out}")
+    print(f"wrote {args.n} rollouts to {out}")
     return EXIT_OK
 
 
 def cmd_bench(args, run_cfg) -> int:
-    out = Path(_resolved(args, run_cfg, "out", "bench"))
-    agents_arg = _resolved(args, run_cfg, "agents", "8,16,32,64")
-    counts = [int(x) for x in str(agents_arg).split(",") if x]
-    map_tokens = int(_resolved(args, run_cfg, "map-tokens", 32))
-    steps = int(_resolved(args, run_cfg, "steps", 10))
-    seed = int(_resolved(args, run_cfg, "seed", 0))
-    dtype = _resolved(args, run_cfg, "dtype", "f32")
-    cfg = _model_config(run_cfg, None, dtype, seed)
-    resolved = {"agents": counts, "map_tokens": map_tokens, "steps": steps,
+    out, seed = Path(args.out), args.seed
+    counts = [int(x) for x in args.agents.split(",") if x]
+    cfg = _model_config(args, run_cfg, None)
+    resolved = {"agents": counts, "map_tokens": args.map_tokens, "steps": args.steps,
                 "seed": seed, "model": cfg.to_dict()}
     _print_resolved("bench", resolved)
     meta = _meta(seed, resolved)
 
-    rows = hn.bench_scaling(cfg, counts, map_tokens=map_tokens, steps=steps, seed=seed)
+    rows = hn.bench_scaling(cfg, counts, map_tokens=args.map_tokens, steps=args.steps, seed=seed)
     header = f"# {TOOL} config_hash={meta['config_hash']} seed={seed}\n"
     _atomic_write(out / "bench.csv", header + hn.bench_rows_to_csv(rows))
     _atomic_write(out / "bench.json", json.dumps({"meta": meta, "rows": rows}, indent=1))
@@ -411,73 +357,62 @@ def cmd_bench(args, run_cfg) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
+    """Every option's default lives here; `main` lays a run-config file's values over them."""
     parser = _Parser(prog="eqtraffic", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--dtype", choices=("f32", "f64"))
+    def command(name, run, help, out, dtype="f32"):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--dtype", choices=("f32", "f64"), default=dtype)
         p.add_argument("--config", help="JSON run-config file; flags override its values")
-        p.add_argument("--out", help="output directory or file")
+        p.add_argument("--out", default=out, help="output directory or file")
+        return p
 
-    p = sub.add_parser("gen", help="generate synthetic scenes")
-    common(p)
-    p.add_argument("--count", type=int)
+    p = command("gen", cmd_gen, "generate synthetic scenes", "scenes")
+    p.add_argument("--count", type=int, default=16)
 
-    p = sub.add_parser("vocab", help="build the action vocabulary from scenes")
-    common(p)
+    p = command("vocab", cmd_vocab, "build the action vocabulary from scenes", "vocab.json")
     p.add_argument("--scenes")
-    p.add_argument("--k-r", type=float, dest="k_r")
-    p.add_argument("--cap", type=int, help="max vocab entries per class; 0 disables the cap")
-    p.add_argument("--w-theta", type=float, dest="w_theta")
+    p.add_argument("--k-r", type=float, default=0.05, dest="k_r")
+    p.add_argument("--cap", type=int, default=64, help="max vocab entries per class; 0 disables the cap")
+    p.add_argument("--w-theta", type=float, default=1.0, dest="w_theta")
 
-    p = sub.add_parser("train", help="train the model")
-    common(p)
+    p = command("train", cmd_train, "train the model", "run")
     p.add_argument("--scenes")
     p.add_argument("--vocab")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--lr", type=float, default=1e-3)
 
-    p = sub.add_parser("check", help="equivariance audit")
-    common(p)
+    p = command("check", cmd_check, "equivariance audit", "audit", dtype="f64")
     p.add_argument("--scenes")
     p.add_argument("--vocab")
     p.add_argument("--checkpoint")
-    p.add_argument("--random-params", action="store_true", default=None, dest="random_params")
-    p.add_argument("--negative-control", action="store_true", default=None, dest="negative_control")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--rollout-horizon", type=int, dest="rollout_horizon")
+    p.add_argument("--random-params", action="store_true", dest="random_params")
+    p.add_argument("--negative-control", action="store_true", dest="negative_control")
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--rollout-horizon", type=int, default=0, dest="rollout_horizon")
 
-    p = sub.add_parser("rollout", help="closed-loop rollouts from a checkpoint")
-    common(p)
+    p = command("rollout", cmd_rollout, "closed-loop rollouts from a checkpoint", "rollouts")
     p.add_argument("--checkpoint")
     p.add_argument("--scene")
     p.add_argument("--vocab")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--mode", choices=("greedy", "sampled", "categorical"))
-    p.add_argument("--n", type=int)
+    p.add_argument("--horizon", type=int, default=20)
+    p.add_argument("--mode", choices=("greedy", "sampled", "categorical"), default="greedy")
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--context", type=int)
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--temperature", type=float, default=1.0)
 
-    p = sub.add_parser("bench", help="FLOP and wall-time scaling across agent counts")
-    common(p)
-    p.add_argument("--agents", help="comma-separated agent counts")
-    p.add_argument("--map-tokens", type=int, dest="map_tokens")
-    p.add_argument("--steps", type=int, help="temporal length of the benchmark batch")
+    p = command("bench", cmd_bench, "FLOP and wall-time scaling across agent counts", "bench")
+    p.add_argument("--agents", default="8,16,32,64", help="comma-separated agent counts")
+    p.add_argument("--map-tokens", type=int, default=32, dest="map_tokens")
+    p.add_argument("--steps", type=int, default=10, help="temporal length of the benchmark batch")
 
     return parser
 
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "vocab": cmd_vocab,
-    "train": cmd_train,
-    "check": cmd_check,
-    "rollout": cmd_rollout,
-    "bench": cmd_bench,
-}
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -489,14 +424,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
 
+    keys = _config_keys(parser, args.command)
     try:
-        run_cfg = _load_run_config(args.config, _config_keys(parser, args.command))
+        run_cfg = _load_run_config(args.config, keys)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # flag > config file > default: the file's values become the command's defaults (an integer
+    # where a number is expected becomes a float, as the flag would parse it)
+    flags = {keys[k]: v for k, v in run_cfg.items() if keys[k] is not None}
+    parser.commands[args.command].set_defaults(**{a.dest: a.type(v) if a.type else v for a, v in flags.items()})
+    args = parser.parse_args(argv)
 
     try:
-        return _COMMANDS[args.command](args, run_cfg)
+        return args.run(args, run_cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,6 @@ invariant adapter that folds geometric features into the scalars.
 """
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -57,6 +56,10 @@ GP_FLOPS = 248.0
 DA_FLOPS_PER_CHANNEL = 16.0
 
 
+_WIDTHS = ("mv_channels", "scalar_channels", "heads", "input_hidden", "adapter_hidden", "decoder_hidden",
+           "rpe_hidden")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     mv_channels: int = 4
@@ -75,8 +78,7 @@ class ModelConfig:
     rpe_hidden: int = 16
 
     def __post_init__(self):
-        for name in ("mv_channels", "scalar_channels", "heads", "input_hidden", "adapter_hidden",
-                     "decoder_hidden", "rpe_hidden"):
+        for name in _WIDTHS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (isinstance(self.vocab_sizes, dict) and set(self.vocab_sizes) == set(AGENT_CLASSES)
@@ -86,6 +88,10 @@ class ModelConfig:
             raise ValueError("channel counts must be divisible by the head count")
         if self.blocks < 0:
             raise ValueError("block count must be >= 0")
+        too_big = [name for name in _WIDTHS + ("blocks",) if getattr(self, name) > 10**6]
+        too_big += [f"vocab_sizes.{c}" for c, n in self.vocab_sizes.items() if n > 10**6]
+        if too_big:  # rather than an unbounded allocation in init_params
+            raise ValueError(f"{too_big[0]} must be at most 1e6")
         if self.dtype not in ("f32", "f64"):
             raise ValueError(f"dtype must be f32 or f64, got {self.dtype}")
         if self.map_attention != "all" and (
@@ -856,28 +862,24 @@ def vocab_hash(vocab: ActionVocab) -> str:
     return hashlib.sha256(vocab_to_json(vocab).encode("utf-8")).hexdigest()
 
 
-def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, vocab: ActionVocab,
-                    meta: dict | None = None) -> None:
+def checkpoint_bytes(params: ParamStore, cfg: ModelConfig, vocab: ActionVocab, meta: dict | None = None) -> bytes:
     """JSON manifest line + raw little-endian values in manifest order."""
-    entries = []
-    for name, arr in params.items():
-        kind = "<f4" if arr.dtype == np.float32 else "<f8"
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": kind})
+    items = [(name, arr, "<f4" if arr.dtype == np.float32 else "<f8") for name, arr in params.items()]
     manifest = {
         "format": "eqtraffic-checkpoint-v1",
         "config": cfg.to_dict(),
         "vocab_hash": vocab_hash(vocab),
-        "params": entries,
+        "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr, kind in items],
         "meta": meta or {},
     }
-    buf = io.BytesIO()
-    buf.write(json.dumps(manifest).encode("utf-8"))
-    buf.write(b"\n")
-    for name, arr in params.items():
-        kind = "<f4" if arr.dtype == np.float32 else "<f8"
-        buf.write(np.ascontiguousarray(arr, dtype=kind).tobytes())
+    values = b"".join(np.ascontiguousarray(arr, dtype=kind).tobytes() for _, arr, kind in items)
+    return json.dumps(manifest).encode("utf-8") + b"\n" + values
+
+
+def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, vocab: ActionVocab,
+                    meta: dict | None = None) -> None:
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(checkpoint_bytes(params, cfg, vocab, meta))
 
 
 def load_checkpoint(path):

@@ -180,6 +180,8 @@ def _poison_first_value(m, payload):
      "$.params lacks 44 of the configured model's parameters, first 'block1/"),
     (lambda m, p: m["config"].update(bloks=2), "$.config.bloks"),
     (lambda m, p: m["config"].update(vocab_sizes=5), "$.config: "),
+    (lambda m, p: m["config"].update(blocks=2**63), "$.config: blocks must be at most 1e6"),
+    (lambda m, p: m["config"].update(mv_channels=10**400), "$.config: mv_channels must be at most 1e6"),
     (_drop_last, "$.params lacks 1 of the configured model's parameters, first 'decoder/bias'"),
     (_poison_first_value, "$.params[0]: parameter 'embed/agent_mv/weight' holds a non-finite value"),
 ])
@@ -198,6 +200,31 @@ def test_malformed_checkpoint_exits_2(workspace, tmp_path, capsys, mutate, where
     assert code == cli.EXIT_VALIDATION
     assert where in capsys.readouterr().err
     assert not (tmp_path / "ro").exists()
+
+
+@pytest.mark.parametrize("fresh", ["--random-params", "--negative-control"])
+def test_check_takes_a_checkpoint_or_fresh_weights_not_both(workspace, tmp_path, capsys, fresh):
+    code = cli.main(["check", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"), fresh,
+                     "--vocab", str(workspace["vocab"]), "--scenes", str(workspace["scenes"]),
+                     "--out", str(tmp_path / "audit")])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: check takes --checkpoint or {fresh}, not both\n"
+    assert not (tmp_path / "audit").exists()
+
+
+def test_check_hash_covers_the_rollout_horizon(workspace, tmp_path):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    first = sorted(workspace["scenes"].glob("scene_*.json"))[0]
+    (scenes / first.name).write_bytes(first.read_bytes())
+    hashes = []
+    for horizon in ("0", "2"):
+        out = tmp_path / f"audit_{horizon}"
+        assert cli.main(["check", "--random-params", "--scenes", str(scenes), "--vocab", str(workspace["vocab"]),
+                         "--trials", "1", "--rollout-horizon", horizon, "--out", str(out),
+                         "--config", str(workspace["cfg"])]) == 0
+        hashes.append(json.loads((out / "audit.json").read_text())["meta"]["config_hash"])
+    assert hashes[0] != hashes[1]
 
 
 def test_bench_csv(workspace, tmp_path):
@@ -269,6 +296,29 @@ def test_bad_vocab_file_exits_2(workspace, tmp_path, capsys, mutate, where):
     assert where in capsys.readouterr().err
 
 
+def test_dtype_option_reaches_the_model_config(workspace, tmp_path):
+    """The dtype comes from --dtype (or the top-level key); `model.seed` is the init seed, which
+    --seed fills only where the section leaves it out."""
+    model = json.loads(workspace["cfg"].read_text())["model"]
+    cfg_file = tmp_path / "cfg.json"
+    for dtype, file_dtype, section, seed in (("f64", "f32", {**model, "seed": 7}, 7), ("f32", "f64", model, 3)):
+        cfg_file.write_text(json.dumps({"dtype": file_dtype, "model": section}))
+        out = tmp_path / f"run_{dtype}"
+        assert cli.main(["train", "--scenes", str(workspace["scenes"]), "--vocab", str(workspace["vocab"]),
+                         "--steps", "1", "--seed", "3", "--dtype", dtype, "--out", str(out),
+                         "--config", str(cfg_file)]) == 0
+        _, cfg, _ = load_checkpoint(out / "checkpoint.ckpt")
+        assert (cfg.dtype, cfg.seed) == (dtype, seed)
+
+
+def test_model_dtype_in_the_run_config_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dtype": "f32", "model": {"dtype": "f64"}}))
+    assert cli.main(["train", "--scenes", "x", "--vocab", "y", "--config", str(cfg_file)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "config error: key 'model.dtype' is not allowed; set the top-level key 'dtype' or --dtype\n"
+
+
 def test_unknown_run_config_key_exits_1(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     out = tmp_path / "s"
@@ -306,10 +356,11 @@ def test_run_config_values_of_the_wrong_type_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_VALID_MODEL = dataclasses.asdict(ModelConfig(mv_channels=2, scalar_channels=4, heads=1, blocks=1))
 _VALID_RUN_CONFIG = {
     "count": 2, "seed": 3, "out": "scenes", "dtype": "f64",
     "generator": dataclasses.asdict(sc.GeneratorConfig(n_agents=2, n_lanes=1, horizon=4)),
-    "model": dataclasses.asdict(ModelConfig(mv_channels=2, scalar_channels=4, heads=1, blocks=1)),
+    "model": {name: value for name, value in _VALID_MODEL.items() if name != "dtype"},  # dtype is a top-level key
 }
 _MUTATIONS = {
     "retyped": st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.lists(st.integers(-3, 3), max_size=2),
@@ -372,11 +423,24 @@ def test_mutated_run_config_exits_0_or_1_with_one_line(text):
             assert code == cli.EXIT_USAGE and err.getvalue().count("\n") == 1, (code, err.getvalue())
 
 
+def _run_quietly(argv: list) -> int:
+    """The exit code of `cli.main(argv)` run in process without output; one other than 0 must be
+    1, 2 or 3, with a one-line message."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        assert code in (cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_IO), code
+        assert err.getvalue().count("\n") == 1, (code, err.getvalue())
+    return code
+
+
 def _valid_scene_doc() -> dict:
-    """A small generated scene whose agents hold all three classes, as parsed JSON."""
-    gen = sc.GeneratorConfig(n_agents=3, n_lanes=1, horizon=4, lane_length=15.0)
+    """A small generated scene with two agents of each class, as parsed JSON: dropping one agent or
+    one state still leaves every class with transitions."""
+    gen = sc.GeneratorConfig(n_agents=6, n_lanes=1, horizon=6, lane_length=15.0)
     scene = sc.generate_synthetic_scene(gen, seed=5)
-    agents = tuple(dataclasses.replace(a, agent_class=cls) for a, cls in zip(scene.agents, sc.AGENT_CLASSES))
+    agents = tuple(dataclasses.replace(a, agent_class=sc.AGENT_CLASSES[i % 3]) for i, a in enumerate(scene.agents))
     return json.loads(sc.scene_to_json(dataclasses.replace(scene, agents=agents)))
 
 
@@ -414,15 +478,58 @@ def test_mutated_scene_exits_0_or_fails_with_one_line(text):
         scenes, out = Path(tmp) / "scenes", Path(tmp) / "vocab.json"
         scenes.mkdir()
         (scenes / "scene_00000.json").write_text(text)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["vocab", "--scenes", str(scenes), "--out", str(out)])
-        if code == cli.EXIT_OK:
+        if _run_quietly(["vocab", "--scenes", str(scenes), "--out", str(out)]) == cli.EXIT_OK:
             vocab = sc.vocab_from_json(out.read_text())  # rejects a non-finite number
             assert all(np.isfinite(d).all() for d in vocab.deltas.values())
-        else:
-            assert code in (cli.EXIT_USAGE, cli.EXIT_VALIDATION, cli.EXIT_IO), code
-            assert err.getvalue().count("\n") == 1, (code, err.getvalue())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_vocab_exits_0_or_fails_with_one_line(workspace, data):
+    """`train --steps 1` with a mutated vocab file ends in exit 0 with a finite loss and checkpoint,
+    or exit 1, 2 or 3 with a one-line message."""
+    valid = json.loads(workspace["vocab"].read_text())
+    text = _mutated_text(data.draw, valid, list(_paths(valid)))
+    with tempfile.TemporaryDirectory() as tmp:
+        vocab, out = Path(tmp) / "vocab.json", Path(tmp) / "run"
+        vocab.write_text(text)
+        code = _run_quietly(["train", "--scenes", str(workspace["scenes"]), "--vocab", str(vocab), "--steps", "1",
+                             "--out", str(out), "--config", str(workspace["cfg"])])
+        if code == cli.EXIT_OK:
+            load_checkpoint(out / "checkpoint.ckpt")  # rejects a non-finite parameter
+            loss = (out / "loss.csv").read_text().splitlines()[-1].split(",")[2]
+            assert np.isfinite(float(loss))
+
+
+@pytest.fixture(scope="module")
+def two_step_checkpoint(workspace):
+    out = workspace["root"] / "run_2"
+    assert cli.main(["train", "--scenes", str(workspace["scenes"]), "--vocab", str(workspace["vocab"]),
+                     "--steps", "2", "--out", str(out), "--config", str(workspace["cfg"])]) == 0
+    return (out / "checkpoint.ckpt").read_bytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_mutated_checkpoint_exits_0_or_fails_with_one_line(workspace, two_step_checkpoint, data):
+    """`rollout` from a checkpoint with a mutated manifest line, and half the time a truncated body,
+    ends in exit 0 with finite rollouts, or exit 1, 2 or 3 with a one-line message."""
+    newline = two_step_checkpoint.index(b"\n")
+    manifest, body = json.loads(two_step_checkpoint[:newline]), two_step_checkpoint[newline + 1:]
+    paths = [path for path in _paths(manifest) if path[0] != "params" or len(path) == 1 or path[1] < 3]
+    text = _mutated_text(data.draw, manifest, paths)  # the parameter entries are alike: three stand for all
+    if data.draw(st.booleans()):
+        body = body[:data.draw(st.integers(0, len(body) - 1))]
+    scene = sorted(workspace["scenes"].glob("scene_*.json"))[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt, out = Path(tmp) / "bad.ckpt", Path(tmp) / "ro"
+        ckpt.write_bytes(text.encode() + b"\n" + body)
+        code = _run_quietly(["rollout", "--checkpoint", str(ckpt), "--scene", str(scene), "--vocab",
+                             str(workspace["vocab"]), "--horizon", "1", "--context", "5", "--out", str(out)])
+        if code == cli.EXIT_OK:
+            sc.scene_from_json((out / "rollout_000.json").read_text())  # rejects a non-finite number
+            summary = json.loads((out / "summary.json").read_text())
+            assert np.isfinite([summary["min_ade"], summary["constant_velocity_ade"]]).all()
 
 
 def test_config_file_sets_check_flags(workspace, tmp_path):
