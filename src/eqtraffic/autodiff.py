@@ -256,13 +256,6 @@ def sub(a, b):
 register_vjp("sub", lambda n, g: (_unbroadcast(g, n.ctx["sa"]), _unbroadcast(-g, n.ctx["sb"])))
 
 
-def neg(a):
-    return _record("neg", -data_of(a), (a,), {})
-
-
-register_vjp("neg", lambda n, g: (-g,))
-
-
 def mul(a, b):
     da, db = _operands(a, b)
     return _record("mul", da * db, (a, b), {"da": da, "db": db})
@@ -701,38 +694,23 @@ register_vjp("embedding", _embedding_vjp)
 # parameters and optimization
 # ---------------------------------------------------------------------------
 
-class ParamStore:
-    """Named parameter arrays; names unique, insertion order preserved."""
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
+class ParamStore(dict):
+    """Named parameter arrays, name -> array in insertion order; `add` keeps names unique."""
 
     def add(self, name: str, array: np.ndarray) -> np.ndarray:
-        if name in self._arrays:
+        if name in self:
             raise ValueError(f"duplicate parameter name '{name}'")
-        self._arrays[name] = np.asarray(array)
-        return self._arrays[name]
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def __setitem__(self, name: str, array: np.ndarray) -> None:
-        self._arrays[name] = np.asarray(array)
+        self[name] = np.asarray(array)
+        return self[name]
 
     def names(self) -> list[str]:
-        return list(self._arrays)
-
-    def items(self):
-        return self._arrays.items()
+        return list(self)
 
     def astype(self, dtype) -> "ParamStore":
-        out = ParamStore()
-        for name, arr in self._arrays.items():
-            out.add(name, arr.astype(dtype))
-        return out
+        return ParamStore((name, arr.astype(dtype)) for name, arr in self.items())
 
     def as_vars(self) -> dict[str, Var]:
-        return {name: Var(arr) for name, arr in self._arrays.items()}
+        return {name: Var(arr) for name, arr in self.items()}
 
 
 class AdamState:

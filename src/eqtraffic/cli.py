@@ -74,11 +74,14 @@ def _check_keys(doc, keys, where: str) -> None:
 
 
 _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+# the least value of each count option, by dest: a smaller one is a usage error, from a flag or a run-config key
+_MINIMUMS = {"count": 0, "cap": 0, "steps": 1, "trials": 0, "rollout_horizon": 0}
 
 
-def _check_value(value, kind, name: str, choices=None) -> None:
-    """`value` is a JSON value of type `kind` (any for a kind outside `_JSON_KINDS`) and one of
-    `choices`; integers, also where a number is expected, fit in 64 bits, and numbers are finite."""
+def _check_value(value, kind, name: str, choices=None, minimum=None) -> None:
+    """`value` is a JSON value of type `kind` (any for a kind outside `_JSON_KINDS`), one of
+    `choices` and at least `minimum`; integers, also where a number is expected, fit in 64 bits,
+    and numbers are finite."""
     if kind not in _JSON_KINDS:
         return
     shown = json.dumps(value)[:40]
@@ -88,6 +91,8 @@ def _check_value(value, kind, name: str, choices=None) -> None:
         raise ValueError(f"{name} is out of range: {shown}")
     if choices is not None and value not in choices:
         raise ValueError(f"{name} must be one of {', '.join(choices)}, got {shown}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {shown}")
 
 
 def _load_run_config(path, keys: dict) -> dict:
@@ -101,7 +106,7 @@ def _load_run_config(path, keys: dict) -> dict:
     for key, action in keys.items():
         if key in doc and action is not None:
             kind = bool if action.nargs == 0 else action.type or str
-            _check_value(doc[key], kind, f"key '{key}'", action.choices)
+            _check_value(doc[key], kind, f"key '{key}'", action.choices, _MINIMUMS.get(action.dest))
     for section, cls in _SECTIONS.items():
         if section in doc:
             kinds = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -333,7 +338,10 @@ def cmd_rollout(args, run_cfg) -> int:
 
 def cmd_bench(args, run_cfg) -> int:
     out, seed = Path(args.out), args.seed
-    counts = [int(x) for x in args.agents.split(",") if x]
+    try:
+        counts = [int(x) for x in args.agents.split(",") if x]
+    except ValueError:
+        raise _UsageError(f"--agents must be comma-separated integers, got {args.agents!r}") from None
     cfg = _model_config(args, run_cfg, None)
     resolved = {"agents": counts, "map_tokens": args.map_tokens, "steps": args.steps,
                 "seed": seed, "model": cfg.to_dict()}
@@ -437,6 +445,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        for dest, least in _MINIMUMS.items():
+            if getattr(args, dest, least) < least:
+                raise _UsageError(f"--{dest.replace('_', '-')} must be at least {least}, got {vars(args)[dest]}")
         return args.run(args, run_cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,9 +11,6 @@ from . import autodiff as ad
 from . import model as md
 from .batch import pose_frame_motors, sandwich_array, sandwich_matrix
 from .layers import (
-    EqLinearParams,
-    EqMlpBlockParams,
-    MlpParams,
     eq_attention,
     eq_attention_logits,
     eq_layer_norm,
@@ -253,33 +250,33 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
     report = AuditReport()
     c, cs = 3, 6
 
-    x = rng.normal(size=(5, c, 8))
-    s = rng.normal(size=(5, cs))
-    weight = rng.normal(size=(c, c, 10))
-    bias = rng.normal(size=c)
-    mlp_block = EqMlpBlockParams(
-        expand=EqLinearParams(rng.normal(0, 0.4, (4 * c, c, 10)), rng.normal(0, 0.4, 4 * c)),
-        mid=EqLinearParams(rng.normal(0, 0.4, (2 * c, 2 * c, 10)), rng.normal(0, 0.4, 2 * c)),
-        out=EqLinearParams(rng.normal(0, 0.4, (c, 2 * c, 10)), rng.normal(0, 0.4, c)),
-        scalar=MlpParams(rng.normal(0, 0.4, (cs, 2 * cs)), rng.normal(0, 0.4, 2 * cs),
-                         rng.normal(0, 0.4, (2 * cs, cs)), rng.normal(0, 0.4, cs)),
-    )
-    poses = rng.uniform([-20, -20, -math.pi], [20, 20, math.pi], size=(5, 3))
-    adapter_mlp = MlpParams(rng.normal(0, 0.3, (8 * c, 8)), rng.normal(0, 0.3, 8),
-                            rng.normal(0, 0.3, (8, cs)), rng.normal(0, 0.3, cs))
-    noneq_weight = np.concatenate([weight, rng.normal(size=(c, c, 1))], axis=-1)
+    draws = {  # in draw order: a dict literal evaluates its values in order
+        "x": rng.normal(size=(5, c, 8)), "s": rng.normal(size=(5, cs)),
+        "linear/weight": rng.normal(size=(c, c, 10)), "linear/bias": rng.normal(size=c),
+        "mlp/expand/weight": rng.normal(0, 0.4, (4 * c, c, 10)), "mlp/expand/bias": rng.normal(0, 0.4, 4 * c),
+        "mlp/mid/weight": rng.normal(0, 0.4, (2 * c, 2 * c, 10)), "mlp/mid/bias": rng.normal(0, 0.4, 2 * c),
+        "mlp/out/weight": rng.normal(0, 0.4, (c, 2 * c, 10)), "mlp/out/bias": rng.normal(0, 0.4, c),
+        "mlp/scalar/w1": rng.normal(0, 0.4, (cs, 2 * cs)), "mlp/scalar/b1": rng.normal(0, 0.4, 2 * cs),
+        "mlp/scalar/w2": rng.normal(0, 0.4, (2 * cs, cs)), "mlp/scalar/b2": rng.normal(0, 0.4, cs),
+        "poses": rng.uniform([-20, -20, -math.pi], [20, 20, math.pi], size=(5, 3)),
+        "adapter/w1": rng.normal(0, 0.3, (8 * c, 8)), "adapter/b1": rng.normal(0, 0.3, 8),
+        "adapter/w2": rng.normal(0, 0.3, (8, cs)), "adapter/b2": rng.normal(0, 0.3, cs),
+        "noneq_slot": rng.normal(size=(c, c, 1)),
+    }
+    x, s, poses = draws["x"], draws["s"], draws["poses"]
+    noneq_weight = np.concatenate([draws["linear/weight"], draws["noneq_slot"]], axis=-1)
 
     # name -> (layer of the multivectors and the adapter's sandwich, kind of each output):
     # "mv" outputs move with the motor, "s" outputs are invariant
     table = {
-        "eq_linear": (lambda v, _: eq_linear(v, weight, bias), "mv"),
+        "eq_linear": (lambda v, _: eq_linear(v, draws, "linear"), "mv"),
         "geometric_bilinear": (lambda v, _: geometric_bilinear(v, v, v, v), "mv"),
         "gated_relu": (lambda v, _: gated_relu(v), "mv"),
         "eq_layer_norm": (lambda v, _: eq_layer_norm(v), "mv"),
         "eq_attention_logits": (lambda v, _: eq_attention_logits(v, v, s, s, heads=1), "s"),
         "eq_attention_values": (lambda v, _: eq_attention(v, v, v, s, s, s, heads=1), "mv s"),
-        "eq_mlp_block": (lambda v, _: eq_mlp_block(v, s, mlp_block), "mv s"),
-        "invariant_adapter": (lambda v, w: invariant_adapter(v, s, w, adapter_mlp), "s"),
+        "eq_mlp_block": (lambda v, _: eq_mlp_block(v, s, draws, "mlp"), "mv s"),
+        "invariant_adapter": (lambda v, w: invariant_adapter(v, s, w, draws, "adapter"), "s"),
         "negative_control": (lambda v, _: noneq_linear(v, noneq_weight), "mv"),
     }
 

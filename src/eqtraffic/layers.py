@@ -3,10 +3,10 @@
 Every function here satisfies L(u x u^{-1}) = u L(x) u^{-1} for motors u (or
 produces invariant scalars), which the test suite checks against random
 roto-translations.  Inputs are raw arrays [..., C, 8] / [..., C'] or autodiff
-Vars; parameters are plain arrays or Vars bundled in small dataclasses.
+Vars.  A layer that owns weights reads them from `p`, a mapping of parameter
+names to arrays or Vars (a `ParamStore` or its `as_vars()`), under its `name`
+prefix; a bias the mapping lacks is none.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,42 +61,6 @@ NONEQ_BASIS = np.concatenate([LINEAR_BASIS, _GRADE_MIXING], axis=0)
 NONEQ_BASIS.flags.writeable = False
 
 
-@dataclass
-class EqLinearParams:
-    """weight[C_out, C_in, 10] over LINEAR_BASIS; bias lands on the scalar component."""
-
-    weight: object  # ndarray or Var, [C_out, C_in, 10]
-    bias: object = None  # ndarray or Var, [C_out]
-
-
-@dataclass
-class MlpParams:
-    """Two-layer scalar MLP: x @ w1 + b1 -> relu -> @ w2 + b2."""
-
-    w1: object
-    b1: object
-    w2: object
-    b2: object
-
-
-@dataclass
-class AttentionParams:
-    mv_q: EqLinearParams
-    mv_k: EqLinearParams
-    mv_v: EqLinearParams
-    s_q: tuple  # (w, b)
-    s_k: tuple
-    s_v: tuple
-
-
-@dataclass
-class EqMlpBlockParams:
-    expand: EqLinearParams  # C -> 4C
-    mid: EqLinearParams     # 2C -> 2C
-    out: EqLinearParams     # 2C -> C
-    scalar: MlpParams       # C' -> hidden -> C'
-
-
 def affine(x, w, b=None):
     out = ad.matmul(x, w)
     if b is not None:
@@ -104,17 +68,16 @@ def affine(x, w, b=None):
     return out
 
 
-def mlp2(x, p: MlpParams):
-    return affine(ad.relu(affine(x, p.w1, p.b1)), p.w2, p.b2)
+def mlp2(x, p, name: str):
+    """Two-layer scalar MLP: x @ w1 + b1 -> relu -> @ w2 + b2."""
+    return affine(ad.relu(affine(x, p[f"{name}/w1"], p[f"{name}/b1"])), p[f"{name}/w2"], p[f"{name}/b2"])
 
 
-def eq_linear(x, params, bias=None):
-    """Equivariant channel mixing; per-pair action spanned by LINEAR_BASIS."""
-    if isinstance(params, EqLinearParams):
-        weight, bias = params.weight, params.bias
-    else:
-        weight = params
-    return ad.mv_linear(x, weight, _LINEAR_BASIS[ad.data_of(weight).dtype], bias)
+def eq_linear(x, p, name: str):
+    """Equivariant channel mixing by weight[C_out, C_in, 10] over LINEAR_BASIS; the bias
+    [C_out], if any, lands on the scalar component."""
+    weight = p[f"{name}/weight"]
+    return ad.mv_linear(x, weight, _LINEAR_BASIS[ad.data_of(weight).dtype], p.get(f"{name}/bias"))
 
 
 def noneq_linear(x, weight):
@@ -188,7 +151,7 @@ def rms_normalize(x, eps: float = LAYER_NORM_EPS):
     return ad.rms_norm(x, 1.0 / ad.data_of(x).shape[-1], -1, eps)
 
 
-def invariant_adapter(mv, s, sandwich: np.ndarray, mlp: MlpParams):
+def invariant_adapter(mv, s, sandwich: np.ndarray, p, name: str):
     """Residual update of scalars from the agent-frame view of the multivectors.
 
     `sandwich` [..., 8, 8] holds, per token, the `batch.sandwich_matrix` of
@@ -201,24 +164,21 @@ def invariant_adapter(mv, s, sandwich: np.ndarray, mlp: MlpParams):
     local = ad.matmul(mv, sandwich)
     d = ad.data_of(local)
     flat = ad.reshape(local, d.shape[:-2] + (d.shape[-2] * COMPONENTS,))
-    return ad.add(s, mlp2(rms_normalize(flat), mlp))
+    return ad.add(s, mlp2(rms_normalize(flat), p, name))
 
 
-def eq_mlp_block(mv, s, params: EqMlpBlockParams, eps: float = LAYER_NORM_EPS):
-    """Pre-norm equivariant MLP with geometric bilinears and residual connections."""
+def eq_mlp_block(mv, s, p, name: str, eps: float = LAYER_NORM_EPS):
+    """Pre-norm equivariant MLP with geometric bilinears and residual connections.
+
+    Its weights: `expand` (C -> 4C), `mid` (2C -> 2C) and `out` (2C -> C)
+    equivariant linears, and the scalar MLP `scalar` (C' -> 2C' -> C').
+    """
     c = ad.data_of(mv).shape[-2]
     mv_n = eq_layer_norm(mv, eps)
     s_n = scalar_layer_norm(s, eps)
 
-    expanded = eq_linear(mv_n, params.expand)  # C -> 4C
-    w, x, y, z = ad.split(expanded, [c, c, c, c], axis=-2)
-    mixed = geometric_bilinear(w, x, y, z)     # -> 2C
-
-    mixed = eq_linear(mixed, params.mid)
-    s_h = affine(s_n, params.scalar.w1, params.scalar.b1)
-    mixed = gated_relu(mixed)
-    s_h = ad.relu(s_h)
-    mixed = eq_linear(mixed, params.out)       # 2C -> C
-    s_h = affine(s_h, params.scalar.w2, params.scalar.b2)
-
-    return ad.add(mixed, mv), ad.add(s_h, s)
+    expanded = eq_linear(mv_n, p, f"{name}/expand")  # C -> 4C
+    mixed = geometric_bilinear(*ad.split(expanded, [c, c, c, c], axis=-2))  # -> 2C
+    mixed = gated_relu(eq_linear(mixed, p, f"{name}/mid"))
+    mixed = eq_linear(mixed, p, f"{name}/out")       # 2C -> C
+    return ad.add(mixed, mv), ad.add(mlp2(s_n, p, f"{name}/scalar"), s)

@@ -19,10 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, ParamStore, adam_step, cosine_lr
 from .layers import (
-    AttentionParams,
-    EqLinearParams,
-    EqMlpBlockParams,
-    MlpParams,
     affine,
     eq_attention,
     eq_layer_norm,
@@ -78,6 +74,9 @@ class ModelConfig:
     rpe_hidden: int = 16
 
     def __post_init__(self):
+        for name in _WIDTHS + ("blocks", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in _WIDTHS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -94,9 +93,7 @@ class ModelConfig:
             raise ValueError(f"{too_big[0]} must be at most 1e6")
         if self.dtype not in ("f32", "f64"):
             raise ValueError(f"dtype must be f32 or f64, got {self.dtype}")
-        if self.map_attention != "all" and (
-            not isinstance(self.map_attention, int) or self.map_attention < 1
-        ):
+        if self.map_attention != "all" and (type(self.map_attention) is not int or self.map_attention < 1):
             raise ValueError("map_attention must be 'all' or a positive int")
 
     @property
@@ -366,25 +363,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Par
     return params
 
 
-def _eq_params(p, name) -> EqLinearParams:
-    return EqLinearParams(p[f"{name}/weight"], p[f"{name}/bias"])
-
-
-def _mlp_params(p, name) -> MlpParams:
-    return MlpParams(p[f"{name}/w1"], p[f"{name}/b1"], p[f"{name}/w2"], p[f"{name}/b2"])
-
-
-def _attn_params(p, name) -> AttentionParams:
-    return AttentionParams(
-        mv_q=_eq_params(p, f"{name}/mv_q"),
-        mv_k=EqLinearParams(p[f"{name}/mv_k/weight"], None),
-        mv_v=_eq_params(p, f"{name}/mv_v"),
-        s_q=(p[f"{name}/s_q/w"], p[f"{name}/s_q/b"]),
-        s_k=(p[f"{name}/s_k/w"], None),
-        s_v=(p[f"{name}/s_v/w"], p[f"{name}/s_v/b"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
@@ -393,19 +371,25 @@ def _norms(mv, s):
     return eq_layer_norm(mv), scalar_layer_norm(s)
 
 
-def _keys_values(normed, prm: AttentionParams) -> tuple:
-    """Projected attention keys and values (mv_k, mv_v, s_k, s_v) of pre-normalized tokens."""
+def _project(s, p, name: str):
+    """The scalar projection `name`: s @ w, plus b where the store has one (keys have none)."""
+    return affine(s, p[f"{name}/w"], p.get(f"{name}/b"))
+
+
+def _keys_values(normed, p, name: str) -> tuple:
+    """Attention `name`'s projected keys and values (mv_k, mv_v, s_k, s_v) of pre-normalized tokens."""
     mv_n, s_n = normed
-    return (eq_linear(mv_n, prm.mv_k), eq_linear(mv_n, prm.mv_v),
-            affine(s_n, *prm.s_k), affine(s_n, *prm.s_v))
+    return (eq_linear(mv_n, p, f"{name}/mv_k"), eq_linear(mv_n, p, f"{name}/mv_v"),
+            _project(s_n, p, f"{name}/s_k"), _project(s_n, p, f"{name}/s_v"))
 
 
-def _attend(mv, s, normed, kv, prm: AttentionParams, cfg: ModelConfig, mask):
-    """Equivariant attention of the pre-normalized queries over `kv`, with residual connections."""
+def _attend(mv, s, normed, kv, p, name: str, cfg: ModelConfig, mask):
+    """Attention `name` of the pre-normalized queries over `kv`, with residual connections."""
     mv_n, s_n = normed
     k_mv, v_mv, k_s, v_s = kv
-    out_mv, out_s = eq_attention(eq_linear(mv_n, prm.mv_q), k_mv, v_mv, affine(s_n, *prm.s_q),
-                                 k_s, v_s, cfg.heads, mask, cfg.distance_awareness)
+    out_mv, out_s = eq_attention(eq_linear(mv_n, p, f"{name}/mv_q"), k_mv, v_mv,
+                                 _project(s_n, p, f"{name}/s_q"), k_s, v_s, cfg.heads, mask,
+                                 cfg.distance_awareness)
     return ad.add(out_mv, mv), ad.add(out_s, s)
 
 
@@ -457,10 +441,10 @@ def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None)
     if cache is not None and "map" in cache:
         return cache["map"]
     dt = cfg.np_dtype
-    map_mv = eq_linear(batch.map_mv[..., None, :, :, :].astype(dt), _eq_params(p, "embed/map_mv"))
-    map_s = mlp2(batch.map_scalars_raw[..., None, :, :].astype(dt), _mlp_params(p, "embed/map_in"))
+    map_mv = eq_linear(batch.map_mv[..., None, :, :, :].astype(dt), p, "embed/map_mv")
+    map_s = mlp2(batch.map_scalars_raw[..., None, :, :].astype(dt), p, "embed/map_in")
     normed = _norms(map_mv, map_s)
-    kv = [_keys_values(normed, _attn_params(p, f"block{i}/map_attn")) for i in range(cfg.blocks)]
+    kv = [_keys_values(normed, p, f"block{i}/map_attn") for i in range(cfg.blocks)]
     if cache is not None:
         cache["map"] = [tuple(ad.data_of(x) for x in entry) for entry in kv]
     return kv
@@ -494,8 +478,8 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     """
     dt, lead = cfg.np_dtype, batch.valid.ndim - 2
 
-    mv = eq_linear(batch.mv.astype(dt), _eq_params(p, "embed/agent_mv"))
-    s = mlp2(batch.scalars_raw.astype(dt), _mlp_params(p, "embed/agent_in"))
+    mv = eq_linear(batch.mv.astype(dt), p, "embed/agent_mv")
+    s = mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = _map_keys_values(batch, p, cfg, cache)
 
@@ -508,28 +492,18 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     for i in range(cfg.blocks):
         # agent-to-map cross attention, batched over timesteps
         mv_t, s_t = _swap_at(mv, lead), _swap_at(s, lead)
-        mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i],
-                            _attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
+        mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i], p, f"block{i}/map_attn", cfg, map_mask)
         # agent-to-agent self attention, batched over timesteps
-        agent_prm, normed = _attn_params(p, f"block{i}/agent_attn"), _norms(mv_t, s_t)
-        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, agent_prm), agent_prm, cfg, agent_mask)
+        name, normed = f"block{i}/agent_attn", _norms(mv_t, s_t)
+        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, p, name), p, name, cfg, agent_mask)
         mv, s = _swap_at(mv_t, lead), _swap_at(s_t, lead)
         # causal self attention over time (and the cached prefix), batched over agents
-        time_prm = _attn_params(p, f"block{i}/time_attn")
-        normed = _norms(mv, s)
-        kv = _extend(cache, ("time", i), _keys_values(normed, time_prm), lead)
-        mv, s = _attend(mv, s, normed, kv, time_prm, cfg, time_mask)
-        mv, s = eq_mlp_block(
-            mv, s,
-            EqMlpBlockParams(
-                expand=_eq_params(p, f"block{i}/mlp/expand"),
-                mid=_eq_params(p, f"block{i}/mlp/mid"),
-                out=_eq_params(p, f"block{i}/mlp/out"),
-                scalar=_mlp_params(p, f"block{i}/mlp/scalar"),
-            ),
-        )
+        name, normed = f"block{i}/time_attn", _norms(mv, s)
+        kv = _extend(cache, ("time", i), _keys_values(normed, p, name), lead)
+        mv, s = _attend(mv, s, normed, kv, p, name, cfg, time_mask)
+        mv, s = eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
-            s = invariant_adapter(mv, s, sandwich, _mlp_params(p, f"block{i}/adapter"))
+            s = invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = _decode_logits(h, p, batch.class_idx)
@@ -550,9 +524,9 @@ def loss(logits, targets: np.ndarray, valid: np.ndarray):
         raise ValueError("loss needs at least one valid target position in every scene")
     log_probs = ad.log_softmax(logits)
     picked = ad.gather_last(log_probs, np.maximum(targets, 0))
-    weights = (valid / (counts * counts.size)).astype(ad.data_of(picked).dtype)
-    total = ad.reduce_sum(ad.reshape(ad.mul(picked, weights), (-1,)), axis=0)
-    return ad.neg(total)
+    # the sign folds into the weights (numpy has no negation of the boolean `valid`)
+    weights = (valid / -(counts * counts.size)).astype(ad.data_of(picked).dtype)
+    return ad.reduce_sum(ad.reshape(ad.mul(picked, weights), (-1,)), axis=0)
 
 
 def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None = None,
@@ -658,15 +632,15 @@ def scalar_attention(q, k, v, mask=None):
     return ad.matmul(weights, v)
 
 
-def rpe_attention(q, k, v, rel_feats: np.ndarray, rpe_mlp: MlpParams, mask=None):
-    """Attention with per-pair key/value offsets from a relative-pose MLP.
+def rpe_attention(q, k, v, rel_feats: np.ndarray, p, name: str, mask=None):
+    """Attention with per-pair key/value offsets from the relative-pose MLP `name`.
 
     rel_feats [..., Lq, Lk, 4] featurizes pose_j in the frame of i.  The MLP
     output splits into a key offset and a value offset, added before the dot
     product and the weighted sum respectively.  Cost is quadratic in tokens.
     """
     d = ad.data_of(q).shape[-1]
-    pair = mlp2(rel_feats, rpe_mlp)  # [..., Lq, Lk, 2d]
+    pair = mlp2(rel_feats, p, name)  # [..., Lq, Lk, 2d]
     k_off, v_off = ad.split(pair, [d, d], axis=-1)
     base = ad.matmul(q, ad.moveaxis(k, -1, -2))
     qd = ad.data_of(q)
@@ -712,11 +686,10 @@ def init_baseline_params(cfg: ModelConfig, variant: str,
 def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats, mask):
     s_qn = scalar_layer_norm(s_q)
     s_kn = s_qn if s_kv is None else scalar_layer_norm(s_kv)
-    q = affine(s_qn, p[f"{name}/s_q/w"], p[f"{name}/s_q/b"])
-    k = affine(s_kn, p[f"{name}/s_k/w"])
-    v = affine(s_kn, p[f"{name}/s_v/w"], p[f"{name}/s_v/b"])
+    q = _project(s_qn, p, f"{name}/s_q")
+    k, v = _project(s_kn, p, f"{name}/s_k"), _project(s_kn, p, f"{name}/s_v")
     if variant == "rpe":
-        out = rpe_attention(q, k, v, rel_feats, _mlp_params(p, f"{name}/rpe"), mask)
+        out = rpe_attention(q, k, v, rel_feats, p, f"{name}/rpe", mask)
     else:
         out = scalar_attention(q, k, v, mask)
     return ad.add(out, s_q)
@@ -739,9 +712,9 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
     else:
         agents_in = batch.scalars_raw
         map_in = batch.map_scalars_raw
-    s = mlp2(agents_in.astype(dt), _mlp_params(p, "embed/agent_in"))
+    s = mlp2(agents_in.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_s = mlp2(map_in[..., None, :, :].astype(dt), _mlp_params(p, "embed/map_in"))  # [..., 1, M, S]
+    map_s = mlp2(map_in[..., None, :, :].astype(dt), p, "embed/map_in")  # [..., 1, M, S]
 
     if variant == "rpe":
         poses_t = np.swapaxes(batch.raw_poses, -3, -2)
@@ -761,7 +734,7 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
                                            agent_mask)
         s = _swap_at(s_t, lead)
         s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time, time_mask)
-        s = ad.add(mlp2(scalar_layer_norm(s), _mlp_params(p, f"block{i}/mlp")), s)
+        s = ad.add(mlp2(scalar_layer_norm(s), p, f"block{i}/mlp"), s)
 
     h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = _decode_logits(h, p, batch.class_idx)

@@ -297,7 +297,6 @@ def primitive_grad_cases(rng):
         ("sub", lambda v: scalarize(ad.sub(v[0], v[1])), [a23, b3]),
         ("mul", lambda v: scalarize(ad.mul(v[0], v[1])), [a23, b3]),
         ("div", lambda v: scalarize(ad.div(v[0], v[1])), [pos, pos + 1.0]),
-        ("neg", lambda v: scalarize(ad.neg(v[0])), [a23]),
         ("matmul", lambda v: scalarize(ad.matmul(v[0], v[1])), [a23, m34]),
         ("reshape", lambda v: scalarize(ad.reshape(v[0], (3, 2))), [a23]),
         ("moveaxis", lambda v: scalarize(ad.moveaxis(v[0], 0, 1)), [a23]),

@@ -182,6 +182,8 @@ def _poison_first_value(m, payload):
     (lambda m, p: m["config"].update(vocab_sizes=5), "$.config: "),
     (lambda m, p: m["config"].update(blocks=2**63), "$.config: blocks must be at most 1e6"),
     (lambda m, p: m["config"].update(mv_channels=10**400), "$.config: mv_channels must be at most 1e6"),
+    (lambda m, p: m["config"].update(mv_channels="4"), "$.config: mv_channels must be an integer, got '4'"),
+    (lambda m, p: m["config"].update(blocks=True), "$.config: blocks must be an integer, got True"),
     (_drop_last, "$.params lacks 1 of the configured model's parameters, first 'decoder/bias'"),
     (_poison_first_value, "$.params[0]: parameter 'embed/agent_mv/weight' holds a non-finite value"),
 ])
@@ -238,10 +240,41 @@ def test_bench_csv(workspace, tmp_path):
     assert len(lines) == 2 + 2 * 3  # two agent counts x three variants
 
 
-def test_usage_errors_exit_1():
+_FRESH_CHECK = ["check", "--scenes", "x", "--random-params"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("argv, option, value, least", [
+    (["gen"], "count", -1, 0),
+    (["vocab", "--scenes", "x"], "cap", -1, 0),
+    (["train", "--scenes", "x", "--vocab", "y"], "steps", 0, 1),
+    (["bench"], "steps", 0, 1),
+    (_FRESH_CHECK, "trials", -1, 0),
+    (_FRESH_CHECK, "rollout-horizon", -1, 0),
+])
+def test_count_below_its_range_exits_1(tmp_path, capsys, source, argv, option, value, least):
+    """A count option below its range is a one-line usage error that names it, as a flag or a run-config key."""
+    if source == "flag":
+        argv = argv + [f"--{option}", str(value)]
+        message = f"usage error: --{option} must be at least {least}, got {value}"
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({option: value}))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        message = f"config error: key '{option}' must be at least {least}, got {value}"
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["vocab"]) == cli.EXIT_USAGE           # missing --scenes
     assert cli.main(["train"]) == cli.EXIT_USAGE           # missing inputs
     assert cli.main(["check", "--scenes", "x"]) == cli.EXIT_USAGE  # no checkpoint/random
+    capsys.readouterr()
+    assert cli.main(["bench", "--agents", "2,x", "--out", str(tmp_path / "bench")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: --agents must be comma-separated integers, got '2,x'\n"
+    assert not (tmp_path / "bench").exists()
 
 
 def test_validation_errors_exit_2(tmp_path):
@@ -418,7 +451,7 @@ def test_mutated_run_config_exits_0_or_1_with_one_line(text):
         if code == cli.EXIT_OK:
             doc = json.loads(text)
             manifest = json.loads((Path(tmp) / doc.get("out", "scenes") / "manifest.json").read_text())
-            assert len(manifest["scenes"]) == max(0, doc.get("count", 16))
+            assert len(manifest["scenes"]) == doc.get("count", 16)
         else:
             assert code == cli.EXIT_USAGE and err.getvalue().count("\n") == 1, (code, err.getvalue())
 

@@ -13,8 +13,6 @@ from eqtraffic.layers import (
     DISTANCE_EPS,
     KEY_MIX,
     QUERY_MIX,
-    EqMlpBlockParams,
-    MlpParams,
     eq_attention,
     eq_attention_logits,
     eq_layer_norm,
@@ -73,12 +71,17 @@ def rand_eq_weight(rng, c_out, c_in, scale=1.0):
 # linear layer
 # ---------------------------------------------------------------------------
 
+def linear(weight, bias=None) -> dict:
+    """A parameter mapping holding one equivariant linear, "l"."""
+    return {"l/weight": weight} if bias is None else {"l/weight": weight, "l/bias": bias}
+
+
 def test_eq_linear_identity_params():
     rng = np.random.default_rng(0)
     weight = np.zeros((1, 1, 10))
     weight[0, 0, :4] = 1.0
     x = rng.normal(size=(5, 1, 8))
-    assert np.allclose(eq_linear(x, weight), x, atol=1e-15)
+    assert np.allclose(eq_linear(x, linear(weight), "l"), x, atol=1e-15)
 
 
 def test_eq_linear_basis_action():
@@ -92,7 +95,7 @@ def test_eq_linear_basis_action():
     def act(comp):
         x = np.zeros((1, 8))
         x[0, comp] = 1.0
-        return np.asarray(eq_linear(x[None], weight))[0, 0]
+        return np.asarray(eq_linear(x[None], linear(weight), "l"))[0, 0]
 
     e = np.eye(8)
     assert np.allclose(act(0), w[0] * e[0] + v[0] * e[1] + u[0] * e[7])  # 1
@@ -108,7 +111,7 @@ def test_eq_linear_basis_action():
 def test_eq_linear_bias_on_scalar_component_only():
     weight = np.zeros((2, 1, 10))
     bias = np.array([0.5, -1.5])
-    out = np.asarray(eq_linear(np.zeros((3, 1, 8)), weight, bias))
+    out = np.asarray(eq_linear(np.zeros((3, 1, 8)), linear(weight, bias), "l"))
     assert np.allclose(out[..., 0], np.broadcast_to(bias, (3, 2)))
     assert np.allclose(out[..., 1:], 0.0)
 
@@ -117,7 +120,7 @@ def test_eq_linear_channel_mixing_matches_loop():
     rng = np.random.default_rng(2)
     weight = rand_eq_weight(rng, 3, 2)
     x = rng.normal(size=(4, 2, 8))
-    got = np.asarray(eq_linear(x, weight))
+    got = np.asarray(eq_linear(x, linear(weight), "l"))
     # slow oracle: per-pair map built from explicit grade projections
     for o in range(3):
         for t in range(4):
@@ -140,8 +143,8 @@ def test_eq_linear_equivariance():
     worst = 0.0
     for _ in range(200):
         u = rand_motor(rng)
-        lhs = np.asarray(eq_linear(transform_mv(u, x), weight, bias))
-        rhs = transform_mv(u, np.asarray(eq_linear(x, weight, bias)))
+        lhs = np.asarray(eq_linear(transform_mv(u, x), linear(weight, bias), "l"))
+        rhs = transform_mv(u, np.asarray(eq_linear(x, linear(weight, bias), "l")))
         worst = max(worst, deviation(lhs, rhs))
     assert worst <= 1e-10
 
@@ -647,13 +650,14 @@ def test_attention_rejects_heads_that_do_not_split_the_channels():
 # invariant adapter and MLP block
 # ---------------------------------------------------------------------------
 
-def rand_mlp(rng, d_in, hidden, d_out, scale=0.3):
-    return MlpParams(
-        w1=rng.normal(0, scale, size=(d_in, hidden)),
-        b1=rng.normal(0, scale, size=hidden),
-        w2=rng.normal(0, scale, size=(hidden, d_out)),
-        b2=rng.normal(0, scale, size=d_out),
-    )
+def rand_mlp(rng, name, d_in, hidden, d_out, scale=0.3) -> dict:
+    """The weights of a two-layer MLP `name`, drawn in the order w1, b1, w2, b2."""
+    return {
+        f"{name}/w1": rng.normal(0, scale, size=(d_in, hidden)),
+        f"{name}/b1": rng.normal(0, scale, size=hidden),
+        f"{name}/w2": rng.normal(0, scale, size=(hidden, d_out)),
+        f"{name}/b2": rng.normal(0, scale, size=d_out),
+    }
 
 
 def test_adapter_zero_mlp_keeps_scalars():
@@ -661,8 +665,8 @@ def test_adapter_zero_mlp_keeps_scalars():
     mv = rng.normal(size=(4, 2, 8))
     s = rng.normal(size=(4, 5))
     sandwich = sandwich_matrix(np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)))
-    mlp = MlpParams(np.zeros((16, 3)), np.zeros(3), np.zeros((3, 5)), np.zeros(5))
-    out = np.asarray(invariant_adapter(mv, s, sandwich, mlp))
+    mlp = {"a/w1": np.zeros((16, 3)), "a/b1": np.zeros(3), "a/w2": np.zeros((3, 5)), "a/b2": np.zeros(5)}
+    out = np.asarray(invariant_adapter(mv, s, sandwich, mlp, "a"))
     assert np.array_equal(out, s)
 
 
@@ -682,18 +686,18 @@ def test_adapter_invariance_under_scene_transform():
     poses = [rand_pose(rng) for _ in range(6)]
     mv = rng.normal(size=(6, 3, 8))
     s = rng.normal(size=(6, 4))
-    mlp = rand_mlp(rng, 24, 8, 4)
+    mlp = rand_mlp(rng, "a", 24, 8, 4)
 
     def sandwich_of(pose_list):
         return sandwich_matrix(np.stack([reverse(motor_from_pose(p)) for p in pose_list]))
 
-    base = np.asarray(invariant_adapter(mv, s, sandwich_of(poses), mlp))
+    base = np.asarray(invariant_adapter(mv, s, sandwich_of(poses), mlp, "a"))
     worst = 0.0
     for _ in range(100):
         g = rand_pose(rng)
         moved_poses = [Pose2(*_compose(g, p)) for p in poses]
         moved = np.asarray(
-            invariant_adapter(transform_mv(motor_from_pose(g), mv), s, sandwich_of(moved_poses), mlp)
+            invariant_adapter(transform_mv(motor_from_pose(g), mv), s, sandwich_of(moved_poses), mlp, "a")
         )
         worst = max(worst, deviation(moved, base))
     assert worst <= 1e-10
@@ -711,47 +715,34 @@ def _compose(g, p):
 def test_eq_mlp_block_zero_weights_is_residual_identity():
     rng = np.random.default_rng(23)
     c, cs = 2, 4
-    params = EqMlpBlockParams(
-        expand=_zero_eq(4 * c, c),
-        mid=_zero_eq(2 * c, 2 * c),
-        out=_zero_eq(c, 2 * c),
-        scalar=MlpParams(np.zeros((cs, 2 * cs)), np.zeros(2 * cs), np.zeros((2 * cs, cs)), np.zeros(cs)),
-    )
+    params = {name: np.zeros_like(arr) for name, arr in _rand_block(np.random.default_rng(0), c, cs).items()}
     mv = rng.normal(size=(5, c, 8))
     s = rng.normal(size=(5, cs))
-    mv_out, s_out = eq_mlp_block(mv, s, params)
+    mv_out, s_out = eq_mlp_block(mv, s, params, "mlp")
     assert np.array_equal(np.asarray(mv_out), mv)
     assert np.array_equal(np.asarray(s_out), s)
 
 
-def _zero_eq(c_out, c_in):
-    from eqtraffic.layers import EqLinearParams
-
-    return EqLinearParams(np.zeros((c_out, c_in, 10)), np.zeros(c_out))
-
-
-def _rand_eq(rng, c_out, c_in, scale=0.4):
-    from eqtraffic.layers import EqLinearParams
-
-    return EqLinearParams(rng.normal(0, scale, size=(c_out, c_in, 10)), rng.normal(0, scale, size=c_out))
+def _rand_block(rng, c, cs, scale=0.4) -> dict:
+    """The weights of an equivariant MLP block "mlp" on c multivector and cs scalar channels."""
+    params = {}
+    for name, c_out, c_in in (("expand", 4 * c, c), ("mid", 2 * c, 2 * c), ("out", c, 2 * c)):
+        params[f"mlp/{name}/weight"] = rng.normal(0, scale, size=(c_out, c_in, 10))
+        params[f"mlp/{name}/bias"] = rng.normal(0, scale, size=c_out)
+    return params | rand_mlp(rng, "mlp/scalar", cs, 2 * cs, cs, scale=0.3)
 
 
 def test_eq_mlp_block_equivariance():
     rng = np.random.default_rng(24)
     c, cs = 2, 4
-    params = EqMlpBlockParams(
-        expand=_rand_eq(rng, 4 * c, c),
-        mid=_rand_eq(rng, 2 * c, 2 * c),
-        out=_rand_eq(rng, c, 2 * c),
-        scalar=rand_mlp(rng, cs, 2 * cs, cs),
-    )
+    params = _rand_block(rng, c, cs)
     mv = rng.normal(size=(5, c, 8))
     s = rng.normal(size=(5, cs))
-    base_mv, base_s = eq_mlp_block(mv, s, params)
+    base_mv, base_s = eq_mlp_block(mv, s, params, "mlp")
     worst = 0.0
     for _ in range(100):
         u = rand_motor(rng)
-        mv_t, s_t = eq_mlp_block(transform_mv(u, mv), s, params)
+        mv_t, s_t = eq_mlp_block(transform_mv(u, mv), s, params, "mlp")
         worst = max(worst, deviation(np.asarray(mv_t), transform_mv(u, np.asarray(base_mv))))
         worst = max(worst, deviation(np.asarray(s_t), np.asarray(base_s)))
     assert worst <= 1e-10
@@ -768,7 +759,7 @@ def test_eq_linear_grad_check():
     bias = rng.normal(size=2)
 
     def fn(v):
-        out = eq_linear(v[0], v[1], v[2])
+        out = eq_linear(v[0], linear(v[1], v[2]), "l")
         return ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
 
     assert grad_check(fn, [x, weight, bias]) <= 1e-6
@@ -802,16 +793,10 @@ def test_mlp_block_grad_check():
         rng.normal(0, 0.4, size=(2 * cs, cs)), rng.normal(0, 0.4, size=cs),
     ]
 
-    def fn(v):
-        from eqtraffic.layers import EqLinearParams
+    names = list(_rand_block(np.random.default_rng(0), c, cs))
 
-        params = EqMlpBlockParams(
-            expand=EqLinearParams(v[2], v[3]),
-            mid=EqLinearParams(v[4], v[5]),
-            out=EqLinearParams(v[6], v[7]),
-            scalar=MlpParams(v[8], v[9], v[10], v[11]),
-        )
-        mv_out, s_out = eq_mlp_block(v[0], v[1], params)
+    def fn(v):
+        mv_out, s_out = eq_mlp_block(v[0], v[1], dict(zip(names, v[2:])), "mlp")
         a = ad.reduce_sum(ad.reshape(ad.mul(mv_out, mv_out), (-1,)), axis=0)
         b = ad.reduce_sum(ad.reshape(ad.mul(s_out, s_out), (-1,)), axis=0)
         return ad.add(a, b)

@@ -635,8 +635,9 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 def test_default_forward_tape_size_is_pinned():
     """A fused rms_norm serves the three norms and one mv_attention node each attention call;
     an eq_linear bias rides in its mv_linear node, the map is normalized once for every
-    block's map attention, and the loss folds its per-scene means into constant weights,
-    so it ends without a div.  Scenes packed on a leading axis record the same nodes."""
+    block's map attention, and the loss folds its per-scene means and its sign into constant
+    weights, so it ends without a div or a negation.  Scenes packed on a leading axis record
+    the same nodes."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
     other = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=10), seed=1)
     for tokens in (batch, md.pack_scenes([batch, md.build_token_batch(other, vocab, cfg)])):
@@ -644,7 +645,7 @@ def test_default_forward_tape_size_is_pinned():
             md.loss(md.forward(tokens, params.as_vars(), cfg), tokens.targets, tokens.target_valid)
         ops = [node.op for node in tape.nodes]
         counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
-        assert counts == (199, 21, 0, 6)
+        assert counts == (198, 21, 0, 6)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -760,14 +761,38 @@ def test_backward_keeps_only_leaf_cotangents():
 
 @pytest.mark.parametrize("distance_awareness", [True, False])
 def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
-    """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values."""
+    """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values.
+
+    The embed and decoder terms are the products by their parameters: a matmul costs
+    2*|out|*k, an mv_linear 2*|out|*8*C_in; the decoder's heads reach their matmul through
+    the per-class embedding."""
     scene, vocab, cfg, params, batch = desk_setup(distance_awareness=distance_awareness)
+    pvars = params.as_vars()
     with ad.Tape() as tape:
-        md.forward(batch, params.as_vars(), cfg)
+        md.forward(batch, pvars, cfg)
     taped = sum(2 * node.ctx["w"].size * (node.ctx["qf"].shape[-1] + node.ctx["vf"].shape[-1])
                 for node in tape.nodes if node.op == "mv_attention")
     terms = md.flop_count(cfg, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"]
     assert taped == terms["attn_scores"] + terms["attn_values"]
+
+    name_of = {id(var): name for name, var in pvars.items()}
+    produced_by = {id(out): node for node in tape.nodes for out in node.outputs}
+
+    def weight_name(node) -> str:
+        weight = node.inputs[1]
+        source = produced_by.get(id(weight))
+        if source is not None and source.op == "embedding":
+            weight = source.inputs[0]
+        return name_of.get(id(weight), "")
+
+    def product_flops(prefix: str) -> int:
+        return sum(2 * ad.data_of(node.output).size
+                   * (node.ctx["da"].shape[-1] if node.op == "matmul" else 8 * node.ctx["wshape"][1])
+                   for node in tape.nodes
+                   if node.op in ("matmul", "mv_linear") and weight_name(node).startswith(prefix))
+
+    assert product_flops("embed/") == terms["embed"]
+    assert product_flops("decoder/") == terms["decoder"]
 
 
 def test_rpe_pair_flops_from_the_tape_match_flop_count():
@@ -802,8 +827,9 @@ def test_rpe_zero_mlp_reduces_to_vanilla_attention():
     k = rng.normal(size=(5, d))
     v = rng.normal(size=(5, d))
     rel = rng.normal(size=(4, 5, 4))
-    zero_mlp = md.MlpParams(np.zeros((4, 8)), np.zeros(8), np.zeros((8, 2 * d)), np.zeros(2 * d))
-    out_rpe = np.asarray(md.rpe_attention(q, k, v, rel, zero_mlp))
+    zero_mlp = {"rpe/w1": np.zeros((4, 8)), "rpe/b1": np.zeros(8), "rpe/w2": np.zeros((8, 2 * d)),
+                "rpe/b2": np.zeros(2 * d)}
+    out_rpe = np.asarray(md.rpe_attention(q, k, v, rel, zero_mlp, "rpe"))
     out_vanilla = np.asarray(md.scalar_attention(q, k, v))
     assert np.allclose(out_rpe, out_vanilla, atol=1e-14)
 
@@ -965,16 +991,16 @@ def test_invariant_loss_gradients_transform_contravariantly():
         assert float(np.max(np.abs(moved - base))) <= 1e-8 * scale
 
 
-def _self_attention(mv, s, prm, cfg, mask):
+def _self_attention(mv, s, p, name, cfg, mask):
     normed = md._norms(mv, s)
-    return md._attend(mv, s, normed, md._keys_values(normed, prm), prm, cfg, mask)
+    return md._attend(mv, s, normed, md._keys_values(normed, p, name), p, name, cfg, mask)
 
 
 def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     """forward() with the agent multivector input taken from a tracked Var."""
     dt = cfg.np_dtype
-    mv = md.eq_linear(mv_tracked, md._eq_params(p, "embed/agent_mv"))
-    s = md.mlp2(batch.scalars_raw.astype(dt), md._mlp_params(p, "embed/agent_in"))
+    mv = md.eq_linear(mv_tracked, p, "embed/agent_mv")
+    s = md.mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = md._map_keys_values(batch, p, cfg, None)
     map_mask, agent_mask = md._step_masks(batch)
@@ -982,20 +1008,14 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
     time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv, 0), md._swap_at(s, 0)
-        mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i],
-                               md._attn_params(p, f"block{i}/map_attn"), cfg, map_mask)
-        mv_t, s_t = _self_attention(mv_t, s_t, md._attn_params(p, f"block{i}/agent_attn"),
-                                    cfg, agent_mask)
+        mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i], p, f"block{i}/map_attn", cfg,
+                               map_mask)
+        mv_t, s_t = _self_attention(mv_t, s_t, p, f"block{i}/agent_attn", cfg, agent_mask)
         mv, s = md._swap_at(mv_t, 0), md._swap_at(s_t, 0)
-        mv, s = _self_attention(mv, s, md._attn_params(p, f"block{i}/time_attn"), cfg, time_mask)
-        mv, s = md.eq_mlp_block(mv, s, md.EqMlpBlockParams(
-            expand=md._eq_params(p, f"block{i}/mlp/expand"),
-            mid=md._eq_params(p, f"block{i}/mlp/mid"),
-            out=md._eq_params(p, f"block{i}/mlp/out"),
-            scalar=md._mlp_params(p, f"block{i}/mlp/scalar"),
-        ))
+        mv, s = _self_attention(mv, s, p, f"block{i}/time_attn", cfg, time_mask)
+        mv, s = md.eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
-            s = md.invariant_adapter(mv, s, sandwich, md._mlp_params(p, f"block{i}/adapter"))
+            s = md.invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
     h = ad.relu(md.affine(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = md._decode_logits(h, p, batch.class_idx)
     logits = ad.add(logits, md._vocab_mask(batch.class_idx, cfg))
