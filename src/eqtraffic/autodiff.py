@@ -293,6 +293,9 @@ def matmul(a, b):
 
 def _matmul_vjp(n, g):
     da, db = n.ctx["da"], n.ctx["db"]
+    if db.ndim == 2:  # a weight: both cotangents as one flat 2-D product, no [..., k, n] stack to sum
+        gf = g.reshape(-1, db.shape[1])
+        return (gf @ db.T).reshape(da.shape), da.reshape(-1, db.shape[0]).T @ gf
     ga = g @ np.swapaxes(db, -1, -2)
     gb = np.swapaxes(da, -1, -2) @ g
     return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape)
@@ -460,7 +463,14 @@ def _softmax_grad(y, g):
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
-register_vjp("masked_softmax", lambda n, g: (_softmax_grad(n.ctx["out"], g),))
+def _drop_tiny(w):
+    """Softmax weights `w` with those below eps(dtype)² set to 0, for VJPs only: peaked rows hold
+    subnormal weights, several times slower in arithmetic, and the dropped terms are at most L·eps²
+    of their row, below the dtype's resolution."""
+    return np.where(w < np.finfo(w.dtype).eps ** 2, 0.0, w)
+
+
+register_vjp("masked_softmax", lambda n, g: (_softmax_grad(_drop_tiny(n.ctx["out"]), g),))
 
 
 def mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, query_mix, key_mix, eps: float,
@@ -560,7 +570,7 @@ def _key_grad(p, x, shape: tuple):
 
 def _mv_attention_vjp(n, g):
     ctx = n.ctx
-    heads, w, vf, qf, kf = ctx["heads"], ctx["w"], ctx["vf"], ctx["qf"], ctx["kf"]
+    heads, w, vf, qf, kf = ctx["heads"], _drop_tiny(ctx["w"]), ctx["vf"], ctx["qf"], ctx["kf"]
     g_mv, g_s = (np.zeros_like(out.data) if gi is None else gi for gi, out in zip(g, n.output))
     c = g_mv.shape[-2] // heads
     g_out = np.concatenate([_split_heads(g_mv, heads, 1).reshape(w.shape[:-1] + (8 * c,)),
@@ -644,11 +654,9 @@ def mv_linear(x, weight, basis, bias=None):
 def _mv_linear_vjp(n, g):
     dx, mat, basis = n.ctx["dx"], n.ctx["mat"], n.ctx["basis"]
     c_out, c_in, p = n.ctx["wshape"]
-    gflat = g.reshape(g.shape[:-2] + (c_out * 8,))
-    gx = (gflat @ mat.T).reshape(dx.shape)
-    xf = dx.reshape(-1, c_in * 8)
-    gf = gflat.reshape(-1, c_out * 8)
-    gmat = xf.T @ gf  # [C_in*8, C_out*8]
+    gf = g.reshape(-1, c_out * 8)
+    gx = (gf @ mat.T).reshape(dx.shape)
+    gmat = dx.reshape(-1, c_in * 8).T @ gf  # [C_in*8, C_out*8]
     gmixed = gmat.reshape(c_in, 8, c_out, 8).transpose(2, 0, 1, 3).reshape(c_out * c_in, 64)
     gw = (gmixed @ basis.reshape(p, 64).T).reshape(c_out, c_in, p)
     return gx, gw, None if n.inputs[2] is None else _unbroadcast(g, g.shape[-2:])[:, 0]
@@ -682,9 +690,13 @@ def embedding(table, idx):
 
 
 def _embedding_vjp(n, g):
-    out = np.zeros(n.ctx["shape"], dtype=g.dtype)
-    np.add.at(out, n.ctx["idx"], g)
-    return (out,)
+    """One bincount over the (row, column) slots each looked-up element came from; it sums in
+    float64 in index order, as `np.add.at` does on a float64 table."""
+    shape = n.ctx["shape"]
+    cols = math.prod(shape[1:])
+    rows = n.ctx["idx"].reshape(-1, 1) % shape[0]
+    out = np.bincount((rows * cols + np.arange(cols)).ravel(), g.ravel(), math.prod(shape))
+    return (out.reshape(shape).astype(g.dtype, copy=False),)
 
 
 register_vjp("embedding", _embedding_vjp)

@@ -75,7 +75,8 @@ def _check_keys(doc, keys, where: str) -> None:
 
 _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
 # the least value of each count option, by dest: a smaller one is a usage error, from a flag or a run-config key
-_MINIMUMS = {"count": 0, "cap": 0, "steps": 1, "trials": 0, "rollout_horizon": 0}
+_MINIMUMS = {"count": 0, "cap": 0, "steps": 1, "trials": 0, "rollout_horizon": 0, "horizon": 1, "n": 1,
+             "map_tokens": 1}
 
 
 def _check_value(value, kind, name: str, choices=None, minimum=None) -> None:
@@ -289,6 +290,8 @@ def cmd_check(args, run_cfg) -> int:
 def cmd_rollout(args, run_cfg) -> int:
     if args.checkpoint is None or args.scene is None or args.vocab is None:
         raise _UsageError("rollout requires --checkpoint, --scene, and --vocab")
+    if not 0.0 < args.temperature < math.inf:
+        raise _UsageError(f"--temperature must be a positive finite number, got {args.temperature}")
     out, seed, horizon, mode = Path(args.out), args.seed, args.horizon, args.mode
 
     params, cfg, manifest = md.load_checkpoint(args.checkpoint)

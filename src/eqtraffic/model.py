@@ -532,7 +532,7 @@ def loss(logits, targets: np.ndarray, valid: np.ndarray):
 def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None = None,
                   temperature: float = 1.0):
     """One action per row of logits [N, V] (an int for one row [V]): greedy argmax (lowest
-    index wins ties) or categorical at a temperature.
+    index wins ties) or categorical at a temperature, a positive finite number.
 
     Categorical draws take one uniform per row from `rng`, in row order, and
     invert the row's cumulative distribution as `rng.choice(V, p=probs)`
@@ -546,7 +546,9 @@ def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None
     elif mode == "categorical":
         if rng is None:
             raise ValueError("categorical sampling needs an rng")
-        scaled = rows / max(temperature, 1e-12)
+        if not 0.0 < temperature < math.inf:
+            raise ValueError(f"temperature must be a positive finite number, got {temperature}")
+        scaled = rows / temperature
         probs = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
         cdf = np.cumsum(probs, axis=-1)

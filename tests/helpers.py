@@ -175,6 +175,26 @@ def bilinear8_vjp(a, b, table, g):
     return ad._unbroadcast(ga, a.shape), ad._unbroadcast(gb, b.shape)
 
 
+def matmul_vjp(a, b, g):
+    """Cotangents of `ad.matmul(a, b)` for a 2-D `b` by the batched formula: one product per
+    leading index, and the [..., k, n] stack of weight cotangents summed over the leading axes."""
+    gb = np.swapaxes(a, -1, -2) @ g
+    return g @ b.T, gb.reshape((-1,) + b.shape).sum(axis=0)
+
+
+def mv_linear_gx(weight, basis, g):
+    """The input cotangent of `ad.mv_linear(x, weight, basis)` by the batched formula:
+    gx[..., i, a] = sum over o, p, b of weight[o, i, p] basis[p, a, b] g[..., o, b]."""
+    return np.einsum("oip,pab,...ob->...ia", weight, basis, g)
+
+
+def embedding_vjp(shape, idx, g):
+    """The table cotangent of `ad.embedding(table, idx)` for a table of `shape`, by `np.add.at`."""
+    out = np.zeros(shape, dtype=g.dtype)
+    np.add.at(out, idx, g)
+    return out
+
+
 def grad_check(fn, arrays, step: float = 1e-6, max_coords: int = 200, seed: int = 0,
                min_grad: float = 0.0) -> float:
     """Compare analytic gradients of a scalar-valued fn against central differences.
@@ -267,13 +287,16 @@ def primitive_grad_cases(rng):
     points[0, :, 6] = rng.choice([-1.0, 1.0], size=4) * rng.uniform(3.0, 8.0, size=4) * DISTANCE_EPS**0.5
 
     # attention: 2 heads of 1 multivector and 1 scalar channel; e12 weights kept
-    # 0.5-1.5 from zero so the distance features stay smooth on the FD step
-    def attn_arrays(lead_q, lead_k, lq, lk):
-        def points_mv(lead, length):
+    # 0.5-1.5 from zero so the distance features stay smooth on the FD step.
+    # `apart` moves key j by apart * j along x: at 15 every row's logits span
+    # over 200, so its far keys' weights fall below eps^2
+    def attn_arrays(lead_q, lead_k, lq, lk, apart=0.0):
+        def points_mv(lead, length, apart=0.0):
             x = rng.normal(0.0, 0.5, size=lead + (length, 2, 8))
             x[..., 6] = rng.choice([-1.0, 1.0], size=x.shape[:-1]) * rng.uniform(0.5, 1.5, size=x.shape[:-1])
+            x[..., 5] += apart * np.arange(length)[:, None] * x[..., 6]
             return x
-        return [points_mv(lead_q, lq), points_mv(lead_k, lk), points_mv(lead_k, lk),
+        return [points_mv(lead_q, lq), points_mv(lead_k, lk, apart), points_mv(lead_k, lk),
                 rng.normal(size=lead_q + (lq, 2)), rng.normal(size=lead_k + (lk, 2)),
                 rng.normal(size=lead_k + (lk, 2))]
 
@@ -285,6 +308,7 @@ def primitive_grad_cases(rng):
     distance = (QUERY_MIX, KEY_MIX)
     no_key_row = rng.random(size=(2, 3, 3)) < 0.7
     no_key_row[1, 0] = False
+    peaked_mask = np.array([[True, True, True, False], [True, True, True, True]])
 
     raw = [
         ("mv_attention/causal_lq_lt_lk", attention(distance, np.tri(2, 3, 1, dtype=bool)),
@@ -293,6 +317,9 @@ def primitive_grad_cases(rng):
         ("mv_attention/keys_fewer_dims", attention(distance, rng.random(size=(2, 3, 4)) < 0.8),
          attn_arrays((2,), (), 3, 4)),
         ("mv_attention/no_distance", attention((None, None), None), attn_arrays((2,), (2,), 2, 3)),
+        ("mv_attention/peaked", attention(distance, None), attn_arrays((2,), (2,), 3, 4, apart=15.0)),
+        ("masked_softmax/peaked", lambda v: scalarize(ad.masked_softmax(v[0], peaked_mask)),
+         [rng.normal(size=(2, 4)) + [0.0, -100.0, -250.0, -400.0]]),
         ("add", lambda v: scalarize(ad.add(v[0], v[1])), [a23, b3]),
         ("sub", lambda v: scalarize(ad.sub(v[0], v[1])), [a23, b3]),
         ("mul", lambda v: scalarize(ad.mul(v[0], v[1])), [a23, b3]),

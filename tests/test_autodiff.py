@@ -7,7 +7,7 @@ import pytest
 
 from eqtraffic import autodiff as ad
 from eqtraffic.pga import GEOM_TABLE, JOIN_TABLE, WEDGE_TABLE
-from helpers import bilinear8_vjp, grad_check
+from helpers import bilinear8_vjp, embedding_vjp, grad_check, matmul_vjp, mv_linear_gx
 
 
 def scalarize(x):
@@ -134,6 +134,60 @@ def test_bilinear8_vjp_matches_the_dense_formula(table):
             assert actual.shape == expected.shape and actual.dtype == expected.dtype
             scale = np.max(np.abs(expected), initial=0.0)
             assert np.max(np.abs(actual - expected), initial=0.0) <= 1e-13 * scale
+
+
+def _vjp(op, *arrays):
+    """A seeded cotangent of `op`'s output on the arrays, tracked, and the VJP of the one node it records."""
+    with ad.Tape() as tape:
+        out = op(*[ad.Var(x) for x in arrays])
+    g = np.random.default_rng(11).normal(size=out.shape).astype(out.dtype)
+    return g, ad._VJPS[tape.nodes[0].op](tape.nodes[0], g)
+
+
+def _assert_close(actual, expected, tol=1e-13):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    scale = np.max(np.abs(expected), initial=0.0)
+    assert np.max(np.abs(actual - expected), initial=0.0) <= tol * scale
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3, 4), (0, 5), "moveaxis"], ids=str)
+def test_matmul_vjp_with_a_weight_matches_the_batched_formula(lead):
+    rng = np.random.default_rng(12)
+    # a non-contiguous left operand: the [3, 4, 5] view of a [5, 3, 4] array
+    a = np.moveaxis(rng.normal(size=(5, 3, 4)), 0, -1) if lead == "moveaxis" else rng.normal(size=lead + (4, 5))
+    b = rng.normal(size=(5, 6))
+    g, (ga, gb) = _vjp(ad.matmul, a, b)
+    for actual, expected in zip((ga, gb), matmul_vjp(a, b, g)):
+        _assert_close(actual, expected)
+
+
+def test_mv_linear_input_cotangent_matches_the_batched_formula():
+    from eqtraffic.layers import LINEAR_BASIS
+
+    rng = np.random.default_rng(13)
+    weight = rng.normal(size=(3, 2, LINEAR_BASIS.shape[0]))
+    for lead in ((), (4,), (2, 3, 5), (0, 2)):
+        x = rng.normal(size=lead + (2, 8))
+        g, (gx, _gw, _gb) = _vjp(lambda v, w: ad.mv_linear(v, w, LINEAR_BASIS), x, weight)
+        _assert_close(gx, mv_linear_gx(weight, LINEAR_BASIS, g))
+
+
+@pytest.mark.parametrize("shape, idx", [
+    ((6, 3), np.array([[0, 5, 5], [5, 2, -1]])),            # repeated rows, and one counted from the end
+    ((3, 64, 64), np.array([[0, 2, 2, 1], [2, 0, 2, 2]])),   # a table of matrices, as the decoder heads
+    ((4, 3), np.zeros((0, 2), dtype=int)),                     # no lookup at all
+], ids=["repeated", "matrices", "empty"])
+def test_embedding_vjp_matches_add_at(shape, idx):
+    rng = np.random.default_rng(14)
+    for dtype in (np.float64, np.float32):
+        table = rng.normal(size=shape).astype(dtype)
+        g, (gt,) = _vjp(lambda t: ad.embedding(t, idx), table)
+        assert gt.dtype == dtype and gt.shape == shape
+        expected = embedding_vjp(shape, idx, g)
+        if dtype == np.float64:  # float64 sums in the same order: bit-identical
+            assert np.array_equal(gt, expected)
+        else:
+            _assert_close(gt, expected, tol=1e-6)
 
 
 def test_embedding_and_gather_gradients():
@@ -312,6 +366,23 @@ def test_every_primitive_over_twenty_instantiations():
             worst[name] = max(worst.get(name, 0.0), err)
     offenders = {k: v for k, v in worst.items() if v > 1e-5}
     assert not offenders, offenders
+
+
+def test_peaked_grad_cases_drop_weights_below_eps_squared():
+    """The peaked softmax cases reach the backward's rule: every row has weights below eps², and
+    some of those are nonzero, which the VJPs count as exact zeros."""
+    from helpers import primitive_grad_cases
+
+    tiny = np.finfo(np.float64).eps ** 2
+    for trial in range(20):
+        for name, fn, arrays, _floor in primitive_grad_cases(np.random.default_rng(1000 + trial)):
+            if not name.endswith("/peaked"):
+                continue
+            with ad.Tape() as tape:
+                fn([ad.Var(a) for a in arrays])
+            node = next(nd for nd in tape.nodes if nd.op == name.split("/")[0])
+            w = node.ctx["w" if node.op == "mv_attention" else "out"]
+            assert (w < tiny).any(axis=-1).all() and ((w > 0.0) & (w < tiny)).any(), (name, trial)
 
 
 def test_every_registered_vjp_has_a_grad_check_case():

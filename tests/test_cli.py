@@ -241,6 +241,7 @@ def test_bench_csv(workspace, tmp_path):
 
 
 _FRESH_CHECK = ["check", "--scenes", "x", "--random-params"]
+_ROLLOUT = ["rollout", "--checkpoint", "x", "--scene", "y", "--vocab", "z"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -251,6 +252,9 @@ _FRESH_CHECK = ["check", "--scenes", "x", "--random-params"]
     (["bench"], "steps", 0, 1),
     (_FRESH_CHECK, "trials", -1, 0),
     (_FRESH_CHECK, "rollout-horizon", -1, 0),
+    (_ROLLOUT, "horizon", 0, 1),
+    (_ROLLOUT, "n", 0, 1),
+    (["bench"], "map-tokens", 0, 1),
 ])
 def test_count_below_its_range_exits_1(tmp_path, capsys, source, argv, option, value, least):
     """A count option below its range is a one-line usage error that names it, as a flag or a run-config key."""
@@ -264,6 +268,23 @@ def test_count_below_its_range_exits_1(tmp_path, capsys, source, argv, option, v
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, value", [("flag", "0"), ("flag", "-1"), ("flag", "inf"), ("flag", "nan"),
+                                           ("config", "0"), ("config", "-1")])
+def test_rollout_temperature_not_positive_and_finite_exits_1(tmp_path, capsys, source, value):
+    """A temperature that is not a positive finite number is a one-line usage error that names it,
+    as a flag or a run-config key."""
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"temperature": int(value)}))
+        argv = _ROLLOUT + ["--config", str(tmp_path / "cfg.json")]
+    else:
+        argv = _ROLLOUT + ["--temperature", value]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--mode", "sampled", "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"usage error: --temperature must be a positive finite number, got {float(value)}\n"
     assert not out.exists()
 
 

@@ -561,6 +561,12 @@ def test_sampling_rules():
         md.sample_action(logits, "nucleus")
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, np.inf, np.nan])
+def test_categorical_sampling_rejects_a_temperature_that_is_not_positive_and_finite(temperature):
+    with pytest.raises(ValueError, match="temperature must be a positive finite number"):
+        md.sample_action(np.array([0.0, 2.0, 1.0]), "categorical", np.random.default_rng(0), temperature)
+
+
 def test_sampling_rows_greedy_ties_masks_and_finiteness():
     rows = np.array([[1.0, 3.0, 3.0], [2.0, 2.0, 2.0], [-1e30, 0.5, -1e30], [-np.inf, -1.0, 0.0]])
     assert md.sample_action(rows, "greedy").tolist() == [1, 0, 1, 2]
@@ -757,6 +763,35 @@ def test_backward_keeps_only_leaf_cotangents():
         loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
     grads = ad.backward(tape, loss)
     assert grads._buffers and set(grads._buffers) <= {id(var) for var in pvars.values()}
+
+
+def test_a_packed_f32_step_returns_no_subnormal_cotangent(monkeypatch):
+    """Distance logits leave softmax rows nearly one-hot, and float arithmetic on subnormal values
+    is several times slower: no VJP of a default packed f32 step may return one."""
+    corpus = [sc.generate_synthetic_scene(sc.GeneratorConfig(), seed=s) for s in range(8)]
+    vocab = sc.build_kdisk_vocab(sc.collect_transitions(corpus), k_r=0.003, seed=0, cap=64)
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES})
+    params = md.init_params(cfg, np.random.default_rng(0))
+    batch = md.pack_scenes([md.build_token_batch(s, vocab, cfg) for s in corpus[:2]])
+    subnormal = []
+
+    def watched(op, vjp):
+        def run(node, g):
+            grads = vjp(node, g)
+            for mag in (np.abs(gi) for gi in grads if gi is not None):
+                if np.any((mag > 0.0) & (mag < np.finfo(mag.dtype).tiny)):
+                    subnormal.append(op)
+            return grads
+        return run
+
+    for op, vjp in list(ad._VJPS.items()):
+        monkeypatch.setitem(ad._VJPS, op, watched(op, vjp))
+    pvars = params.as_vars()
+    with ad.Tape() as tape:
+        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
+    assert ad.data_of(loss).dtype == np.float32
+    ad.backward(tape, loss)
+    assert subnormal == []
 
 
 @pytest.mark.parametrize("distance_awareness", [True, False])
