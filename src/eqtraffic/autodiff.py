@@ -463,14 +463,7 @@ def _softmax_grad(y, g):
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
-def _drop_tiny(w):
-    """Softmax weights `w` with those below eps(dtype)² set to 0, for VJPs only: peaked rows hold
-    subnormal weights, several times slower in arithmetic, and the dropped terms are at most L·eps²
-    of their row, below the dtype's resolution."""
-    return np.where(w < np.finfo(w.dtype).eps ** 2, 0.0, w)
-
-
-register_vjp("masked_softmax", lambda n, g: (_softmax_grad(_drop_tiny(n.ctx["out"]), g),))
+register_vjp("masked_softmax", lambda n, g: (_softmax_grad(n.ctx["out"], g),))
 
 
 def mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, query_mix, key_mix, eps: float,
@@ -570,7 +563,11 @@ def _key_grad(p, x, shape: tuple):
 
 def _mv_attention_vjp(n, g):
     ctx = n.ctx
-    heads, w, vf, qf, kf = ctx["heads"], _drop_tiny(ctx["w"]), ctx["vf"], ctx["qf"], ctx["kf"]
+    heads, w, vf, qf, kf = ctx["heads"], ctx["w"], ctx["vf"], ctx["qf"], ctx["kf"]
+    # saved weights below eps(dtype)² count as exact zeros: distance logits leave peaked rows with
+    # subnormal weights, several times slower in arithmetic, and the dropped terms are at most
+    # L·eps² of their row, below the dtype's resolution
+    w = np.where(w < np.finfo(w.dtype).eps ** 2, 0.0, w)
     g_mv, g_s = (np.zeros_like(out.data) if gi is None else gi for gi, out in zip(g, n.output))
     c = g_mv.shape[-2] // heads
     g_out = np.concatenate([_split_heads(g_mv, heads, 1).reshape(w.shape[:-1] + (8 * c,)),

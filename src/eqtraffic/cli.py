@@ -290,8 +290,9 @@ def cmd_check(args, run_cfg) -> int:
 def cmd_rollout(args, run_cfg) -> int:
     if args.checkpoint is None or args.scene is None or args.vocab is None:
         raise _UsageError("rollout requires --checkpoint, --scene, and --vocab")
-    if not 0.0 < args.temperature < math.inf:
-        raise _UsageError(f"--temperature must be a positive finite number, got {args.temperature}")
+    if args.mode != "greedy" and not 0.0 < args.temperature < math.inf:  # only sampling reads it
+        name = "key 'temperature'" if run_cfg.get("temperature") == args.temperature else "--temperature"
+        raise _UsageError(f"{name} must be a positive finite number, got {args.temperature}")
     out, seed, horizon, mode = Path(args.out), args.seed, args.horizon, args.mode
 
     params, cfg, manifest = md.load_checkpoint(args.checkpoint)

@@ -274,17 +274,21 @@ def test_count_below_its_range_exits_1(tmp_path, capsys, source, argv, option, v
 @pytest.mark.parametrize("source, value", [("flag", "0"), ("flag", "-1"), ("flag", "inf"), ("flag", "nan"),
                                            ("config", "0"), ("config", "-1")])
 def test_rollout_temperature_not_positive_and_finite_exits_1(tmp_path, capsys, source, value):
-    """A temperature that is not a positive finite number is a one-line usage error that names it,
-    as a flag or a run-config key."""
+    """A sampling temperature that is not a positive finite number is a one-line usage error that
+    names it, as a flag or a run-config key; greedy rollouts never read it."""
     if source == "config":
         (tmp_path / "cfg.json").write_text(json.dumps({"temperature": int(value)}))
-        argv = _ROLLOUT + ["--config", str(tmp_path / "cfg.json")]
+        argv, name = _ROLLOUT + ["--config", str(tmp_path / "cfg.json")], "key 'temperature'"
     else:
-        argv = _ROLLOUT + ["--temperature", value]
+        argv, name = _ROLLOUT + ["--temperature", value], "--temperature"
     out = tmp_path / "out"
-    assert cli.main(argv + ["--mode", "sampled", "--out", str(out)]) == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err == f"usage error: --temperature must be a positive finite number, got {float(value)}\n"
+    for mode in ("sampled", "categorical"):
+        assert cli.main(argv + ["--mode", mode, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: {name} must be a positive finite number, got {float(value)}\n"
+    # greedy goes on to load the checkpoint, which is missing here: an io error, not a usage error
+    assert cli.main(argv + ["--mode", "greedy", "--out", str(out)]) == cli.EXIT_IO
+    assert "temperature" not in capsys.readouterr().err
     assert not out.exists()
 
 
