@@ -13,6 +13,7 @@ inference and training.  Everything is single precision or double precision
 according to the inputs; the engine itself never changes dtype.
 """
 
+import itertools
 import math
 from typing import Callable
 
@@ -207,17 +208,26 @@ def add(a, b):
 register_vjp("add", lambda n, g: (_unbroadcast(g, n.ctx["sa"]), _unbroadcast(g, n.ctx["sb"])))
 
 
-def rms_norm(x, weights, axes, eps: float):
-    """x / sqrt(sum over `axes` of weights * x^2 + eps); constant `weights` broadcast against x."""
+def rms_norm(x, weights, axes, eps: float, center: bool = False):
+    """x / sqrt(sum over `axes` of weights * x^2 + eps); constant `weights` broadcast against x.
+    With `center`, `axes` is one axis and x first loses its mean over it (a layer norm without
+    affine terms)."""
     dx = data_of(x)
+    if center:  # sum / n rounds as numpy's mean does, without its Python-level overhead
+        dx = dx - dx.sum(axis=axes, keepdims=True) / dx.shape[axes]
     w = np.asarray(weights, dtype=dx.dtype)
     r = np.sqrt((w * dx * dx).sum(axis=axes, keepdims=True) + eps)
-    return _record("rms_norm", dx / r, (x,), {"dx": dx, "w": w, "r": r, "axes": axes})
+    return _record("rms_norm", dx / r, (x, x) if center else (x,), {"dx": dx, "w": w, "r": r, "axes": axes})
 
 
 def _rms_norm_vjp(n, g):
-    dx, w, r = n.ctx["dx"], n.ctx["w"], n.ctx["r"]
-    return ((g - w * dx * ((g * dx).sum(axis=n.ctx["axes"], keepdims=True) / (r * r))) / r,)
+    """With centring, x is listed twice and takes its two cotangent terms one per slot, in the
+    order the composite sub(x, reduce_mean(x)) would add them."""
+    dx, w, r, axes = n.ctx["dx"], n.ctx["w"], n.ctx["r"], n.ctx["axes"]
+    gx = (g - w * dx * ((g * dx).sum(axis=axes, keepdims=True) / (r * r))) / r
+    if len(n.inputs) == 1:
+        return (gx,)
+    return gx, np.broadcast_to(-gx.sum(axis=axes, keepdims=True) / dx.shape[axes], gx.shape)
 
 
 register_vjp("rms_norm", _rms_norm_vjp)
@@ -248,14 +258,6 @@ def _distance_features_grad(saved, g):
     return gx
 
 
-def sub(a, b):
-    da, db = _operands(a, b)
-    return _record("sub", da - db, (a, b), {"sa": da.shape, "sb": db.shape})
-
-
-register_vjp("sub", lambda n, g: (_unbroadcast(g, n.ctx["sa"]), _unbroadcast(-g, n.ctx["sb"])))
-
-
 def mul(a, b):
     da, db = _operands(a, b)
     return _record("mul", da * db, (a, b), {"da": da, "db": db})
@@ -284,21 +286,26 @@ register_vjp(
 )
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` (broadcast against the product) added in place when given."""
     da, db = data_of(a), data_of(b)
     if da.ndim < 2 or db.ndim < 2:
         raise ValueError("matmul operands must have ndim >= 2")
-    return _record("matmul", da @ db, (a, b), {"da": da, "db": db})
+    out = da @ db
+    if bias is not None:
+        out += data_of(bias)
+    return _record("matmul", out, (a, b, bias), {"da": da, "db": db})
 
 
 def _matmul_vjp(n, g):
-    da, db = n.ctx["da"], n.ctx["db"]
+    da, db, bias = n.ctx["da"], n.ctx["db"], n.inputs[2]
+    gbias = None if bias is None else _unbroadcast(g, data_of(bias).shape)
     if db.ndim == 2:  # a weight: both cotangents as one flat 2-D product, no [..., k, n] stack to sum
         gf = g.reshape(-1, db.shape[1])
-        return (gf @ db.T).reshape(da.shape), da.reshape(-1, db.shape[0]).T @ gf
+        return (gf @ db.T).reshape(da.shape), da.reshape(-1, db.shape[0]).T @ gf, gbias
     ga = g @ np.swapaxes(db, -1, -2)
     gb = np.swapaxes(da, -1, -2) @ g
-    return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape)
+    return _unbroadcast(ga, da.shape), _unbroadcast(gb, db.shape), gbias
 
 
 register_vjp("matmul", _matmul_vjp)
@@ -342,36 +349,18 @@ def _concat_vjp(n, g):
 register_vjp("concat", _concat_vjp)
 
 
-def take_slice(a, axis, start, stop):
-    da = data_of(a)
-    idx = [slice(None)] * da.ndim
-    idx[axis] = slice(start, stop)
-    return _record(
-        "take_slice", da[tuple(idx)], (a,), {"shape": da.shape, "axis": axis, "start": start, "stop": stop}
-    )
-
-
-def _take_slice_vjp(n, g):
-    out = np.zeros(n.ctx["shape"], dtype=g.dtype)
-    idx = [slice(None)] * len(n.ctx["shape"])
-    idx[n.ctx["axis"]] = slice(n.ctx["start"], n.ctx["stop"])
-    out[tuple(idx)] = g
-    return (out,)
-
-
-register_vjp("take_slice", _take_slice_vjp)
-
-
 def split(a, sizes, axis):
+    """Consecutive slices of `sizes` along `axis`: one node with a tuple of outputs."""
     da = data_of(a)
     if sum(sizes) != da.shape[axis]:
         raise ValueError(f"split sizes {sizes} do not sum to axis length {da.shape[axis]}")
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(take_slice(a, axis, start, start + size))
-        start += size
-    return parts
+    lead, stops = (slice(None),) * (axis % da.ndim), itertools.accumulate(sizes)
+    parts = tuple(da[lead + (slice(stop - size, stop),)] for size, stop in zip(sizes, stops))
+    return _record("split", parts, (a,), {"axis": axis})
+
+
+register_vjp("split", lambda n, g: (np.concatenate(
+    [np.zeros(out.shape, out.dtype) if gi is None else gi for gi, out in zip(g, n.output)], axis=n.ctx["axis"]),))
 
 
 def take_last(a, indices):
@@ -408,22 +397,6 @@ def _expand_reduced(g, shape, axis, keepdims):
 register_vjp(
     "reduce_sum",
     lambda n, g: (_expand_reduced(g, n.ctx["shape"], n.ctx["axis"], n.ctx["keepdims"]).copy(),),
-)
-
-
-def reduce_mean(a, axis, keepdims=False):
-    da = data_of(a)
-    return _record(
-        "reduce_mean", da.mean(axis=axis, keepdims=keepdims),
-        (a,), {"shape": da.shape, "axis": axis, "keepdims": keepdims, "n": da.shape[axis]},
-    )
-
-
-register_vjp(
-    "reduce_mean",
-    lambda n, g: (
-        _expand_reduced(g, n.ctx["shape"], n.ctx["axis"], n.ctx["keepdims"]).copy() / n.ctx["n"],
-    ),
 )
 
 
@@ -704,51 +677,61 @@ register_vjp("embedding", _embedding_vjp)
 # ---------------------------------------------------------------------------
 
 class ParamStore(dict):
-    """Named parameter arrays, name -> array in insertion order; `add` keeps names unique."""
+    """Named parameters, name -> array in insertion order, each array a view into `flat`: one
+    contiguous 1-D buffer in one dtype.  The arrays change only in place (assigning to a name
+    writes into its view), so `flat` always holds every value."""
 
-    def add(self, name: str, array: np.ndarray) -> np.ndarray:
-        if name in self:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        self[name] = np.asarray(array)
-        return self[name]
+    def __init__(self, shapes, flat: np.ndarray):
+        """Views of `flat` for the (name, shape) pairs `shapes`, laid out in order over all of it."""
+        super().__init__()
+        self.flat, offset = flat, 0
+        for name, shape in shapes:
+            if name in self:
+                raise ValueError(f"duplicate parameter name '{name}'")
+            size = math.prod(shape)
+            dict.__setitem__(self, name, flat[offset:offset + size].reshape(shape))
+            offset += size
+        if offset != flat.size:
+            raise ValueError(f"parameter shapes cover {offset} of the buffer's {flat.size} values")
 
-    def names(self) -> list[str]:
-        return list(self)
+    @classmethod
+    def pack(cls, items) -> "ParamStore":
+        """A store holding copies of the arrays of (name, array) `items`, all of one dtype."""
+        items = [(name, np.asarray(a)) for name, a in items]
+        dtypes = sorted({str(a.dtype) for _, a in items})
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {', '.join(dtypes)}")
+        return cls([(name, a.shape) for name, a in items], np.concatenate([a.ravel() for _, a in items]))
+
+    def __setitem__(self, name: str, value):
+        self[name][...] = value
 
     def astype(self, dtype) -> "ParamStore":
-        return ParamStore((name, arr.astype(dtype)) for name, arr in self.items())
+        return ParamStore([(name, arr.shape) for name, arr in self.items()], self.flat.astype(dtype))
 
     def as_vars(self) -> dict[str, Var]:
         return {name: Var(arr) for name, arr in self.items()}
 
 
 class AdamState:
-    """First/second-moment buffers, flat float64 over the parameters in store order, plus the step counter."""
+    """First/second-moment buffers, flat float64 over a store's buffer, plus the step counter."""
 
     def __init__(self, params: ParamStore):
-        size = sum(arr.size for _, arr in params.items())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(params.flat.size)
+        self.v = np.zeros(params.flat.size)
         self.step = 0
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
+def adam_step(params: ParamStore, grad: np.ndarray, state: AdamState, lr: float,
               betas=(0.9, 0.999), eps: float = 1e-8):
-    """One adaptive-moment update; mutates params and state in place.
-
-    Parameters and gradients are gathered into one flat float64 buffer, updated
-    there, and scattered back in each parameter's dtype.
-    """
-    items = list(params.items())
-    for name, arr in items:
-        if np.shape(grads[name]) != arr.shape:
-            raise ValueError(
-                f"gradient shape {np.shape(grads[name])} != parameter shape {arr.shape} for '{name}'")
+    """One adaptive-moment update of `params.flat`, in place, from the flat gradient `grad` in the
+    buffer's order; moments and update are float64 whatever the buffer's dtype."""
+    if np.shape(grad) != params.flat.shape:
+        raise ValueError(f"gradient shape {np.shape(grad)} != parameter buffer shape {params.flat.shape}")
+    g = np.array(grad, dtype=np.float64)  # a copy: it serves as scratch below
     b1, b2 = betas
     state.step += 1
     t = state.step
-    p = np.concatenate([arr.ravel() for _, arr in items], dtype=np.float64)
-    g = np.concatenate([np.ravel(grads[name]) for name, _ in items], dtype=np.float64)
     # in place, through one scratch buffer: fresh temporaries of this size cost page faults
     m, v = state.m, state.v
     m *= b1
@@ -764,10 +747,7 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float,
     denom += eps
     m_hat *= lr
     m_hat /= denom
-    p -= m_hat
-    ends = np.cumsum([arr.size for _, arr in items])
-    for (name, arr), flat in zip(items, np.split(p, ends[:-1])):
-        params[name] = flat.reshape(arr.shape).astype(arr.dtype)
+    params.flat -= m_hat  # in float64, rounded once to the buffer's dtype
     return params, state
 
 

@@ -61,16 +61,9 @@ NONEQ_BASIS = np.concatenate([LINEAR_BASIS, _GRADE_MIXING], axis=0)
 NONEQ_BASIS.flags.writeable = False
 
 
-def affine(x, w, b=None):
-    out = ad.matmul(x, w)
-    if b is not None:
-        out = ad.add(out, b)
-    return out
-
-
 def mlp2(x, p, name: str):
     """Two-layer scalar MLP: x @ w1 + b1 -> relu -> @ w2 + b2."""
-    return affine(ad.relu(affine(x, p[f"{name}/w1"], p[f"{name}/b1"])), p[f"{name}/w2"], p[f"{name}/b2"])
+    return ad.matmul(ad.relu(ad.matmul(x, p[f"{name}/w1"], p[f"{name}/b1"])), p[f"{name}/w2"], p[f"{name}/b2"])
 
 
 def eq_linear(x, p, name: str):
@@ -105,9 +98,8 @@ def eq_layer_norm(x, eps: float = LAYER_NORM_EPS):
 
 
 def scalar_layer_norm(s, eps: float = LAYER_NORM_EPS):
-    """Standard layer norm over the channel axis, no affine terms."""
-    centered = ad.sub(s, ad.reduce_mean(s, axis=-1, keepdims=True))
-    return ad.rms_norm(centered, 1.0 / ad.data_of(s).shape[-1], -1, eps)
+    """Standard layer norm over the channel axis, no affine terms: one centred `rms_norm` node."""
+    return ad.rms_norm(s, 1.0 / ad.data_of(s).shape[-1], -1, eps, center=True)
 
 
 def _attention_terms(mv_q, sq, heads: int, distance_awareness: bool) -> tuple:

@@ -19,7 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, ParamStore, adam_step, cosine_lr
 from .layers import (
-    affine,
     eq_attention,
     eq_layer_norm,
     eq_linear,
@@ -46,8 +45,9 @@ from .scene import (
 
 VARIANTS = ("geometric", "rpe", "vanilla")
 
-# FLOP model constants: a geometric product costs 128 mul + 120 add per
-# channel pair; distance-awareness features cost ~16 flops per channel.
+# FLOP model constants: a `bilinear8` channel pair counts GP_FLOPS = 248, the dense 8x8x8
+# contraction (128 mul + 120 add), whatever its table's non-zeros (GEOM_TABLE 48, JOIN_TABLE 27);
+# distance-awareness features cost ~16 flops per channel.
 GP_FLOPS = 248.0
 DA_FLOPS_PER_CHANNEL = 16.0
 
@@ -300,23 +300,28 @@ def _dense(rng, d_in, d_out, dtype, scale=None):
 
 
 def _add_eq_linear(params, rng, name, c_out, c_in, dtype):
-    params.add(f"{name}/weight", _eq_weight(rng, c_out, c_in, dtype))
-    params.add(f"{name}/bias", np.zeros(c_out, dtype=dtype))
+    params[f"{name}/weight"] = _eq_weight(rng, c_out, c_in, dtype)
+    params[f"{name}/bias"] = np.zeros(c_out, dtype=dtype)
 
 
 def _add_mlp(params, rng, name, d_in, hidden, d_out, dtype, out_scale=None):
-    params.add(f"{name}/w1", _dense(rng, d_in, hidden, dtype))
-    params.add(f"{name}/b1", np.zeros(hidden, dtype=dtype))
-    params.add(f"{name}/w2", _dense(rng, hidden, d_out, dtype, scale=out_scale))
-    params.add(f"{name}/b2", np.zeros(d_out, dtype=dtype))
+    params[f"{name}/w1"] = _dense(rng, d_in, hidden, dtype)
+    params[f"{name}/b1"] = np.zeros(hidden, dtype=dtype)
+    params[f"{name}/w2"] = _dense(rng, hidden, d_out, dtype, scale=out_scale)
+    params[f"{name}/b2"] = np.zeros(d_out, dtype=dtype)
+
+
+def _add_prev_action(params, rng, cfg: ModelConfig, dt):
+    shape = (len(AGENT_CLASSES) * (cfg.max_vocab + 1), cfg.scalar_channels)
+    params["embed/prev_action"] = rng.normal(0.0, 0.02, size=shape).astype(dt)
 
 
 def _add_decoder(params, rng, cfg: ModelConfig, dt):
-    params.add("decoder/w1", _dense(rng, cfg.scalar_channels, cfg.decoder_hidden, dt))
-    params.add("decoder/b1", np.zeros(cfg.decoder_hidden, dtype=dt))
-    params.add("decoder/heads", rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden,
-                                                            cfg.max_vocab)).astype(dt))
-    params.add("decoder/bias", np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt))
+    params["decoder/w1"] = _dense(rng, cfg.scalar_channels, cfg.decoder_hidden, dt)
+    params["decoder/b1"] = np.zeros(cfg.decoder_hidden, dtype=dt)
+    params["decoder/heads"] = rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden,
+                                                          cfg.max_vocab)).astype(dt)
+    params["decoder/bias"] = np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt)
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> ParamStore:
@@ -324,16 +329,13 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Par
     rng = rng or np.random.default_rng(cfg.seed)
     dt = cfg.np_dtype
     c, s = cfg.mv_channels, cfg.scalar_channels
-    params = ParamStore()
+    params = {}
 
     _add_eq_linear(params, rng, "embed/agent_mv", c, 1, dt)
     _add_eq_linear(params, rng, "embed/map_mv", c, 1, dt)
     _add_mlp(params, rng, "embed/agent_in", AGENT_FEATURE_WIDTH, cfg.input_hidden, s, dt)
     _add_mlp(params, rng, "embed/map_in", MAP_FEATURE_WIDTH, cfg.input_hidden, s, dt)
-    params.add(
-        "embed/prev_action",
-        rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES) * (cfg.max_vocab + 1), s)).astype(dt),
-    )
+    _add_prev_action(params, rng, cfg, dt)
 
     for i in range(cfg.blocks):
         for attn in ("map_attn", "agent_attn", "time_attn"):
@@ -341,13 +343,13 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Par
             # key projections carry no bias: a constant key offset shifts every
             # logit in a row equally, which softmax cancels exactly
             for proj, biased in (("mv_q", True), ("mv_k", False), ("mv_v", True)):
-                params.add(f"{base}/{proj}/weight", _eq_weight(rng, c, c, dt))
+                params[f"{base}/{proj}/weight"] = _eq_weight(rng, c, c, dt)
                 if biased:
-                    params.add(f"{base}/{proj}/bias", np.zeros(c, dtype=dt))
+                    params[f"{base}/{proj}/bias"] = np.zeros(c, dtype=dt)
             for proj, biased in (("s_q", True), ("s_k", False), ("s_v", True)):
-                params.add(f"{base}/{proj}/w", _dense(rng, s, s, dt))
+                params[f"{base}/{proj}/w"] = _dense(rng, s, s, dt)
                 if biased:
-                    params.add(f"{base}/{proj}/b", np.zeros(s, dtype=dt))
+                    params[f"{base}/{proj}/b"] = np.zeros(s, dtype=dt)
         _add_eq_linear(params, rng, f"block{i}/mlp/expand", 4 * c, c, dt)
         _add_eq_linear(params, rng, f"block{i}/mlp/mid", 2 * c, 2 * c, dt)
         _add_eq_linear(params, rng, f"block{i}/mlp/out", c, 2 * c, dt)
@@ -360,7 +362,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> Par
                      out_scale=0.0)
 
     _add_decoder(params, rng, cfg, dt)
-    return params
+    return ParamStore.pack(params.items())
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +375,7 @@ def _norms(mv, s):
 
 def _project(s, p, name: str):
     """The scalar projection `name`: s @ w, plus b where the store has one (keys have none)."""
-    return affine(s, p[f"{name}/w"], p.get(f"{name}/b"))
+    return ad.matmul(s, p[f"{name}/w"], p.get(f"{name}/b"))
 
 
 def _keys_values(normed, p, name: str) -> tuple:
@@ -505,7 +507,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
         if cfg.include_adapter:
             s = invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
 
-    h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
+    h = ad.relu(ad.matmul(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = _decode_logits(h, p, batch.class_idx)
     return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
 
@@ -571,7 +573,7 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
     (`pack_scenes`) and runs one forward and one backward over it; the loss
     averages the scenes' mean losses, which tames the per-scene gradient
     noise of tiny batches.  Returns (params, curve) with curve rows
-    (step, lr, loss).
+    (step, lr, loss); a `params` store passed in is updated in place.
     """
     if not scenes:
         raise ValueError("train needs a nonempty dataset")
@@ -581,7 +583,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         params = init_params(cfg)
     t_end = max(s.horizon for s in scenes)
     batches = [build_token_batch(s, vocab, cfg, t_end=t_end) for s in scenes]
-    state = AdamState(params)
+    state, pvars = AdamState(params), params.as_vars()
+    grad = np.empty_like(params.flat)
     rng = np.random.default_rng(seed)
     order: list[int] = []
     curve = []
@@ -593,7 +596,6 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
                 order = list(rng.permutation(len(batches)))
             picked.append(int(order.pop()))
         batch = pack_scenes([batches[k] for k in picked])
-        pvars = params.as_vars()
         with ad.Tape() as tape:
             loss_var = loss(forward(batch, pvars, cfg), batch.targets, batch.target_valid)
         loss_val = float(ad.data_of(loss_var))
@@ -603,7 +605,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
             raise RuntimeError(f"non-finite loss {loss_val} at step {step} on scenes {picked}: first "
                                f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
         grads = ad.backward(tape, loss_var)
-        adam_step(params, {name: grads[var] for name, var in pvars.items()}, state, step_lr)
+        np.concatenate([grads[var] for var in pvars.values()], axis=None, out=grad)
+        adam_step(params, grad, state, step_lr)
         curve.append((step, step_lr, loss_val))
     return params, curve
 
@@ -663,26 +666,23 @@ def init_baseline_params(cfg: ModelConfig, variant: str,
     dt = cfg.np_dtype
     s = cfg.scalar_channels
     in_width = AGENT_FEATURE_WIDTH + (3 if variant == "vanilla" else 0)
-    params = ParamStore()
+    params = {}
     _add_mlp(params, rng, "embed/agent_in", in_width, cfg.input_hidden, s, dt)
     _add_mlp(params, rng, "embed/map_in", MAP_FEATURE_WIDTH + (3 if variant == "vanilla" else 0),
              cfg.input_hidden, s, dt)
-    params.add(
-        "embed/prev_action",
-        rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES) * (cfg.max_vocab + 1), s)).astype(dt),
-    )
+    _add_prev_action(params, rng, cfg, dt)
     for i in range(cfg.blocks):
         for attn in ("map_attn", "agent_attn", "time_attn"):
             base = f"block{i}/{attn}"
             for proj, biased in (("s_q", True), ("s_k", False), ("s_v", True)):
-                params.add(f"{base}/{proj}/w", _dense(rng, s, s, dt))
+                params[f"{base}/{proj}/w"] = _dense(rng, s, s, dt)
                 if biased:
-                    params.add(f"{base}/{proj}/b", np.zeros(s, dtype=dt))
+                    params[f"{base}/{proj}/b"] = np.zeros(s, dtype=dt)
             if variant == "rpe":
                 _add_mlp(params, rng, f"{base}/rpe", 4, cfg.rpe_hidden, 2 * s, dt, out_scale=0.1)
         _add_mlp(params, rng, f"block{i}/mlp", s, 2 * s, s, dt)
     _add_decoder(params, rng, cfg, dt)
-    return params
+    return ParamStore.pack(params.items())
 
 
 def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats, mask):
@@ -738,7 +738,7 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
         s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time, time_mask)
         s = ad.add(mlp2(scalar_layer_norm(s), p, f"block{i}/mlp"), s)
 
-    h = ad.relu(affine(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
+    h = ad.relu(ad.matmul(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = _decode_logits(h, p, batch.class_idx)
     return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
 
@@ -809,7 +809,8 @@ def flop_count(cfg: ModelConfig, agents: int, map_tokens: int, steps: int,
         if geo:
             terms["mlp"] += at * 128.0 * (c * 4 * c + 2 * c * 2 * c + 2 * c * c)
             terms["mlp"] += at * GP_FLOPS * 2 * c
-            terms["adapter"] += at * (GP_FLOPS * 2 * c + 2.0 * 8 * c * cfg.adapter_hidden
+        if geo and cfg.include_adapter:  # the frame change is one [C, 8] @ [8, 8] sandwich product
+            terms["adapter"] += at * (128.0 * c + 2.0 * 8 * c * cfg.adapter_hidden
                                       + 2.0 * cfg.adapter_hidden * s)
         terms["mlp"] += dense(at, s, 2 * s) + dense(at, 2 * s, s)
 
@@ -838,17 +839,16 @@ def vocab_hash(vocab: ActionVocab) -> str:
 
 
 def checkpoint_bytes(params: ParamStore, cfg: ModelConfig, vocab: ActionVocab, meta: dict | None = None) -> bytes:
-    """JSON manifest line + raw little-endian values in manifest order."""
-    items = [(name, arr, "<f4" if arr.dtype == np.float32 else "<f8") for name, arr in params.items()]
+    """JSON manifest line + raw little-endian values in manifest order: the store's buffer."""
+    kind = "<f4" if params.flat.dtype == np.float32 else "<f8"
     manifest = {
         "format": "eqtraffic-checkpoint-v1",
         "config": cfg.to_dict(),
         "vocab_hash": vocab_hash(vocab),
-        "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr, kind in items],
+        "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr in params.items()],
         "meta": meta or {},
     }
-    values = b"".join(np.ascontiguousarray(arr, dtype=kind).tobytes() for _, arr, kind in items)
-    return json.dumps(manifest).encode("utf-8") + b"\n" + values
+    return b"\n".join((json.dumps(manifest).encode("utf-8"), memoryview(params.flat.astype(kind, copy=False))))
 
 
 def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, vocab: ActionVocab,
@@ -873,7 +873,7 @@ def load_checkpoint(path):
     if not isinstance(manifest, dict) or manifest.get("format") != "eqtraffic-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
     try:
-        params, cfg = _checkpoint_params(manifest, blob[newline + 1:])
+        params, cfg = _checkpoint_params(manifest, memoryview(blob)[newline + 1:])
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
     return params, cfg, manifest
@@ -896,7 +896,7 @@ def _checkpoint_params(manifest: dict, payload: bytes) -> tuple:
         raise ValueError("$.vocab_hash must be a string")
     if not isinstance(entries, list):
         raise ValueError("$.params must be a list")
-    params, offset = ParamStore(), 0
+    shapes, offset = [], 0
     for i, entry in enumerate(entries):
         at = f"$.params[{i}]"
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
@@ -915,14 +915,15 @@ def _checkpoint_params(manifest: dict, payload: bytes) -> tuple:
         if nbytes > len(payload) - offset:
             raise ValueError(f"truncated: parameter {name!r} needs {nbytes} bytes, "
                              f"{len(payload) - offset} available")
-        arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{at}: parameter {name!r} holds a non-finite value")
-        params.add(name, arr.copy())
+        shapes.append((name, shape))
         offset += nbytes
     if expected:
         raise ValueError(f"$.params lacks {len(expected)} of the configured model's parameters, "
                          f"first {next(iter(expected))!r}")
     if offset != len(payload):
         raise ValueError(f"{len(payload) - offset} trailing bytes")
+    params = ParamStore(shapes, np.frombuffer(payload, dtype=kind).copy())
+    for i, (name, arr) in enumerate(params.items()):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"$.params[{i}]: parameter {name!r} holds a non-finite value")
     return params, cfg

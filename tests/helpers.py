@@ -8,6 +8,7 @@ references; multivectors are arrays [8], motors arrays [4] over MOTOR_SLOTS.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -182,6 +183,44 @@ def matmul_vjp(a, b, g):
     return g @ b.T, gb.reshape((-1,) + b.shape).sum(axis=0)
 
 
+def biased_matmul_composite(a, b, bias, g):
+    """`ad.add(ad.matmul(a, b), bias)` for a 2-D `b` and a 1-D `bias`, in numpy: the output, and the
+    cotangents of a, b and bias that the matmul and add VJPs give for the output cotangent `g`."""
+    gf = g.reshape(-1, b.shape[1])
+    return (a @ b + bias, (gf @ b.T).reshape(a.shape), a.reshape(-1, b.shape[0]).T @ gf,
+            g.sum(axis=tuple(range(g.ndim - 1))))
+
+
+def centered_rms_norm_composite(x, w, eps: float, g, g_before):
+    """`ad.rms_norm(ad.sub(x, ad.reduce_mean(x, -1, keepdims=True)), w, -1, eps)` in numpy: the
+    output, and x's cotangent as `backward` accumulates it onto `g_before` (what later consumers of
+    x gave): the rms_norm cotangent through `sub` first, then through the mean, negated by `sub`,
+    summed, and spread by `reduce_mean`."""
+    w = np.asarray(w, dtype=x.dtype)
+    c = x - x.mean(axis=-1, keepdims=True)
+    r = np.sqrt((w * c * c).sum(axis=-1, keepdims=True) + eps)
+    gc = (g - w * c * ((g * c).sum(axis=-1, keepdims=True) / (r * r))) / r
+    gx = g_before.copy()
+    gx += gc
+    gx += np.broadcast_to((-gc).sum(axis=-1, keepdims=True), x.shape).copy() / x.shape[-1]
+    return c / r, gx
+
+
+def split_composite(x, sizes, axis: int, gs):
+    """`x` cut by one slice per part, and its cotangent as the composite of one slice node per part
+    accumulates it: each used part's cotangent zero-padded to x's shape, summed from the last part
+    to the first (None marks a part the loss never used)."""
+    cuts = [slice(stop - size, stop) for size, stop in zip(sizes, np.cumsum(sizes))]
+    lead = (slice(None),) * (axis % x.ndim)
+    gx = None
+    for cut, g in reversed(list(zip(cuts, gs))):
+        if g is not None:
+            padded = np.zeros(x.shape, dtype=g.dtype)
+            padded[lead + (cut,)] = g
+            gx = padded if gx is None else gx + padded
+    return [x[lead + (cut,)] for cut in cuts], gx
+
+
 def mv_linear_gx(weight, basis, g):
     """The input cotangent of `ad.mv_linear(x, weight, basis)` by the batched formula:
     gx[..., i, a] = sum over o, p, b of weight[o, i, p] basis[p, a, b] g[..., o, b]."""
@@ -318,17 +357,17 @@ def primitive_grad_cases(rng):
         ("mv_attention/no_distance", attention((None, None), None), attn_arrays((2,), (2,), 2, 3)),
         ("mv_attention/peaked", attention(distance, None), attn_arrays((2,), (2,), 3, 4, apart=15.0)),
         ("add", lambda v: scalarize(ad.add(v[0], v[1])), [a23, b3]),
-        ("sub", lambda v: scalarize(ad.sub(v[0], v[1])), [a23, b3]),
         ("mul", lambda v: scalarize(ad.mul(v[0], v[1])), [a23, b3]),
         ("div", lambda v: scalarize(ad.div(v[0], v[1])), [pos, pos + 1.0]),
         ("matmul", lambda v: scalarize(ad.matmul(v[0], v[1])), [a23, m34]),
+        ("matmul/bias", lambda v: scalarize(ad.matmul(v[0], v[1], v[2])), [mv3[..., :3], m34, b3[[0, 1, 2, 0]]]),
         ("reshape", lambda v: scalarize(ad.reshape(v[0], (3, 2))), [a23]),
         ("moveaxis", lambda v: scalarize(ad.moveaxis(v[0], 0, 1)), [a23]),
         ("concat", lambda v: scalarize(ad.concat([v[0], v[1]], axis=0)), [a23, a23 + 1]),
-        ("take_slice", lambda v: scalarize(ad.take_slice(v[0], 1, 0, 2)), [a23]),
+        ("split", lambda v: functools.reduce(ad.add, map(scalarize, ad.split(v[0], [3, 4, 1], axis=-1))), [mv3]),
+        ("split/unused_part", lambda v: scalarize(ad.split(v[0], [2, 1], axis=1)[1]), [a23]),
         ("take_last", lambda v: scalarize(ad.take_last(v[0], [0, 2])), [a23]),
         ("reduce_sum", lambda v: scalarize(ad.reduce_sum(v[0], axis=0)), [a23]),
-        ("reduce_mean", lambda v: scalarize(ad.reduce_mean(v[0], axis=1)), [a23]),
         ("relu", lambda v: scalarize(ad.relu(v[0])), [a23]),
         ("masked_softmax", lambda v: scalarize(ad.masked_softmax(v[0], mask)), [a23]),
         ("log_softmax", lambda v: scalarize(ad.log_softmax(v[0])), [a23]),
@@ -343,6 +382,8 @@ def primitive_grad_cases(rng):
         ("rms_norm/channels",
          lambda v: scalarize(ad.rms_norm(v[0], inner_weights, (-2, -1), LAYER_NORM_EPS)), [mv3]),
         ("rms_norm/last", lambda v: scalarize(ad.rms_norm(v[0], 1.0 / 3.0, -1, LAYER_NORM_EPS)), [a23]),
+        ("rms_norm/centered",
+         lambda v: scalarize(ad.rms_norm(v[0], 1.0 / 3.0, -1, LAYER_NORM_EPS, center=True)), [a23]),
         ("distance_features/query",
          lambda v: scalarize(distance_features(v[0], QUERY_MIX, DISTANCE_EPS)), [points]),
         ("distance_features/key",
@@ -355,14 +396,15 @@ def primitive_grad_cases(rng):
     # gradients above ~1e-4; its exact match with the composite path is
     # checked in test_layers
     floors = {"bilinear8/geom": 1e-3, "bilinear8/wedge": 1e-3,
-              "bilinear8/join": 1e-3, "mv_linear": 1e-3, "mv_linear/bias": 1e-3, "matmul": 1e-3}
+              "bilinear8/join": 1e-3, "mv_linear": 1e-3, "mv_linear/bias": 1e-3, "matmul": 1e-3,
+              "matmul/bias": 1e-3}
     floors.update({name: 1e-3 for name, _fn, _arrays in raw if name.startswith("mv_attention/")})
     cases = []
     for name, fn, arrays in raw:
         with ad.Tape():
             base_val = float(ad.data_of(fn([ad.Var(a) for a in arrays])))
         cases.append(
-            (name, (lambda v, f=fn, c=base_val: ad.sub(f(v), c)), arrays,
+            (name, (lambda v, f=fn, c=base_val: ad.add(f(v), -c)), arrays,
              floors.get(name, 0.0))
         )
     return cases

@@ -7,7 +7,16 @@ import pytest
 
 from eqtraffic import autodiff as ad
 from eqtraffic.pga import GEOM_TABLE, JOIN_TABLE, WEDGE_TABLE
-from helpers import bilinear8_vjp, embedding_vjp, grad_check, matmul_vjp, mv_linear_gx
+from helpers import (
+    biased_matmul_composite,
+    bilinear8_vjp,
+    centered_rms_norm_composite,
+    embedding_vjp,
+    grad_check,
+    matmul_vjp,
+    mv_linear_gx,
+    split_composite,
+)
 
 
 def scalarize(x):
@@ -63,7 +72,7 @@ def test_take_last_and_reductions():
 
     def fn(v):
         picked = ad.take_last(v[0], [0, 2, 3, 6])
-        m = ad.reduce_mean(picked, axis=0)
+        m = ad.mul(ad.reduce_sum(picked, axis=0), 1.0 / 3.0)
         return ad.reduce_sum(ad.mul(m, m), axis=0)
 
     assert grad_check(fn, [a]) <= 1e-7
@@ -95,7 +104,7 @@ def test_log_softmax_gradient():
 
     def fn(v):
         ls = ad.log_softmax(v[0])
-        return ad.reduce_mean(ad.gather_last(ls, idx), axis=0)
+        return ad.mul(ad.reduce_sum(ad.gather_last(ls, idx), axis=0), 1.0 / 3.0)
 
     assert grad_check(fn, [x]) <= 1e-7
 
@@ -156,9 +165,45 @@ def test_matmul_vjp_with_a_weight_matches_the_batched_formula(lead):
     # a non-contiguous left operand: the [3, 4, 5] view of a [5, 3, 4] array
     a = np.moveaxis(rng.normal(size=(5, 3, 4)), 0, -1) if lead == "moveaxis" else rng.normal(size=lead + (4, 5))
     b = rng.normal(size=(5, 6))
-    g, (ga, gb) = _vjp(ad.matmul, a, b)
+    g, (ga, gb, _gbias) = _vjp(ad.matmul, a, b)
     for actual, expected in zip((ga, gb), matmul_vjp(a, b, g)):
         _assert_close(actual, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_ops_match_their_composites_bit_for_bit(dtype):
+    """A biased matmul, a centred rms_norm and a split: outputs, and cotangents as `backward`
+    accumulates them, equal those of the composites they fuse (matmul + add, sub / reduce_mean /
+    rms_norm, one slice node per part)."""
+    rng = np.random.default_rng(15)
+    a, b, bias, g = (rng.normal(size=shape).astype(dtype) for shape in ((2, 3, 4), (4, 5), (5,), (2, 3, 5)))
+    tracked = [ad.Var(x) for x in (a, b, bias)]
+    with ad.Tape() as tape:
+        out = ad.matmul(*tracked)
+    grads = ad.backward(tape, out, g)
+    actual = (out.data, *(grads[v] for v in tracked))
+    for got, want in zip(actual, biased_matmul_composite(a, b, bias, g), strict=True):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+    x, g = (rng.normal(3.0, 2.0, size=(2, 3, 6)).astype(dtype) for _ in range(2))
+    vx = ad.Var(x)
+    with ad.Tape() as tape:
+        normed = ad.rms_norm(vx, 1.0 / 6.0, -1, 1e-6, center=True)
+        out = ad.add(normed, vx)  # a residual: x's cotangent holds g when the norm's two terms arrive
+    gx = ad.backward(tape, out, g)[vx]
+    want_normed, want_gx = centered_rms_norm_composite(x, 1.0 / 6.0, 1e-6, g, g_before=g)
+    assert normed.dtype == gx.dtype == dtype
+    assert np.array_equal(normed.data, want_normed) and np.array_equal(gx, want_gx)
+
+    x = rng.normal(size=(2, 7, 8)).astype(dtype)
+    with ad.Tape() as tape:
+        parts = ad.split(ad.Var(x), [2, 4, 1], axis=-2)
+    gs = (rng.normal(size=parts[0].shape).astype(dtype), None, rng.normal(size=parts[2].shape).astype(dtype))
+    (gx,) = ad._VJPS["split"](tape.nodes[0], gs)
+    want_parts, want_gx = split_composite(x, [2, 4, 1], -2, gs)
+    assert len(tape.nodes) == 1 and all(np.array_equal(p.data, w) for p, w in zip(parts, want_parts, strict=True))
+    assert gx.dtype == dtype and np.array_equal(gx, want_gx)
+    assert all(type(p) is np.ndarray for p in ad.split(x, [2, 4, 1], axis=1))  # untracked: plain slices
 
 
 def test_mv_linear_input_cotangent_matches_the_batched_formula():
@@ -274,27 +319,24 @@ def test_gradient_determinism():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = ad.ParamStore()
-    params.add("w", np.array([1.0, -2.0]))
+    params = ad.ParamStore.pack([("w", np.array([1.0, -2.0]))])
     state = ad.AdamState(params)
-    ad.adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
+    ad.adam_step(params, np.zeros(2), state, lr=0.1)
     assert np.array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_descends_on_quadratic():
-    params = ad.ParamStore()
-    params.add("w", np.array([1.0]))
+    params = ad.ParamStore.pack([("w", np.array([1.0]))])
     state = ad.AdamState(params)
-    ad.adam_step(params, {"w": np.array([2.0])}, state, lr=0.1)  # grad of w^2 at w=1
+    ad.adam_step(params, np.array([2.0]), state, lr=0.1)  # grad of w^2 at w=1
     assert abs(params["w"][0]) < 1.0
 
 
 def test_adam_converges_on_quadratic():
-    params = ad.ParamStore()
-    params.add("w", np.array([3.0]))
+    params = ad.ParamStore.pack([("w", np.array([3.0]))])
     state = ad.AdamState(params)
     for _ in range(500):
-        ad.adam_step(params, {"w": 2.0 * params["w"]}, state, lr=0.05)
+        ad.adam_step(params, 2.0 * params.flat, state, lr=0.05)
     assert abs(params["w"][0]) < 1e-2
 
 
@@ -316,24 +358,26 @@ def _adam_per_array(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
 
 
 def test_flat_adam_is_bit_identical_to_the_per_array_update():
-    rng = np.random.default_rng(11)
-    shapes = {"a": ((3, 4), np.float32), "b": ((), np.float64),
-              "c": ((2, 2, 5), np.float32), "d": ((7,), np.float64)}
-    flat, ref = ad.ParamStore(), {}
-    for name, (shape, dt) in shapes.items():
-        flat.add(name, rng.normal(size=shape).astype(dt))
-        ref[name] = flat[name].copy()
-    state = ad.AdamState(flat)
-    ref_state = {"t": 0, "m": {n: np.zeros(np.shape(a)) for n, a in ref.items()},
-                 "v": {n: np.zeros(np.shape(a)) for n, a in ref.items()}}
-    for step in range(6):
-        grads = {n: rng.normal(size=np.shape(a)).astype(a.dtype) for n, a in ref.items()}
-        ad.adam_step(flat, grads, state, lr=ad.cosine_lr(step, 6, 1e-2))
-        _adam_per_array(ref, grads, ref_state, lr=ad.cosine_lr(step, 6, 1e-2))
-        for name, arr in ref.items():
-            assert flat[name].dtype == arr.dtype and np.array_equal(flat[name], arr), name
-    with pytest.raises(ValueError, match="gradient shape"):
-        ad.adam_step(flat, {**grads, "c": np.zeros(3)}, state, lr=1e-3)
+    """Adam on a store's buffer, in place, with one flat gradient, equals the per-array update;
+    one store per dtype against the same reference."""
+    shapes = {"a": (3, 4), "b": (), "c": (2, 2, 5), "d": (7,)}
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(11)
+        store = ad.ParamStore.pack((name, rng.normal(size=shape).astype(dtype)) for name, shape in shapes.items())
+        ref = {name: arr.copy() for name, arr in store.items()}
+        state = ad.AdamState(store)
+        ref_state = {"t": 0, "m": {n: np.zeros(np.shape(a)) for n, a in ref.items()},
+                     "v": {n: np.zeros(np.shape(a)) for n, a in ref.items()}}
+        for step in range(6):
+            grads = {n: rng.normal(size=np.shape(a)).astype(dtype) for n, a in ref.items()}
+            flat_grad = np.concatenate([grads[n] for n in store], axis=None)
+            ad.adam_step(store, flat_grad, state, lr=ad.cosine_lr(step, 6, 1e-2))
+            _adam_per_array(ref, grads, ref_state, lr=ad.cosine_lr(step, 6, 1e-2))
+            for name, arr in ref.items():
+                assert store[name].dtype == arr.dtype and np.array_equal(store[name], arr), (dtype, name)
+                assert store[name].base is store.flat, (dtype, name)
+        with pytest.raises(ValueError, match="gradient shape"):
+            ad.adam_step(store, np.zeros(3), state, lr=1e-3)
 
 
 def test_cosine_schedule_endpoints():
@@ -349,10 +393,22 @@ def test_grad_check_constant_function_is_exact():
 
 
 def test_param_store_rejects_duplicates():
-    store = ad.ParamStore()
-    store.add("a", np.ones(2))
-    with pytest.raises(ValueError):
-        store.add("a", np.ones(2))
+    with pytest.raises(ValueError, match="duplicate parameter name 'a'"):
+        ad.ParamStore.pack([("a", np.ones(2)), ("a", np.ones(2))])
+    with pytest.raises(ValueError, match="one dtype, got float32, float64"):
+        ad.ParamStore.pack([("a", np.ones(2, np.float32)), ("b", np.ones(2))])
+
+
+def test_param_store_arrays_are_views_of_one_buffer():
+    store = ad.ParamStore.pack([("a", np.arange(6.0).reshape(2, 3)), ("b", np.array(7.0))])
+    assert store.flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+    store["a"] = -1.0  # writes into the buffer; the name keeps its view
+    store["b"] += 1.0
+    assert store.flat.tolist() == [-1.0] * 6 + [8.0]
+    assert all(arr.base is store.flat for arr in store.values())
+    copy = store.astype(np.float32)
+    assert copy.flat.dtype == np.float32 and all(arr.base is copy.flat for arr in copy.values())
+    assert copy["a"].shape == (2, 3) and copy["b"].shape == ()
 
 
 def test_every_primitive_over_twenty_instantiations():

@@ -541,6 +541,46 @@ def test_mutated_scene_exits_0_or_fails_with_one_line(text):
             assert all(np.isfinite(d).all() for d in vocab.deltas.values())
 
 
+# the range of each number in a scene file: any magnitude up to the parser's bound, or a
+# positive one for a size or a time step; speeds and speed limits must not be negative
+_BOUND = 1e9
+_SCENE_NUMBERS = {"dt": (1e-6, _BOUND), "length": (1e-6, _BOUND), "width": (1e-6, _BOUND),
+                  "speed": (0.0, _BOUND), "speed_limit": (0.0, _BOUND)}
+
+
+@st.composite
+def valid_scene_texts(draw):
+    """The valid scene file changed only in ways the format admits: up to three numbers moved within
+    their ranges, the agents reordered, and up to two whole states dropped from each agent.  Each
+    agent has six consecutive states, and any four of them hold a consecutive pair, so every class
+    keeps a transition."""
+    doc = json.loads(json.dumps(_VALID_SCENE))
+    numbers = [path for path in _paths(doc) if type(functools.reduce(operator.getitem, path, doc)) is float]
+    for path in draw(st.lists(st.sampled_from(numbers), max_size=3, unique=True)):
+        low, high = _SCENE_NUMBERS.get(path[-1], (-_BOUND, _BOUND))
+        functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = draw(
+            st.floats(low, high) | st.sampled_from([low, high]))
+    doc["agents"] = draw(st.permutations(doc["agents"]))
+    for agent in doc["agents"]:
+        dropped = draw(st.sets(st.sampled_from(range(len(agent["states"]))), max_size=2))
+        agent["states"] = [state for j, state in enumerate(agent["states"]) if j not in dropped]
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(valid_scene_texts())
+def test_validly_mutated_scene_exits_0_with_a_finite_vocab(text):
+    """`vocab` on a scene file that stays valid (numbers in range, agents reordered, states
+    dropped) ends in exit 0, with a vocab file that reads back finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenes, out = Path(tmp) / "scenes", Path(tmp) / "vocab.json"
+        scenes.mkdir()
+        (scenes / "scene_00000.json").write_text(text)
+        assert _run_quietly(["vocab", "--scenes", str(scenes), "--out", str(out)]) == cli.EXIT_OK
+        vocab = sc.vocab_from_json(out.read_text())
+        assert all(np.isfinite(d).all() for d in vocab.deltas.values())
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(data=st.data())
 def test_mutated_vocab_exits_0_or_fails_with_one_line(workspace, data):

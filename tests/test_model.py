@@ -1,6 +1,7 @@
 """Model-level contracts: invariance, causality, training, baselines, FLOPs, checkpoints."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -639,19 +640,20 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 
 
 def test_default_forward_tape_size_is_pinned():
-    """A fused rms_norm serves the three norms and one mv_attention node each attention call;
-    an eq_linear bias rides in its mv_linear node, the map is normalized once for every
-    block's map attention, and the loss folds its per-scene means and its sign into constant
-    weights, so it ends without a div or a negation.  Scenes packed on a leading axis record
-    the same nodes."""
+    """A fused rms_norm serves the three norms (the scalar layer norm centres inside it) and one
+    mv_attention node each attention call; a bias rides in its mv_linear or matmul node, the MLP
+    block's four-way split is one node, the map is normalized once for every block's map
+    attention, and the loss folds its per-scene means and its sign into constant weights, so it
+    ends without a div or a negation.  Scenes packed on a leading axis record the same nodes."""
     scene, vocab, cfg, params, batch = desk_setup(dtype="f32")
     other = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=10), seed=1)
     for tokens in (batch, md.pack_scenes([batch, md.build_token_batch(other, vocab, cfg)])):
         with ad.Tape() as tape:
             md.loss(md.forward(tokens, params.as_vars(), cfg), tokens.targets, tokens.target_valid)
         ops = [node.op for node in tape.nodes]
-        counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"))
-        assert counts == (198, 21, 0, 6)
+        counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"),
+                  ops.count("split"), ops.count("add"))
+        assert counts == (147, 21, 0, 6, 2, 21)
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
@@ -798,9 +800,10 @@ def test_a_packed_f32_step_returns_no_subnormal_cotangent(monkeypatch):
 def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
     """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values.
 
-    The embed and decoder terms are the products by their parameters: a matmul costs
+    The embed, decoder and adapter terms are the products by their parameters: a matmul costs
     2*|out|*k, an mv_linear 2*|out|*8*C_in; the decoder's heads reach their matmul through
-    the per-class embedding."""
+    the per-class embedding.  The adapter adds its frame change, one [C, 8] @ [8, 8] product
+    by each token's constant sandwich matrix."""
     scene, vocab, cfg, params, batch = desk_setup(distance_awareness=distance_awareness)
     pvars = params.as_vars()
     with ad.Tape() as tape:
@@ -820,14 +823,21 @@ def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
             weight = source.inputs[0]
         return name_of.get(id(weight), "")
 
-    def product_flops(prefix: str) -> int:
+    def product_flops(part: str) -> int:
         return sum(2 * ad.data_of(node.output).size
                    * (node.ctx["da"].shape[-1] if node.op == "matmul" else 8 * node.ctx["wshape"][1])
                    for node in tape.nodes
-                   if node.op in ("matmul", "mv_linear") and weight_name(node).startswith(prefix))
+                   if node.op in ("matmul", "mv_linear") and part in weight_name(node))
 
     assert product_flops("embed/") == terms["embed"]
     assert product_flops("decoder/") == terms["decoder"]
+    sandwiches = [node for node in tape.nodes if node.op == "matmul" and not isinstance(node.inputs[1], ad.Var)]
+    assert len(sandwiches) == cfg.blocks and all(node.ctx["db"].shape[-2:] == (8, 8) for node in sandwiches)
+    frame_change = sum(2 * ad.data_of(node.output).size * 8 for node in sandwiches)
+    assert product_flops("/adapter/") + frame_change == terms["adapter"]
+    no_adapter = dataclasses.replace(cfg, include_adapter=False)
+    assert md.flop_count(no_adapter, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"][
+        "adapter"] == 0.0
 
 
 def test_rpe_pair_flops_from_the_tape_match_flop_count():
@@ -842,9 +852,9 @@ def test_rpe_pair_flops_from_the_tape_match_flop_count():
     produced_by = {id(out): node for node in tape.nodes for out in node.outputs}
     mlp = sum(2 * ad.data_of(node.output).size * node.ctx["da"].shape[-1] for node in tape.nodes
               if node.op == "matmul" and id(node.inputs[1]) in rpe_weights)
-    # the offsets are split off the MLP output, so each offset product reads a take_slice
+    # the offsets are split off the MLP output, so each offset product reads an output of a split
     offset_muls = [node for node in tape.nodes if node.op == "mul"
-                   and any(getattr(produced_by.get(id(x)), "op", None) == "take_slice" for x in node.inputs)]
+                   and any(getattr(produced_by.get(id(x)), "op", None) == "split" for x in node.inputs)]
     offset_sums = [node for node in tape.nodes if node.op == "reduce_sum"
                    and produced_by.get(id(node.inputs[0])) in offset_muls]
     offsets = sum(ad.data_of(node.output).size for node in offset_muls) + sum(
@@ -942,13 +952,45 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(out1, out2)
 
 
+def _per_array_checkpoint(params, cfg, vocab, meta) -> bytes:
+    """A checkpoint by the formula used before parameters shared one buffer: one `tobytes` per array."""
+    items = [(name, arr, "<f4" if arr.dtype == np.float32 else "<f8") for name, arr in params.items()]
+    manifest = {
+        "format": "eqtraffic-checkpoint-v1",
+        "config": cfg.to_dict(),
+        "vocab_hash": md.vocab_hash(vocab),
+        "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr, kind in items],
+        "meta": meta,
+    }
+    values = b"".join(np.ascontiguousarray(arr, dtype=kind).tobytes() for _, arr, kind in items)
+    return json.dumps(manifest).encode("utf-8") + b"\n" + values
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_a_per_array_checkpoint_loads_into_one_buffer_and_resaves_to_the_same_bytes(tmp_path, dtype):
+    scene, vocab, cfg, params, batch = desk_setup(seed=15, dtype=dtype)
+    params.flat[...] = np.random.default_rng(15).normal(0.0, 0.1, params.flat.size)
+    path = tmp_path / "model.ckpt"
+    # the manifest's order is the buffer's: a store in another order loads in that order
+    for store in (params, ad.ParamStore.pack(reversed(params.items()))):
+        old = _per_array_checkpoint(store, cfg, vocab, {"seed": 15})
+        assert md.checkpoint_bytes(store, cfg, vocab, meta={"seed": 15}) == old
+        path.write_bytes(old)
+        loaded, cfg2, manifest = md.load_checkpoint(path)
+        assert list(loaded) == list(store) and cfg2 == cfg
+        assert loaded.flat.dtype == cfg.np_dtype and loaded.flat.flags.writeable
+        assert all(arr.base is loaded.flat for arr in loaded.values())
+        assert md.checkpoint_bytes(loaded, cfg2, vocab, meta=manifest["meta"]) == old
+        assert np.array_equal(md.forward(batch, loaded, cfg), md.forward(batch, params, cfg))
+
+
 def test_truncated_checkpoint_fails_clearly(tmp_path):
     _, vocab, cfg, params, _ = desk_setup(seed=14, dtype="f32")
     path = tmp_path / "model.ckpt"
     md.save_checkpoint(path, params, cfg, vocab)
     blob = path.read_bytes()
     header = blob.index(b"\n") + 1
-    first = params.names()[0]
+    first = list(params)[0]
     nbytes = params[first].nbytes
 
     path.write_bytes(blob[:header + nbytes // 2])
@@ -971,7 +1013,7 @@ def tiny_grad_setup():
                          vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES},
                          dtype="f64", input_hidden=6, adapter_hidden=6, decoder_hidden=8)
     batch = md.build_token_batch(scene, vocab, cfg)
-    names = md.init_params(cfg).names()
+    names = list(md.init_params(cfg))
     prng = np.random.default_rng(42)
     shapes = {n: md.init_params(cfg)[n].shape for n in names}
     params = {n: prng.normal(0.0, 0.25, shapes[n]) for n in names}
@@ -1051,7 +1093,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
         mv, s = md.eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
             s = md.invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
-    h = ad.relu(md.affine(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
+    h = ad.relu(ad.matmul(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     logits = md._decode_logits(h, p, batch.class_idx)
     logits = ad.add(logits, md._vocab_mask(batch.class_idx, cfg))
     return md.loss(logits, batch.targets, batch.target_valid)
