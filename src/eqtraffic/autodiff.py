@@ -694,15 +694,6 @@ class ParamStore(dict):
         if offset != flat.size:
             raise ValueError(f"parameter shapes cover {offset} of the buffer's {flat.size} values")
 
-    @classmethod
-    def pack(cls, items) -> "ParamStore":
-        """A store holding copies of the arrays of (name, array) `items`, all of one dtype."""
-        items = [(name, np.asarray(a)) for name, a in items]
-        dtypes = sorted({str(a.dtype) for _, a in items})
-        if len(dtypes) > 1:
-            raise ValueError(f"parameters must share one dtype, got {', '.join(dtypes)}")
-        return cls([(name, a.shape) for name, a in items], np.concatenate([a.ravel() for _, a in items]))
-
     def __setitem__(self, name: str, value):
         self[name][...] = value
 

@@ -1,7 +1,7 @@
 """Command-line entry point: scene generation, vocab building, training, audits,
 rollouts, and scaling benchmarks as reproducible runs.
 
-Exit codes: 0 success, 1 usage, 2 validation or audit failure, 3 IO error.
+Exit codes: 0 success, 1 usage, 2 validation, audit or training (non-finite loss) failure, 3 IO error.
 Every output embeds the tool version, a config hash, and the seed; outputs are
 written atomically (temp file + rename).
 """
@@ -15,6 +15,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import harness as hn
@@ -77,6 +79,9 @@ _JSON_KINDS = {int: "an integer", float: "a number", bool: "true or false", str:
 # the least value of each count option, by dest: a smaller one is a usage error, from a flag or a run-config key
 _MINIMUMS = {"count": 0, "cap": 0, "steps": 1, "trials": 0, "rollout_horizon": 0, "horizon": 1, "n": 1,
              "map_tokens": 1}
+# float options that must be finite (a run-config value is checked as it loads); only sampling reads
+# --temperature, so `rollout` checks it by its own rule
+_FINITE = ("k_r", "w_theta", "lr")
 
 
 def _check_value(value, kind, name: str, choices=None, minimum=None) -> None:
@@ -212,7 +217,8 @@ def cmd_train(args, run_cfg) -> int:
     meta = _meta(seed, resolved)
 
     scenes = _load_scenes(args.scenes)
-    params, curve = md.train(scenes, vocab, cfg, steps=args.steps, lr=args.lr, seed=seed)
+    with np.errstate(all="ignore"):  # a run that diverges ends in one NonFiniteLossError line
+        params, curve = md.train(scenes, vocab, cfg, steps=args.steps, lr=args.lr, seed=seed)
 
     lines = [f"# {TOOL} config_hash={meta['config_hash']} seed={seed}", "step,lr,loss"]
     lines += [f"{s},{l:.8e},{v:.8e}" for s, l, v in curve]
@@ -254,8 +260,7 @@ def cmd_check(args, run_cfg) -> int:
             raise _UsageError("check requires --vocab (with --checkpoint or --random-params)")
         vocab = sc.vocab_from_json(Path(args.vocab).read_text())
         cfg = _model_config(args, run_cfg, vocab)
-        params = (md.init_baseline_params(cfg, "vanilla") if negative
-                  else md.init_params(cfg))
+        params = md.init_params(cfg, "vanilla" if negative else "geometric")
 
     tolerance = 1e-8 if cfg.dtype == "f64" else 1e-3
     resolved = {"scenes": args.scenes, "trials": args.trials, "seed": seed,
@@ -345,7 +350,9 @@ def cmd_bench(args, run_cfg) -> int:
     try:
         counts = [int(x) for x in args.agents.split(",") if x]
     except ValueError:
-        raise _UsageError(f"--agents must be comma-separated integers, got {args.agents!r}") from None
+        counts = []
+    if not counts or min(counts) < 1:
+        raise _UsageError(f"--agents must be comma-separated positive integers, got {args.agents!r}")
     cfg = _model_config(args, run_cfg, None)
     resolved = {"agents": counts, "map_tokens": args.map_tokens, "steps": args.steps,
                 "seed": seed, "model": cfg.to_dict()}
@@ -452,12 +459,18 @@ def main(argv=None) -> int:
         for dest, least in _MINIMUMS.items():
             if getattr(args, dest, least) < least:
                 raise _UsageError(f"--{dest.replace('_', '-')} must be at least {least}, got {vars(args)[dest]}")
+        for dest in _FINITE:
+            if not math.isfinite(getattr(args, dest, 0.0)):
+                raise _UsageError(f"--{dest.replace('_', '-')} must be a finite number, got {vars(args)[dest]}")
         return args.run(args, run_cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (sc.SceneParseError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except md.NonFiniteLossError as exc:
+        print(f"training error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -384,19 +384,13 @@ def bench_scaling(cfg: md.ModelConfig, agent_counts, map_tokens: int = 32, steps
                   seed: int = 0) -> list:
     """FLOP counts and timed forward passes per variant and agent count."""
     rows = []
-    param_sets = {}
+    param_sets = {variant: md.init_params(cfg, variant) for variant in md.VARIANTS}
     for count in agent_counts:
         if count <= 0:
             raise ValueError("agent counts must be positive")
         batch = _bench_batch(count, map_tokens, steps, cfg, seed=seed)
-        for variant in md.VARIANTS:
+        for variant, params in param_sets.items():
             flops = md.flop_count(cfg, count, map_tokens, steps, variant)
-            if variant not in param_sets:
-                param_sets[variant] = (
-                    md.init_params(cfg) if variant == "geometric"
-                    else md.init_baseline_params(cfg, variant)
-                )
-            params = param_sets[variant]
             start = time.perf_counter()
             if variant == "geometric":
                 md.forward(batch, params, cfg)

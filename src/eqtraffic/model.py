@@ -287,82 +287,79 @@ def build_token_batch(scene: Scene, vocab: ActionVocab, cfg: ModelConfig,
 # parameter initialization
 # ---------------------------------------------------------------------------
 
-def _eq_weight(rng, c_out, c_in, dtype):
-    w = np.zeros((c_out, c_in, 10))
-    w[..., :4] = rng.normal(0.0, math.sqrt(1.0 / c_in), size=(c_out, c_in, 4))
-    w[..., 4:] = rng.normal(0.0, math.sqrt(0.1 / c_in), size=(c_out, c_in, 6))
-    return w.astype(dtype)
+def param_layout(cfg: ModelConfig, variant: str = "geometric") -> list:
+    """(name, shape, init) of every parameter of `variant`, in draw, buffer and checkpoint order.
 
+    `init` is a normal std, None for zeros, or "eq" for an equivariant weight [C_out, C_in, 10]:
+    std sqrt(1/C_in) on its 4 grade slots, then sqrt(0.1/C_in) on its 6 others.  The baselines
+    share the geometric model's scalar embeddings, q/k/v projections and decoder.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got '{variant}'")
+    c, s, geo = cfg.mv_channels, cfg.scalar_channels, variant == "geometric"
+    extra = 3 if variant == "vanilla" else 0  # raw global poses in the vanilla inputs
+    layout = []
 
-def _dense(rng, d_in, d_out, dtype, scale=None):
-    std = scale if scale is not None else 1.0 / math.sqrt(d_in)
-    return rng.normal(0.0, std, size=(d_in, d_out)).astype(dtype)
+    def eq_linear(name, c_out, c_in):
+        layout.extend([(f"{name}/weight", (c_out, c_in, 10), "eq"), (f"{name}/bias", (c_out,), None)])
 
+    def mlp(name, d_in, hidden, d_out, out_std=None):
+        layout.extend([(f"{name}/w1", (d_in, hidden), 1.0 / math.sqrt(d_in)), (f"{name}/b1", (hidden,), None),
+                       (f"{name}/w2", (hidden, d_out), 1.0 / math.sqrt(hidden) if out_std is None else out_std),
+                       (f"{name}/b2", (d_out,), None)])
 
-def _add_eq_linear(params, rng, name, c_out, c_in, dtype):
-    params[f"{name}/weight"] = _eq_weight(rng, c_out, c_in, dtype)
-    params[f"{name}/bias"] = np.zeros(c_out, dtype=dtype)
-
-
-def _add_mlp(params, rng, name, d_in, hidden, d_out, dtype, out_scale=None):
-    params[f"{name}/w1"] = _dense(rng, d_in, hidden, dtype)
-    params[f"{name}/b1"] = np.zeros(hidden, dtype=dtype)
-    params[f"{name}/w2"] = _dense(rng, hidden, d_out, dtype, scale=out_scale)
-    params[f"{name}/b2"] = np.zeros(d_out, dtype=dtype)
-
-
-def _add_prev_action(params, rng, cfg: ModelConfig, dt):
-    shape = (len(AGENT_CLASSES) * (cfg.max_vocab + 1), cfg.scalar_channels)
-    params["embed/prev_action"] = rng.normal(0.0, 0.02, size=shape).astype(dt)
-
-
-def _add_decoder(params, rng, cfg: ModelConfig, dt):
-    params["decoder/w1"] = _dense(rng, cfg.scalar_channels, cfg.decoder_hidden, dt)
-    params["decoder/b1"] = np.zeros(cfg.decoder_hidden, dtype=dt)
-    params["decoder/heads"] = rng.normal(0.0, 0.02, size=(len(AGENT_CLASSES), cfg.decoder_hidden,
-                                                          cfg.max_vocab)).astype(dt)
-    params["decoder/bias"] = np.zeros((len(AGENT_CLASSES), cfg.max_vocab), dtype=dt)
-
-
-def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> ParamStore:
-    """Fresh parameters for the geometric model; deterministic in cfg.seed."""
-    rng = rng or np.random.default_rng(cfg.seed)
-    dt = cfg.np_dtype
-    c, s = cfg.mv_channels, cfg.scalar_channels
-    params = {}
-
-    _add_eq_linear(params, rng, "embed/agent_mv", c, 1, dt)
-    _add_eq_linear(params, rng, "embed/map_mv", c, 1, dt)
-    _add_mlp(params, rng, "embed/agent_in", AGENT_FEATURE_WIDTH, cfg.input_hidden, s, dt)
-    _add_mlp(params, rng, "embed/map_in", MAP_FEATURE_WIDTH, cfg.input_hidden, s, dt)
-    _add_prev_action(params, rng, cfg, dt)
-
+    if geo:
+        eq_linear("embed/agent_mv", c, 1)
+        eq_linear("embed/map_mv", c, 1)
+    mlp("embed/agent_in", AGENT_FEATURE_WIDTH + extra, cfg.input_hidden, s)
+    mlp("embed/map_in", MAP_FEATURE_WIDTH + extra, cfg.input_hidden, s)
+    layout.append(("embed/prev_action", (len(AGENT_CLASSES) * (cfg.max_vocab + 1), s), 0.02))
     for i in range(cfg.blocks):
         for attn in ("map_attn", "agent_attn", "time_attn"):
             base = f"block{i}/{attn}"
             # key projections carry no bias: a constant key offset shifts every
             # logit in a row equally, which softmax cancels exactly
-            for proj, biased in (("mv_q", True), ("mv_k", False), ("mv_v", True)):
-                params[f"{base}/{proj}/weight"] = _eq_weight(rng, c, c, dt)
-                if biased:
-                    params[f"{base}/{proj}/bias"] = np.zeros(c, dtype=dt)
-            for proj, biased in (("s_q", True), ("s_k", False), ("s_v", True)):
-                params[f"{base}/{proj}/w"] = _dense(rng, s, s, dt)
-                if biased:
-                    params[f"{base}/{proj}/b"] = np.zeros(s, dtype=dt)
-        _add_eq_linear(params, rng, f"block{i}/mlp/expand", 4 * c, c, dt)
-        _add_eq_linear(params, rng, f"block{i}/mlp/mid", 2 * c, 2 * c, dt)
-        _add_eq_linear(params, rng, f"block{i}/mlp/out", c, 2 * c, dt)
-        _add_mlp(params, rng, f"block{i}/mlp/scalar", s, 2 * s, s, dt)
-        if cfg.include_adapter:
+            for proj in ("mv_q", "mv_k", "mv_v") if geo else ():
+                layout.append((f"{base}/{proj}/weight", (c, c, 10), "eq"))
+                if proj != "mv_k":
+                    layout.append((f"{base}/{proj}/bias", (c,), None))
+            for proj in ("s_q", "s_k", "s_v"):
+                layout.append((f"{base}/{proj}/w", (s, s), 1.0 / math.sqrt(s)))
+                if proj != "s_k":
+                    layout.append((f"{base}/{proj}/b", (s,), None))
+            if variant == "rpe":
+                mlp(f"{base}/rpe", 4, cfg.rpe_hidden, 2 * s, out_std=0.1)
+        if geo:
+            eq_linear(f"block{i}/mlp/expand", 4 * c, c)
+            eq_linear(f"block{i}/mlp/mid", 2 * c, 2 * c)
+            eq_linear(f"block{i}/mlp/out", c, 2 * c)
+        mlp(f"block{i}/mlp/scalar" if geo else f"block{i}/mlp", s, 2 * s, s)
+        if geo and cfg.include_adapter:
             # zero output layer: the adapter's residual branch starts silent;
             # its raw inputs are meters-scale multivector components that would
             # otherwise drown the scalar stream at init
-            _add_mlp(params, rng, f"block{i}/adapter", 8 * c, cfg.adapter_hidden, s, dt,
-                     out_scale=0.0)
+            mlp(f"block{i}/adapter", 8 * c, cfg.adapter_hidden, s, out_std=0.0)
+    heads = (len(AGENT_CLASSES), cfg.decoder_hidden, cfg.max_vocab)
+    return layout + [("decoder/w1", (s, cfg.decoder_hidden), 1.0 / math.sqrt(s)),
+                     ("decoder/b1", (cfg.decoder_hidden,), None), ("decoder/heads", heads, 0.02),
+                     ("decoder/bias", (len(AGENT_CLASSES), cfg.max_vocab), None)]
 
-    _add_decoder(params, rng, cfg, dt)
-    return ParamStore.pack(params.items())
+
+def init_params(cfg: ModelConfig, variant: str = "geometric") -> ParamStore:
+    """Fresh parameters of `variant`, drawn into one buffer in `param_layout` order; deterministic
+    in cfg.seed.  A zero-std entry still draws, so each draw's place in the stream is fixed."""
+    layout = param_layout(cfg, variant)
+    params = ParamStore([(name, shape) for name, shape, _ in layout],
+                        np.zeros(sum(math.prod(shape) for _, shape, _ in layout), dtype=cfg.np_dtype))
+    rng = np.random.default_rng(cfg.seed)
+    for name, shape, init in layout:
+        w = params[name]
+        if init == "eq":
+            w[..., :4] = rng.normal(0.0, math.sqrt(1.0 / shape[1]), size=shape[:2] + (4,))
+            w[..., 4:] = rng.normal(0.0, math.sqrt(0.1 / shape[1]), size=shape[:2] + (6,))
+        elif init is not None:
+            w[...] = rng.normal(0.0, init, size=shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +562,10 @@ def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None
 # training
 # ---------------------------------------------------------------------------
 
+class NonFiniteLossError(RuntimeError):
+    """Training met a non-finite loss: the run diverged or its parameters hold a non-finite value."""
+
+
 def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 1e-3,
           seed: int = 0, params: ParamStore | None = None, scenes_per_step: int = 2):
     """Adam with cosine annealing; deterministic per seed on a single thread.
@@ -602,8 +603,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         if not math.isfinite(loss_val):
             bad = next(i for i, nd in enumerate(tape.nodes)
                        if not all(np.isfinite(out.data).all() for out in nd.outputs))
-            raise RuntimeError(f"non-finite loss {loss_val} at step {step} on scenes {picked}: first "
-                               f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
+            raise NonFiniteLossError(f"non-finite loss {loss_val} at step {step} on scenes {picked}: first "
+                                     f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
         grads = ad.backward(tape, loss_var)
         np.concatenate([grads[var] for var in pvars.values()], axis=None, out=grad)
         adam_step(params, grad, state, step_lr)
@@ -656,33 +657,6 @@ def rpe_attention(q, k, v, rel_feats: np.ndarray, p, name: str, mask=None):
     wd = ad.data_of(weights)
     offset = ad.reduce_sum(ad.mul(ad.reshape(weights, wd.shape + (1,)), v_off), axis=-2)
     return ad.add(out, offset)
-
-
-def init_baseline_params(cfg: ModelConfig, variant: str,
-                         rng: np.random.Generator | None = None) -> ParamStore:
-    if variant not in ("rpe", "vanilla"):
-        raise ValueError(f"baseline variant must be rpe or vanilla, got '{variant}'")
-    rng = rng or np.random.default_rng(cfg.seed)
-    dt = cfg.np_dtype
-    s = cfg.scalar_channels
-    in_width = AGENT_FEATURE_WIDTH + (3 if variant == "vanilla" else 0)
-    params = {}
-    _add_mlp(params, rng, "embed/agent_in", in_width, cfg.input_hidden, s, dt)
-    _add_mlp(params, rng, "embed/map_in", MAP_FEATURE_WIDTH + (3 if variant == "vanilla" else 0),
-             cfg.input_hidden, s, dt)
-    _add_prev_action(params, rng, cfg, dt)
-    for i in range(cfg.blocks):
-        for attn in ("map_attn", "agent_attn", "time_attn"):
-            base = f"block{i}/{attn}"
-            for proj, biased in (("s_q", True), ("s_k", False), ("s_v", True)):
-                params[f"{base}/{proj}/w"] = _dense(rng, s, s, dt)
-                if biased:
-                    params[f"{base}/{proj}/b"] = np.zeros(s, dtype=dt)
-            if variant == "rpe":
-                _add_mlp(params, rng, f"{base}/rpe", 4, cfg.rpe_hidden, 2 * s, dt, out_scale=0.1)
-        _add_mlp(params, rng, f"block{i}/mlp", s, 2 * s, s, dt)
-    _add_decoder(params, rng, cfg, dt)
-    return ParamStore.pack(params.items())
 
 
 def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats, mask):
@@ -860,7 +834,7 @@ def save_checkpoint(path, params: ParamStore, cfg: ModelConfig, vocab: ActionVoc
 def load_checkpoint(path):
     """Returns (params, config, manifest).
 
-    The manifest must list exactly the parameters `init_params(config)` makes,
+    The manifest must list exactly the parameters `param_layout(config)` lists,
     with their shapes and dtype, and every value must be finite; anything else
     is a ValueError that names its manifest path, such as `$.params[3].dtype`.
     """
@@ -886,10 +860,10 @@ def _checkpoint_params(manifest: dict, payload: bytes) -> tuple:
     unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ValueError(f"$.config.{unknown[0]} is not a ModelConfig field")
-    try:  # a field of the wrong type fails in the config's checks or in init_params
+    try:  # a field of the wrong type fails in the config's checks or in param_layout
         cfg = ModelConfig.from_dict(config)
         kind = "<f4" if cfg.dtype == "f32" else "<f8"
-        expected = {name: {"shape": list(arr.shape), "dtype": kind} for name, arr in init_params(cfg).items()}
+        expected = {name: {"shape": list(shape), "dtype": kind} for name, shape, _ in param_layout(cfg)}
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"$.config: {exc}") from None
     if not isinstance(manifest.get("vocab_hash"), str):

@@ -450,13 +450,15 @@ def _require(obj, keys, path: str, optional=()):
 # bound on every number of a scene or vocab file: UTM-sized coordinates fit, and pose
 # differences and their squares stay far from overflow (1e308 and -1e308 gave -inf deltas)
 _NUMBER_MAX = 1e9
+# bound on a vocab delta's components: two in-range states differ by at most 2√2·_NUMBER_MAX
+_DELTA_MAX = 3 * _NUMBER_MAX
 
 
-def _number(obj: dict, key: str, path: str) -> float:
+def _number(obj: dict, key: str, path: str, bound: float = _NUMBER_MAX) -> float:
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _NUMBER_MAX:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= bound:
         raise SceneParseError(f"{path}.{key}: expected a finite number of magnitude at most "
-                              f"{_NUMBER_MAX:g}, got {value!r:.40}")
+                              f"{bound:g}, got {value!r:.40}")
     return float(value)
 
 
@@ -614,7 +616,7 @@ def vocab_from_json(text) -> ActionVocab:
             if not isinstance(row, list) or len(row) != 3:
                 raise SceneParseError(f"{path}.deltas[{j}]: expected [dx, dy, dtheta], got {row!r}")
             for k in range(3):
-                _number(row, k, f"{path}.deltas[{j}]")
+                _number(row, k, f"{path}.deltas[{j}]", _DELTA_MAX)
         deltas[cls] = np.asarray(entry["deltas"], dtype=np.float64)
         counts[cls] = _integer(entry, "source_count", path, low=0)
     k_r, w_theta, seed = _number(doc, "k_r", "$"), _number(doc, "w_theta", "$"), _integer(doc, "seed", "$")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtraffic import cli, scene as sc
+from eqtraffic import autodiff as ad, cli, model as md, scene as sc
 from eqtraffic.model import ModelConfig, load_checkpoint
 
 
@@ -297,9 +297,50 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["train"]) == cli.EXIT_USAGE           # missing inputs
     assert cli.main(["check", "--scenes", "x"]) == cli.EXIT_USAGE  # no checkpoint/random
     capsys.readouterr()
-    assert cli.main(["bench", "--agents", "2,x", "--out", str(tmp_path / "bench")]) == cli.EXIT_USAGE
-    assert capsys.readouterr().err == "usage error: --agents must be comma-separated integers, got '2,x'\n"
+    for agents in ("2,x", "0,8", "8,-1", "", ","):
+        assert cli.main(["bench", "--agents", agents, "--out", str(tmp_path / "bench")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: --agents must be comma-separated positive integers, got {agents!r}\n"
     assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, option", [
+    (["vocab", "--scenes", "x"], "k-r"),
+    (["vocab", "--scenes", "x"], "w-theta"),
+    (["train", "--scenes", "x", "--vocab", "y"], "lr"),
+])
+def test_float_option_not_finite_exits_1(tmp_path, capsys, argv, option, value):
+    """A float option that is not finite is a one-line usage error that names it, as a flag or a
+    run-config key."""
+    out = tmp_path / "out"
+    assert cli.main(argv + [f"--{option}={value}", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: --{option} must be a finite number, got {float(value)}\n"
+    (tmp_path / "cfg.json").write_text(json.dumps({option: float(value)}))  # NaN, Infinity, -Infinity
+    assert cli.main(argv + ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == cli.EXIT_USAGE
+    shown = json.dumps(float(value))
+    assert capsys.readouterr().err == f"config error: key '{option}' is out of range: {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverging_train_exits_2_with_one_line(workspace, tmp_path, capsys, monkeypatch):
+    """A learning rate that drives the loss non-finite ends in exit 2 and one stderr line that
+    names the first non-finite op, with no warning and no checkpoint; a real bug still raises."""
+    out = tmp_path / "run"
+    argv = ["train", "--scenes", str(workspace["scenes"]), "--vocab", str(workspace["vocab"]), "--steps", "3",
+            "--lr", "1e30", "--out", str(out), "--config", str(workspace["cfg"])]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("training error: non-finite loss ") and err.count("\n") == 1
+    assert "first non-finite output at tape node " in err
+    assert not out.exists()
+
+    def broken(*args, **kwargs):
+        raise ad.MissingVJPError("no VJP registered for op 'example'")
+    monkeypatch.setattr(md, "train", broken)
+    with pytest.raises(ad.MissingVJPError):
+        cli.main(argv)
 
 
 def test_validation_errors_exit_2(tmp_path):
@@ -579,6 +620,21 @@ def test_validly_mutated_scene_exits_0_with_a_finite_vocab(text):
         assert _run_quietly(["vocab", "--scenes", str(scenes), "--out", str(out)]) == cli.EXIT_OK
         vocab = sc.vocab_from_json(out.read_text())
         assert all(np.isfinite(d).all() for d in vocab.deltas.values())
+
+
+def test_the_widest_valid_transition_makes_a_vocab_that_trains(tmp_path):
+    """Consecutive states at x = 1e9 and x = -1e9 are valid, and so is their delta of about -2e9:
+    `vocab` writes it and `train --vocab` reads it back."""
+    doc = json.loads(json.dumps(_VALID_SCENE))
+    states = doc["agents"][0]["states"]
+    states[0]["x"], states[1]["x"] = _BOUND, -_BOUND
+    (tmp_path / "scenes").mkdir()
+    (tmp_path / "scenes" / "scene_00000.json").write_text(json.dumps(doc))
+    vocab = tmp_path / "vocab.json"
+    assert _run_quietly(["vocab", "--scenes", str(tmp_path / "scenes"), "--out", str(vocab)]) == cli.EXIT_OK
+    assert max(np.abs(d[:, :2]).max() for d in sc.vocab_from_json(vocab.read_text()).deltas.values()) > _BOUND
+    assert _run_quietly(["train", "--scenes", str(tmp_path / "scenes"), "--vocab", str(vocab), "--steps", "1",
+                         "--out", str(tmp_path / "run")]) == cli.EXIT_OK
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)

@@ -321,7 +321,7 @@ def test_end_to_end_audit_passes():
 
 def test_negative_control_audit_fails_loudly():
     scene, vocab, cfg, _ = setup(seed=9, horizon=8)
-    bparams = md.init_baseline_params(cfg, "vanilla")
+    bparams = md.init_params(cfg, "vanilla")
     report = hn.equivariance_audit(bparams, cfg, vocab, [scene], n_transforms=5,
                                    include_layers=False, negative_control=True)
     entry = report.entries[-1]

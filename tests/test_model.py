@@ -465,7 +465,7 @@ def test_stacked_samples_match_separate_forwards(map_attention):
     together = np.asarray(md.forward(stacked, params, cfg))
     assert together.shape == (3, n_agents, context, cfg.max_vocab)
     for variant in ("vanilla", "rpe"):
-        bparams = md.init_baseline_params(cfg, variant)
+        bparams = md.init_params(cfg, variant)
         b_together = np.asarray(md.baseline_forward(stacked, bparams, cfg, variant))
         for r, sc_ in enumerate(samples):
             alone = np.asarray(md.baseline_forward(rows(sc_, 0, context), bparams, cfg, variant))
@@ -773,7 +773,7 @@ def test_a_packed_f32_step_returns_no_subnormal_cotangent(monkeypatch):
     corpus = [sc.generate_synthetic_scene(sc.GeneratorConfig(), seed=s) for s in range(8)]
     vocab = sc.build_kdisk_vocab(sc.collect_transitions(corpus), k_r=0.003, seed=0, cap=64)
     cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES})
-    params = md.init_params(cfg, np.random.default_rng(0))
+    params = md.init_params(cfg)
     batch = md.pack_scenes([md.build_token_batch(s, vocab, cfg) for s in corpus[:2]])
     subnormal = []
 
@@ -845,7 +845,7 @@ def test_rpe_pair_flops_from_the_tape_match_flop_count():
     matmuls (2*rows*k*n) plus the key and value offset products (one flop per element of
     each mul's output and of each reduce_sum's input)."""
     scene, vocab, cfg, _, batch = desk_setup()
-    p = md.init_baseline_params(cfg, "rpe").as_vars()
+    p = md.init_params(cfg, "rpe").as_vars()
     rpe_weights = {id(v) for n, v in p.items() if "/rpe/w" in n}
     with ad.Tape() as tape:
         md.baseline_forward(batch, p, cfg, "rpe")
@@ -884,12 +884,12 @@ def test_rpe_baseline_invariant_vanilla_not():
     g = pga.Pose2(100.0, 0.0, math.pi / 2)
     moved = md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg)
 
-    rpe_params = md.init_baseline_params(cfg, "rpe")
+    rpe_params = md.init_params(cfg, "rpe")
     base = np.asarray(md.baseline_forward(batch, rpe_params, cfg, "rpe"))
     out = np.asarray(md.baseline_forward(moved, rpe_params, cfg, "rpe"))
     assert float(np.max(np.abs(out - base))) <= 1e-10
 
-    van_params = md.init_baseline_params(cfg, "vanilla")
+    van_params = md.init_params(cfg, "vanilla")
     base_v = np.asarray(md.baseline_forward(batch, van_params, cfg, "vanilla"))
     out_v = np.asarray(md.baseline_forward(moved, van_params, cfg, "vanilla"))
     assert float(np.max(np.abs(out_v - base_v))) > 1e-3
@@ -972,7 +972,9 @@ def test_a_per_array_checkpoint_loads_into_one_buffer_and_resaves_to_the_same_by
     params.flat[...] = np.random.default_rng(15).normal(0.0, 0.1, params.flat.size)
     path = tmp_path / "model.ckpt"
     # the manifest's order is the buffer's: a store in another order loads in that order
-    for store in (params, ad.ParamStore.pack(reversed(params.items()))):
+    reordered = ad.ParamStore([(name, arr.shape) for name, arr in reversed(params.items())],
+                              np.concatenate([arr.ravel() for arr in reversed(params.values())]))
+    for store in (params, reordered):
         old = _per_array_checkpoint(store, cfg, vocab, {"seed": 15})
         assert md.checkpoint_bytes(store, cfg, vocab, meta={"seed": 15}) == old
         path.write_bytes(old)
@@ -999,6 +1001,19 @@ def test_truncated_checkpoint_fails_clearly(tmp_path):
     path.write_bytes(blob[:header // 2])
     with pytest.raises(ValueError, match="truncated inside its manifest line"):
         md.load_checkpoint(path)
+
+
+def test_load_checkpoint_makes_no_random_draw(tmp_path, monkeypatch):
+    """The loader checks names and shapes against `param_layout`, which draws nothing."""
+    _, vocab, cfg, params, _ = desk_setup(seed=14, dtype="f32")
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, params, cfg, vocab)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded, _, _ = md.load_checkpoint(path)
+    assert list(loaded) == list(params) and np.array_equal(loaded.flat, params.flat)
 
 
 def tiny_grad_setup():
