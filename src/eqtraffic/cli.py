@@ -82,12 +82,15 @@ _MINIMUMS = {"count": 0, "cap": 0, "steps": 1, "trials": 0, "rollout_horizon": 0
 # float options that must be finite (a run-config value is checked as it loads); only sampling reads
 # --temperature, so `rollout` checks it by its own rule
 _FINITE = ("k_r", "w_theta", "lr")
+# the finite values a vocab file can hold, by dest: (test, the range it shows)
+_RANGES = {"k_r": (lambda v: 0.0 < v <= sc._NUMBER_MAX, f"in (0, {sc._NUMBER_MAX:g}]"),
+           "w_theta": (lambda v: abs(v) <= sc._NUMBER_MAX, f"in [-{sc._NUMBER_MAX:g}, {sc._NUMBER_MAX:g}]")}
 
 
-def _check_value(value, kind, name: str, choices=None, minimum=None) -> None:
+def _check_value(value, kind, name: str, choices=None, minimum=None, within=None) -> None:
     """`value` is a JSON value of type `kind` (any for a kind outside `_JSON_KINDS`), one of
-    `choices` and at least `minimum`; integers, also where a number is expected, fit in 64 bits,
-    and numbers are finite."""
+    `choices`, at least `minimum` and `within` a `_RANGES` entry; integers, also where a number
+    is expected, fit in 64 bits, and numbers are finite."""
     if kind not in _JSON_KINDS:
         return
     shown = json.dumps(value)[:40]
@@ -99,6 +102,8 @@ def _check_value(value, kind, name: str, choices=None, minimum=None) -> None:
         raise ValueError(f"{name} must be one of {', '.join(choices)}, got {shown}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {shown}")
+    if within is not None and not within[0](value):
+        raise ValueError(f"{name} must be {within[1]}, got {shown}")
 
 
 def _load_run_config(path, keys: dict) -> dict:
@@ -112,7 +117,8 @@ def _load_run_config(path, keys: dict) -> dict:
     for key, action in keys.items():
         if key in doc and action is not None:
             kind = bool if action.nargs == 0 else action.type or str
-            _check_value(doc[key], kind, f"key '{key}'", action.choices, _MINIMUMS.get(action.dest))
+            _check_value(doc[key], kind, f"key '{key}'", action.choices, _MINIMUMS.get(action.dest),
+                         _RANGES.get(action.dest))
     for section, cls in _SECTIONS.items():
         if section in doc:
             kinds = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -462,6 +468,9 @@ def main(argv=None) -> int:
         for dest in _FINITE:
             if not math.isfinite(getattr(args, dest, 0.0)):
                 raise _UsageError(f"--{dest.replace('_', '-')} must be a finite number, got {vars(args)[dest]}")
+        for dest, (ok, shown) in _RANGES.items():
+            if dest in vars(args) and not ok(vars(args)[dest]):
+                raise _UsageError(f"--{dest.replace('_', '-')} must be {shown}, got {vars(args)[dest]}")
         return args.run(args, run_cfg)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -124,19 +124,18 @@ class TokenBatch:
     sees scene-sized coordinates however far the scene lies from the origin.
     The scalar baselines see these anchor-relative poses too, and the
     end-to-end audit's translations are absorbed by the anchor; the layer
-    audit still moves its inputs by full roto-translations.
+    audit still moves its inputs by full roto-translations.  The batch holds
+    poses only: `forward` encodes them as multivectors (`encode_pose_array`)
+    and as frame motors (`pose_frame_motors`).
     """
 
-    mv: np.ndarray            # [..., A, T, 1, 8]
     scalars_raw: np.ndarray   # [..., A, T, AGENT_FEATURE_WIDTH]
-    raw_poses: np.ndarray     # [..., A, T, 3] anchor-relative (x, y, theta): frames, knn, baselines
+    raw_poses: np.ndarray     # [..., A, T, 3] anchor-relative (x, y, theta), zero where invalid
     prev_flat: np.ndarray     # [..., A, T] int indices into the flat action-embedding table
     class_idx: np.ndarray     # [..., A] int
-    map_mv: np.ndarray        # [..., M, 1, 8]
     map_scalars_raw: np.ndarray  # [..., M, MAP_FEATURE_WIDTH]
     map_poses: np.ndarray     # [..., M, 3] anchor-relative
     map_valid: np.ndarray     # [..., M] bool, False on padding
-    frames: np.ndarray        # [..., A, T, 4] motor coefficients (anchor-relative -> agent frame)
     valid: np.ndarray         # [..., A, T] bool
     targets: np.ndarray       # [..., A, T] int, -1 where undefined
     target_valid: np.ndarray  # [..., A, T] bool
@@ -154,8 +153,8 @@ class TokenBatch:
         return self.map_valid.shape[-1]
 
 
-# `pack_scenes` padding: no target, and the identity frame (`sandwich_matrix` rejects the zero motor)
-_PAD = {"targets": -1, "frames": (1.0, 0.0, 0.0, 0.0)}
+# `pack_scenes` padding: no target; a padded pose is zero, whose frame motor is the identity
+_PAD = {"targets": -1}
 
 
 def pack_scenes(batches) -> TokenBatch:
@@ -225,8 +224,7 @@ def map_fields(scene: Scene, anchor: tuple) -> dict:
     ax, ay = anchor
     poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]).reshape(-1, 3)
     scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(-1, MAP_FEATURE_WIDTH)
-    return {"map_mv": encode_pose_array(poses)[:, None, :], "map_scalars_raw": scalars,
-            "map_poses": poses, "map_valid": np.ones(len(poses), dtype=bool)}
+    return {"map_scalars_raw": scalars, "map_poses": poses, "map_valid": np.ones(len(poses), dtype=bool)}
 
 
 def encode_states(states: AgentStates, anchor: tuple, table: VocabTable, maps: dict,
@@ -258,12 +256,10 @@ def encode_states(states: AgentStates, anchor: tuple, table: VocabTable, maps: d
     scalars[..., 2] = states.width[..., None]
     scalars[..., 3:] = np.eye(len(AGENT_CLASSES))[cls][..., None, :]
     return TokenBatch(
-        mv=encode_pose_array(poses)[..., None, :],
         scalars_raw=np.where(valid[..., None], scalars, 0.0),
         raw_poses=poses,
         prev_flat=flat_token_index(cls[..., None], prev[..., skip:], vmax),
         class_idx=cls,
-        frames=pose_frame_motors(poses),
         valid=valid,
         targets=targets[..., skip:],
         target_valid=targets[..., skip:] >= 0,
@@ -440,7 +436,7 @@ def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None)
     if cache is not None and "map" in cache:
         return cache["map"]
     dt = cfg.np_dtype
-    map_mv = eq_linear(batch.map_mv[..., None, :, :, :].astype(dt), p, "embed/map_mv")
+    map_mv = eq_linear(encode_pose_array(batch.map_poses)[..., None, :, None, :].astype(dt), p, "embed/map_mv")
     map_s = mlp2(batch.map_scalars_raw[..., None, :, :].astype(dt), p, "embed/map_in")
     normed = _norms(map_mv, map_s)
     kv = [_keys_values(normed, p, f"block{i}/map_attn") for i in range(cfg.blocks)]
@@ -477,7 +473,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     """
     dt, lead = cfg.np_dtype, batch.valid.ndim - 2
 
-    mv = eq_linear(batch.mv.astype(dt), p, "embed/agent_mv")
+    mv = eq_linear(encode_pose_array(batch.raw_poses)[..., None, :].astype(dt), p, "embed/agent_mv")
     s = mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = _map_keys_values(batch, p, cfg, cache)
@@ -485,7 +481,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     map_mask, agent_mask = _step_masks(batch)
     if cfg.map_attention != "all":
         map_mask = np.swapaxes(knn_map_mask(batch, int(cfg.map_attention)), -3, -2)
-    sandwich = sandwich_matrix(batch.frames, dt) if cfg.include_adapter else None
+    sandwich = sandwich_matrix(pose_frame_motors(batch.raw_poses), dt) if cfg.include_adapter else None
     time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,), lead))
 
     for i in range(cfg.blocks):
@@ -547,8 +543,8 @@ def sample_action(logits: np.ndarray, mode: str, rng: np.random.Generator | None
             raise ValueError("categorical sampling needs an rng")
         if not 0.0 < temperature < math.inf:
             raise ValueError(f"temperature must be a positive finite number, got {temperature}")
-        scaled = rows / temperature
-        probs = np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+        with np.errstate(over="ignore"):  # shifted first: near 1e-308 a gap overflows to -inf, weight 0
+            probs = np.exp((rows - rows.max(axis=-1, keepdims=True)) / temperature)
         probs /= probs.sum(axis=-1, keepdims=True)
         cdf = np.cumsum(probs, axis=-1)
         cdf /= cdf[..., -1:]
@@ -573,17 +569,22 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
     Each optimizer step packs `scenes_per_step` scenes into one batch
     (`pack_scenes`) and runs one forward and one backward over it; the loss
     averages the scenes' mean losses, which tames the per-scene gradient
-    noise of tiny batches.  Returns (params, curve) with curve rows
-    (step, lr, loss); a `params` store passed in is updated in place.
+    noise of tiny batches.  Only scenes with a target position (an agent
+    with states at two consecutive steps) are drawn.  Returns (params,
+    curve) with curve rows (step, lr, loss); a `params` store passed in is
+    updated in place.
     """
-    if not scenes:
-        raise ValueError("train needs a nonempty dataset")
+    kept = [k for k, s in enumerate(scenes) if any(b.t == a.t + 1 for agent in s.agents
+                                                   for a, b in zip(agent.states, agent.states[1:]))]
+    if not kept:
+        raise ValueError("train needs a scene with a target position: an agent with states at two "
+                         "consecutive steps")
     if scenes_per_step < 1:
         raise ValueError("scenes_per_step must be >= 1")
     if params is None:
         params = init_params(cfg)
-    t_end = max(s.horizon for s in scenes)
-    batches = [build_token_batch(s, vocab, cfg, t_end=t_end) for s in scenes]
+    t_end = max(scenes[k].horizon for k in kept)
+    batches = [build_token_batch(scenes[k], vocab, cfg, t_end=t_end) for k in kept]
     state, pvars = AdamState(params), params.as_vars()
     grad = np.empty_like(params.flat)
     rng = np.random.default_rng(seed)
@@ -603,7 +604,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         if not math.isfinite(loss_val):
             bad = next(i for i, nd in enumerate(tape.nodes)
                        if not all(np.isfinite(out.data).all() for out in nd.outputs))
-            raise NonFiniteLossError(f"non-finite loss {loss_val} at step {step} on scenes {picked}: first "
+            names = [kept[k] for k in picked]
+            raise NonFiniteLossError(f"non-finite loss {loss_val} at step {step} on scenes {names}: first "
                                      f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
         grads = ad.backward(tape, loss_var)
         np.concatenate([grads[var] for var in pvars.values()], axis=None, out=grad)

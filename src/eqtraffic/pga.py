@@ -18,8 +18,9 @@ Geometry encodings:
 
 The algebra itself is the structure tensors below, built from the axioms;
 every product runs on coefficient arrays through them (`autodiff.bilinear8`,
-`batch.sandwich_matrix`).  Poses are `Pose2` in the scene data model and
-arrays [..., 3] of (x, y, theta) elsewhere.
+`batch.sandwich_matrix`).  Poses are `Pose2` records in the scene data model
+and arrays [..., 3] of (x, y, theta) elsewhere; `compose_poses` is their one
+group product.
 """
 
 import math
@@ -123,7 +124,8 @@ def _wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar pose (meters, meters, radians); theta is wrapped to (-pi, pi]."""
+    """A validated planar pose record of the scene data model (meters, meters, radians); theta
+    is wrapped to (-pi, pi].  Poses compose on arrays only: `compose_poses`, `pose_deltas`."""
 
     x: float
     y: float
@@ -136,19 +138,6 @@ class Pose2:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "theta", _wrap_angle(self.theta))
 
-    def compose(self, other: "Pose2") -> "Pose2":
-        """Group product: `other` expressed in this pose's frame, mapped to the global frame."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2(
-            self.x + c * other.x - s * other.y,
-            self.y + s * other.x + c * other.y,
-            self.theta + other.theta,
-        )
-
-    def inverse(self) -> "Pose2":
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return Pose2(-(c * self.x + s * self.y), -(-s * self.x + c * self.y), -self.theta)
-
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
     """`_wrap_angle` per angle, bit for bit."""
@@ -157,8 +146,9 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 
 def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`Pose2.compose` on arrays [..., 3] of (x, y, theta), bit for bit; b's angles must be
-    wrapped already, as a Pose2's are."""
+    """The SE(2) group product of poses [..., 3] of (x, y, theta): b expressed in a's frame,
+    mapped to a's parent frame, its angle wrapped; b's angles must be wrapped already, as a
+    Pose2's are."""
     c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
     x, y = b[..., 0], b[..., 1]
     return np.stack([a[..., 0] + c * x - s * y, a[..., 1] + s * x + c * y,
@@ -166,8 +156,8 @@ def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pose_deltas(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`a.inverse().compose(b)` of Pose2s on arrays [..., 3], bit for bit: the local increments
-    d from a to b, with a.compose(d) == b."""
+    """The local increments d [..., 3] from poses a to b, with compose_poses(a, d) == b: the
+    product of a's inverse and b."""
     c, s = np.cos(a[..., 2]), np.sin(a[..., 2])
     x, y = a[..., 0], a[..., 1]
     inverse = np.stack([-(c * x + s * y), -(-s * x + c * y), wrap_angles(-a[..., 2])], axis=-1)

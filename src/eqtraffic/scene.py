@@ -292,17 +292,14 @@ def collect_transitions(scenes) -> dict:
 
 
 def transform_scene(scene: Scene, g: Pose2) -> Scene:
-    """Apply a rigid transform to every pose in the scene."""
-    agents = tuple(
-        replace(
-            a,
-            states=tuple(
-                AgentState(s.t, g.compose(s.pose), s.speed) for s in a.states
-            ),
-        )
-        for a in scene.agents
-    )
-    nodes = tuple(replace(n, pose=g.compose(n.pose)) for n in scene.map_nodes)
+    """Apply the rigid transform g to every pose in the scene: one `compose_poses` over all of
+    its agent states and map nodes."""
+    records = [s for a in scene.agents for s in a.states] + list(scene.map_nodes)
+    poses = np.array([(r.pose.x, r.pose.y, r.pose.theta) for r in records]).reshape(-1, 3)
+    moved = iter([Pose2(*row) for row in compose_poses(np.array([g.x, g.y, g.theta]), poses).tolist()])
+    agents = tuple(replace(a, states=tuple(AgentState(s.t, next(moved), s.speed) for s in a.states))
+                   for a in scene.agents)
+    nodes = tuple(replace(n, pose=next(moved)) for n in scene.map_nodes)
     return replace(scene, agents=agents, map_nodes=nodes)
 
 
@@ -344,14 +341,15 @@ _CLASS_MIX = (0.7, 0.15, 0.15)
 _SPEED_LIMITS = (8.33, 11.11, 13.89, 16.67)
 
 
-def _lane_pose(start: Pose2, curvature: float, s: float) -> Pose2:
-    """Pose at arclength s along a straight or circular lane."""
+def _lane_poses(start: np.ndarray, curvature: float, s: np.ndarray) -> np.ndarray:
+    """Poses [n, 3] at the arclengths s [n] along a straight or circular lane from `start` [3]."""
     if abs(curvature) < 1e-12:
-        local = Pose2(s, 0.0, 0.0)
+        local = np.stack([s, np.zeros_like(s), np.zeros_like(s)], axis=-1)
     else:
         phi = curvature * s
-        local = Pose2(math.sin(phi) / curvature, (1.0 - math.cos(phi)) / curvature, phi)
-    return start.compose(local)
+        local = np.stack([np.sin(phi) / curvature, (1.0 - np.cos(phi)) / curvature, wrap_angles(phi)],
+                         axis=-1)
+    return compose_poses(start, local)
 
 
 def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
@@ -360,12 +358,10 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
 
     lanes = []
     nodes = []
+    spread = cfg.center_spread
     for _ in range(cfg.n_lanes):
-        start = Pose2(
-            rng.uniform(-cfg.center_spread, cfg.center_spread),
-            rng.uniform(-cfg.center_spread, cfg.center_spread),
-            rng.uniform(-math.pi, math.pi),
-        )
+        start = rng.uniform([-spread, -spread, -math.pi], [spread, spread, math.pi])
+        start[2] = wrap_angles(start[2])
         if rng.uniform() < cfg.straight_fraction:
             curvature = 0.0
         else:
@@ -374,19 +370,12 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
         left, right = rng.choice(BOUNDARY_TYPES), rng.choice(BOUNDARY_TYPES)
         lanes.append((start, curvature, limit))
         n_nodes = max(1, int(cfg.lane_length / cfg.seg_len))
-        for k in range(n_nodes):
-            s = (k + 0.5) * cfg.seg_len
-            nodes.append(
-                MapNode(
-                    pose=_lane_pose(start, curvature, s),
-                    length=cfg.seg_len,
-                    width=3.5,
-                    curvature=curvature,
-                    speed_limit=limit,
-                    boundary_left=str(left),
-                    boundary_right=str(right),
-                )
-            )
+        arclengths = (np.arange(n_nodes) + 0.5) * cfg.seg_len
+        nodes.extend(
+            MapNode(pose=Pose2(*pose), length=cfg.seg_len, width=3.5, curvature=curvature,
+                    speed_limit=limit, boundary_left=str(left), boundary_right=str(right))
+            for pose in _lane_poses(start, curvature, arclengths).tolist()
+        )
 
     agents = []
     for agent_id in range(cfg.n_agents):
@@ -400,28 +389,21 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
 
         s_vals = [s0]
         v = target
-        speeds = [v]
         for _ in range(cfg.horizon - 1):
             if cfg.speed_noise > 0:
                 v = float(np.clip(v + rng.normal(0.0, cfg.speed_noise), 0.3, hi))
             s_vals.append(s_vals[-1] + v * cfg.dt)
-            speeds.append(v)
 
-        states = []
-        prev_xy = None
-        for t in range(cfg.horizon):
-            center = _lane_pose(start, curvature, s_vals[t])
-            jitter = rng.normal(0.0, cfg.heading_noise) if cfg.heading_noise > 0 else 0.0
-            pose = center.compose(Pose2(0.0, offset, jitter))
-            if prev_xy is None:
-                speed = speeds[0]
-            else:
-                speed = math.hypot(pose.x - prev_xy[0], pose.y - prev_xy[1]) / cfg.dt
-            prev_xy = (pose.x, pose.y)
-            states.append(AgentState(t=t, pose=pose, speed=speed))
-        agents.append(
-            Agent(id=agent_id, agent_class=agent_class, length=length, width=width, states=tuple(states))
-        )
+        jitter = np.zeros(cfg.horizon)
+        if cfg.heading_noise > 0:
+            jitter = wrap_angles(rng.normal(0.0, cfg.heading_noise, size=cfg.horizon))
+        local = np.stack([np.zeros(cfg.horizon), np.full(cfg.horizon, offset), jitter], axis=-1)
+        poses = compose_poses(_lane_poses(start, curvature, np.array(s_vals)), local).tolist()
+        # the first speed is the target, the others by math.hypot, which at times rounds unlike numpy's
+        speeds = [target] + [math.hypot(x - px, y - py) / cfg.dt
+                             for (px, py, _), (x, y, _) in zip(poses, poses[1:])]
+        states = tuple(AgentState(t, Pose2(*pose), speed) for t, (pose, speed) in enumerate(zip(poses, speeds)))
+        agents.append(Agent(id=agent_id, agent_class=agent_class, length=length, width=width, states=states))
 
     return Scene(
         agents=tuple(agents),

@@ -19,8 +19,8 @@ from eqtraffic import scene as sc
 from eqtraffic.pga import GEOM_TABLE, GRADES, INNER_INDICES, MOTOR_SLOTS, WEDGE_TABLE, Pose2
 
 # TokenBatch fields with a step axis (axis 1 of a one-scene batch), and the map fields
-ROW_FIELDS = ("mv", "scalars_raw", "raw_poses", "prev_flat", "frames", "valid", "targets", "target_valid")
-MAP_FIELDS = ("map_mv", "map_scalars_raw", "map_poses", "map_valid")
+ROW_FIELDS = ("scalars_raw", "raw_poses", "prev_flat", "valid", "targets", "target_valid")
+MAP_FIELDS = ("map_scalars_raw", "map_poses", "map_valid")
 
 
 def gp(a, b):
@@ -110,6 +110,19 @@ def matrix_apply_pose(pose, x, y):
     """Independent rigid-transform oracle: R(theta) @ p + t."""
     p = rot_matrix(pose.theta) @ np.array([x, y]) + np.array([pose.x, pose.y])
     return float(p[0]), float(p[1])
+
+
+def pose_compose(a, b):
+    """The SE(2) group product of two Pose2 objects in scalar `math`: b expressed in a's frame,
+    mapped to a's parent frame.  The reference `compose_poses` reproduces bit for bit."""
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    return Pose2(a.x + c * b.x - s * b.y, a.y + s * b.x + c * b.y, a.theta + b.theta)
+
+
+def pose_inverse(a):
+    """The inverse of a Pose2 in scalar `math`, with pose_compose(a, pose_inverse(a)) the identity."""
+    c, s = math.cos(a.theta), math.sin(a.theta)
+    return Pose2(-(c * a.x + s * a.y), -(-s * a.x + c * a.y), -a.theta)
 
 
 def compose_pose_oracle(g, p):

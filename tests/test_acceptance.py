@@ -26,6 +26,8 @@ from helpers import (
     join,
     matrix_apply_pose,
     motor_from_pose,
+    pose_compose,
+    pose_inverse,
     rand_pose,
     sandwich,
     wedge,
@@ -269,10 +271,10 @@ def test_criterion_5_end_to_end_invariance(random_model):
                          mode="greedy", context=10)[0]
         if np.array_equal(ro1.tokens, ro2.tokens):
             agree += 1
-            ginv = g.inverse()
+            ginv = pose_inverse(g)
             for ai in range(ro1.poses.shape[0]):
                 for t in range(10, ro1.poses.shape[1]):
-                    back = ginv.compose(pga.Pose2(*ro2.poses[ai, t]))
+                    back = pose_compose(ginv, pga.Pose2(*ro2.poses[ai, t]))
                     pose_dev = max(pose_dev, math.hypot(back.x - ro1.poses[ai, t, 0],
                                                         back.y - ro1.poses[ai, t, 1]))
     elapsed = time.time() - start

@@ -102,6 +102,23 @@ def test_check_random_params_passes(workspace, tmp_path):
     assert (out / "audit.csv").read_text().startswith("# eqtraffic")
 
 
+def test_check_random_params_f32_audits_layers_at_the_f64_bound(workspace, tmp_path):
+    """The layer audit computes in float64 whatever the model's dtype, so an f32 model's layer
+    entries are reported at the float64 bound 1e-10, and pass."""
+    out = tmp_path / "audit32"
+    code = cli.main(["check", "--random-params", "--scenes", str(workspace["scenes"]),
+                     "--vocab", str(workspace["vocab"]), "--trials", "3",
+                     "--out", str(out), "--config", str(workspace["cfg"]),
+                     "--dtype", "f32", "--seed", "0"])
+    assert code == 0
+    doc = json.loads((out / "audit.json").read_text())
+    layers = [e for e in doc["entries"] if e["name"] != "end_to_end_logits"]
+    assert len(layers) == 9 and {e["name"] for e in layers} >= {"eq_linear", "invariant_adapter"}
+    assert all(e["dtype"] == "f64" and e["tolerance"] == 1e-10 and e["passed"] for e in layers)
+    assert [e["dtype"] for e in doc["entries"] if e["name"] == "end_to_end_logits"] == ["f32"]
+    assert doc["passed"] is True
+
+
 def test_check_negative_control_exits_nonzero(workspace, tmp_path):
     out = tmp_path / "audit_neg"
     code = cli.main(["check", "--negative-control", "--scenes", str(workspace["scenes"]),
@@ -321,6 +338,37 @@ def test_float_option_not_finite_exits_1(tmp_path, capsys, argv, option, value):
     shown = json.dumps(float(value))
     assert capsys.readouterr().err == f"config error: key '{option}' is out of range: {shown}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value, shown", [
+    ("k-r", "1e10", "in (0, 1e+09]"),
+    ("k-r", "-1", "in (0, 1e+09]"),
+    ("k-r", "0", "in (0, 1e+09]"),
+    ("w-theta", "-1e10", "in [-1e+09, 1e+09]"),
+    ("w-theta", "1.5e9", "in [-1e+09, 1e+09]"),
+])
+def test_vocab_option_outside_the_vocab_file_range_exits_1(workspace, tmp_path, capsys, option, value, shown):
+    """`--k-r` and `--w-theta` take only values a vocab file can hold: another finite value is a
+    one-line usage error that names the flag or the run-config key, and writes nothing."""
+    out = tmp_path / "vocab.json"
+    argv = ["vocab", "--scenes", str(workspace["scenes"])]
+    assert cli.main(argv + [f"--{option}={value}", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: --{option} must be {shown}, got {float(value)}\n"
+    (tmp_path / "cfg.json").write_text(json.dumps({option: float(value)}))
+    assert cli.main(argv + ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == cli.EXIT_USAGE
+    shown_json = json.dumps(float(value))
+    assert capsys.readouterr().err == f"config error: key '{option}' must be {shown}, got {shown_json}\n"
+    assert not out.exists()
+
+
+def test_vocab_at_the_range_edges_trains(workspace, tmp_path):
+    """`--k-r 1e9` and `--w-theta -1e9`, the edges of the range, write a vocab that `train --vocab`
+    reads."""
+    vocab = tmp_path / "vocab.json"
+    assert cli.main(["vocab", "--scenes", str(workspace["scenes"]), "--k-r", "1e9", "--w-theta=-1e9",
+                     "--out", str(vocab)]) == 0
+    assert cli.main(["train", "--scenes", str(workspace["scenes"]), "--vocab", str(vocab), "--steps", "1",
+                     "--config", str(workspace["cfg"]), "--out", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,7 @@ import pytest
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from helpers import gappy_scene
+from helpers import gappy_scene, pose_compose
 
 
 def setup(seed=0, horizon=12, n_agents=3, dtype="f64"):
@@ -43,7 +43,7 @@ def test_rollout_poses_consistent_with_dynamics():
         pose = pga.Pose2(*ro.poses[ai, 4])
         for h in range(4):
             dx, dy, dth = vocab.deltas[agent.agent_class][ro.tokens[ai, h]]
-            pose = pose.compose(pga.Pose2(dx, dy, dth))
+            pose = pose_compose(pose, pga.Pose2(dx, dy, dth))
             assert math.isclose(pose.x, ro.poses[ai, 5 + h, 0], abs_tol=1e-12)
             assert math.isclose(pose.y, ro.poses[ai, 5 + h, 1], abs_tol=1e-12)
             assert math.isclose(math.hypot(dx, dy) / scene.dt, ro.speeds[ai, 5 + h], abs_tol=1e-12)
@@ -259,7 +259,7 @@ def test_baseline_positions_match_pose_objects():
             last = [s for s in agent.states if s.t < context][-1]
             pose, step = last.pose, pga.Pose2(last.speed * scene.dt, 0.0, 0.0)
             for h in range(8):
-                pose = pose.compose(step)
+                pose = pose_compose(pose, step)
                 expect[ai, h] = pose.x, pose.y
         assert np.array_equal(hn.constant_velocity_positions(scene, context, 8), expect)
     for scene in scenes:

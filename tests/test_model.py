@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from helpers import (
     gappy_scene,
     grad_check,
     motor_from_pose,
+    pose_compose,
+    pose_inverse,
     reverse,
     sandwich,
     stack_samples,
@@ -74,7 +77,7 @@ def test_config_validation():
 def test_token_batch_shapes_and_alignment():
     scene, vocab, cfg, params, batch = desk_setup(seed=1)
     a, t = batch.num_agents, batch.num_steps
-    assert batch.mv.shape == (a, t, 1, 8)
+    assert batch.raw_poses.shape == (a, t, 3)
     assert batch.scalars_raw.shape == (a, t, sc.AGENT_FEATURE_WIDTH)
     assert batch.valid.all()
     # prev token at t=0 is the start token; afterwards it is the previous target
@@ -88,10 +91,11 @@ def test_token_batch_shapes_and_alignment():
             )
     # targets valid everywhere except the last step
     assert batch.target_valid[:, :-1].all() and not batch.target_valid[:, -1].any()
-    # frames map each token's own position to the origin
+    # the frame motors the forward derives map each token's own position to the origin
+    frames = pose_frame_motors(batch.raw_poses)
     for ai in range(a):
         for ti in range(t):
-            x, y = decode_point(sandwich(batch.frames[ai, ti], encode_point(*batch.raw_poses[ai, ti, :2])))
+            x, y = decode_point(sandwich(frames[ai, ti], encode_point(*batch.raw_poses[ai, ti, :2])))
             assert abs(x) <= 1e-9 and abs(y) <= 1e-9
 
 
@@ -348,7 +352,7 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
         token_of = {}
         for t, s in states.items():
             if t + 1 in states:
-                d = s.pose.inverse().compose(states[t + 1].pose)
+                d = pose_compose(pose_inverse(s.pose), states[t + 1].pose)
                 dists = sc.action_distance(vocab.deltas[agent.agent_class], np.array([d.x, d.y, d.theta]),
                                            vocab.w_theta)
                 token_of[t] = int(np.argmin(dists))
@@ -367,13 +371,11 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
     map_poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta]
                           for n in scene.map_nodes]).reshape(-1, 3)
     return md.TokenBatch(
-        mv=sc.encode_pose_array(poses)[:, :, None, :], scalars_raw=scalars, raw_poses=poses,
-        prev_flat=prev_flat, class_idx=class_idx,
-        map_mv=sc.encode_pose_array(map_poses)[:, None, :],
+        scalars_raw=scalars, raw_poses=poses, prev_flat=prev_flat, class_idx=class_idx,
         map_scalars_raw=np.array([sc.encode_map_scalars(n) for n in scene.map_nodes]).reshape(
             -1, sc.MAP_FEATURE_WIDTH),
         map_poses=map_poses, map_valid=np.ones(len(map_poses), dtype=bool),
-        frames=pose_frame_motors(poses), valid=valid, targets=targets, target_valid=targets >= 0,
+        valid=valid, targets=targets, target_valid=targets >= 0,
     )
 
 
@@ -461,7 +463,7 @@ def test_stacked_samples_match_separate_forwards(map_attention):
     # full forwards, geometric and scalar baselines: samples on a leading axis over one unstacked map
     stacked = stack_samples([rows(sc_, 0, context) for sc_ in samples])
     assert stacked.valid.shape == (3, n_agents, context) and stacked.class_idx.shape == (3, n_agents)
-    assert stacked.map_valid.shape == (len(base.map_nodes),) and stacked.map_mv.shape[0] == len(base.map_nodes)
+    assert stacked.map_valid.shape == (len(base.map_nodes),) and stacked.map_poses.shape[0] == len(base.map_nodes)
     together = np.asarray(md.forward(stacked, params, cfg))
     assert together.shape == (3, n_agents, context, cfg.max_vocab)
     for variant in ("vanilla", "rpe"):
@@ -595,12 +597,32 @@ def test_sampling_rows_draw_the_per_row_choice_stream(seed, n_rows, width, tempe
     per_row = np.random.default_rng(seed + 1)
     expect = []
     for row in logits:
-        scaled = row / temperature
-        probs = np.exp(scaled - scaled.max())
+        probs = np.exp((row - row.max()) / temperature)
         expect.append(int(per_row.choice(width, p=probs / probs.sum())))
     batched = np.random.default_rng(seed + 1)
     assert md.sample_action(logits, "categorical", batched, temperature).tolist() == expect
     assert batched.random() == per_row.random()
+
+
+def test_categorical_sampling_shifts_before_it_divides():
+    """At temperature 1e-310 the quotient `rows / temperature` overflows; shifted by its max first,
+    a row's weight stays on its maxima.  At temperature 1 the shift changes no bit: the draws are
+    per-row `rng.choice` on the weights of the unshifted quotient."""
+    rows = np.array([[1.0, 2.0, 0.5], [3.0, -1e30, 2.5], [0.0, 4.0, 4.0]] * 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = md.sample_action(rows, "categorical", np.random.default_rng(0), temperature=1e-310)
+    assert drawn[0::3].tolist() == [1] * 20 and drawn[1::3].tolist() == [0] * 20
+    assert set(drawn[2::3].tolist()) == {1, 2}
+    logits = np.random.default_rng(5).normal(0.0, 4.0, size=(40, 12))
+    logits[::3, ::2] = -1e30
+    per_row = np.random.default_rng(6)
+    expect = []
+    for row in logits:
+        scaled = row / 1.0
+        probs = np.exp(scaled - scaled.max())
+        expect.append(int(per_row.choice(12, p=probs / probs.sum())))
+    assert md.sample_action(logits, "categorical", np.random.default_rng(6), 1.0).tolist() == expect
 
 
 def test_train_determinism_and_descent():
@@ -617,6 +639,30 @@ def test_train_determinism_and_descent():
     assert last < first
     with pytest.raises(ValueError):
         md.train([], vocab, cfg, steps=1)
+
+
+def test_train_draws_only_scenes_with_a_target_position():
+    """A scene whose agents have no states at two consecutive steps is left out of training, and
+    of the step count the others are encoded to: the curve is that of the other scenes alone.
+    Errors name the scenes by their index in the list passed in; with no target anywhere, train
+    raises."""
+    rng = np.random.default_rng(9)
+    vocab = make_vocab(rng, cap=16, k_r=0.02)
+    good = [sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=3, horizon=10), seed=s) for s in range(3)]
+    base = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=14), seed=7)
+    bad = dataclasses.replace(base, agents=tuple(dataclasses.replace(a, states=a.states[::2])
+                                                 for a in base.agents))
+    cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64")
+    params, curve = md.train(good, vocab, cfg, steps=3, seed=2)
+    params_mixed, curve_mixed = md.train(good[:1] + [bad] + good[1:], vocab, cfg, steps=3, seed=2)
+    assert curve_mixed == curve and np.array_equal(params_mixed.flat, params.flat)
+    broken = md.init_params(cfg)
+    broken["decoder/w1"][0, 0] = np.nan
+    with pytest.raises(RuntimeError, match=r"on scenes \[1\]:"):
+        md.train([bad, good[0]], vocab, cfg, steps=1, params=broken, scenes_per_step=1)
+    for scenes in ([bad], []):
+        with pytest.raises(ValueError, match="train needs a scene with a target position"):
+            md.train(scenes, vocab, cfg, steps=1)
 
 
 @pytest.mark.parametrize("name, op", [("block1/mlp/expand/weight", "mv_linear"), ("decoder/w1", "matmul")])
@@ -1054,25 +1100,25 @@ def test_invariant_loss_gradients_transform_contravariantly():
     from eqtraffic.batch import sandwich_array
     from helpers import rand_pose
 
-    mv_in = batch.mv.copy()
+    mv_in = sc.encode_pose_array(batch.raw_poses)[..., None, :]
     pdict = {n: params[n] for n in names}
 
     def grad_of_transformed(g):
         x = ad.Var(mv_in)
         with ad.Tape() as tape:
             if g is None:
-                moved, frames, map_mv = x, batch.frames, batch.map_mv
+                moved, frames, patched = x, pose_frame_motors(batch.raw_poses), batch
             else:
-                u = motor_from_pose(g)
-                moved = sandwich_array(u, x)
-                frames = np.zeros_like(batch.frames)
+                moved = sandwich_array(motor_from_pose(g), x)
+                frames = np.zeros(batch.raw_poses.shape[:-1] + (4,))
                 for a in range(batch.num_agents):
                     for t in range(batch.num_steps):
                         p = pga.Pose2(*batch.raw_poses[a, t])
-                        frames[a, t] = reverse(motor_from_pose(g.compose(p)))
-                map_mv = np.asarray(sandwich_array(u, batch.map_mv))
-            patched = md.TokenBatch(**{**batch.__dict__, "map_mv": map_mv, "frames": frames})
-            lv = _forward_loss_with_tracked_mv(moved, patched, pdict, cfg)
+                        frames[a, t] = reverse(motor_from_pose(pose_compose(g, p)))
+                map_poses = [pose_compose(g, pga.Pose2(*row)) for row in batch.map_poses]
+                patched = dataclasses.replace(batch, map_poses=np.array(
+                    [(q.x, q.y, q.theta) for q in map_poses]).reshape(-1, 3))
+            lv = _forward_loss_with_tracked_mv(moved, frames, patched, pdict, cfg)
         return ad.backward(tape, lv)[x]
 
     base = grad_of_transformed(None)
@@ -1088,15 +1134,16 @@ def _self_attention(mv, s, p, name, cfg, mask):
     return md._attend(mv, s, normed, md._keys_values(normed, p, name), p, name, cfg, mask)
 
 
-def _forward_loss_with_tracked_mv(mv_tracked, batch, p, cfg):
-    """forward() with the agent multivector input taken from a tracked Var."""
+def _forward_loss_with_tracked_mv(mv_tracked, frames, batch, p, cfg):
+    """forward() with the agent multivector input taken from a tracked Var, and the adapter's
+    frame motors from `frames`."""
     dt = cfg.np_dtype
     mv = md.eq_linear(mv_tracked, p, "embed/agent_mv")
     s = md.mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = md._map_keys_values(batch, p, cfg, None)
     map_mask, agent_mask = md._step_masks(batch)
-    sandwich = sandwich_matrix(batch.frames)
+    sandwich = sandwich_matrix(frames)
     time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv, 0), md._swap_at(s, 0)

@@ -1,6 +1,7 @@
 """Scene model: encodings, k-disk vocabulary, dynamics, generator, serialization."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -15,6 +16,8 @@ from helpers import (
     gappy_scene,
     line_residual,
     motor_from_pose,
+    pose_compose,
+    pose_inverse,
     rand_pose,
     sandwich,
 )
@@ -244,14 +247,14 @@ def test_dynamics_rejects_bad_dt():
 
 
 def test_dynamics_matches_pose_compose():
-    """The array step's poses equal Pose2.compose bit for bit, with increment angles to be wrapped;
+    """The array step's poses equal the scalar group law bit for bit, with increment angles to be wrapped;
     its speeds come from numpy's hypot, which at times rounds the last bit unlike math.hypot."""
     rng = np.random.default_rng(10)
     poses = np.array([[p.x, p.y, p.theta] for p in (rand_pose(rng, trans=1e4) for _ in range(600))])
     deltas = rng.uniform([-2.0, -2.0, -7.0], [2.0, 2.0, 7.0], size=(600, 3))
     stepped, speeds = sc.dynamics_step(poses.reshape(20, 30, 3), deltas.reshape(20, 30, 3), dt=0.1)
     for pose, delta, got, speed in zip(poses, deltas, stepped.reshape(-1, 3), speeds.ravel()):
-        want = pga.Pose2(*pose).compose(pga.Pose2(*delta))
+        want = pose_compose(pga.Pose2(*pose), pga.Pose2(*delta))
         assert tuple(got) == (want.x, want.y, want.theta)
         assert math.isclose(speed, math.hypot(delta[0], delta[1]) / 0.1, rel_tol=1e-15)
 
@@ -316,6 +319,43 @@ def test_generator_zero_noise_on_centerline():
         chord = math.hypot(deltas[0, 0], deltas[0, 1])
         arc = 2.0 / curvature * math.asin(curvature * chord / 2.0)
         assert math.isclose(dth / arc, curvature, rel_tol=1e-9)
+
+
+# known answers: sha256 of the scene_to_json texts of seeds 0-3, and of those scenes moved by each
+# of KNOWN_TRANSFORMS, which the generator and transform_scene reproduce bit for bit
+KNOWN_SCENES = {
+    "default": ("5a43f3942e280b477f14f1f61af4b21eebaa713cc67547362239f09f10c8a3f8",
+                "9f1fae4bf629a62efbca5709ace1540565672627acf52aa5bf44bd7cda72896c"),
+    "crowd": ("b85a1a69cd7b262faaf99aa39001daf1524f6a75a53cf12221383e339c4834fd",
+                "90280ca2ca91665661dfa83aec7c5cb83def67141b0f738f3ed814e23aa332ae"),
+    "straight": ("9b692da99f18f2bc4f9bca2f85786e51643211c82ee1fce56b9baf7badad8a1e",
+                "73488d1ab30f0daec969f414ac7bb0dab58ddb74a3f81f374f7bdedf8551ba6a"),
+    "curved": ("b4ab41bfd6cba6c638b5ca6ccf41400d2e95fec779c8ee6eed00f79ef7072952",
+                "68235e9523ea9d07c90b3c6418a04b62cd428144e81eb81eb1feeb73f51bc9ba"),
+    "noiseless": ("0b5ced6cf6d3fe8b912de8cb52c725b35d4317e0181d704e1db900df57faa0ec",
+                "80853db7d1b03b5c1fb4de6c7c5af64ef66eaf21da8093797ddf4d8672443ac1"),
+    "horizon2": ("3306b6139de1c80a89a25e148fd70290cceaed590c88e1feb00a6f2bc10fc9f7",
+                "f772f75c5758fd105eb6c01105853e2729a443a4fdb97994456eb1ab8fe3b95f"),
+}
+KNOWN_CONFIGS = {
+    "default": {},
+    "crowd": {"n_agents": 32, "n_lanes": 6},
+    "straight": {"straight_fraction": 1.0},
+    "curved": {"straight_fraction": 0.0},
+    "noiseless": {"speed_noise": 0.0, "lateral_spread": 0.0, "heading_noise": 0.0},
+    "horizon2": {"horizon": 2},
+}
+KNOWN_TRANSFORMS = (pga.Pose2(100.0, 0.0, math.pi / 2), pga.Pose2(-37.5, 212.25, 2.9),
+                    pga.Pose2(1e5, -3e4, -math.pi))
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_CONFIGS))
+def test_generated_and_transformed_scenes_match_known_digests(name):
+    scenes = [sc.generate_synthetic_scene(sc.GeneratorConfig(**KNOWN_CONFIGS[name]), seed) for seed in range(4)]
+    moved = [sc.transform_scene(s, g) for s in scenes for g in KNOWN_TRANSFORMS]
+    digests = tuple(hashlib.sha256("".join(map(sc.scene_to_json, group)).encode()).hexdigest()
+                    for group in (scenes, moved))
+    assert digests == KNOWN_SCENES[name]
 
 
 def test_generator_validates_config():
@@ -487,7 +527,7 @@ def test_transitions_match_pose_pairs():
         for agent in scene.agents:
             for a, b in zip(agent.states, agent.states[1:]):
                 if b.t == a.t + 1:
-                    d = a.pose.inverse().compose(b.pose)
+                    d = pose_compose(pose_inverse(a.pose), b.pose)
                     expect[agent.agent_class].append((d.x, d.y, d.theta))
     pools = sc.collect_transitions(scenes)
     for cls in sc.AGENT_CLASSES:
