@@ -333,18 +333,24 @@ def cmd_rollout(args, run_cfg) -> int:
 
     lines = [f"# {TOOL} config_hash={meta['config_hash']} seed={seed}",
              "metric,value"]
-    if scene.horizon >= t0 + horizon:
-        gt = hn.ground_truth_positions(scene, t0, horizon)
-        preds = [ro.predicted_positions for ro in rollouts]
+    # the ADEs cover the predicted agents with ground truth at every predicted step
+    scored = rollouts[0].valid[:, t0] & sc.agent_states(scene, t0 + horizon).valid[:, t0:].all(axis=1)
+    agents = tuple(a for a, kept in zip(scene.agents, scored) if kept)
+    summary["ade_agent_ids"] = [a.id for a in agents]
+    if agents:
+        # the scene cut to those agents; the first stands in for the ego, which no ADE reads
+        cut = dataclasses.replace(scene, agents=agents, ego_id=agents[0].id)
+        gt = hn.ground_truth_positions(cut, t0, horizon)
+        preds = [ro.predicted_positions[scored] for ro in rollouts]
         model_ade = hn.min_ade(preds, gt)
-        cv_ade = hn.min_ade([hn.constant_velocity_positions(scene, t0, horizon)], gt)
+        cv_ade = hn.min_ade([hn.constant_velocity_positions(cut, t0, horizon)], gt)
         summary["min_ade"] = model_ade
         summary["constant_velocity_ade"] = cv_ade
         lines.append(f"min_ade,{model_ade:.6f}")
         lines.append(f"constant_velocity_ade,{cv_ade:.6f}")
-        print(f"minADE {model_ade:.3f} m vs constant-velocity {cv_ade:.3f} m")
+        print(f"minADE {model_ade:.3f} m vs constant-velocity {cv_ade:.3f} m over {len(agents)} agents")
     else:
-        print("scene has no ground truth beyond the context; skipping minADE")
+        print(f"no predicted agent has ground truth at every step t={t0}..{t0 + horizon - 1}; skipping minADE")
     _atomic_write(out / "minade.csv", "\n".join(lines) + "\n")
     _atomic_write(out / "summary.json", json.dumps(summary, indent=1))
     print(f"wrote {args.n} rollouts to {out}")

@@ -85,8 +85,8 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     from state arrays [samples, agents, steps] over the one unstacked map and
     runs one forward for all of them.  Sample r draws from its own generator,
     seeded `seed + r`.  An agent with no state at t0 - 1 (it left before the
-    context ends) is not predicted: its tokens read -1, it stays invalid from
-    t0 on, and it draws no random number.
+    context ends, or has no state before it) is not predicted: its tokens
+    read -1, it stays invalid from t0 on, and it draws no random number.
     """
     if horizon <= 0 or n_rollouts <= 0:
         raise ValueError("horizon and n_rollouts must be positive")
@@ -97,9 +97,6 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     t0 = scene.horizon if context is None else context
     _check_context(scene, t0)
     history = agent_states(scene, t0)
-    for agent, seen in zip(scene.agents, history.valid.any(axis=1)):
-        if not seen:
-            raise ValueError(f"agent {agent.id} has no observed states before t={t0}")
     table = md.vocab_table(vocab, cfg)
     anchor = md.scene_anchor(scene)
 

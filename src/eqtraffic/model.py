@@ -620,16 +620,9 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
 
 def pairwise_pose_features(poses_q: np.ndarray, poses_k: np.ndarray) -> np.ndarray:
     """Relative pose j as seen from i: [..., Lq, Lk, 4] = (dx, dy, cos dth, sin dth)."""
-    q = np.asarray(poses_q, dtype=np.float64)
-    k = np.asarray(poses_k, dtype=np.float64)
-    dxg = k[..., None, :, 0] - q[..., :, None, 0]
-    dyg = k[..., None, :, 1] - q[..., :, None, 1]
-    dth = k[..., None, :, 2] - q[..., :, None, 2]
-    c = np.cos(q[..., :, None, 2])
-    s = np.sin(q[..., :, None, 2])
-    return np.stack(
-        [c * dxg + s * dyg, -s * dxg + c * dyg, np.cos(dth), np.sin(dth)], axis=-1
-    )
+    q, k = np.asarray(poses_q, dtype=np.float64), np.asarray(poses_k, dtype=np.float64)
+    d = pose_deltas(q[..., :, None, :], k[..., None, :, :])
+    return np.concatenate([d[..., :2], np.cos(d[..., 2:]), np.sin(d[..., 2:])], axis=-1)
 
 
 def scalar_attention(q, k, v, mask=None):
@@ -727,83 +720,65 @@ def flop_count(cfg: ModelConfig, agents: int, map_tokens: int, steps: int,
                variant: str) -> dict:
     """Closed-form forward-pass FLOPs with a per-term breakdown.
 
-    Matmuls count 2*m*k*n; geometric products GP_FLOPS per channel pair.
-    Norms and residual adds are excluded.  Positional terms isolate what each
-    variant spends on positional information: per-token feature construction
-    for the geometric model, per-pair MLPs for rpe, nothing for vanilla.
+    Every weight of `param_layout` costs 2 * fan-in * fan-out per token it acts
+    on: an equivariant weight [C_out, C_in, 10] is one [8 C_in, 8 C_out] matrix
+    and a decoder head its [H, V] matrix; biases and the action-table lookup
+    cost nothing.  Map-attention keys and values and the map embedding act on
+    map tokens, rpe weights on their attention's pairs, every other weight on
+    agent tokens.  Geometric products count GP_FLOPS per channel pair; norms
+    and residual adds are excluded.  Positional terms isolate what each variant
+    spends on positional information: per-token feature construction for the
+    geometric model, per-pair MLPs for rpe, nothing for vanilla.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if agents < 1 or map_tokens < 1 or steps < 1:
-        raise ValueError("sizes must be positive")
-    c, s, n = cfg.mv_channels, cfg.scalar_channels, cfg.blocks
-    at = float(agents * steps)  # agent tokens
-    m = float(map_tokens)
-    pairs_map = float(agents * map_tokens * steps)
-    pairs_agent = float(agents * agents * steps)
-    pairs_time = float(steps * steps * agents)
-    pairs_total = pairs_map + pairs_agent + pairs_time
-
+    if agents < 1 or map_tokens < 0 or steps < 1:
+        raise ValueError("agent and step counts must be positive, the map token count non-negative")
+    c, s, geo = cfg.mv_channels, cfg.scalar_channels, variant == "geometric"
+    at, m = float(agents * steps), float(map_tokens)  # agent and map tokens
+    pairs = {"map_attn": float(agents * map_tokens * steps), "agent_attn": float(agents * agents * steps),
+             "time_attn": float(steps * steps * agents)}
+    pair_terms = {"map_attn": "pos_pairs_agent_map", "agent_attn": "pos_pairs_agent_agent",
+                  "time_attn": "pos_pairs_time"}
     terms = {key: 0.0 for key in (
         "embed", "proj_qkv", "attn_scores", "attn_values", "mlp", "adapter", "decoder",
         "pos_agent_tokens", "pos_map_tokens",
         "pos_pairs_agent_agent", "pos_pairs_agent_map", "pos_pairs_time",
     )}
 
-    dense = lambda tokens, d_in, d_out: 2.0 * tokens * d_in * d_out
-    geo = variant == "geometric"
-
-    in_extra = 3 if variant == "vanilla" else 0
-    terms["embed"] += dense(at, AGENT_FEATURE_WIDTH + in_extra, cfg.input_hidden)
-    terms["embed"] += dense(at, cfg.input_hidden, s)
-    terms["embed"] += dense(m, MAP_FEATURE_WIDTH + in_extra, cfg.input_hidden)
-    terms["embed"] += dense(m, cfg.input_hidden, s)
-    if geo:
-        terms["embed"] += (at + m) * 128.0 * 1 * c  # multivector embedding
+    for name, shape, init in param_layout(cfg, variant):
+        if init is None or name == "embed/prev_action":
+            continue  # biases and the action-table lookup
+        fan_in, fan_out = (8 * shape[1], 8 * shape[0]) if init == "eq" else shape[-2:]
+        scope, part, *rest = name.split("/")
+        if rest[:1] == ["rpe"]:
+            key, tokens = pair_terms[part], pairs[part]
+        else:
+            key = scope if scope in ("embed", "decoder") else "proj_qkv" if part in pairs else part
+            on_map = name.startswith("embed/map") or (part == "map_attn" and rest[0].endswith(("_k", "_v")))
+            tokens = m if on_map else at
+        terms[key] += 2.0 * tokens * fan_in * fan_out
 
     # logit rows: 4 inner components (+ 4 distance features) per channel, then scalars
     d_scores = ((8 if cfg.distance_awareness else 4) * c + s) if geo else s
     d_values = (8 * c + s) if geo else s
-    for _ in range(n):
-        # q on agent tokens for all three attentions; k, v on their key sets
-        terms["proj_qkv"] += 3 * dense(at, s, s) + 2 * dense(m, s, s) + 4 * dense(at, s, s)
-        if geo:
-            terms["proj_qkv"] += 3 * (128.0 * c * c) * at + 2 * (128.0 * c * c) * m
-            terms["proj_qkv"] += 4 * (128.0 * c * c) * at
+    for _ in range(cfg.blocks):
+        terms["attn_scores"] += 2.0 * sum(pairs.values()) * d_scores
+        terms["attn_values"] += 2.0 * sum(pairs.values()) * d_values
         if geo and cfg.distance_awareness:
             # positional construction: component extraction + distance features
             terms["pos_agent_tokens"] += 3 * 2 * DA_FLOPS_PER_CHANNEL * c * at
             terms["pos_map_tokens"] += DA_FLOPS_PER_CHANNEL * c * m
-        terms["attn_scores"] += 2.0 * pairs_total * d_scores
-        terms["attn_values"] += 2.0 * pairs_total * d_values
-        if variant == "rpe":
-            per_pair = 2.0 * 4 * cfg.rpe_hidden + 2.0 * cfg.rpe_hidden * 2 * s + 4.0 * s
-            terms["pos_pairs_agent_map"] += per_pair * pairs_map
-            terms["pos_pairs_agent_agent"] += per_pair * pairs_agent
-            terms["pos_pairs_time"] += per_pair * pairs_time
-        # feedforward
+        if variant == "rpe":  # the key and value offsets: a product and a sum per pair and channel
+            for attn, count in pairs.items():
+                terms[pair_terms[attn]] += 4.0 * s * count
         if geo:
-            terms["mlp"] += at * 128.0 * (c * 4 * c + 2 * c * 2 * c + 2 * c * c)
             terms["mlp"] += at * GP_FLOPS * 2 * c
         if geo and cfg.include_adapter:  # the frame change is one [C, 8] @ [8, 8] sandwich product
-            terms["adapter"] += at * (128.0 * c + 2.0 * 8 * c * cfg.adapter_hidden
-                                      + 2.0 * cfg.adapter_hidden * s)
-        terms["mlp"] += dense(at, s, 2 * s) + dense(at, 2 * s, s)
+            terms["adapter"] += at * 128.0 * c
 
-    terms["decoder"] += dense(at, s, cfg.decoder_hidden)
-    terms["decoder"] += dense(at, cfg.decoder_hidden, cfg.max_vocab)
-
-    total = float(sum(terms.values()))
     positional = sum(terms[k] for k in terms if k.startswith("pos_"))
-    return {
-        "variant": variant,
-        "agents": agents,
-        "map_tokens": map_tokens,
-        "steps": steps,
-        "terms": terms,
-        "positional": float(positional),
-        "total": total,
-    }
+    return {"terms": terms, "positional": float(positional), "total": float(sum(terms.values()))}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 COMPONENTS = 8
-BASIS_NAMES = ("1", "e0", "e1", "e2", "e01", "e20", "e12", "e012")
 BLADES = ((), (0,), (1,), (2,), (0, 1), (2, 0), (1, 2), (0, 1, 2))
 GRADES = (0, 1, 1, 1, 2, 2, 2, 3)
 

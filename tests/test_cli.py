@@ -171,6 +171,36 @@ def test_rollout_rejects_vocab_of_another_checkpoint(workspace, tmp_path):
     assert not (tmp_path / "ro").exists()
 
 
+def test_rollout_and_check_of_a_scene_with_incomplete_histories(workspace, tmp_path):
+    """An agent with no state, one that leaves inside the horizon and one that pauses at the
+    context's last step: `rollout` scores only the agent predicted with ground truth at every
+    predicted step, `check` rolls the scene out, and with no agent to score minADE is skipped."""
+    scene = sc.scene_from_json(sorted(workspace["scenes"].glob("scene_*.json"))[0].read_text())
+    kept, leaver, pauser = scene.agents
+    agents = (kept, dataclasses.replace(leaver, states=leaver.states[:7]),  # leaves at t=7
+              dataclasses.replace(kept, id=99, states=()),
+              dataclasses.replace(pauser, states=tuple(s for s in pauser.states if s.t != 4)))
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    scene_file = scenes / "scene_00000.json"
+    scene_file.write_text(sc.scene_to_json(dataclasses.replace(scene, agents=agents)))
+    ckpt, vocab = str(workspace["run"] / "checkpoint.ckpt"), str(workspace["vocab"])
+    for context, scored in ((5, [kept.id]), (8, [])):
+        out = tmp_path / f"ro{context}"
+        assert cli.main(["rollout", "--checkpoint", ckpt, "--scene", str(scene_file), "--vocab", vocab,
+                         "--horizon", "4", "--mode", "sampled", "--context", str(context),
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["ade_agent_ids"] == scored
+        assert (np.array(summary["tokens"][0])[2] == -1).all()  # the agent with no state
+        assert ("min_ade" in summary) == bool(scored)
+        assert any(l.startswith("min_ade,") for l in (out / "minade.csv").read_text().splitlines()) == bool(scored)
+        sc.scene_from_json((out / "rollout_000.json").read_text())
+    assert (np.array(summary["tokens"][0])[1] == -1).all()  # the agent that left at t=7 < 8
+    assert cli.main(["check", "--checkpoint", ckpt, "--vocab", vocab, "--scenes", str(scenes), "--trials", "1",
+                     "--rollout-horizon", "2", "--dtype", "f32", "--out", str(tmp_path / "audit")]) == 0
+
+
 def _drop_last(m, payload):
     entry = m["params"].pop()
     del payload[-4 * int(np.prod(entry["shape"])):]

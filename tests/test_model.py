@@ -1,6 +1,7 @@
 """Model-level contracts: invariance, causality, training, baselines, FLOPs, checkpoints."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import warnings
@@ -844,21 +845,27 @@ def test_a_packed_f32_step_returns_no_subnormal_cotangent(monkeypatch):
 
 @pytest.mark.parametrize("distance_awareness", [True, False])
 def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
-    """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values.
-
-    The embed, decoder and adapter terms are the products by their parameters: a matmul costs
-    2*|out|*k, an mv_linear 2*|out|*8*C_in; the decoder's heads reach their matmul through
-    the per-class embedding.  The adapter adds its frame change, one [C, 8] @ [8, 8] product
-    by each token's constant sandwich matrix."""
+    """Each mv_attention node costs 2*|w|*(row width) for its logits and 2*|w|*(value width) for its values."""
     scene, vocab, cfg, params, batch = desk_setup(distance_awareness=distance_awareness)
-    pvars = params.as_vars()
     with ad.Tape() as tape:
-        md.forward(batch, pvars, cfg)
+        md.forward(batch, params.as_vars(), cfg)
     taped = sum(2 * node.ctx["w"].size * (node.ctx["qf"].shape[-1] + node.ctx["vf"].shape[-1])
                 for node in tape.nodes if node.op == "mv_attention")
     terms = md.flop_count(cfg, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"]
     assert taped == terms["attn_scores"] + terms["attn_values"]
+    no_adapter = dataclasses.replace(cfg, include_adapter=False)
+    assert md.flop_count(no_adapter, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"][
+        "adapter"] == 0.0
 
+
+def taped_weight_terms(tape, pvars) -> dict:
+    """`flop_count`'s weight terms counted on a recorded forward, by the products' parameter names.
+
+    A matmul costs 2*|out|*k, an mv_linear 2*|out|*8*C_in; the decoder's heads
+    reach their matmul through the per-class embedding.  The MLP adds GP_FLOPS
+    per channel pair of each `bilinear8`, and the adapter its frame change, one
+    [C, 8] @ [8, 8] product by each token's constant sandwich matrix.
+    """
     name_of = {id(var): name for name, var in pvars.items()}
     produced_by = {id(out): node for node in tape.nodes for out in node.outputs}
 
@@ -869,21 +876,38 @@ def test_attention_flops_from_the_tape_match_flop_count(distance_awareness):
             weight = source.inputs[0]
         return name_of.get(id(weight), "")
 
-    def product_flops(part: str) -> int:
+    def product_flops(*parts) -> int:
         return sum(2 * ad.data_of(node.output).size
                    * (node.ctx["da"].shape[-1] if node.op == "matmul" else 8 * node.ctx["wshape"][1])
                    for node in tape.nodes
-                   if node.op in ("matmul", "mv_linear") and part in weight_name(node))
+                   if node.op in ("matmul", "mv_linear") and any(part in weight_name(node) for part in parts))
 
-    assert product_flops("embed/") == terms["embed"]
-    assert product_flops("decoder/") == terms["decoder"]
     sandwiches = [node for node in tape.nodes if node.op == "matmul" and not isinstance(node.inputs[1], ad.Var)]
-    assert len(sandwiches) == cfg.blocks and all(node.ctx["db"].shape[-2:] == (8, 8) for node in sandwiches)
-    frame_change = sum(2 * ad.data_of(node.output).size * 8 for node in sandwiches)
-    assert product_flops("/adapter/") + frame_change == terms["adapter"]
-    no_adapter = dataclasses.replace(cfg, include_adapter=False)
-    assert md.flop_count(no_adapter, batch.num_agents, batch.num_map, batch.num_steps, "geometric")["terms"][
-        "adapter"] == 0.0
+    assert all(node.ctx["db"].shape[-2:] == (8, 8) for node in sandwiches)
+    pairs = sum(ad.data_of(node.output).size // 8 for node in tape.nodes if node.op == "bilinear8")
+    return {"embed": product_flops("embed/"), "proj_qkv": product_flops("_attn/s_", "_attn/mv_"),
+            "mlp": product_flops("/mlp/") + md.GP_FLOPS * pairs,
+            "adapter": product_flops("/adapter/") + sum(2 * ad.data_of(node.output).size * 8 for node in sandwiches),
+            "decoder": product_flops("decoder/")}
+
+
+@pytest.mark.parametrize("with_map", [True, False])
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_weight_flops_from_the_tape_match_flop_count(variant, with_map):
+    scene, vocab, cfg, _, _ = desk_setup()
+    if not with_map:
+        scene = dataclasses.replace(scene, map_nodes=())
+    batch = md.build_token_batch(scene, vocab, cfg)
+    pvars = md.init_params(cfg, variant).as_vars()
+    with ad.Tape() as tape:
+        if variant == "geometric":
+            md.forward(batch, pvars, cfg)
+        else:
+            md.baseline_forward(batch, pvars, cfg, variant)
+    terms = md.flop_count(cfg, batch.num_agents, batch.num_map, batch.num_steps, variant)["terms"]
+    taped = taped_weight_terms(tape, pvars)
+    assert taped == {key: terms[key] for key in taped}
+    assert (taped["adapter"] > 0) == (variant == "geometric")
 
 
 def test_rpe_pair_flops_from_the_tape_match_flop_count():
@@ -978,7 +1002,77 @@ def test_flop_count_ratios():
     with pytest.raises(ValueError):
         md.flop_count(cfg, 0, 1, 1, "rpe")
     with pytest.raises(ValueError):
+        md.flop_count(cfg, 1, 1, 0, "rpe")
+    with pytest.raises(ValueError):
+        md.flop_count(cfg, 1, -1, 1, "rpe")
+    assert md.flop_count(cfg, 1, 0, 1, "rpe")["terms"]["pos_pairs_agent_map"] == 0.0
+    with pytest.raises(ValueError):
         md.flop_count(cfg, 1, 1, 1, "blah")
+
+
+# sha256 of json.dumps({terms, positional, total}, sort_keys=True) per (variant, blocks,
+# include_adapter, distance_awareness, (A, M, T)), recorded from the hand-written per-weight
+# formulas that the count over `param_layout` replaced
+FLOP_COUNT_DIGESTS = {
+    ("geometric", 0, True, True, (3, 32, 10)): "3f64366ad2b63af923ff566d132c1a0ecf3aa262d33ab0a3c6632db644ed12d6",
+    ("geometric", 0, True, True, (16, 24, 20)): "16e3c467687797c759ffd8280b2531fb92085c2a62bf0d76b255fe4192c3190a",
+    ("geometric", 0, True, False, (3, 32, 10)): "3f64366ad2b63af923ff566d132c1a0ecf3aa262d33ab0a3c6632db644ed12d6",
+    ("geometric", 0, True, False, (16, 24, 20)): "16e3c467687797c759ffd8280b2531fb92085c2a62bf0d76b255fe4192c3190a",
+    ("geometric", 0, False, True, (3, 32, 10)): "3f64366ad2b63af923ff566d132c1a0ecf3aa262d33ab0a3c6632db644ed12d6",
+    ("geometric", 0, False, True, (16, 24, 20)): "16e3c467687797c759ffd8280b2531fb92085c2a62bf0d76b255fe4192c3190a",
+    ("geometric", 0, False, False, (3, 32, 10)): "3f64366ad2b63af923ff566d132c1a0ecf3aa262d33ab0a3c6632db644ed12d6",
+    ("geometric", 0, False, False, (16, 24, 20)): "16e3c467687797c759ffd8280b2531fb92085c2a62bf0d76b255fe4192c3190a",
+    ("geometric", 2, True, True, (3, 32, 10)): "f3c6014627e1bcec9a8a2ba970542c95f0c570e8be38c04d6f360ee5f988e80e",
+    ("geometric", 2, True, True, (16, 24, 20)): "5f68fe2e26de779ceae2ac93eddbf59be9e59ab6181f122734a4848092989bc9",
+    ("geometric", 2, True, False, (3, 32, 10)): "b43e4a4732dc53ae547bd9bac46c80299def88e4cbc9605237a5a1b7d7ce0e33",
+    ("geometric", 2, True, False, (16, 24, 20)): "489a7366620e0a09eb7a1bf223c1c870d1cad7ba532737cb1cf3d9f491cf23cf",
+    ("geometric", 2, False, True, (3, 32, 10)): "5de40bad74a99c8a5441a3fd8554a64390aac7d03e1542f17db5c23ec0e99f7a",
+    ("geometric", 2, False, True, (16, 24, 20)): "d19764fedeef2ee24212825d4de0ce7f5ff06b07b8968b7752145923c12a56d5",
+    ("geometric", 2, False, False, (3, 32, 10)): "e7d51de91533bc9737515a02bec1dbddd2bbb22d490c1e2aa85ebbc7d6ee25cc",
+    ("geometric", 2, False, False, (16, 24, 20)): "f0f6f5bda8126da5ec49bd17792d2672441fbdd4913712d41564bd4bfe0b423a",
+    ("rpe", 0, True, True, (3, 32, 10)): "7093237402890d72c0357fc684c0e16039e687cd478104f9ffa4a16faa23755d",
+    ("rpe", 0, True, True, (16, 24, 20)): "c66a8c2fcf645d96afdceb2194be3d3538bbe08a2d6e1e84dfad2cbbbf5892d8",
+    ("rpe", 0, True, False, (3, 32, 10)): "7093237402890d72c0357fc684c0e16039e687cd478104f9ffa4a16faa23755d",
+    ("rpe", 0, True, False, (16, 24, 20)): "c66a8c2fcf645d96afdceb2194be3d3538bbe08a2d6e1e84dfad2cbbbf5892d8",
+    ("rpe", 0, False, True, (3, 32, 10)): "7093237402890d72c0357fc684c0e16039e687cd478104f9ffa4a16faa23755d",
+    ("rpe", 0, False, True, (16, 24, 20)): "c66a8c2fcf645d96afdceb2194be3d3538bbe08a2d6e1e84dfad2cbbbf5892d8",
+    ("rpe", 0, False, False, (3, 32, 10)): "7093237402890d72c0357fc684c0e16039e687cd478104f9ffa4a16faa23755d",
+    ("rpe", 0, False, False, (16, 24, 20)): "c66a8c2fcf645d96afdceb2194be3d3538bbe08a2d6e1e84dfad2cbbbf5892d8",
+    ("rpe", 2, True, True, (3, 32, 10)): "850c9b89e36471791095fe764e8ac3eb975d31015955130beb241bd9fb9cf775",
+    ("rpe", 2, True, True, (16, 24, 20)): "359260bafea60e255ddcf7b20c8d29d957c55a4dd4dba4c73e2b9ab3e489cbc6",
+    ("rpe", 2, True, False, (3, 32, 10)): "850c9b89e36471791095fe764e8ac3eb975d31015955130beb241bd9fb9cf775",
+    ("rpe", 2, True, False, (16, 24, 20)): "359260bafea60e255ddcf7b20c8d29d957c55a4dd4dba4c73e2b9ab3e489cbc6",
+    ("rpe", 2, False, True, (3, 32, 10)): "850c9b89e36471791095fe764e8ac3eb975d31015955130beb241bd9fb9cf775",
+    ("rpe", 2, False, True, (16, 24, 20)): "359260bafea60e255ddcf7b20c8d29d957c55a4dd4dba4c73e2b9ab3e489cbc6",
+    ("rpe", 2, False, False, (3, 32, 10)): "850c9b89e36471791095fe764e8ac3eb975d31015955130beb241bd9fb9cf775",
+    ("rpe", 2, False, False, (16, 24, 20)): "359260bafea60e255ddcf7b20c8d29d957c55a4dd4dba4c73e2b9ab3e489cbc6",
+    ("vanilla", 0, True, True, (3, 32, 10)): "049e98cced6643e21a11c9d6da98730b5e5f4a47ea009f631ffb34c9a844c16d",
+    ("vanilla", 0, True, True, (16, 24, 20)): "a63443f2e31f91e6e9b71fa876eade0741e7e1fd7fec88a774d7be1111503d71",
+    ("vanilla", 0, True, False, (3, 32, 10)): "049e98cced6643e21a11c9d6da98730b5e5f4a47ea009f631ffb34c9a844c16d",
+    ("vanilla", 0, True, False, (16, 24, 20)): "a63443f2e31f91e6e9b71fa876eade0741e7e1fd7fec88a774d7be1111503d71",
+    ("vanilla", 0, False, True, (3, 32, 10)): "049e98cced6643e21a11c9d6da98730b5e5f4a47ea009f631ffb34c9a844c16d",
+    ("vanilla", 0, False, True, (16, 24, 20)): "a63443f2e31f91e6e9b71fa876eade0741e7e1fd7fec88a774d7be1111503d71",
+    ("vanilla", 0, False, False, (3, 32, 10)): "049e98cced6643e21a11c9d6da98730b5e5f4a47ea009f631ffb34c9a844c16d",
+    ("vanilla", 0, False, False, (16, 24, 20)): "a63443f2e31f91e6e9b71fa876eade0741e7e1fd7fec88a774d7be1111503d71",
+    ("vanilla", 2, True, True, (3, 32, 10)): "c3515254384788e5cd65c4688108f7273a78603132a47aa249f80ffe0bd48c33",
+    ("vanilla", 2, True, True, (16, 24, 20)): "4f7d91a3319eca39a27b167d9f069e6d97676ff3ecb8cfec6b25f923c4916eb0",
+    ("vanilla", 2, True, False, (3, 32, 10)): "c3515254384788e5cd65c4688108f7273a78603132a47aa249f80ffe0bd48c33",
+    ("vanilla", 2, True, False, (16, 24, 20)): "4f7d91a3319eca39a27b167d9f069e6d97676ff3ecb8cfec6b25f923c4916eb0",
+    ("vanilla", 2, False, True, (3, 32, 10)): "c3515254384788e5cd65c4688108f7273a78603132a47aa249f80ffe0bd48c33",
+    ("vanilla", 2, False, True, (16, 24, 20)): "4f7d91a3319eca39a27b167d9f069e6d97676ff3ecb8cfec6b25f923c4916eb0",
+    ("vanilla", 2, False, False, (3, 32, 10)): "c3515254384788e5cd65c4688108f7273a78603132a47aa249f80ffe0bd48c33",
+    ("vanilla", 2, False, False, (16, 24, 20)): "4f7d91a3319eca39a27b167d9f069e6d97676ff3ecb8cfec6b25f923c4916eb0",
+}
+
+
+@pytest.mark.parametrize("case", FLOP_COUNT_DIGESTS,
+                         ids=lambda c: "{}-blocks{}-adapter{:d}-da{:d}-{}x{}x{}".format(*c[:4], *c[4]))
+def test_flop_count_known_answers(case):
+    variant, blocks, adapter, da, shape = case
+    cfg = md.ModelConfig(blocks=blocks, include_adapter=adapter, distance_awareness=da)
+    count = md.flop_count(cfg, *shape, variant)
+    doc = json.dumps({key: count[key] for key in ("terms", "positional", "total")}, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == FLOP_COUNT_DIGESTS[case]
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -68,6 +68,10 @@ e012 0    0    0    0    0    0    0
 """
 
 
+# the blades in pga's component order
+BASIS_NAMES = ("1", "e0", "e1", "e2", "e01", "e20", "e12", "e012")
+
+
 def parse_table(text):
     table = np.zeros((8, 8, 8))
     rows = [line.split() for line in text.strip().splitlines()]
@@ -79,7 +83,7 @@ def parse_table(text):
                 sign, entry = -1.0, entry[1:]
             if entry == "0":
                 continue
-            table[i, j, pga.BASIS_NAMES.index(entry)] = sign
+            table[i, j, BASIS_NAMES.index(entry)] = sign
     return table
 
 
