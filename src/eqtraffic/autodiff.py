@@ -713,14 +713,17 @@ class AdamState:
         self.step = 0
 
 
-def adam_step(params: ParamStore, grad: np.ndarray, state: AdamState, lr: float,
-              betas=(0.9, 0.999), eps: float = 1e-8):
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
+def adam_step(params: ParamStore, grad: np.ndarray, state: AdamState, lr: float):
     """One adaptive-moment update of `params.flat`, in place, from the flat gradient `grad` in the
     buffer's order; moments and update are float64 whatever the buffer's dtype."""
     if np.shape(grad) != params.flat.shape:
         raise ValueError(f"gradient shape {np.shape(grad)} != parameter buffer shape {params.flat.shape}")
     g = np.array(grad, dtype=np.float64)  # a copy: it serves as scratch below
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     # in place, through one scratch buffer: fresh temporaries of this size cost page faults
@@ -735,16 +738,16 @@ def adam_step(params: ParamStore, grad: np.ndarray, state: AdamState, lr: float,
     m_hat = np.divide(m, 1.0 - b1**t, out=tmp)
     denom = np.divide(v, 1.0 - b2**t, out=g)     # v_hat
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += ADAM_EPS
     m_hat *= lr
     m_hat /= denom
     params.flat -= m_hat  # in float64, rounded once to the buffer's dtype
     return params, state
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float, min_lr: float = 0.0) -> float:
-    """Cosine-annealed learning rate; reaches min_lr at the final step."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Cosine-annealed learning rate; reaches 0 at the final step."""
     if total_steps <= 1:
-        return min_lr
+        return 0.0
     frac = min(max(step / (total_steps - 1), 0.0), 1.0)
-    return min_lr + (base_lr - min_lr) * 0.5 * (1.0 + math.cos(math.pi * frac))
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))

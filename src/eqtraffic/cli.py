@@ -151,11 +151,20 @@ def _model_config(args, run_cfg: dict, vocab: sc.ActionVocab | None) -> md.Model
     return md.ModelConfig(**fields)
 
 
+def _parse_file(path, parse):
+    """`parse` of the bytes of the scene or vocab file `path`; its errors name the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_scenes(scenes_dir) -> list:
     paths = sorted(Path(scenes_dir).glob("scene_*.json"))
     if not paths:
         raise ValueError(f"no scene_*.json files under {scenes_dir}")
-    return [sc.scene_from_json(p.read_text()) for p in paths]
+    return [_parse_file(p, sc.scene_from_json) for p in paths]
 
 
 def _with_meta(json_text: str, meta: dict) -> str:
@@ -215,10 +224,10 @@ def cmd_train(args, run_cfg) -> int:
         raise _UsageError("train requires --scenes and --vocab")
     out, seed = Path(args.out), args.seed
 
-    vocab = sc.vocab_from_json(Path(args.vocab).read_text())
+    vocab = _parse_file(args.vocab, sc.vocab_from_json)
     cfg = _model_config(args, run_cfg, vocab)
     resolved = {"scenes": args.scenes, "vocab": args.vocab, "steps": args.steps,
-                "lr": args.lr, "seed": seed, "model": cfg.to_dict(), "out": str(out)}
+                "lr": args.lr, "seed": seed, "model": dataclasses.asdict(cfg), "out": str(out)}
     _print_resolved("train", resolved)
     meta = _meta(seed, resolved)
 
@@ -237,7 +246,7 @@ def cmd_train(args, run_cfg) -> int:
 
 def _checkpoint_vocab(vocab_path, manifest: dict) -> sc.ActionVocab:
     """The vocab file, which must be the one the checkpoint was trained with."""
-    vocab = sc.vocab_from_json(Path(vocab_path).read_text())
+    vocab = _parse_file(vocab_path, sc.vocab_from_json)
     if md.vocab_hash(vocab) != manifest["vocab_hash"]:
         raise ValueError("vocab file does not match the checkpoint's vocab hash")
     return vocab
@@ -264,14 +273,14 @@ def cmd_check(args, run_cfg) -> int:
     else:
         if args.vocab is None:
             raise _UsageError("check requires --vocab (with --checkpoint or --random-params)")
-        vocab = sc.vocab_from_json(Path(args.vocab).read_text())
+        vocab = _parse_file(args.vocab, sc.vocab_from_json)
         cfg = _model_config(args, run_cfg, vocab)
         params = md.init_params(cfg, "vanilla" if negative else "geometric")
 
     tolerance = 1e-8 if cfg.dtype == "f64" else 1e-3
     resolved = {"scenes": args.scenes, "trials": args.trials, "seed": seed,
                 "dtype": cfg.dtype, "negative_control": negative, "rollout_horizon": args.rollout_horizon,
-                "tolerance": tolerance, "model": cfg.to_dict()}
+                "tolerance": tolerance, "model": dataclasses.asdict(cfg)}
     _print_resolved("check", resolved)
     meta = _meta(seed, resolved)
 
@@ -308,7 +317,7 @@ def cmd_rollout(args, run_cfg) -> int:
 
     params, cfg, manifest = md.load_checkpoint(args.checkpoint)
     vocab = _checkpoint_vocab(args.vocab, manifest)
-    scene = sc.scene_from_json(Path(args.scene).read_text())
+    scene = _parse_file(args.scene, sc.scene_from_json)
     resolved = {"checkpoint": args.checkpoint, "scene": args.scene, "horizon": horizon,
                 "mode": mode, "n": args.n, "seed": seed, "context": args.context,
                 "temperature": args.temperature}
@@ -367,7 +376,7 @@ def cmd_bench(args, run_cfg) -> int:
         raise _UsageError(f"--agents must be comma-separated positive integers, got {args.agents!r}")
     cfg = _model_config(args, run_cfg, None)
     resolved = {"agents": counts, "map_tokens": args.map_tokens, "steps": args.steps,
-                "seed": seed, "model": cfg.to_dict()}
+                "seed": seed, "model": dataclasses.asdict(cfg)}
     _print_resolved("bench", resolved)
     meta = _meta(seed, resolved)
 

@@ -52,8 +52,6 @@ class Rollout:
     valid: np.ndarray       # [A, T_total] bool: observed (t < context) or predicted
     tokens: np.ndarray      # [A, horizon], -1 where the agent is not predicted
     context_steps: int
-    mode: str
-    seed: int | None = None
 
     @property
     def predicted_positions(self) -> np.ndarray:
@@ -131,7 +129,7 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
         states.poses[:, live, t], states.speeds[:, live, t], states.valid[:, live, t] = poses, speeds, True
 
     return [Rollout(tuple(a.id for a in scene.agents), states.poses[r], states.speeds[r], states.valid[r],
-                    tokens[r], context_steps=t0, mode=mode, seed=None if mode == "greedy" else seed + r)
+                    tokens[r], context_steps=t0)
             for r in range(n_rollouts)]
 
 

@@ -97,9 +97,9 @@ def eq_layer_norm(x, eps: float = LAYER_NORM_EPS):
     return ad.rms_norm(x, _INNER_MASK / ad.data_of(x).shape[-2], (-2, -1), eps)
 
 
-def scalar_layer_norm(s, eps: float = LAYER_NORM_EPS):
+def scalar_layer_norm(s):
     """Standard layer norm over the channel axis, no affine terms: one centred `rms_norm` node."""
-    return ad.rms_norm(s, 1.0 / ad.data_of(s).shape[-1], -1, eps, center=True)
+    return ad.rms_norm(s, 1.0 / ad.data_of(s).shape[-1], -1, LAYER_NORM_EPS, center=True)
 
 
 def _attention_terms(mv_q, sq, heads: int, distance_awareness: bool) -> tuple:
@@ -138,9 +138,9 @@ def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_a
                            *_attention_terms(mv_q, sq, heads, distance_awareness), mask)
 
 
-def rms_normalize(x, eps: float = LAYER_NORM_EPS):
-    """x / sqrt(mean(x^2) + eps) over the last axis; no centering, no params."""
-    return ad.rms_norm(x, 1.0 / ad.data_of(x).shape[-1], -1, eps)
+def rms_normalize(x):
+    """x / sqrt(mean(x^2) + LAYER_NORM_EPS) over the last axis; no centering, no params."""
+    return ad.rms_norm(x, 1.0 / ad.data_of(x).shape[-1], -1, LAYER_NORM_EPS)
 
 
 def invariant_adapter(mv, s, sandwich: np.ndarray, p, name: str):
@@ -159,15 +159,15 @@ def invariant_adapter(mv, s, sandwich: np.ndarray, p, name: str):
     return ad.add(s, mlp2(rms_normalize(flat), p, name))
 
 
-def eq_mlp_block(mv, s, p, name: str, eps: float = LAYER_NORM_EPS):
+def eq_mlp_block(mv, s, p, name: str):
     """Pre-norm equivariant MLP with geometric bilinears and residual connections.
 
     Its weights: `expand` (C -> 4C), `mid` (2C -> 2C) and `out` (2C -> C)
     equivariant linears, and the scalar MLP `scalar` (C' -> 2C' -> C').
     """
     c = ad.data_of(mv).shape[-2]
-    mv_n = eq_layer_norm(mv, eps)
-    s_n = scalar_layer_norm(s, eps)
+    mv_n = eq_layer_norm(mv)
+    s_n = scalar_layer_norm(s)
 
     expanded = eq_linear(mv_n, p, f"{name}/expand")  # C -> 4C
     mixed = geometric_bilinear(*ad.split(expanded, [c, c, c, c], axis=-2))  # -> 2C

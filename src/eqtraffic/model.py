@@ -104,13 +104,6 @@ class ModelConfig:
     def max_vocab(self) -> int:
         return max(self.vocab_sizes.values())
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        return cls(**doc)
-
 
 @dataclass
 class TokenBatch:
@@ -393,10 +386,15 @@ def _swap_at(x, lead: int):
     return ad.moveaxis(x, lead + 1, lead)
 
 
-def _step_masks(batch: TokenBatch) -> tuple:
-    """[..., T, A, M] map and [..., T, A, A] agent masks: a valid row sees valid map tokens and agents."""
+def _step_masks(batch: TokenBatch, cfg: ModelConfig) -> tuple:
+    """[..., T, A, M] map and [..., T, A, A] agent masks: a valid row sees the valid agents, and the
+    valid map tokens or, under `cfg.map_attention` = k, their k nearest (`knn_map_mask`)."""
     rows = np.swapaxes(batch.valid, -1, -2)[..., None]
-    return rows & batch.map_valid[..., None, None, :], rows & np.swapaxes(rows, -1, -2)
+    if cfg.map_attention == "all":
+        map_mask = rows & batch.map_valid[..., None, None, :]
+    else:
+        map_mask = np.swapaxes(knn_map_mask(batch, cfg.map_attention), -3, -2)
+    return map_mask, rows & np.swapaxes(rows, -1, -2)
 
 
 def _time_mask(batch: TokenBatch, key_valid: np.ndarray) -> np.ndarray:
@@ -423,11 +421,15 @@ def knn_map_mask(batch: TokenBatch, k: int) -> np.ndarray:
     return mask & seen
 
 
-def _decode_logits(h, p, class_idx):
-    """Per-class decoder heads and biases, gathered by each agent's class."""
+def _decode(s, p, class_idx: np.ndarray, cfg: ModelConfig):
+    """Logits [..., A, T, max_vocab] of the scalar stream: one hidden layer, then each agent's class
+    head and bias, and an additive -1e30 on the slots past its class's vocab."""
+    h = ad.relu(ad.matmul(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
     heads = ad.embedding(p["decoder/heads"], class_idx)            # [..., A, H, V]
     bias = ad.embedding(p["decoder/bias"], class_idx[..., None])   # [..., A, 1, V]
-    return ad.add(ad.matmul(h, heads), bias)
+    sizes = np.array([cfg.vocab_sizes[c] for c in AGENT_CLASSES])
+    outside = np.where(np.arange(cfg.max_vocab) < sizes[class_idx][..., None], 0.0, -1e30)
+    return ad.add(ad.add(ad.matmul(h, heads), bias), outside.astype(cfg.np_dtype)[..., None, :])
 
 
 def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None) -> list:
@@ -478,9 +480,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = _map_keys_values(batch, p, cfg, cache)
 
-    map_mask, agent_mask = _step_masks(batch)
-    if cfg.map_attention != "all":
-        map_mask = np.swapaxes(knn_map_mask(batch, int(cfg.map_attention)), -3, -2)
+    map_mask, agent_mask = _step_masks(batch, cfg)
     sandwich = sandwich_matrix(pose_frame_motors(batch.raw_poses), dt) if cfg.include_adapter else None
     time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,), lead))
 
@@ -499,17 +499,7 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
         mv, s = eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
             s = invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
-
-    h = ad.relu(ad.matmul(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = _decode_logits(h, p, batch.class_idx)
-    return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
-
-
-def _vocab_mask(class_idx: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """[..., A, 1, V] additive mask pinning out-of-vocabulary slots for small-vocab classes."""
-    sizes = np.array([cfg.vocab_sizes[c] for c in AGENT_CLASSES])
-    inside = np.arange(cfg.max_vocab) < sizes[class_idx][..., None]
-    return np.where(inside, 0.0, -1e30).astype(cfg.np_dtype)[..., None, :]
+    return _decode(s, p, batch.class_idx, cfg)
 
 
 def loss(logits, targets: np.ndarray, valid: np.ndarray):
@@ -625,45 +615,41 @@ def pairwise_pose_features(poses_q: np.ndarray, poses_k: np.ndarray) -> np.ndarr
     return np.concatenate([d[..., :2], np.cos(d[..., 2:]), np.sin(d[..., 2:])], axis=-1)
 
 
-def scalar_attention(q, k, v, mask=None):
-    """Plain scaled dot-product attention over the last two axes."""
-    d = ad.data_of(q).shape[-1]
-    logits = ad.div(ad.matmul(q, ad.moveaxis(k, -1, -2)), math.sqrt(d))
-    weights = ad.masked_softmax(logits, mask)
-    return ad.matmul(weights, v)
+def scalar_attention(q, k, v, mask=None, offsets=None):
+    """Scaled dot-product attention over the last two axes.
 
-
-def rpe_attention(q, k, v, rel_feats: np.ndarray, p, name: str, mask=None):
-    """Attention with per-pair key/value offsets from the relative-pose MLP `name`.
-
-    rel_feats [..., Lq, Lk, 4] featurizes pose_j in the frame of i.  The MLP
-    output splits into a key offset and a value offset, added before the dot
-    product and the weighted sum respectively.  Cost is quadratic in tokens.
+    `offsets`, the rpe baseline's per-pair key and value offsets (each
+    [..., Lq, Lk, d]), add q . k_off to each logit before the scaling and the
+    weighted sum of the value offsets to each output.  Their cost is
+    quadratic in tokens.
     """
     d = ad.data_of(q).shape[-1]
-    pair = mlp2(rel_feats, p, name)  # [..., Lq, Lk, 2d]
-    k_off, v_off = ad.split(pair, [d, d], axis=-1)
-    base = ad.matmul(q, ad.moveaxis(k, -1, -2))
-    qd = ad.data_of(q)
-    extra = ad.reduce_sum(ad.mul(ad.reshape(q, qd.shape[:-1] + (1, d)), k_off), axis=-1)
-    logits = ad.div(ad.add(base, extra), math.sqrt(d))
-    weights = ad.masked_softmax(logits, mask)
+    logits = ad.matmul(q, ad.moveaxis(k, -1, -2))
+    if offsets is not None:
+        k_off, v_off = offsets
+        qd = ad.data_of(q)
+        logits = ad.add(logits, ad.reduce_sum(ad.mul(ad.reshape(q, qd.shape[:-1] + (1, d)), k_off), axis=-1))
+    weights = ad.masked_softmax(ad.div(logits, math.sqrt(d)), mask)
     out = ad.matmul(weights, v)
-    wd = ad.data_of(weights)
-    offset = ad.reduce_sum(ad.mul(ad.reshape(weights, wd.shape + (1,)), v_off), axis=-2)
-    return ad.add(out, offset)
+    if offsets is not None:
+        wd = ad.data_of(weights)
+        out = ad.add(out, ad.reduce_sum(ad.mul(ad.reshape(weights, wd.shape + (1,)), v_off), axis=-2))
+    return out
 
 
-def _baseline_attention_sublayer(s_q, s_kv, p, name, variant, rel_feats, mask):
+def _baseline_attention_sublayer(s_q, s_kn, p, name, rel_feats, mask):
+    """Pre-norm scalar attention `name` with a residual: self attention when `s_kn`, pre-normalized
+    keys, is None; `rel_feats` [..., Lq, Lk, 4] (rpe only) feed the pair MLP `name`/rpe, whose output
+    splits into the key and value offsets."""
     s_qn = scalar_layer_norm(s_q)
-    s_kn = s_qn if s_kv is None else scalar_layer_norm(s_kv)
+    s_kn = s_qn if s_kn is None else s_kn
     q = _project(s_qn, p, f"{name}/s_q")
     k, v = _project(s_kn, p, f"{name}/s_k"), _project(s_kn, p, f"{name}/s_v")
-    if variant == "rpe":
-        out = rpe_attention(q, k, v, rel_feats, p, f"{name}/rpe", mask)
-    else:
-        out = scalar_attention(q, k, v, mask)
-    return ad.add(out, s_q)
+    offsets = None
+    if rel_feats is not None:
+        d = ad.data_of(q).shape[-1]
+        offsets = ad.split(mlp2(rel_feats, p, f"{name}/rpe"), [d, d], axis=-1)
+    return ad.add(scalar_attention(q, k, v, mask, offsets), s_q)
 
 
 def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
@@ -685,31 +671,26 @@ def baseline_forward(batch: TokenBatch, p, cfg: ModelConfig, variant: str):
         map_in = batch.map_scalars_raw
     s = mlp2(agents_in.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_s = mlp2(map_in[..., None, :, :].astype(dt), p, "embed/map_in")  # [..., 1, M, S]
+    map_n = scalar_layer_norm(mlp2(map_in[..., None, :, :].astype(dt), p, "embed/map_in"))  # [..., 1, M, S]
 
     if variant == "rpe":
         poses_t = np.swapaxes(batch.raw_poses, -3, -2)
-        rel_map = pairwise_pose_features(poses_t, batch.map_poses[..., None, :, :])
-        rel_agent = pairwise_pose_features(poses_t, poses_t)
-        rel_time = pairwise_pose_features(batch.raw_poses, batch.raw_poses)
+        rel_map, rel_agent, rel_time = (pairwise_pose_features(q, k).astype(dt) for q, k in (
+            (poses_t, batch.map_poses[..., None, :, :]), (poses_t, poses_t), (batch.raw_poses, batch.raw_poses)))
     else:
         rel_map = rel_agent = rel_time = None
 
-    map_mask, agent_mask = _step_masks(batch)
+    map_mask, agent_mask = _step_masks(batch, cfg)
     time_mask = _time_mask(batch, batch.valid)
 
     for i in range(cfg.blocks):
         s_t = _swap_at(s, lead)
-        s_t = _baseline_attention_sublayer(s_t, map_s, p, f"block{i}/map_attn", variant, rel_map, map_mask)
-        s_t = _baseline_attention_sublayer(s_t, None, p, f"block{i}/agent_attn", variant, rel_agent,
-                                           agent_mask)
+        s_t = _baseline_attention_sublayer(s_t, map_n, p, f"block{i}/map_attn", rel_map, map_mask)
+        s_t = _baseline_attention_sublayer(s_t, None, p, f"block{i}/agent_attn", rel_agent, agent_mask)
         s = _swap_at(s_t, lead)
-        s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", variant, rel_time, time_mask)
+        s = _baseline_attention_sublayer(s, None, p, f"block{i}/time_attn", rel_time, time_mask)
         s = ad.add(mlp2(scalar_layer_norm(s), p, f"block{i}/mlp"), s)
-
-    h = ad.relu(ad.matmul(scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = _decode_logits(h, p, batch.class_idx)
-    return ad.add(logits, _vocab_mask(batch.class_idx, cfg))
+    return _decode(s, p, batch.class_idx, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +775,7 @@ def checkpoint_bytes(params: ParamStore, cfg: ModelConfig, vocab: ActionVocab, m
     kind = "<f4" if params.flat.dtype == np.float32 else "<f8"
     manifest = {
         "format": "eqtraffic-checkpoint-v1",
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "vocab_hash": vocab_hash(vocab),
         "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr in params.items()],
         "meta": meta or {},
@@ -817,13 +798,16 @@ def load_checkpoint(path):
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"checkpoint {path} is truncated inside its manifest line")
-    manifest = json.loads(blob[:newline].decode("utf-8"))
-    if not isinstance(manifest, dict) or manifest.get("format") != "eqtraffic-checkpoint-v1":
-        raise ValueError(f"unrecognized checkpoint format in {path}")
     try:
+        newline = blob.find(b"\n")
+        if newline < 0:
+            raise ValueError("$: truncated inside its manifest line")
+        try:  # a non-UTF-8 manifest line is a UnicodeDecodeError, a ValueError
+            manifest = json.loads(blob[:newline].decode("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"$: invalid JSON ({exc})") from None
+        if not isinstance(manifest, dict) or manifest.get("format") != "eqtraffic-checkpoint-v1":
+            raise ValueError("$.format: unrecognized checkpoint format")
         params, cfg = _checkpoint_params(manifest, memoryview(blob)[newline + 1:])
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: {exc}") from None
@@ -838,7 +822,7 @@ def _checkpoint_params(manifest: dict, payload: bytes) -> tuple:
     if unknown:
         raise ValueError(f"$.config.{unknown[0]} is not a ModelConfig field")
     try:  # a field of the wrong type fails in the config's checks or in param_layout
-        cfg = ModelConfig.from_dict(config)
+        cfg = ModelConfig(**config)
         kind = "<f4" if cfg.dtype == "f32" else "<f8"
         expected = {name: {"shape": list(shape), "dtype": kind} for name, shape, _ in param_layout(cfg)}
     except (AttributeError, TypeError, ValueError) as exc:

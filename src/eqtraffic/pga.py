@@ -42,18 +42,6 @@ INNER_INDICES = (0, 2, 3, 6)
 MOTOR_UNIT_TOL = 1e-9
 
 
-def _sort_blade(blade):
-    """Canonicalize a factor list: sorted indices plus the permutation sign."""
-    blade = list(blade)
-    sign = 1
-    for i in range(len(blade)):
-        for j in range(len(blade) - 1 - i):
-            if blade[j] > blade[j + 1]:
-                blade[j], blade[j + 1] = blade[j + 1], blade[j]
-                sign = -sign
-    return tuple(blade), sign
-
-
 def _multiply_blades(a, b):
     """Geometric product of two basis blades: (canonical blade, sign); sign 0 if annihilated."""
     factors = list(a) + list(b)
@@ -85,7 +73,7 @@ def _build_tables():
     """Structure tensors T[i, j, k]: e_i * e_j = sum_k T[i,j,k] e_k, from the axioms."""
     blade_to_slot = {}
     for idx, blade in enumerate(BLADES):
-        canonical, csign = _sort_blade(blade)
+        canonical, csign = _multiply_blades(blade, ())  # sorted factors, the sort's sign
         blade_to_slot[canonical] = (idx, csign)
 
     geom = np.zeros((COMPONENTS, COMPONENTS, COMPONENTS))

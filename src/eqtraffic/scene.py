@@ -500,11 +500,9 @@ def scene_to_json(scene: Scene) -> str:
 
 
 def scene_from_json(text) -> Scene:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # a non-UTF-8 byte string is a UnicodeDecodeError
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:
         raise SceneParseError(f"$: invalid JSON ({exc})") from exc
     _require(doc, ("dt", "horizon", "ego_id", "agents", "map"), "$", optional=("meta",))
     horizon = _integer(doc, "horizon", "$", low=1)
@@ -582,11 +580,9 @@ def vocab_to_json(vocab: ActionVocab) -> str:
 
 
 def vocab_from_json(text) -> ActionVocab:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # a non-UTF-8 byte string is a UnicodeDecodeError
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as exc:
         raise SceneParseError(f"$: invalid JSON ({exc})") from exc
     _require(doc, ("k_r", "w_theta", "seed", "classes"), "$", optional=("meta",))
     _require(doc["classes"], (), "$.classes", optional=AGENT_CLASSES)

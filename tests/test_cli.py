@@ -251,6 +251,29 @@ def test_malformed_checkpoint_exits_2(workspace, tmp_path, capsys, mutate, where
     assert not (tmp_path / "ro").exists()
 
 
+@pytest.mark.parametrize("damage", ["non_utf8", "truncated"])
+@pytest.mark.parametrize("kind", ["scenes", "scene", "vocab", "checkpoint"])
+def test_malformed_input_file_is_named_in_its_error(workspace, tmp_path, capsys, kind, damage):
+    """A scene (in a directory or by --scene), vocab or checkpoint file that is not UTF-8 or holds
+    cut-off JSON exits 2 with one line naming the file and a `$` path."""
+    scene = sorted(workspace["scenes"].glob("scene_*.json"))[0]
+    source = {"scenes": scene, "scene": scene, "vocab": workspace["vocab"],
+              "checkpoint": workspace["run"] / "checkpoint.ckpt"}[kind]
+    data = source.read_bytes()
+    end = data.index(b"\n") if kind == "checkpoint" else len(data)  # a checkpoint's JSON is its first line
+    damaged = b"\xff\xfe" + data if damage == "non_utf8" else data[:end // 2] + data[end:]
+    (tmp_path / "scenes").mkdir()
+    bad = tmp_path / ("scenes/scene_00000.json" if kind == "scenes" else source.name)
+    bad.write_bytes(damaged)
+    inputs = {"checkpoint": workspace["run"] / "checkpoint.ckpt", "scene": scene, "vocab": workspace["vocab"], kind: bad}
+    argv = (["vocab", "--scenes", str(tmp_path / "scenes")] if kind == "scenes" else
+            ["rollout", "--horizon", "2", "--context", "5"] + [f"--{k}={v}" for k, v in inputs.items()])
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1 and f"{bad}: $" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fresh", ["--random-params", "--negative-control"])
 def test_check_takes_a_checkpoint_or_fresh_weights_not_both(workspace, tmp_path, capsys, fresh):
     code = cli.main(["check", "--checkpoint", str(workspace["run"] / "checkpoint.ckpt"), fresh,

@@ -76,22 +76,23 @@ def test_zero_motion_vocab_keeps_agents_stationary():
             assert np.allclose(ro.poses[ai, t], start, atol=1e-12)
 
 
-def replay_with_full_forwards(ro, params, cfg, scene, vocab, temperature=1.0):
+def replay_with_full_forwards(ro, params, cfg, scene, vocab, seed=None, temperature=1.0):
     """Tokens a decoder without a cache draws along the rolled-out scene.
 
-    Step h sees a fresh full forward on the rolled scene cut at context + h,
-    and the rollout's own seed replays the sampling draws in order.  An agent
-    with no state at context + h - 1 draws nothing and reads -1.
+    Step h sees a fresh full forward on the rolled scene cut at context + h.
+    Greedy without a seed; with one, the seed a sampled rollout drew from
+    (`seed + r` for sample r) replays its draws in order.  An agent with no
+    state at context + h - 1 draws nothing and reads -1.
     """
     rolled = hn.rollout_to_scene(ro, hn.truncate_scene(scene, ro.context_steps))
-    rng = None if ro.seed is None else np.random.default_rng(ro.seed)
+    mode, rng = ("greedy", None) if seed is None else ("categorical", np.random.default_rng(seed))
     tokens = np.full_like(ro.tokens, -1)
     for h in range(ro.tokens.shape[1]):
         t_end = ro.context_steps + h
         batch = md.build_token_batch(rolled, vocab, cfg, t_end=t_end, with_targets=False)
         logits = np.asarray(md.forward(batch, params, cfg))[:, -1]
         for ai in np.flatnonzero(ro.valid[:, t_end - 1]):
-            tokens[ai, h] = md.sample_action(logits[ai], ro.mode, rng, temperature)
+            tokens[ai, h] = md.sample_action(logits[ai], mode, rng, temperature)
     return tokens
 
 
@@ -107,10 +108,10 @@ def test_rollout_tokens_match_full_forward_decoding(map_attention):
                             context=context)[0]
         assert np.array_equal(greedy.tokens,
                               replay_with_full_forwards(greedy, params, cfg, scene, vocab))
-        for ro in hn.rollout(params, cfg, scene, vocab, horizon=4, mode="sampled",
-                             n_rollouts=2, seed=seed, context=context, temperature=3.0):
+        for r, ro in enumerate(hn.rollout(params, cfg, scene, vocab, horizon=4, mode="sampled",
+                                          n_rollouts=2, seed=seed, context=context, temperature=3.0)):
             assert np.array_equal(
-                ro.tokens, replay_with_full_forwards(ro, params, cfg, scene, vocab, 3.0)
+                ro.tokens, replay_with_full_forwards(ro, params, cfg, scene, vocab, seed + r, 3.0)
             )
 
 
@@ -127,7 +128,6 @@ def test_batched_samples_match_standalone_rollouts(map_attention, include_adapte
     for r, ro in enumerate(batched):
         alone = hn.rollout(params, cfg, scene, vocab, horizon=6, mode="sampled", n_rollouts=1,
                            seed=40 + r, context=7, temperature=3.0)[0]
-        assert ro.seed == alone.seed == 40 + r
         assert np.array_equal(ro.tokens, alone.tokens)
         assert np.max(np.abs(ro.poses - alone.poses)) <= 1e-12
         assert np.max(np.abs(ro.speeds - alone.speeds)) <= 1e-12
@@ -188,7 +188,7 @@ def test_rollout_of_agents_with_uneven_histories():
                          context=context, temperature=3.0)[0]
     assert np.array_equal(sampled.valid, expect)
     assert np.array_equal(
-        sampled.tokens, replay_with_full_forwards(sampled, params, cfg, scene, vocab, 3.0)
+        sampled.tokens, replay_with_full_forwards(sampled, params, cfg, scene, vocab, 3, 3.0)
     )
     # the greedy pose check compares only the steps the rollouts predict
     report = hn.equivariance_audit(params, cfg, vocab, [scene], n_transforms=1,

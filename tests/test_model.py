@@ -219,6 +219,19 @@ def test_knn_map_attention_runs_and_masks():
     assert np.all(np.isfinite(np.maximum(logits, -1e30)))
 
 
+@pytest.mark.parametrize("variant", md.VARIANTS)
+def test_nearest_k_map_attention_masks_every_variant(variant):
+    """Under `map_attention` = 1, a map node that is no valid row's nearest reaches no logit."""
+    scene, vocab, cfg, _, batch = desk_setup(seed=8, map_attention=1)
+    params = md.init_params(cfg, variant)
+    unseen = ~md.knn_map_mask(batch, 1).any(axis=(0, 1))
+    assert unseen.any()
+    changed = dataclasses.replace(batch, map_scalars_raw=batch.map_scalars_raw.copy())
+    changed.map_scalars_raw[unseen] += np.random.default_rng(8).normal(size=changed.map_scalars_raw[unseen].shape)
+    assert np.array_equal(np.asarray(variant_logits(changed, params, cfg, variant)),
+                          np.asarray(variant_logits(batch, params, cfg, variant)))
+
+
 def test_distance_awareness_off_still_invariant():
     scene, vocab, cfg0, _, _ = desk_setup(seed=15)
     cfg = md.ModelConfig(vocab_sizes=cfg0.vocab_sizes, dtype="f64", distance_awareness=False)
@@ -496,9 +509,9 @@ def test_decoder_gathers_class_heads_and_masks_vocab():
     rng = np.random.default_rng(25)
     params["decoder/bias"][...] = rng.normal(size=params["decoder/bias"].shape)
     class_idx = np.array([0, 1, 2, 1, 0, 2])
-    h = rng.normal(size=(len(class_idx), 4, cfg.decoder_hidden))
-    logits = np.asarray(ad.add(md._decode_logits(h, params, class_idx),
-                               md._vocab_mask(class_idx, cfg)))
+    s = rng.normal(size=(len(class_idx), 4, cfg.scalar_channels))
+    h = np.maximum(np.asarray(md.scalar_layer_norm(s)) @ params["decoder/w1"] + params["decoder/b1"], 0.0)
+    logits = np.asarray(md._decode(s, params, class_idx, cfg))
     assert logits.shape == (len(class_idx), 4, cfg.max_vocab)
     for a, c in enumerate(class_idx):
         size = sizes[sc.AGENT_CLASSES[c]]
@@ -506,13 +519,16 @@ def test_decoder_gathers_class_heads_and_masks_vocab():
         assert np.max(np.abs(logits[a, :, :size] - expect[:, :size])) <= 1e-12
         assert np.all(logits[a, :, size:] <= -1e29)
 
+    inside = (logits > -1e29).astype(float)  # the pinned slots are constants
+
     def fn(tracked):
-        out = md._decode_logits(tracked[0], {"decoder/heads": tracked[1],
-                                             "decoder/bias": tracked[2]}, class_idx)
+        out = ad.mul(md._decode(tracked[0], {**params, "decoder/heads": tracked[1], "decoder/bias": tracked[2]},
+                                class_idx, cfg), inside)
         return ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
 
-    arrays = [h, params["decoder/heads"], params["decoder/bias"]]
-    assert grad_check(fn, arrays, step=1e-6, max_coords=40, seed=0, min_grad=1e-3) <= 1e-5
+    # at step 1e-6 the loss's rounding noise (~1e-8) is 1e-5 of a 1e-3 bias gradient
+    arrays = [s, params["decoder/heads"], params["decoder/bias"]]
+    assert grad_check(fn, arrays, step=1e-5, max_coords=40, seed=0, min_grad=1e-3) <= 1e-5
 
 
 @pytest.mark.parametrize("map_attention", ["all", 3])
@@ -703,18 +719,36 @@ def test_default_forward_tape_size_is_pinned():
         assert counts == (147, 21, 0, 6, 2, 21)
 
 
+def variant_logits(batch, p, cfg, variant):
+    """The logits of `variant`: `forward` for the geometric model, `baseline_forward` otherwise."""
+    return md.forward(batch, p, cfg) if variant == "geometric" else md.baseline_forward(batch, p, cfg, variant)
+
+
+@pytest.mark.parametrize("variant, nodes", [("rpe", 168), ("vanilla", 96)])
+def test_default_baseline_tape_sizes_are_pinned(variant, nodes):
+    """The baselines normalize the map once for every block's map attention, and their decoder is
+    the geometric model's."""
+    scene, vocab, cfg, _, batch = desk_setup(dtype="f32")
+    with ad.Tape() as tape:
+        md.loss(md.baseline_forward(batch, md.init_params(cfg, variant).as_vars(), cfg, variant),
+                batch.targets, batch.target_valid)
+    assert len(tape.nodes) == nodes
+
+
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_forward_loss_and_backward_stay_in_the_config_dtype(dtype):
-    """No constant or Python scalar promotes a float32 model to float64, and float64 stays float64."""
-    scene, vocab, cfg, params, batch = desk_setup(dtype=dtype, map_attention=3)
-    pvars = params.as_vars()
-    with ad.Tape() as tape:
-        loss = md.loss(md.forward(batch, pvars, cfg), batch.targets, batch.target_valid)
-    grads = ad.backward(tape, loss)
-    promoted = [(i, node.op) for i, node in enumerate(tape.nodes)
-                for out in node.outputs if out.data.dtype != cfg.np_dtype]
-    assert not promoted
-    assert all(grads[var].dtype == cfg.np_dtype for var in pvars.values())
+    """No constant, Python scalar or input of any variant promotes a float32 model to float64, and
+    float64 stays float64."""
+    scene, vocab, cfg, _, batch = desk_setup(dtype=dtype, map_attention=3)
+    for variant in md.VARIANTS:
+        pvars = md.init_params(cfg, variant).as_vars()
+        with ad.Tape() as tape:
+            loss = md.loss(variant_logits(batch, pvars, cfg, variant), batch.targets, batch.target_valid)
+        grads = ad.backward(tape, loss)
+        promoted = [(i, node.op) for i, node in enumerate(tape.nodes)
+                    for out in node.outputs if out.data.dtype != cfg.np_dtype]
+        assert not promoted, variant
+        assert all(grads[var].dtype == cfg.np_dtype for var in pvars.values()), variant
 
 
 F32_DRIFT_SETUP = desk_setup(seed=31, dtype="f32")
@@ -784,7 +818,7 @@ def test_packed_step_equals_the_per_scene_path(map_attention, n_scenes):
     n_agents, n_map = max(b.num_agents for b in batches), max(b.num_map for b in batches)
     assert packed.valid.shape == (n_scenes, n_agents, t_end)
     assert packed.map_valid.tolist() == [[m < b.num_map for m in range(n_map)] for b in batches]
-    map_mask, agent_mask = md._step_masks(packed)
+    map_mask, agent_mask = md._step_masks(packed, cfg)
     assert map_mask.shape == (n_scenes, t_end, n_agents, n_map)
     assert agent_mask.shape == (n_scenes, t_end, n_agents, n_agents)
     loss, grads = _loss_and_grads(packed, params, cfg)
@@ -941,10 +975,8 @@ def test_rpe_zero_mlp_reduces_to_vanilla_attention():
     q = rng.normal(size=(4, d))
     k = rng.normal(size=(5, d))
     v = rng.normal(size=(5, d))
-    rel = rng.normal(size=(4, 5, 4))
-    zero_mlp = {"rpe/w1": np.zeros((4, 8)), "rpe/b1": np.zeros(8), "rpe/w2": np.zeros((8, 2 * d)),
-                "rpe/b2": np.zeros(2 * d)}
-    out_rpe = np.asarray(md.rpe_attention(q, k, v, rel, zero_mlp, "rpe"))
+    zero = np.zeros((4, 5, d))
+    out_rpe = np.asarray(md.scalar_attention(q, k, v, offsets=(zero, zero)))
     out_vanilla = np.asarray(md.scalar_attention(q, k, v))
     assert np.allclose(out_rpe, out_vanilla, atol=1e-14)
 
@@ -1097,7 +1129,7 @@ def _per_array_checkpoint(params, cfg, vocab, meta) -> bytes:
     items = [(name, arr, "<f4" if arr.dtype == np.float32 else "<f8") for name, arr in params.items()]
     manifest = {
         "format": "eqtraffic-checkpoint-v1",
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "vocab_hash": md.vocab_hash(vocab),
         "params": [{"name": name, "shape": list(arr.shape), "dtype": kind} for name, arr, kind in items],
         "meta": meta,
@@ -1236,7 +1268,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, frames, batch, p, cfg):
     s = md.mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
     map_kv = md._map_keys_values(batch, p, cfg, None)
-    map_mask, agent_mask = md._step_masks(batch)
+    map_mask, agent_mask = md._step_masks(batch, cfg)
     sandwich = sandwich_matrix(frames)
     time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
@@ -1249,10 +1281,7 @@ def _forward_loss_with_tracked_mv(mv_tracked, frames, batch, p, cfg):
         mv, s = md.eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
             s = md.invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")
-    h = ad.relu(ad.matmul(md.scalar_layer_norm(s), p["decoder/w1"], p["decoder/b1"]))
-    logits = md._decode_logits(h, p, batch.class_idx)
-    logits = ad.add(logits, md._vocab_mask(batch.class_idx, cfg))
-    return md.loss(logits, batch.targets, batch.target_valid)
+    return md.loss(md._decode(s, p, batch.class_idx, cfg), batch.targets, batch.target_valid)
 
 
 def test_small_gradients_match_richardson():
