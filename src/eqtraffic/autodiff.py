@@ -238,8 +238,13 @@ def _distance_features(dx, mix, eps: float):
     [4, 4] `mix`, with a, b, c the e01, e20, e12 components; and what `_distance_features_grad`
     needs."""
     a, b, c = dx[..., 4], dx[..., 5], dx[..., 6]
-    den = c * c + eps
-    parts = np.stack([c * c, a * a + b * b, a * c, b * c], axis=-1)
+    parts = np.empty(dx.shape[:-1] + (4,), dtype=dx.dtype)
+    np.multiply(c, c, out=parts[..., 0])
+    np.multiply(a, a, out=parts[..., 1])
+    parts[..., 1] += b * b
+    np.multiply(a, c, out=parts[..., 2])
+    np.multiply(b, c, out=parts[..., 3])
+    den = parts[..., 0] + eps
     m = np.asarray(mix, dtype=dx.dtype)
     return (c / den)[..., None] * (parts @ m), (dx, m, den, parts)
 
@@ -415,21 +420,23 @@ def masked_softmax(logits, mask):
     weights rather than NaN.  `mask` is a constant (never differentiated);
     pass None for a full softmax.
     """
-    out = _softmax(data_of(logits), mask)
+    out = _softmax(data_of(logits).copy(), mask)
     return _record("masked_softmax", out, (logits,), {"out": out})
 
 
 def _softmax(x, mask):
-    if mask is None:
-        e = x - x.max(axis=-1, keepdims=True, initial=-np.inf)
-    else:
-        e = np.where(np.broadcast_to(np.asarray(mask, dtype=bool), x.shape), x, -np.inf)
-        mx = e.max(axis=-1, keepdims=True, initial=-np.inf)
-        e -= np.where(np.isfinite(mx), mx, 0.0)
-    np.exp(e, out=e)
-    denom = e.sum(axis=-1, keepdims=True)
-    e /= np.where(denom == 0.0, 1.0, denom)
-    return e
+    """`masked_softmax` of the array `x`, computed in place.  A shifted logit below 2·ln eps(dtype)
+    goes to -inf before `exp`, so its weight is exactly 0: it would be below eps², all such weights
+    of a row at most L·eps² of it, and a subnormal one slows every product it enters."""
+    if mask is not None:
+        np.copyto(x, -np.inf, where=~np.asarray(mask, dtype=bool))
+    mx = x.max(axis=-1, keepdims=True, initial=-np.inf)
+    x -= np.where(np.isfinite(mx), mx, 0.0)
+    np.copyto(x, -np.inf, where=x < 2.0 * math.log(np.finfo(x.dtype).eps))
+    np.exp(x, out=x)
+    denom = x.sum(axis=-1, keepdims=True)
+    x /= np.where(denom == 0.0, 1.0, denom)
+    return x
 
 
 def _softmax_grad(y, g):
@@ -439,34 +446,55 @@ def _softmax_grad(y, g):
 register_vjp("masked_softmax", lambda n, g: (_softmax_grad(n.ctx["out"], g),))
 
 
-def mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, query_mix, key_mix, eps: float,
-                 denom: float, mask):
-    """Attention between multivectors as one tape node: (mv [..., Lq, C, 8], s [..., Lq, S]).
-
-    Keys and values are [..., Lk, C, 8] and [..., Lk, S]; their leading dims
-    broadcast against the queries'.  Per head, a query row is [inner-product
-    components | distance features with `query_mix` (left out when None) |
-    scalars], a key row the same with `key_mix`.  Logits are row dot products
-    over `denom`, softmaxed over the keys `mask` ([..., Lq, Lk] or None) keeps
-    (zeros for a row with none); the weights average the values.
-    """
-    inputs = (mv_q, mv_k, mv_v, sq, sk, sv)
-    dq, dk, dv, dsq, dsk, dsv = [data_of(x) for x in inputs]
-    logits, qf, kf, q_saved, k_saved = _attention_logits(dq, dk, dsq, dsk, heads, query_mix,
-                                                         key_mix, eps, denom)
-    if mask is not None and np.ndim(mask) > 2:
-        mask = np.expand_dims(mask, -3)  # broadcast across heads
-    w = _softmax(logits, mask)
-    del logits
+def key_rows(mv_k, mv_v, sk, sv, heads: int, key_mix, eps: float):
+    """The key side of attention as one tape node with two outputs: per-head key rows kf
+    [..., H, Lk, 4c (+ 4c) + cs], [inner-product components | distance features with `key_mix`
+    (left out when None) | scalars], and value rows vf [..., H, Lk, 8c + cs], all 8 components
+    then the scalars, of keys and values [..., Lk, C, 8] and [..., Lk, S].  A key's rows depend on
+    that key alone, so rows built once serve every later query (`mv_attention`)."""
+    inputs = (mv_k, mv_v, sk, sv)
+    dk, dv, dsk, dsv = [data_of(x) for x in inputs]
+    kf, saved = _attention_rows(dk, dsk, heads, key_mix, eps)
     v_h = _split_heads(dv, heads, 1)
     c = v_h.shape[-2]
     vf = np.concatenate([v_h.reshape(v_h.shape[:-2] + (8 * c,)), _split_heads(dsv, heads, 0)], axis=-1)
-    out = w @ vf
-    lead = out.shape[:-1]
+    return _record("key_rows", (kf, vf), inputs, {"c": c, "saved": saved})
+
+
+def _key_rows_vjp(n, g):
+    g_kf, g_vf = (np.zeros_like(out.data) if gi is None else gi for gi, out in zip(g, n.output))
+    c = n.ctx["c"]
+    g_mv_k, g_sk = _attention_rows_grad(g_kf, n.ctx["saved"], c)
+    g_mv_v = _merge_heads(g_vf[..., :8 * c].reshape(g_vf.shape[:-1] + (c, 8)), 1)
+    return g_mv_k, g_mv_v, g_sk, _merge_heads(g_vf[..., 8 * c:], 0)
+
+
+register_vjp("key_rows", _key_rows_vjp)
+
+
+def mv_attention(mv_q, sq, kf, vf, heads: int, query_mix, eps: float, denom: float, mask):
+    """Attention of multivector queries (mv [..., Lq, C, 8], s [..., Lq, S]) over the key and
+    value rows of `key_rows`, whose leading dims broadcast against the queries', as one tape node.
+
+    Per head, a query row is [inner-product components | distance features
+    with `query_mix` (left out when None) | scalars].  Logits are its dot
+    products with the key rows over `denom`, softmaxed over the keys `mask`
+    ([..., Lq, Lk] or None) keeps (zeros for a row with none); the weights
+    average the value rows.
+    """
+    inputs = (mv_q, sq, kf, vf)
+    dq, dsq, dkf, dvf = [data_of(x) for x in inputs]
+    qf, q_saved = _attention_rows(dq, dsq, heads, query_mix, eps)
+    logits = qf @ dkf.swapaxes(-1, -2)
+    logits /= denom
+    if mask is not None and np.ndim(mask) > 2:
+        mask = np.expand_dims(mask, -3)  # broadcast across heads
+    w = _softmax(logits, mask)
+    out = w @ dvf
+    c, lead = dq.shape[-2] // heads, out.shape[:-1]
     mv_out = _merge_heads(out[..., :8 * c].reshape(lead + (c, 8)), 1)
     s_out = _merge_heads(out[..., 8 * c:], 0)
-    ctx = {"heads": heads, "denom": denom, "w": w, "vf": vf, "qf": qf, "kf": kf,
-           "q_saved": q_saved, "k_saved": k_saved}
+    ctx = {"heads": heads, "denom": denom, "w": w, "qf": qf, "kf": dkf, "vf": dvf, "q_saved": q_saved}
     return _record("mv_attention", (mv_out, s_out), inputs, ctx)
 
 
@@ -509,15 +537,6 @@ def _attention_rows_grad(g, saved, c: int):
     return _merge_heads(gx.reshape(rows_shape + (c, 8)), 1), _merge_heads(g[..., width:], 0)
 
 
-def _attention_logits(mv_q, mv_k, sq, sk, heads: int, query_mix, key_mix, eps: float, denom: float):
-    """Logits [..., H, Lq, Lk] of plain arrays, with the rows and saved state behind them."""
-    qf, q_saved = _attention_rows(mv_q, sq, heads, query_mix, eps)
-    kf, k_saved = _attention_rows(mv_k, sk, heads, key_mix, eps)
-    logits = qf @ kf.swapaxes(-1, -2)
-    logits /= denom
-    return logits, qf, kf, q_saved, k_saved
-
-
 def _key_grad(p, x, shape: tuple):
     """pᵀ @ x for p [..., H, Lq, Lk] and x [..., H, Lq, n], summed to the keys' `shape` [..., H, Lk, n]:
     the lead axes the keys broadcast over (missing or 1) join the row axis, so each head is one
@@ -537,9 +556,10 @@ def _key_grad(p, x, shape: tuple):
 def _mv_attention_vjp(n, g):
     ctx = n.ctx
     heads, w, vf, qf, kf = ctx["heads"], ctx["w"], ctx["vf"], ctx["qf"], ctx["kf"]
-    # saved weights below eps(dtype)² count as exact zeros: distance logits leave peaked rows with
-    # subnormal weights, several times slower in arithmetic, and the dropped terms are at most
-    # L·eps² of their row, below the dtype's resolution
+    # saved weights below eps(dtype)² count as exact zeros: the forward zeroes those whose exp
+    # argument is below 2·ln eps, and a row's denominator can take a few more under eps²; subnormal
+    # weights are several times slower in arithmetic, and the dropped terms are at most L·eps² of
+    # their row, below the dtype's resolution
     w = np.where(w < np.finfo(w.dtype).eps ** 2, 0.0, w)
     g_mv, g_s = (np.zeros_like(out.data) if gi is None else gi for gi, out in zip(g, n.output))
     c = g_mv.shape[-2] // heads
@@ -548,12 +568,8 @@ def _mv_attention_vjp(n, g):
     g_logits = _softmax_grad(w, g_out @ vf.swapaxes(-1, -2))
     g_logits /= ctx["denom"]
     g_qf = _unbroadcast(g_logits @ kf, qf.shape)
-    g_kf = _key_grad(g_logits, qf, kf.shape)
-    g_vf = _key_grad(w, g_out, vf.shape)
     g_mv_q, g_sq = _attention_rows_grad(g_qf, ctx["q_saved"], c)
-    g_mv_k, g_sk = _attention_rows_grad(g_kf, ctx["k_saved"], c)
-    g_mv_v = _merge_heads(g_vf[..., :8 * c].reshape(g_vf.shape[:-1] + (c, 8)), 1)
-    return g_mv_q, g_mv_k, g_mv_v, g_sq, g_sk, _merge_heads(g_vf[..., 8 * c:], 0)
+    return g_mv_q, g_sq, _key_grad(g_logits, qf, kf.shape), _key_grad(w, g_out, vf.shape)
 
 
 register_vjp("mv_attention", _mv_attention_vjp)

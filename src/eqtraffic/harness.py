@@ -13,6 +13,7 @@ from .batch import pose_frame_motors, sandwich_array, sandwich_matrix
 from .layers import (
     eq_attention,
     eq_attention_logits,
+    eq_key_rows,
     eq_layer_norm,
     eq_linear,
     eq_mlp_block,
@@ -78,10 +79,12 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
 
     All agents step simultaneously from each forward pass.  `context` is the
     number of observed steps used as history (default: all available).  One
-    forward over the context fills the key/value cache; its time prefix is
-    stacked once per sample, and each step encodes every sample's newest row
-    from state arrays [samples, agents, steps] over the one unstacked map and
-    runs one forward for all of them.  Sample r draws from its own generator,
+    forward over the context fills the cache of attention key and value rows
+    (see `forward`): each block's map rows are built there, once per rollout,
+    and its time rows are stacked once per sample.  Each step encodes every
+    sample's newest row from state arrays [samples, agents, steps] over the
+    one unstacked map, runs one forward for all of them, and appends only
+    their new time rows.  Sample r draws from its own generator,
     seeded `seed + r`.  An agent with no state at t0 - 1 (it left before the
     context ends, or has no state before it) is not predicted: its tokens
     read -1, it stays invalid from t0 on, and it draws no random number.
@@ -107,7 +110,7 @@ def rollout(params, cfg: md.ModelConfig, scene: Scene, vocab: ActionVocab, horiz
     maps = md.map_fields(scene, anchor)
     cache = {}
     logits = stacked(last_logits(md.encode_states(history, anchor, table, maps, with_targets=False), cache))
-    # every sample continues the one context, and all share its map and the map's keys and values
+    # every sample continues the one context, and all share its map and the map's key and value rows
     cache = {key: entry if key == "map" else tuple(stacked(x) for x in entry) for key, entry in cache.items()}
 
     future = ((0, 0), (0, horizon))
@@ -269,7 +272,8 @@ def layer_audit(n_transforms: int = 200, seed: int = 0, tolerance: float = 1e-10
         "gated_relu": (lambda v, _: gated_relu(v), "mv"),
         "eq_layer_norm": (lambda v, _: eq_layer_norm(v), "mv"),
         "eq_attention_logits": (lambda v, _: eq_attention_logits(v, v, s, s, heads=1), "s"),
-        "eq_attention_values": (lambda v, _: eq_attention(v, v, v, s, s, s, heads=1), "mv s"),
+        "eq_attention_values": (lambda v, _: eq_attention(v, s, eq_key_rows(v, v, s, s, heads=1), heads=1),
+                                "mv s"),
         "eq_mlp_block": (lambda v, _: eq_mlp_block(v, s, draws, "mlp"), "mv s"),
         "invariant_adapter": (lambda v, w: invariant_adapter(v, s, w, draws, "adapter"), "s"),
         "negative_control": (lambda v, _: noneq_linear(v, noneq_weight), "mv"),

@@ -118,14 +118,22 @@ def _attention_terms(mv_q, sq, heads: int, distance_awareness: bool) -> tuple:
 
 def eq_attention_logits(mv_q, mv_k, sq, sk, heads: int, distance_awareness: bool = True) -> np.ndarray:
     """Pre-softmax invariant logits [..., H, Lq, Lk], the ones `eq_attention` computes, as a plain array."""
-    return ad._attention_logits(
-        ad.data_of(mv_q), ad.data_of(mv_k), ad.data_of(sq), ad.data_of(sk),
-        heads, *_attention_terms(mv_q, sq, heads, distance_awareness),
-    )[0]
+    query_mix, key_mix, eps, denom = _attention_terms(mv_q, sq, heads, distance_awareness)
+    qf = ad._attention_rows(ad.data_of(mv_q), ad.data_of(sq), heads, query_mix, eps)[0]
+    kf = ad._attention_rows(ad.data_of(mv_k), ad.data_of(sk), heads, key_mix, eps)[0]
+    return qf @ kf.swapaxes(-1, -2) / denom
 
 
-def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_awareness: bool = True):
-    """Scaled dot-product attention between multivectors, one `ad.mv_attention` node.
+def eq_key_rows(mv_k, mv_v, sk, sv, heads: int, distance_awareness: bool = True) -> tuple:
+    """The key and value rows (kf, vf) that `eq_attention` attends over, one `ad.key_rows` node.
+    They depend on each key alone, so rows built once serve every later query."""
+    _query_mix, key_mix, eps, _denom = _attention_terms(mv_k, sk, heads, distance_awareness)
+    return ad.key_rows(mv_k, mv_v, sk, sv, heads, key_mix, eps)
+
+
+def eq_attention(mv_q, sq, rows: tuple, heads: int, mask=None, distance_awareness: bool = True):
+    """Scaled dot-product attention of multivector queries over the key and value `rows` of
+    `eq_key_rows`, one `ad.mv_attention` node.
 
     Logits follow the fused construction: concatenate the [s, e1, e2, e12]
     components, the distance-awareness features, and the invariant scalars of
@@ -134,8 +142,8 @@ def eq_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_a
     `mask` [..., Lq, Lk] (True = attend) keeps keys per query; rows whose mask
     admits no key yield zero outputs.
     """
-    return ad.mv_attention(mv_q, mv_k, mv_v, sq, sk, sv, heads,
-                           *_attention_terms(mv_q, sq, heads, distance_awareness), mask)
+    query_mix, _key_mix, eps, denom = _attention_terms(mv_q, sq, heads, distance_awareness)
+    return ad.mv_attention(mv_q, sq, *rows, heads, query_mix, eps, denom, mask)
 
 
 def rms_normalize(x):

@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, ParamStore, adam_step, cosine_lr
 from .layers import (
     eq_attention,
+    eq_key_rows,
     eq_layer_norm,
     eq_linear,
     eq_mlp_block,
@@ -364,20 +365,20 @@ def _project(s, p, name: str):
     return ad.matmul(s, p[f"{name}/w"], p.get(f"{name}/b"))
 
 
-def _keys_values(normed, p, name: str) -> tuple:
-    """Attention `name`'s projected keys and values (mv_k, mv_v, s_k, s_v) of pre-normalized tokens."""
+def _key_rows(normed, p, name: str, cfg: ModelConfig) -> tuple:
+    """Attention `name`'s key and value rows (kf, vf) of pre-normalized tokens."""
     mv_n, s_n = normed
-    return (eq_linear(mv_n, p, f"{name}/mv_k"), eq_linear(mv_n, p, f"{name}/mv_v"),
-            _project(s_n, p, f"{name}/s_k"), _project(s_n, p, f"{name}/s_v"))
+    return eq_key_rows(eq_linear(mv_n, p, f"{name}/mv_k"), eq_linear(mv_n, p, f"{name}/mv_v"),
+                       _project(s_n, p, f"{name}/s_k"), _project(s_n, p, f"{name}/s_v"), cfg.heads,
+                       cfg.distance_awareness)
 
 
-def _attend(mv, s, normed, kv, p, name: str, cfg: ModelConfig, mask):
-    """Attention `name` of the pre-normalized queries over `kv`, with residual connections."""
+def _attend(mv, s, normed, rows, p, name: str, cfg: ModelConfig, mask):
+    """Attention `name` of the pre-normalized queries over the key and value `rows`, with residual
+    connections."""
     mv_n, s_n = normed
-    k_mv, v_mv, k_s, v_s = kv
-    out_mv, out_s = eq_attention(eq_linear(mv_n, p, f"{name}/mv_q"), k_mv, v_mv,
-                                 _project(s_n, p, f"{name}/s_q"), k_s, v_s, cfg.heads, mask,
-                                 cfg.distance_awareness)
+    out_mv, out_s = eq_attention(eq_linear(mv_n, p, f"{name}/mv_q"), _project(s_n, p, f"{name}/s_q"), rows,
+                                 cfg.heads, mask, cfg.distance_awareness)
     return ad.add(out_mv, mv), ad.add(out_s, s)
 
 
@@ -432,8 +433,8 @@ def _decode(s, p, class_idx: np.ndarray, cfg: ModelConfig):
     return ad.add(ad.add(ad.matmul(h, heads), bias), outside.astype(cfg.np_dtype)[..., None, :])
 
 
-def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None) -> list:
-    """Each block's map-attention keys and values [..., 1, M, ...], the 1 broadcasting over the
+def _map_rows(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None) -> list:
+    """Each block's map-attention key and value rows [..., 1, H, M, n], the 1 broadcasting over the
     queries' steps; a cache keeps those of its first call's map."""
     if cache is not None and "map" in cache:
         return cache["map"]
@@ -441,19 +442,19 @@ def _map_keys_values(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None)
     map_mv = eq_linear(encode_pose_array(batch.map_poses)[..., None, :, None, :].astype(dt), p, "embed/map_mv")
     map_s = mlp2(batch.map_scalars_raw[..., None, :, :].astype(dt), p, "embed/map_in")
     normed = _norms(map_mv, map_s)
-    kv = [_keys_values(normed, p, f"block{i}/map_attn") for i in range(cfg.blocks)]
+    rows = [_key_rows(normed, p, f"block{i}/map_attn", cfg) for i in range(cfg.blocks)]
     if cache is not None:
-        cache["map"] = [tuple(ad.data_of(x) for x in entry) for entry in kv]
-    return kv
+        cache["map"] = [tuple(ad.data_of(x) for x in entry) for entry in rows]
+    return rows
 
 
-def _extend(cache: dict | None, key, entry: tuple, lead: int) -> tuple:
-    """`entry`'s arrays appended along the step axis `lead + 1` to those cached at `key`, and cached."""
+def _extend(cache: dict | None, key, entry: tuple, axis: int) -> tuple:
+    """`entry`'s arrays appended along `axis` to those cached at `key`, and cached."""
     if cache is None:
         return entry
     entry = tuple(ad.data_of(x) for x in entry)
     if key in cache:
-        entry = tuple(np.concatenate(pair, axis=lead + 1) for pair in zip(cache[key], entry))
+        entry = tuple(np.concatenate(pair, axis=axis) for pair in zip(cache[key], entry))
     cache[key] = entry
     return entry
 
@@ -464,38 +465,38 @@ def forward(batch: TokenBatch, p, cfg: ModelConfig, cache: dict | None = None):
     `cache` (a dict, empty before the first call) makes decoding incremental:
     each call's batch holds the rows that follow those already cached, and
     only these rows are computed.  Every layer but causal time attention acts
-    per timestep or per token, so the cache holds plain arrays (no gradient
-    flows into them): under ("time", i) block i's projected time-attention
-    keys and values (mv_k, mv_v, s_k, s_v) of every row so far, and under
-    "valid" the rows' validity, all [..., A, T, ...] and extended by each call;
-    under "map" each block's map-attention keys and values, computed once
-    from the first call's map (later calls must carry the same map, whose
-    arrays then only shape the masks).  The logits equal the same rows of
-    one forward over the whole prefix.
+    per timestep or per token, and a key's attention rows depend on that key
+    alone, so the cache holds plain arrays (no gradient flows into them):
+    under ("time", i) block i's time-attention key and value rows (kf, vf)
+    [..., A, H, T, n] of every row so far, extended along T by each call, and
+    under "valid" the rows' validity [..., A, T]; under "map" each block's
+    map-attention rows, built once from the first call's map (later calls
+    must carry the same map, whose arrays then only shape the masks).  The
+    logits equal the same rows of one forward over the whole prefix.
     """
     dt, lead = cfg.np_dtype, batch.valid.ndim - 2
 
     mv = eq_linear(encode_pose_array(batch.raw_poses)[..., None, :].astype(dt), p, "embed/agent_mv")
     s = mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_kv = _map_keys_values(batch, p, cfg, cache)
+    map_rows = _map_rows(batch, p, cfg, cache)
 
     map_mask, agent_mask = _step_masks(batch, cfg)
     sandwich = sandwich_matrix(pose_frame_motors(batch.raw_poses), dt) if cfg.include_adapter else None
-    time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,), lead))
+    time_mask = _time_mask(batch, *_extend(cache, "valid", (batch.valid,), -1))
 
     for i in range(cfg.blocks):
         # agent-to-map cross attention, batched over timesteps
         mv_t, s_t = _swap_at(mv, lead), _swap_at(s, lead)
-        mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_kv[i], p, f"block{i}/map_attn", cfg, map_mask)
+        mv_t, s_t = _attend(mv_t, s_t, _norms(mv_t, s_t), map_rows[i], p, f"block{i}/map_attn", cfg, map_mask)
         # agent-to-agent self attention, batched over timesteps
         name, normed = f"block{i}/agent_attn", _norms(mv_t, s_t)
-        mv_t, s_t = _attend(mv_t, s_t, normed, _keys_values(normed, p, name), p, name, cfg, agent_mask)
+        mv_t, s_t = _attend(mv_t, s_t, normed, _key_rows(normed, p, name, cfg), p, name, cfg, agent_mask)
         mv, s = _swap_at(mv_t, lead), _swap_at(s_t, lead)
         # causal self attention over time (and the cached prefix), batched over agents
         name, normed = f"block{i}/time_attn", _norms(mv, s)
-        kv = _extend(cache, ("time", i), _keys_values(normed, p, name), lead)
-        mv, s = _attend(mv, s, normed, kv, p, name, cfg, time_mask)
+        rows = _extend(cache, ("time", i), _key_rows(normed, p, name, cfg), -2)
+        mv, s = _attend(mv, s, normed, rows, p, name, cfg, time_mask)
         mv, s = eq_mlp_block(mv, s, p, f"block{i}/mlp")
         if cfg.include_adapter:
             s = invariant_adapter(mv, s, sandwich, p, f"block{i}/adapter")

@@ -170,9 +170,18 @@ def stack_samples(batches):
     return dataclasses.replace(md.pack_scenes(batches), **{f: getattr(batches[0], f) for f in MAP_FIELDS})
 
 
+def attend(mv_q, mv_k, mv_v, sq, sk, sv, heads: int, mask=None, distance_awareness: bool = True):
+    """`eq_attention` of the queries over the rows of the keys and values: one key_rows node, then
+    one mv_attention node."""
+    from eqtraffic.layers import eq_attention, eq_key_rows
+
+    rows = eq_key_rows(mv_k, mv_v, sk, sv, heads, distance_awareness)
+    return eq_attention(mv_q, sq, rows, heads, mask, distance_awareness)
+
+
 def distance_features(x, mix, eps: float):
-    """The distance features `ad.mv_attention` computes inside its node, [..., 8] -> [..., 4],
-    as a tape node of their own, sharing the attention's formula and VJP."""
+    """The distance features `ad.key_rows` and `ad.mv_attention` compute inside their nodes,
+    [..., 8] -> [..., 4], as a tape node of their own, sharing the attention's formula and VJP."""
     out, saved = ad._distance_features(ad.data_of(x), mix, eps)
     return ad._record("distance_features", out, (x,), {"saved": saved})
 
@@ -354,8 +363,20 @@ def primitive_grad_cases(rng):
 
     def attention(mixes, mask):
         denom = float(np.sqrt(9.0 if mixes[0] is not None else 5.0))
-        return lambda v: ad.add(*[scalarize(out) for out in ad.mv_attention(
-            *v, 2, *mixes, DISTANCE_EPS, denom, mask)])
+
+        def fn(v):
+            mv_q, mv_k, mv_v, sq, sk, sv = v
+            rows = ad.key_rows(mv_k, mv_v, sk, sv, 2, mixes[1], DISTANCE_EPS)
+            return ad.add(*[scalarize(out) for out in ad.mv_attention(
+                mv_q, sq, *rows, 2, mixes[0], DISTANCE_EPS, denom, mask)])
+        return fn
+
+    def key_arrays(lead, lk):
+        _mv_q, mv_k, mv_v, _sq, sk, sv = attn_arrays((), lead, 1, lk)
+        return [mv_k, mv_v, sk, sv]
+
+    def key_rows(mix):
+        return lambda v: ad.add(*[scalarize(out) for out in ad.key_rows(*v, 2, mix, DISTANCE_EPS)])
 
     distance = (QUERY_MIX, KEY_MIX)
     no_key_row = rng.random(size=(2, 3, 3)) < 0.7
@@ -369,6 +390,8 @@ def primitive_grad_cases(rng):
          attn_arrays((2,), (), 3, 4)),
         ("mv_attention/no_distance", attention((None, None), None), attn_arrays((2,), (2,), 2, 3)),
         ("mv_attention/peaked", attention(distance, None), attn_arrays((2,), (2,), 3, 4, apart=15.0)),
+        ("key_rows/distance", key_rows(KEY_MIX), key_arrays((2,), 3)),
+        ("key_rows/no_distance", key_rows(None), key_arrays((), 2)),
         ("add", lambda v: scalarize(ad.add(v[0], v[1])), [a23, b3]),
         ("mul", lambda v: scalarize(ad.mul(v[0], v[1])), [a23, b3]),
         ("div", lambda v: scalarize(ad.div(v[0], v[1])), [pos, pos + 1.0]),
@@ -407,11 +430,11 @@ def primitive_grad_cases(rng):
     # residual FD error is pure rounding, so sample FD-resolvable coordinates.
     # Attention's rounding noise is ~1e-9 at this step, which resolves only
     # gradients above ~1e-4; its exact match with the composite path is
-    # checked in test_layers
+    # checked in test_layers; the same holds for its key rows' distance features
     floors = {"bilinear8/geom": 1e-3, "bilinear8/wedge": 1e-3,
               "bilinear8/join": 1e-3, "mv_linear": 1e-3, "mv_linear/bias": 1e-3, "matmul": 1e-3,
               "matmul/bias": 1e-3}
-    floors.update({name: 1e-3 for name, _fn, _arrays in raw if name.startswith("mv_attention/")})
+    floors.update({name: 1e-3 for name, _fn, _arrays in raw if name.startswith(("mv_attention/", "key_rows/"))})
     cases = []
     for name, fn, arrays in raw:
         with ad.Tape():

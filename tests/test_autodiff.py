@@ -424,18 +424,20 @@ def test_every_primitive_over_twenty_instantiations():
 
 
 def test_peaked_attention_grad_case_drops_weights_below_eps_squared():
-    """The peaked attention case reaches the backward's rule: every row has weights below eps², and
-    some of those are nonzero, which the VJP counts as exact zeros."""
+    """The peaked attention case reaches the forward's cut: every row has a shifted logit (an exp
+    argument) below 2·ln eps, and the weight there is exactly 0, never a value below eps²."""
     from helpers import primitive_grad_cases
 
-    tiny = np.finfo(np.float64).eps ** 2
+    cut = 2.0 * math.log(np.finfo(np.float64).eps)
     for trial in range(20):
         (fn, arrays), = [(fn, arrays) for name, fn, arrays, _floor in
                          primitive_grad_cases(np.random.default_rng(1000 + trial)) if name == "mv_attention/peaked"]
         with ad.Tape() as tape:
             fn([ad.Var(a) for a in arrays])
-        w = next(nd for nd in tape.nodes if nd.op == "mv_attention").ctx["w"]
-        assert (w < tiny).any(axis=-1).all() and ((w > 0.0) & (w < tiny)).any(), trial
+        ctx = next(nd for nd in tape.nodes if nd.op == "mv_attention").ctx
+        logits = ctx["qf"] @ ctx["kf"].swapaxes(-1, -2) / ctx["denom"]
+        below = logits - logits.max(axis=-1, keepdims=True) < cut
+        assert below.any(axis=-1).all() and np.all(ctx["w"][below] == 0.0), trial
 
 
 def test_every_registered_vjp_has_a_grad_check_case():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
@@ -131,6 +132,24 @@ def test_batched_samples_match_standalone_rollouts(map_attention, include_adapte
         assert np.array_equal(ro.tokens, alone.tokens)
         assert np.max(np.abs(ro.poses - alone.poses)) <= 1e-12
         assert np.max(np.abs(ro.speeds - alone.speeds)) <= 1e-12
+
+
+def test_a_rollout_builds_the_map_rows_once_per_block(monkeypatch):
+    """A key's attention rows depend on that key alone: the context's forward builds each block's
+    map rows, and the 15 cached steps after it reuse them (a forward without the row cache would
+    build them again on every step)."""
+    scene, vocab, cfg, params = setup(seed=14, horizon=26, n_agents=4)
+    n_map = md.build_token_batch(scene, vocab, cfg).num_map
+    built, real = [], ad._attention_rows
+
+    def counted(mv, s, heads, mix, eps):
+        built.append(mv.shape[-3])  # the token axis of the keys or queries
+        return real(mv, s, heads, mix, eps)
+
+    monkeypatch.setattr(ad, "_attention_rows", counted)
+    hn.rollout(params, cfg, scene, vocab, horizon=16, mode="sampled", n_rollouts=2, seed=3, context=10)
+    assert n_map not in (len(scene.agents), 1, 10) and built.count(n_map) == cfg.blocks
+    assert len(built) == 16 * 3 * 2 * cfg.blocks - 15 * cfg.blocks  # queries and keys, map keys once
 
 
 def test_rollout_rejects_a_vocab_the_config_does_not_fit():

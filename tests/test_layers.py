@@ -13,7 +13,6 @@ from eqtraffic.layers import (
     DISTANCE_EPS,
     KEY_MIX,
     QUERY_MIX,
-    eq_attention,
     eq_attention_logits,
     eq_layer_norm,
     eq_linear,
@@ -27,6 +26,7 @@ from eqtraffic.layers import (
 )
 from eqtraffic.pga import INNER_INDICES, Pose2
 from helpers import (
+    attend,
     distance_features,
     encode_point,
     gp,
@@ -346,11 +346,12 @@ def test_fused_primitives_keep_f32():
 
     leaves = [ad.Var(a) for a in (x, x, x, s, s, s)]
     with ad.Tape() as tape:
-        eq_attention(*leaves, heads=2, mask=np.tri(3, dtype=bool))
-    (node,) = tape.nodes
-    assert [out.dtype for out in node.outputs] == [np.float32] * 2
-    cotangents = ad._VJPS["mv_attention"](node, tuple(np.ones_like(out.data) for out in node.outputs))
-    assert [g.dtype for g in cotangents] == [np.float32] * 6
+        attend(*leaves, heads=2, mask=np.tri(3, dtype=bool))
+    assert [node.op for node in tape.nodes] == ["key_rows", "mv_attention"]
+    for node in tape.nodes:
+        assert [out.dtype for out in node.outputs] == [np.float32] * 2
+        cotangents = ad._VJPS[node.op](node, tuple(np.ones_like(out.data) for out in node.outputs))
+        assert [g.dtype for g in cotangents] == [np.float32] * 4
 
     with ad.Tape() as tape:
         out = geometric_bilinear(*leaves[:3], leaves[0])
@@ -462,10 +463,10 @@ def scale_dev(actual, expected) -> float:
 def test_fused_attention_matches_composite(case):
     heads, distance_awareness, arrays, mask, cotangents = case
     results = []
-    for attend in (eq_attention, composite_attention):
+    for attention in (attend, composite_attention):
         leaves = [ad.Var(a) for a in arrays]
         with ad.Tape() as tape:
-            outs = attend(*leaves, heads, mask, distance_awareness)
+            outs = attention(*leaves, heads, mask, distance_awareness)
             loss = ad.add(*[ad.reduce_sum(ad.reshape(ad.mul(out, g), (-1,)), axis=0)
                             for out, g in zip(outs, cotangents)])
         grads = ad.backward(tape, loss)
@@ -557,7 +558,7 @@ def test_single_key_passes_value_through():
     empty = np.zeros((1, 0))
     logits = np.asarray(eq_attention_logits(e1, e1, empty, empty, heads=1, distance_awareness=False))
     assert np.allclose(logits, 1.0 / math.sqrt(4.0))
-    mv_out, s_out = eq_attention(e1, e1, value, empty, empty, empty, heads=1, distance_awareness=False)
+    mv_out, s_out = attend(e1, e1, value, empty, empty, empty, heads=1, distance_awareness=False)
     assert np.allclose(np.asarray(mv_out), value, atol=1e-14)
     assert np.asarray(s_out).shape == (1, 0)
 
@@ -571,7 +572,7 @@ def test_identical_keys_average_values():
     sv = rng.normal(size=(2, 2))
     q = rng.normal(size=(1, 2, 8))
     sq = rng.normal(size=(1, 2))
-    mv_out, s_out = eq_attention(q, keys, values, sq, sk, sv, heads=1)
+    mv_out, s_out = attend(q, keys, values, sq, sk, sv, heads=1)
     assert np.allclose(np.asarray(mv_out)[0], values.mean(0), atol=1e-12)
     assert np.allclose(np.asarray(s_out)[0], sv.mean(0), atol=1e-12)
 
@@ -601,8 +602,8 @@ def test_attention_value_path_equivariance():
     for _ in range(200):
         u = rand_motor(rng)
         mv_t = transform_mv(u, mv)
-        out_t, s_t = eq_attention(mv_t, mv_t, mv_t, s, s, s, heads=2)
-        out, s_base = eq_attention(mv, mv, mv, s, s, s, heads=2)
+        out_t, s_t = attend(mv_t, mv_t, mv_t, s, s, s, heads=2)
+        out, s_base = attend(mv, mv, mv, s, s, s, heads=2)
         worst = max(worst, deviation(np.asarray(out_t), transform_mv(u, np.asarray(out))))
         worst = max(worst, deviation(np.asarray(s_t), np.asarray(s_base)))
     assert worst <= 1e-10
@@ -613,7 +614,7 @@ def test_attention_all_masked_rows_are_zero():
     mv = rng.normal(size=(3, 1, 8))
     s = rng.normal(size=(3, 1))
     mask = np.array([[True, True, True], [False, False, False], [True, False, True]])
-    mv_out, s_out = eq_attention(mv, mv, mv, s, s, s, heads=1, mask=mask)
+    mv_out, s_out = attend(mv, mv, mv, s, s, s, heads=1, mask=mask)
     assert np.allclose(np.asarray(mv_out)[1], 0.0)
     assert np.allclose(np.asarray(s_out)[1], 0.0)
     assert np.all(np.isfinite(np.asarray(mv_out)))
@@ -623,16 +624,16 @@ def test_causal_attention_ignores_future():
     rng = np.random.default_rng(19)
     mv = rng.normal(size=(5, 1, 8))
     s = rng.normal(size=(5, 2))
-    out1, s1 = eq_attention(mv, mv, mv, s, s, s, heads=1, mask=np.tri(5, dtype=bool))
+    out1, s1 = attend(mv, mv, mv, s, s, s, heads=1, mask=np.tri(5, dtype=bool))
     mv2 = mv.copy()
     mv2[3:] = rng.normal(size=(2, 1, 8))
     s2_in = s.copy()
     s2_in[3:] = rng.normal(size=(2, 2))
-    out2, s2 = eq_attention(mv2, mv2, mv2, s2_in, s2_in, s2_in, heads=1, mask=np.tri(5, dtype=bool))
+    out2, s2 = attend(mv2, mv2, mv2, s2_in, s2_in, s2_in, heads=1, mask=np.tri(5, dtype=bool))
     assert np.array_equal(np.asarray(out1)[:3], np.asarray(out2)[:3])
     assert np.array_equal(np.asarray(s1)[:3], np.asarray(s2)[:3])
     # fewer queries than keys: the queries are the last positions
-    tail, s_tail = eq_attention(mv[3:], mv, mv, s[3:], s, s, heads=1, mask=np.tri(2, 5, 3, dtype=bool))
+    tail, s_tail = attend(mv[3:], mv, mv, s[3:], s, s, heads=1, mask=np.tri(2, 5, 3, dtype=bool))
     assert np.allclose(np.asarray(tail), np.asarray(out1)[3:], rtol=0, atol=1e-14)
     assert np.allclose(np.asarray(s_tail), np.asarray(s1)[3:], rtol=0, atol=1e-14)
 
@@ -643,7 +644,7 @@ def test_attention_rejects_heads_that_do_not_split_the_channels():
         eq_attention_logits(mv, mv, s, s, heads=2)
     mv, s = np.zeros((2, 4, 8)), np.zeros((2, 3))
     with pytest.raises(ValueError, match="4 mv channels and 3 scalar channels do not split into 2 heads"):
-        eq_attention(mv, mv, mv, s, s, s, heads=2)
+        attend(mv, mv, mv, s, s, s, heads=2)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +772,7 @@ def test_attention_grad_check():
     s = rng.normal(size=(3, 2))
 
     def fn(v):
-        mv_out, s_out = eq_attention(v[0], v[0], v[0], v[1], v[1], v[1], heads=1)
+        mv_out, s_out = attend(v[0], v[0], v[0], v[1], v[1], v[1], heads=1)
         a = ad.reduce_sum(ad.reshape(ad.mul(mv_out, mv_out), (-1,)), axis=0)
         b = ad.reduce_sum(ad.reshape(ad.mul(s_out, s_out), (-1,)), axis=0)
         return ad.add(a, b)

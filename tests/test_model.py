@@ -323,6 +323,8 @@ def test_cached_forward_matches_full_forward(map_attention, include_adapter):
     cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64",
                          map_attention=map_attention, include_adapter=include_adapter)
     params = md.init_params(cfg)
+    c, cs = cfg.mv_channels // cfg.heads, cfg.scalar_channels // cfg.heads
+    width = 8 * c + cs  # of a distance-aware key row, and of a value row
     for seed, context in ((1, 1), (2, 7), (3, 20)):
         scene = gappy_scene(seed)
         cache = {}
@@ -334,12 +336,16 @@ def test_cached_forward_matches_full_forward(map_attention, include_adapter):
             full = np.asarray(md.forward(full_batch, params, cfg))
             assert cached.shape == (rows.num_agents, rows.num_steps, cfg.max_vocab)
             assert np.max(np.abs(cached - full[:, -rows.num_steps:])) <= 1e-12
-            # the time prefix grows with every row; the map's keys and values stay the first call's
-            assert cache["valid"][0].shape[1] == t_end
-            assert all(cache["time", i][k].shape[1] == t_end for i in range(cfg.blocks) for k in range(4))
+            # the time rows grow by every row; the map's key and value rows stay the first call's
+            assert cache["valid"][0].shape == (rows.num_agents, t_end)
+            for i in range(cfg.blocks):
+                kf, vf = cache["time", i]
+                assert kf.shape == (rows.num_agents, cfg.heads, t_end, width)
+                assert vf.shape == (rows.num_agents, cfg.heads, t_end, width)
             if t_start == 0:
-                map_kv = cache["map"]
-            assert cache["map"] is map_kv and len(map_kv) == cfg.blocks
+                map_rows = cache["map"]
+            assert cache["map"] is map_rows and len(map_rows) == cfg.blocks
+            assert all(kf.shape == vf.shape == (1, cfg.heads, rows.num_map, width) for kf, vf in map_rows)
             if t_end == scene.horizon:
                 break
             # one new row per call, then several
@@ -703,8 +709,9 @@ def test_non_finite_loss_names_the_first_non_finite_op(name, op):
 
 
 def test_default_forward_tape_size_is_pinned():
-    """A fused rms_norm serves the three norms (the scalar layer norm centres inside it) and one
-    mv_attention node each attention call; a bias rides in its mv_linear or matmul node, the MLP
+    """A fused rms_norm serves the three norms (the scalar layer norm centres inside it), and each
+    attention call is one key_rows node and one mv_attention node; a bias rides in its mv_linear or
+    matmul node, the MLP
     block's four-way split is one node, the map is normalized once for every block's map
     attention, and the loss folds its per-scene means and its sign into constant weights, so it
     ends without a div or a negation.  Scenes packed on a leading axis record the same nodes."""
@@ -714,9 +721,9 @@ def test_default_forward_tape_size_is_pinned():
         with ad.Tape() as tape:
             md.loss(md.forward(tokens, params.as_vars(), cfg), tokens.targets, tokens.target_valid)
         ops = [node.op for node in tape.nodes]
-        counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("mv_attention"),
-                  ops.count("split"), ops.count("add"))
-        assert counts == (147, 21, 0, 6, 2, 21)
+        counts = (len(ops), ops.count("rms_norm"), ops.count("distance_features"), ops.count("key_rows"),
+                  ops.count("mv_attention"), ops.count("split"), ops.count("add"))
+        assert counts == (153, 21, 0, 6, 6, 2, 21)
 
 
 def variant_logits(batch, p, cfg, variant):
@@ -875,6 +882,26 @@ def test_a_packed_f32_step_returns_no_subnormal_cotangent(monkeypatch):
     assert ad.data_of(loss).dtype == np.float32
     ad.backward(tape, loss)
     assert subnormal == []
+
+
+def test_no_attention_forward_saves_a_subnormal_weight():
+    """The softmax cuts weights below eps² to exact zeros before `exp`, so no mv_attention node of
+    a default packed f32 training forward, or of an f64 forward over a crowded scene (32 agents,
+    96 map tokens), saves a weight in (0, tiny) for `w @ vf` or the VJP to compute with."""
+    corpus = [sc.generate_synthetic_scene(sc.GeneratorConfig(), seed=s) for s in range(8)]
+    vocab = sc.build_kdisk_vocab(sc.collect_transitions(corpus), k_r=0.003, seed=0, cap=64)
+    sizes = {c: vocab.size(c) for c in sc.AGENT_CLASSES}
+    f32, f64 = md.ModelConfig(vocab_sizes=sizes), md.ModelConfig(vocab_sizes=sizes, dtype="f64")
+    crowd = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=32, n_lanes=6), seed=1)
+    cases = ((f32, md.pack_scenes([md.build_token_batch(s, vocab, f32) for s in corpus[:2]])),
+             (f64, md.build_token_batch(crowd, vocab, f64)))
+    for cfg, batch in cases:
+        with ad.Tape() as tape:
+            md.loss(md.forward(batch, md.init_params(cfg).as_vars(), cfg), batch.targets, batch.target_valid)
+        weights = [node.ctx["w"] for node in tape.nodes if node.op == "mv_attention"]
+        assert len(weights) == 3 * cfg.blocks and {w.dtype for w in weights} == {np.dtype(cfg.np_dtype)}
+        tiny = np.finfo(cfg.np_dtype).tiny
+        assert [int(((w > 0.0) & (w < tiny)).sum()) for w in weights] == [0] * len(weights), cfg.dtype
 
 
 @pytest.mark.parametrize("distance_awareness", [True, False])
@@ -1257,7 +1284,7 @@ def test_invariant_loss_gradients_transform_contravariantly():
 
 def _self_attention(mv, s, p, name, cfg, mask):
     normed = md._norms(mv, s)
-    return md._attend(mv, s, normed, md._keys_values(normed, p, name), p, name, cfg, mask)
+    return md._attend(mv, s, normed, md._key_rows(normed, p, name, cfg), p, name, cfg, mask)
 
 
 def _forward_loss_with_tracked_mv(mv_tracked, frames, batch, p, cfg):
@@ -1267,13 +1294,13 @@ def _forward_loss_with_tracked_mv(mv_tracked, frames, batch, p, cfg):
     mv = md.eq_linear(mv_tracked, p, "embed/agent_mv")
     s = md.mlp2(batch.scalars_raw.astype(dt), p, "embed/agent_in")
     s = ad.add(s, ad.embedding(p["embed/prev_action"], batch.prev_flat))
-    map_kv = md._map_keys_values(batch, p, cfg, None)
+    map_rows = md._map_rows(batch, p, cfg, None)
     map_mask, agent_mask = md._step_masks(batch, cfg)
     sandwich = sandwich_matrix(frames)
     time_mask = md._time_mask(batch, batch.valid)
     for i in range(cfg.blocks):
         mv_t, s_t = md._swap_at(mv, 0), md._swap_at(s, 0)
-        mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_kv[i], p, f"block{i}/map_attn", cfg,
+        mv_t, s_t = md._attend(mv_t, s_t, md._norms(mv_t, s_t), map_rows[i], p, f"block{i}/map_attn", cfg,
                                map_mask)
         mv_t, s_t = _self_attention(mv_t, s_t, p, f"block{i}/agent_attn", cfg, agent_mask)
         mv, s = md._swap_at(mv_t, 0), md._swap_at(s_t, 0)
