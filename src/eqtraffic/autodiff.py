@@ -2,11 +2,11 @@
 
 A forward pass runs inside a ``Tape`` context; values that need gradients are
 wrapped in ``Var``.  Each primitive op computes with plain numpy and records a
-node (op name + saved inputs) when any input is tracked.  ``backward`` walks
-the node list in exact reverse order, looking up each op's vector-Jacobian
-product in a registry; cotangents accumulate in buffers keyed by value
-identity, and each op output's buffer is freed once its VJP has used it, so
-only leaf gradients outlive ``backward``.
+node (op name + saved inputs), numbering each output by a per-tape slot, when
+any input is tracked.  ``backward`` walks the nodes in exact reverse order,
+calling each op's registered vector-Jacobian product; an op output's cotangent
+lives in a list at its slot until its VJP has used it, and a leaf's cotangents
+are added into its ``grad`` (a view into one flat buffer: ``ParamStore.as_vars``).
 
 Ops called on plain ndarrays never record, so the same layer code serves both
 inference and training.  Everything is single precision or double precision
@@ -27,13 +27,15 @@ class MissingVJPError(RuntimeError):
 
 
 class Var:
-    """A tracked array; a leaf, or (leaf=False) the output of a recorded op."""
+    """A tracked array: a leaf, whose cotangents `backward` adds into `grad` (fresh zeros unless
+    given), or the output of a recorded op, numbered `slot` on its tape and with no `grad`."""
 
-    __slots__ = ("data", "leaf")
+    __slots__ = ("data", "grad", "slot")
 
-    def __init__(self, data, leaf: bool = True):
+    def __init__(self, data, grad=None, slot=None):
         self.data = np.asarray(data)
-        self.leaf = leaf
+        self.grad = np.zeros_like(self.data) if grad is None and slot is None else grad
+        self.slot = slot
 
     @property
     def shape(self):
@@ -65,10 +67,11 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of ops; backward traverses exactly the reverse order."""
+    """Ordered record of ops, and of their outputs by slot; backward traverses exactly the reverse order."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.outputs: list[Var] = []
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -78,10 +81,6 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
         return False
-
-
-def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def data_of(x) -> np.ndarray:
@@ -99,13 +98,19 @@ def _record(op: str, out_data, inputs: tuple, ctx: dict):
             break
     else:
         return out_data
-    tape = _active_tape()
-    if tape is None:
+    if not _TAPE_STACK:
         raise RuntimeError(f"op '{op}' received tracked inputs outside a Tape context")
+    tape = _TAPE_STACK[-1]
+    outputs, n = tape.outputs, len(tape.outputs)
+    for x in inputs:
+        if type(x) is Var and x.slot is not None and (x.slot >= n or outputs[x.slot] is not x):
+            raise RuntimeError(f"op '{op}' received the output of an op recorded on another tape")
     if type(out_data) is tuple:
-        out = tuple(Var(d, leaf=False) for d in out_data)
+        out = tuple(Var(d, slot=slot) for slot, d in enumerate(out_data, n))
+        outputs.extend(out)
     else:
-        out = Var(out_data, leaf=False)
+        out = Var(out_data, slot=n)
+        outputs.append(out)
     tape.nodes.append(_Node(op, inputs, out, ctx))
     return out
 
@@ -118,55 +123,41 @@ def register_vjp(op: str, fn: Callable) -> None:
     _VJPS[op] = fn
 
 
-def backward(tape: Tape, loss, cotangent=1.0):
-    """Accumulate cotangents for every leaf Var reachable from `loss`.
-
-    Returns a ``Gradients`` view; ``grads[var]`` is the cotangent array of a
-    leaf (zeros if it never influenced the loss).  An op output's cotangent is
-    dropped as soon as its node's VJP has consumed it.
-    """
-    if not isinstance(loss, Var):
-        raise TypeError("backward needs a tracked Var as the loss")
-    buffers: dict[int, np.ndarray] = {
-        id(loss): np.broadcast_to(np.asarray(cotangent, dtype=loss.data.dtype), loss.data.shape).copy()
-    }
+def backward(tape: Tape, loss, cotangent=1.0) -> None:
+    """Add `cotangent` times the gradient of `loss`, an op output on `tape`, into the `grad` of every
+    leaf Var it reaches.  An op output's cotangent is dropped once its node's VJP has used it; a
+    leaf's must come in the leaf's dtype, as it is never cast."""
+    outputs = tape.outputs
+    if not (isinstance(loss, Var) and loss.slot is not None and loss.slot < len(outputs)
+            and outputs[loss.slot] is loss):
+        raise TypeError("backward needs as its loss the output of an op recorded on its tape")
+    cotangents: list = [None] * len(outputs)
+    cotangents[loss.slot] = np.full(loss.data.shape, cotangent, dtype=loss.data.dtype)
     for node in reversed(tape.nodes):
         if type(node.output) is tuple:
-            g = tuple(buffers.pop(id(out), None) for out in node.output)
+            g = tuple(cotangents[out.slot] for out in node.output)
             if all(gi is None for gi in g):
                 continue
+            for out in node.output:
+                cotangents[out.slot] = None
         else:
-            g = buffers.pop(id(node.output), None)
+            g = cotangents[node.output.slot]
             if g is None:
                 continue
+            cotangents[node.output.slot] = None
         vjp = _VJPS.get(node.op)
         if vjp is None:
             raise MissingVJPError(f"no VJP registered for op '{node.op}'")
-        input_grads = vjp(node, g)
-        for inp, gi in zip(node.inputs, input_grads):
-            if gi is None or not isinstance(inp, Var):
+        for inp, gi in zip(node.inputs, vjp(node, g)):
+            if gi is None or type(inp) is not Var:
                 continue
-            buf = buffers.get(id(inp))
-            if buf is None:
-                buffers[id(inp)] = np.array(gi)  # a copy, in the dtype the VJP computed in
+            if inp.slot is None:
+                np.add(inp.grad, gi, out=inp.grad, casting="no")
+            elif cotangents[inp.slot] is None:
+                cotangents[inp.slot] = np.array(gi)  # a copy, in the dtype the VJP computed in
             else:
-                buf += gi
-    return Gradients(buffers)
-
-
-class Gradients:
-    """Leaf cotangents left by ``backward``; op outputs' cotangents are not kept."""
-
-    def __init__(self, buffers):
-        self._buffers = buffers
-
-    def __getitem__(self, var: Var) -> np.ndarray:
-        if not var.leaf:
-            raise ValueError("Gradients keeps only leaf gradients; this Var is the output of a recorded op")
-        g = self._buffers.get(id(var))
-        if g is None:
-            return np.zeros_like(var.data)
-        return g
+                cotangents[inp.slot] += gi
+        g = gi = None  # no cotangent outlives its VJP into the next one
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -221,7 +212,7 @@ def rms_norm(x, weights, axes, eps: float, center: bool = False):
 
 
 def _rms_norm_vjp(n, g):
-    """With centring, x is listed twice and takes its two cotangent terms one per slot, in the
+    """With centring, x is listed twice and takes its two cotangent terms one per input, in the
     order the composite sub(x, reduce_mean(x)) would add them."""
     dx, w, r, axes = n.ctx["dx"], n.ctx["w"], n.ctx["r"], n.ctx["axes"]
     gx = (g - w * dx * ((g * dx).sum(axis=axes, keepdims=True) / (r * r))) / r
@@ -716,8 +707,14 @@ class ParamStore(dict):
     def astype(self, dtype) -> "ParamStore":
         return ParamStore([(name, arr.shape) for name, arr in self.items()], self.flat.astype(dtype))
 
-    def as_vars(self) -> dict[str, Var]:
-        return {name: Var(arr) for name, arr in self.items()}
+    def as_vars(self, grad: np.ndarray | None = None) -> dict[str, Var]:
+        """A leaf Var per parameter, whose grad is its view into `grad`, a buffer laid out as `flat`,
+        or else fresh zeros."""
+        if grad is not None and (grad.shape != self.flat.shape or grad.dtype != self.flat.dtype):
+            raise ValueError(f"gradient buffer {grad.dtype} {grad.shape} != parameter buffer "
+                             f"{self.flat.dtype} {self.flat.shape}")
+        views = {} if grad is None else ParamStore([(name, arr.shape) for name, arr in self.items()], grad)
+        return {name: Var(arr, views.get(name)) for name, arr in self.items()}
 
 
 class AdamState:

@@ -576,8 +576,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
         params = init_params(cfg)
     t_end = max(scenes[k].horizon for k in kept)
     batches = [build_token_batch(scenes[k], vocab, cfg, t_end=t_end) for k in kept]
-    state, pvars = AdamState(params), params.as_vars()
     grad = np.empty_like(params.flat)
+    state, pvars = AdamState(params), params.as_vars(grad)
     rng = np.random.default_rng(seed)
     order: list[int] = []
     curve = []
@@ -598,8 +598,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
             names = [kept[k] for k in picked]
             raise NonFiniteLossError(f"non-finite loss {loss_val} at step {step} on scenes {names}: first "
                                      f"non-finite output at tape node {bad}, op '{tape.nodes[bad].op}'")
-        grads = ad.backward(tape, loss_var)
-        np.concatenate([grads[var] for var in pvars.values()], axis=None, out=grad)
+        grad[...] = 0.0
+        ad.backward(tape, loss_var)
         adam_step(params, grad, state, step_lr)
         curve.append((step, step_lr, loss_val))
     return params, curve

@@ -278,8 +278,8 @@ def grad_check(fn, arrays, step: float = 1e-6, max_coords: int = 200, seed: int 
         loss = fn(tracked)
     if not isinstance(loss, ad.Var) or loss.data.shape != ():
         raise ValueError("grad_check target must return a scalar Var")
-    grads = ad.backward(tape, loss)
-    analytic = [grads[t] for t in tracked]
+    ad.backward(tape, loss)
+    analytic = [t.grad for t in tracked]
 
     rng = np.random.default_rng(seed)
     worst = 0.0

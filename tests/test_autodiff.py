@@ -180,8 +180,8 @@ def test_fused_ops_match_their_composites_bit_for_bit(dtype):
     tracked = [ad.Var(x) for x in (a, b, bias)]
     with ad.Tape() as tape:
         out = ad.matmul(*tracked)
-    grads = ad.backward(tape, out, g)
-    actual = (out.data, *(grads[v] for v in tracked))
+    ad.backward(tape, out, g)
+    actual = (out.data, *(v.grad for v in tracked))
     for got, want in zip(actual, biased_matmul_composite(a, b, bias, g), strict=True):
         assert got.dtype == dtype and np.array_equal(got, want)
 
@@ -190,7 +190,8 @@ def test_fused_ops_match_their_composites_bit_for_bit(dtype):
     with ad.Tape() as tape:
         normed = ad.rms_norm(vx, 1.0 / 6.0, -1, 1e-6, center=True)
         out = ad.add(normed, vx)  # a residual: x's cotangent holds g when the norm's two terms arrive
-    gx = ad.backward(tape, out, g)[vx]
+    ad.backward(tape, out, g)
+    gx = vx.grad
     want_normed, want_gx = centered_rms_norm_composite(x, 1.0 / 6.0, 1e-6, g, g_before=g)
     assert normed.dtype == gx.dtype == dtype
     assert np.array_equal(normed.data, want_normed) and np.array_equal(gx, want_gx)
@@ -248,20 +249,75 @@ def test_identity_linear_passes_cotangent_through():
     with ad.Tape() as tape:
         y = ad.add(x, np.zeros((2, 3)))
         loss = ad.reduce_sum(ad.reshape(y, (-1,)), axis=0)
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[x], np.ones((2, 3)))
+    ad.backward(tape, loss)
+    assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_gradients_answer_only_for_leaves():
+    """A leaf's cotangents are added into its `grad`; an op output holds its slot and no grad."""
     x = ad.Var(np.arange(6.0).reshape(2, 3))
     with ad.Tape() as tape:
         y = ad.mul(x, 2.0)
         loss = ad.reduce_sum(ad.reshape(y, (-1,)), axis=0)
-    grads = ad.backward(tape, loss)
-    assert np.array_equal(grads[x], np.full((2, 3), 2.0))
-    for op_output in (y, loss):
-        with pytest.raises(ValueError, match="only leaf gradients"):
-            grads[op_output]
+    assert ad.backward(tape, loss) is None
+    assert x.slot is None and np.array_equal(x.grad, np.full((2, 3), 2.0))
+    assert [(out.slot, out.grad) for node in tape.nodes for out in node.outputs] == [(0, None), (1, None), (2, None)]
+    assert tape.outputs == [y, tape.nodes[1].output, loss]
+    ad.backward(tape, loss, 0.5)  # a second pass adds to what the first left
+    assert np.array_equal(x.grad, np.full((2, 3), 3.0))
+
+
+def test_param_store_leaves_add_into_one_flat_gradient():
+    store = ad.ParamStore([("a", (2, 3)), ("b", (4,))], np.arange(10.0))
+    grad = np.zeros(10)
+    pvars = store.as_vars(grad)
+    assert all(var.grad.base is grad and var.grad.shape == var.shape for var in pvars.values())
+    with ad.Tape() as tape:
+        squares = ad.reduce_sum(ad.reshape(ad.mul(pvars["a"], pvars["a"]), (-1,)), axis=0)
+        loss = ad.add(squares, ad.reduce_sum(pvars["b"], axis=0))
+    ad.backward(tape, loss)
+    assert np.array_equal(grad, np.concatenate([2.0 * np.arange(6.0), np.ones(4)]))
+    assert all(not var.grad.any() for var in store.as_vars().values())
+    with pytest.raises(ValueError, match=r"gradient buffer float32 \(10,\) != parameter buffer float64 \(10,\)"):
+        store.as_vars(np.zeros(10, dtype=np.float32))
+    with pytest.raises(ValueError, match=r"gradient buffer float64 \(9,\) != parameter buffer"):
+        store.as_vars(np.zeros(9))
+
+
+def test_an_op_output_of_another_tape_raises():
+    """An op output is numbered on the tape that recorded it; on any other tape, closed or still
+    open around this one, its slot would name another value, so no op or backward takes it."""
+    x = ad.Var(np.arange(3.0))
+    with ad.Tape():
+        y = ad.mul(x, 2.0)
+    with ad.Tape():
+        with pytest.raises(RuntimeError, match="op 'mul' received the output of an op recorded on another tape"):
+            ad.mul(y, 3.0)  # y's slot is past this tape's end
+        ad.mul(x, 4.0)
+        with pytest.raises(RuntimeError, match="op 'reduce_sum' received the output of an op recorded"):
+            ad.reduce_sum(y, axis=0)  # y's slot 0 is this tape's first output
+    with ad.Tape():
+        outer = ad.mul(x, 2.0)
+        with ad.Tape() as inner:
+            with pytest.raises(RuntimeError, match="op 'add' received the output of an op recorded"):
+                ad.add(outer, x)
+            z = ad.reduce_sum(x, axis=0)
+    with ad.Tape() as other:
+        ad.reduce_sum(x, axis=0)
+    for tape, loss in ((other, z), (inner, outer)):
+        with pytest.raises(TypeError, match="backward needs as its loss the output of an op recorded on its tape"):
+            ad.backward(tape, loss)
+    assert not x.grad.any()
+
+
+def test_a_leaf_cotangent_in_another_dtype_raises():
+    """A float64 constant promotes a float32 leaf's product, and with it the leaf's cotangent:
+    backward refuses it rather than cast it into the float32 grad."""
+    x = ad.Var(np.ones(3, dtype=np.float32))
+    with ad.Tape() as tape:
+        loss = ad.reduce_sum(ad.mul(x, np.full(3, 2.0)), axis=0)
+    with pytest.raises(TypeError, match="casting rule 'no'"):
+        ad.backward(tape, loss)
 
 
 def test_missing_vjp_raises_with_op_name():
@@ -293,7 +349,8 @@ def test_inner_product_gradient_is_masked_double():
     with ad.Tape() as tape:
         picked = ad.take_last(x, [0, 2, 3, 6])
         loss = ad.reduce_sum(ad.mul(picked, picked), axis=0)
-    g = ad.backward(tape, loss)[x]
+    ad.backward(tape, loss)
+    g = x.grad
     expect = np.zeros(8)
     for i in (0, 2, 3, 6):
         expect[i] = 2.0 * x.data[i]
@@ -310,8 +367,8 @@ def test_gradient_determinism():
         with ad.Tape() as tape:
             out = ad.bilinear8(va, vb, GEOM_TABLE)
             loss = ad.reduce_sum(ad.reshape(ad.mul(out, out), (-1,)), axis=0)
-        g = ad.backward(tape, loss)
-        return g[va].copy(), g[vb].copy()
+        ad.backward(tape, loss)
+        return va.grad, vb.grad
 
     ga1, gb1 = run()
     ga2, gb2 = run()
