@@ -22,10 +22,9 @@ from .layers import (
     invariant_adapter,
     noneq_linear,
 )
-from .pga import Pose2, compose_poses, pose_deltas, wrap_angles
+from .pga import compose_poses, pose_deltas, wrap_angles
 from .scene import (
     ActionVocab,
-    AgentState,
     AgentStates,
     GeneratorConfig,
     Scene,
@@ -33,9 +32,10 @@ from .scene import (
     dynamics_step,
     generate_synthetic_scene,
     transform_scene,
+    with_states,
 )
 
-REFERENCE_TRANSFORM = Pose2(100.0, 0.0, math.pi / 2)  # rotate 90 deg, translate 100 m
+REFERENCE_TRANSFORM = (100.0, 0.0, math.pi / 2)  # (x, y, theta): rotate 90 deg, translate 100 m
 
 
 @dataclass
@@ -140,11 +140,8 @@ def rollout_to_scene(ro: Rollout, template: Scene) -> Scene:
     """The rollout's observed and predicted states on the template scene's agents."""
     agents = []
     for ai, agent in enumerate(template.agents):
-        states = tuple(
-            AgentState(int(t), Pose2(*ro.poses[ai, t]), float(ro.speeds[ai, t]))
-            for t in np.flatnonzero(ro.valid[ai])
-        )
-        agents.append(replace(agent, states=states))
+        steps = np.flatnonzero(ro.valid[ai])
+        agents.append(with_states(agent, steps, ro.poses[ai, steps], ro.speeds[ai, steps]))
     horizon = max(template.horizon, ro.poses.shape[1])
     return replace(template, agents=tuple(agents), horizon=horizon)
 
@@ -327,8 +324,9 @@ def equivariance_audit(params, cfg: md.ModelConfig, vocab: ActionVocab, scenes,
             return np.asarray(ad.data_of(md.baseline_forward(batch, params, cfg, "vanilla")))
         return np.asarray(ad.data_of(md.forward(batch, params, cfg)))
 
+    # (x, y, theta) transforms; theta wrapped so the rollout check undoes what `transform_scene` did
     transforms = [REFERENCE_TRANSFORM] + [
-        Pose2(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
+        (rng.uniform(-200, 200), rng.uniform(-200, 200), float(wrap_angles(rng.uniform(-math.pi, math.pi))))
         for _ in range(n_transforms)
     ]
     worst = 0.0
@@ -353,7 +351,7 @@ def equivariance_audit(params, cfg: md.ModelConfig, vocab: ActionVocab, scenes,
                 agree += 1
                 # the moved rollout's predicted positions, moved back
                 ctx = base_ro.context_steps
-                moved_back = pose_deltas(np.array([g.x, g.y, g.theta]), moved_ro.poses[:, ctx:])
+                moved_back = pose_deltas(np.array(g), moved_ro.poses[:, ctx:])
                 gap = np.hypot(*np.moveaxis(moved_back[..., :2] - base_ro.poses[:, ctx:, :2], -1, 0))
                 pose_dev = max(pose_dev, float(gap[base_ro.valid[:, ctx:]].max(initial=0.0)))
         report.add("greedy_rollout_agreement", 1.0 - agree / max(total, 1), total,

@@ -38,7 +38,6 @@ from .scene import (
     AgentStates,
     Scene,
     agent_states,
-    encode_map_scalars,
     encode_pose_array,
     nearest_action,
     vocab_to_json,
@@ -184,13 +183,12 @@ def scene_anchor(scene: Scene) -> tuple:
     map is empty: it depends only on the scene, so every batch built from it,
     and every rollout sample of it, shares the anchor.
     """
-    if scene.map_nodes:
-        pose = scene.map_nodes[0].pose
-    elif scene.ego().states:
+    if len(scene.map_poses):
+        return tuple(scene.map_poses[0, :2].tolist())
+    if scene.ego().states:
         pose = scene.ego().states[0].pose
-    else:
-        return 0.0, 0.0
-    return pose.x, pose.y
+        return pose.x, pose.y
+    return 0.0, 0.0
 
 
 class VocabTable(NamedTuple):
@@ -215,10 +213,8 @@ def vocab_table(vocab: ActionVocab, cfg: ModelConfig) -> VocabTable:
 
 def map_fields(scene: Scene, anchor: tuple) -> dict:
     """The TokenBatch map fields of a scene, poses relative to `anchor`."""
-    ax, ay = anchor
-    poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta] for n in scene.map_nodes]).reshape(-1, 3)
-    scalars = np.array([encode_map_scalars(n) for n in scene.map_nodes]).reshape(-1, MAP_FEATURE_WIDTH)
-    return {"map_scalars_raw": scalars, "map_poses": poses, "map_valid": np.ones(len(poses), dtype=bool)}
+    return {"map_scalars_raw": scene.map_features, "map_poses": scene.map_poses - np.array([*anchor, 0.0]),
+            "map_valid": np.ones(len(scene.map_poses), dtype=bool)}
 
 
 def encode_states(states: AgentStates, anchor: tuple, table: VocabTable, maps: dict,
@@ -565,8 +561,8 @@ def train(scenes, vocab: ActionVocab, cfg: ModelConfig, steps: int, lr: float = 
     curve) with curve rows (step, lr, loss); a `params` store passed in is
     updated in place.
     """
-    kept = [k for k, s in enumerate(scenes) if any(b.t == a.t + 1 for agent in s.agents
-                                                   for a, b in zip(agent.states, agent.states[1:]))]
+    valid = [agent_states(s, s.horizon).valid for s in scenes]
+    kept = [k for k, v in enumerate(valid) if (v[:, :-1] & v[:, 1:]).any()]
     if not kept:
         raise ValueError("train needs a scene with a target position: an agent with states at two "
                          "consecutive steps")

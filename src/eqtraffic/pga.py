@@ -18,9 +18,9 @@ Geometry encodings:
 
 The algebra itself is the structure tensors below, built from the axioms;
 every product runs on coefficient arrays through them (`autodiff.bilinear8`,
-`batch.sandwich_matrix`).  Poses are `Pose2` records in the scene data model
-and arrays [..., 3] of (x, y, theta) elsewhere; `compose_poses` is their one
-group product.
+`batch.sandwich_matrix`).  Poses are arrays [..., 3] of (x, y, theta), as a
+scene's map holds them, or `Pose2` records in an agent's states;
+`compose_poses` is their one group product.
 """
 
 import math

@@ -1,9 +1,10 @@
 """Scene data model, its state arrays, algebra encodings, action vocabulary, and dynamics.
 
-A scene is a set of agents (pose histories on a shared step grid) plus static
-map nodes; `agent_states` reads the histories into arrays.  Actions are local
-SE(2) pose increments per step, discretized against a per-class vocabulary
-built with a greedy disk-packing pass over observed transitions.
+A scene is a set of agents (pose histories on a shared step grid) plus a static
+map held as two arrays, node poses and node features; `agent_states` reads the
+histories into arrays.  Actions are local SE(2) pose increments per step,
+discretized against a per-class vocabulary built with a greedy disk-packing
+pass over observed transitions.
 """
 
 import json
@@ -55,37 +56,29 @@ class Agent:
         object.__setattr__(self, "states", tuple(self.states))
 
 
-@dataclass(frozen=True)
-class MapNode:
-    pose: Pose2
-    length: float
-    width: float
-    curvature: float
-    speed_limit: float
-    boundary_left: str
-    boundary_right: str
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("map node length must be positive")
-        if self.speed_limit < 0:
-            raise ValueError("speed limit must be >= 0")
-        for side in (self.boundary_left, self.boundary_right):
-            if side not in BOUNDARY_TYPES:
-                raise ValueError(f"unknown boundary type '{side}'")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
+    """Agents, and the map as read-only arrays: `map_poses` [M, 3] of (x, y, theta), theta wrapped
+    as a Pose2's, and `map_features` [M, MAP_FEATURE_WIDTH] of each node's length, width,
+    curvature and speed limit, then its left and right boundary one-hots."""
+
     agents: tuple
-    map_nodes: tuple
+    map_poses: np.ndarray
+    map_features: np.ndarray
     ego_id: int
     horizon: int
     dt: float
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
-        object.__setattr__(self, "map_nodes", tuple(self.map_nodes))
+        for name, width in (("map_poses", 3), ("map_features", MAP_FEATURE_WIDTH)):
+            rows = np.array(getattr(self, name), dtype=np.float64)
+            if rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(f"{name} must be an [M, {width}] array, got shape {rows.shape}")
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
+        if len(self.map_poses) != len(self.map_features):
+            raise ValueError(f"{len(self.map_poses)} map poses but {len(self.map_features)} map feature rows")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.ego() is None:
@@ -162,15 +155,11 @@ def encode_pose_array(poses: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_map_scalars(node: MapNode) -> np.ndarray:
-    out = np.zeros(MAP_FEATURE_WIDTH)
-    out[0] = node.length
-    out[1] = node.width
-    out[2] = node.curvature
-    out[3] = node.speed_limit
-    out[4 + BOUNDARY_TYPES.index(node.boundary_left)] = 1.0
-    out[8 + BOUNDARY_TYPES.index(node.boundary_right)] = 1.0
-    return out
+def _map_feature_row(length, width, curvature, speed_limit, left: str, right: str) -> np.ndarray:
+    """One map node's feature row [MAP_FEATURE_WIDTH]: its sizes, then a one-hot per boundary."""
+    one_hot = np.eye(len(BOUNDARY_TYPES))
+    return np.concatenate([[length, width, curvature, speed_limit], one_hot[BOUNDARY_TYPES.index(left)],
+                           one_hot[BOUNDARY_TYPES.index(right)]])
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +255,8 @@ def dynamics_step(poses, deltas, dt: float):
 
     Returns the new poses and speeds [...].  The increment composes in the
     agent frame, so for any motor g, f(g . pose, delta) = g . f(pose, delta)
-    holds by construction.  The increment's angle is wrapped first and the
-    result rounds as `Pose2.compose` does.
+    holds by construction.  The increment's angle is wrapped first, as
+    `compose_poses` requires.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -291,16 +280,23 @@ def collect_transitions(scenes) -> dict:
     return {cls: np.concatenate(parts or [np.zeros((0, 3))]) for cls, parts in pools.items()}
 
 
-def transform_scene(scene: Scene, g: Pose2) -> Scene:
-    """Apply the rigid transform g to every pose in the scene: one `compose_poses` over all of
-    its agent states and map nodes."""
-    records = [s for a in scene.agents for s in a.states] + list(scene.map_nodes)
-    poses = np.array([(r.pose.x, r.pose.y, r.pose.theta) for r in records]).reshape(-1, 3)
-    moved = iter([Pose2(*row) for row in compose_poses(np.array([g.x, g.y, g.theta]), poses).tolist()])
-    agents = tuple(replace(a, states=tuple(AgentState(s.t, next(moved), s.speed) for s in a.states))
-                   for a in scene.agents)
-    nodes = tuple(replace(n, pose=next(moved)) for n in scene.map_nodes)
-    return replace(scene, agents=agents, map_nodes=nodes)
+def with_states(agent: Agent, steps, poses: np.ndarray, speeds) -> Agent:
+    """`agent` with the states at `steps` [n], of poses [n, 3] and speeds [n]."""
+    return replace(agent, states=tuple(AgentState(int(t), Pose2(*pose), float(speed))
+                                       for t, pose, speed in zip(steps, poses.tolist(), speeds)))
+
+
+def transform_scene(scene: Scene, g) -> Scene:
+    """Apply the rigid transform g, any (x, y, theta) 3-sequence, its theta wrapped as a Pose2's,
+    to every pose in the scene: one `compose_poses` over its agent states, one over its map."""
+    x, y, theta = g
+    g = np.array([x, y, wrap_angles(theta)], dtype=np.float64)
+    states = [s for a in scene.agents for s in a.states]
+    poses = np.array([(s.pose.x, s.pose.y, s.pose.theta) for s in states]).reshape(-1, 3)
+    cuts = np.cumsum([len(a.states) for a in scene.agents])[:-1]
+    agents = tuple(with_states(a, [s.t for s in a.states], moved, [s.speed for s in a.states])
+                   for a, moved in zip(scene.agents, np.split(compose_poses(g, poses), cuts)))
+    return replace(scene, agents=agents, map_poses=compose_poses(g, scene.map_poses))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +352,7 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
     """Lane arcs plus agents that follow them with mild, bounded noise."""
     rng = np.random.default_rng(seed)
 
-    lanes = []
-    nodes = []
+    lanes, map_poses, map_features = [], [], []
     spread = cfg.center_spread
     for _ in range(cfg.n_lanes):
         start = rng.uniform([-spread, -spread, -math.pi], [spread, spread, math.pi])
@@ -370,12 +365,9 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
         left, right = rng.choice(BOUNDARY_TYPES), rng.choice(BOUNDARY_TYPES)
         lanes.append((start, curvature, limit))
         n_nodes = max(1, int(cfg.lane_length / cfg.seg_len))
-        arclengths = (np.arange(n_nodes) + 0.5) * cfg.seg_len
-        nodes.extend(
-            MapNode(pose=Pose2(*pose), length=cfg.seg_len, width=3.5, curvature=curvature,
-                    speed_limit=limit, boundary_left=str(left), boundary_right=str(right))
-            for pose in _lane_poses(start, curvature, arclengths).tolist()
-        )
+        map_poses.append(_lane_poses(start, curvature, (np.arange(n_nodes) + 0.5) * cfg.seg_len))
+        row = _map_feature_row(cfg.seg_len, 3.5, curvature, limit, left, right)
+        map_features.append(np.tile(row, (n_nodes, 1)))
 
     agents = []
     for agent_id in range(cfg.n_agents):
@@ -407,7 +399,8 @@ def generate_synthetic_scene(cfg: GeneratorConfig, seed: int) -> Scene:
 
     return Scene(
         agents=tuple(agents),
-        map_nodes=tuple(nodes),
+        map_poses=np.concatenate(map_poses),
+        map_features=np.concatenate(map_features),
         ego_id=0,
         horizon=cfg.horizon,
         dt=cfg.dt,
@@ -482,18 +475,11 @@ def scene_to_json(scene: Scene) -> str:
             for a in scene.agents
         ],
         "map": [
-            {
-                "x": n.pose.x,
-                "y": n.pose.y,
-                "theta": n.pose.theta,
-                "length": n.length,
-                "width": n.width,
-                "curvature": n.curvature,
-                "speed_limit": n.speed_limit,
-                "boundary_left": n.boundary_left,
-                "boundary_right": n.boundary_right,
-            }
-            for n in scene.map_nodes
+            {"x": x, "y": y, "theta": theta, "length": length, "width": width, "curvature": curvature,
+             "speed_limit": limit, "boundary_left": BOUNDARY_TYPES[left], "boundary_right": BOUNDARY_TYPES[right]}
+            for (x, y, theta), (length, width, curvature, limit), (left, right) in zip(
+                scene.map_poses.tolist(), scene.map_features[:, :4].tolist(),
+                np.argmax(scene.map_features[:, 4:].reshape(-1, 2, len(BOUNDARY_TYPES)), axis=-1).tolist())
         ],
     }
     return json.dumps(doc, indent=1)
@@ -535,7 +521,7 @@ def scene_from_json(text) -> Scene:
         except ValueError as exc:
             raise SceneParseError(f"{path}: {exc}") from exc
 
-    nodes = []
+    map_poses, map_features = [], []
     for i, n in enumerate(_list(doc, "map", "$")):
         path = f"$.map[{i}]"
         _require(
@@ -544,21 +530,28 @@ def scene_from_json(text) -> Scene:
              "boundary_left", "boundary_right"),
             path,
         )
-        pose = Pose2(*(_number(n, key, path) for key in ("x", "y", "theta")))
-        sizes = {key: _number(n, key, path)
-                 for key in ("length", "width", "curvature", "speed_limit")}
-        try:
-            nodes.append(
-                MapNode(pose=pose, boundary_left=n["boundary_left"],
-                        boundary_right=n["boundary_right"], **sizes)
-            )
-        except ValueError as exc:
-            raise SceneParseError(f"{path}: {exc}") from exc
+        map_poses.append([_number(n, key, path) for key in ("x", "y", "theta")])
+        length, width, curvature, limit = (_number(n, key, path)
+                                           for key in ("length", "width", "curvature", "speed_limit"))
+        if length <= 0:
+            raise SceneParseError(f"{path}: map node length must be positive")
+        if width <= 0:
+            raise SceneParseError(f"{path}: map node width must be positive")
+        if limit < 0:
+            raise SceneParseError(f"{path}: speed limit must be >= 0")
+        for side in (n["boundary_left"], n["boundary_right"]):
+            if side not in BOUNDARY_TYPES:
+                raise SceneParseError(f"{path}: unknown boundary type '{side}'")
+        map_features.append(_map_feature_row(length, width, curvature, limit, n["boundary_left"],
+                                             n["boundary_right"]))
+    map_poses = np.array(map_poses).reshape(-1, 3)
+    map_poses[:, 2] = wrap_angles(map_poses[:, 2])
 
     ego_id, dt = _integer(doc, "ego_id", "$"), _number(doc, "dt", "$")
     try:
-        return Scene(agents=tuple(agents), map_nodes=tuple(nodes), ego_id=ego_id,
-                     horizon=horizon, dt=dt)
+        return Scene(agents=tuple(agents), map_poses=map_poses,
+                     map_features=np.array(map_features).reshape(-1, MAP_FEATURE_WIDTH),
+                     ego_id=ego_id, horizon=horizon, dt=dt)
     except ValueError as exc:
         raise SceneParseError(f"$: {exc}") from exc
 

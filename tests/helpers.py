@@ -22,6 +22,9 @@ from eqtraffic.pga import GEOM_TABLE, GRADES, INNER_INDICES, MOTOR_SLOTS, WEDGE_
 ROW_FIELDS = ("scalars_raw", "raw_poses", "prev_flat", "valid", "targets", "target_valid")
 MAP_FIELDS = ("map_scalars_raw", "map_poses", "map_valid")
 
+# `dataclasses.replace(scene, **NO_MAP)` is the scene without its map
+NO_MAP = {"map_poses": np.zeros((0, 3)), "map_features": np.zeros((0, sc.MAP_FEATURE_WIDTH))}
+
 
 def gp(a, b):
     return np.einsum("i,j,ijk->k", a, b, GEOM_TABLE)
@@ -143,6 +146,12 @@ def max_rel_err(actual, expected, floor=1e-12):
     return float(np.max(np.abs(actual - expected) / denom))
 
 
+def with_agents(scene, agents, **changes):
+    """`scene` with `agents` (Agent records) in place of its own, and `changes` to its other fields:
+    the one way the tests build a scene from agents."""
+    return dataclasses.replace(scene, agents=tuple(agents), **changes)
+
+
 def gappy_scene(seed, horizon=22, n_agents=4):
     """Synthetic scene whose agents start late, pause, or stop early."""
     rng = np.random.default_rng(seed)
@@ -155,8 +164,7 @@ def gappy_scene(seed, horizon=22, n_agents=4):
                      if start <= s.t < stop and not gap <= s.t < gap + 2)
         agents.append(sc.Agent(id=agent.id, agent_class=agent.agent_class,
                                length=agent.length, width=agent.width, states=keep))
-    return sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
-                    ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    return with_agents(scene, agents)
 
 
 def batch_rows(batch, start, stop=None):

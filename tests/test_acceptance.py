@@ -252,7 +252,7 @@ def test_criterion_5_end_to_end_invariance(random_model):
         scene = sc.generate_synthetic_scene(gen, seed=seed)
         base = np.asarray(md.forward(md.build_token_batch(scene, vocab, cfg), params, cfg))
         transforms = [hn.REFERENCE_TRANSFORM] + [
-            pga.Pose2(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
+            (rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
             for _ in range(20)
         ]
         for g in transforms:
@@ -267,7 +267,7 @@ def test_criterion_5_end_to_end_invariance(random_model):
         scene = sc.generate_synthetic_scene(gen, seed=1000 + i)
         g = pga.Pose2(rng.uniform(-100, 100), rng.uniform(-100, 100), rng.uniform(-math.pi, math.pi))
         ro1 = hn.rollout(params, cfg, scene, vocab, 40, mode="greedy", context=10)[0]
-        ro2 = hn.rollout(params, cfg, sc.transform_scene(scene, g), vocab, 40,
+        ro2 = hn.rollout(params, cfg, sc.transform_scene(scene, (g.x, g.y, g.theta)), vocab, 40,
                          mode="greedy", context=10)[0]
         if np.array_equal(ro1.tokens, ro2.tokens):
             agree += 1

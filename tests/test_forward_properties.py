@@ -9,9 +9,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from eqtraffic import model as md
-from eqtraffic import pga
 from eqtraffic import scene as sc
-from helpers import batch_rows, gappy_scene
+from helpers import NO_MAP, batch_rows, gappy_scene
 
 
 def _vocab():
@@ -43,7 +42,7 @@ def scenes(draw):
     """A scene of 1-4 agents that start late, pause or stop early; one in four has no map."""
     scene = gappy_scene(draw(st.integers(0, 999)), horizon=draw(st.integers(3, 7)),
                         n_agents=draw(st.integers(1, 4)))
-    return dataclasses.replace(scene, map_nodes=()) if draw(st.integers(0, 3)) == 0 else scene
+    return dataclasses.replace(scene, **NO_MAP) if draw(st.integers(0, 3)) == 0 else scene
 
 
 def logits_of(batch, p, cfg, variant):
@@ -78,6 +77,6 @@ def test_forward_properties_over_small_configs(cfg, scene, other, context, angle
             assert np.max(np.abs(own - logits_of(b, p, cfg, variant))[b.valid], initial=0.0) <= 1e-12, variant
 
     # f64 end-to-end invariance
-    g = pga.Pose2(150.0 * math.cos(angle), -80.0 * math.sin(3.0 * angle), angle)
+    g = (150.0 * math.cos(angle), -80.0 * math.sin(3.0 * angle), angle)
     moved = logits_of(md.build_token_batch(sc.transform_scene(scene, g), VOCAB, cfg), params, cfg, "geometric")
     assert np.max(np.abs(moved - logits)) <= 1e-8 * max(1.0, float(np.max(np.abs(logits))))

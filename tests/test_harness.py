@@ -9,7 +9,7 @@ from eqtraffic import autodiff as ad
 from eqtraffic import harness as hn
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
-from helpers import gappy_scene, pose_compose
+from helpers import gappy_scene, pose_compose, with_agents
 
 
 def setup(seed=0, horizon=12, n_agents=3, dtype="f64"):
@@ -183,8 +183,7 @@ def test_rollout_of_agents_with_uneven_histories():
         a = agents[ai]
         agents[ai] = sc.Agent(id=a.id, agent_class=a.agent_class, length=a.length,
                               width=a.width, states=tuple(s for s in a.states if rule(s.t)))
-    scene = sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes, ego_id=scene.ego_id,
-                     horizon=scene.horizon, dt=scene.dt)
+    scene = with_agents(scene, agents)
     ro = hn.rollout(params, cfg, scene, vocab, horizon=horizon, mode="greedy",
                     context=context)[0]
     expect = np.zeros((len(agents), context + horizon), dtype=bool)
@@ -318,7 +317,7 @@ def test_identity_transform_zero_deviation():
     scene, vocab, cfg, params = setup(seed=7, horizon=8)
     batch = md.build_token_batch(scene, vocab, cfg)
     base = np.asarray(md.forward(batch, params, cfg))
-    moved = md.build_token_batch(sc.transform_scene(scene, pga.Pose2(0, 0, 0)), vocab, cfg)
+    moved = md.build_token_batch(sc.transform_scene(scene, (0, 0, 0)), vocab, cfg)
     out = np.asarray(md.forward(moved, params, cfg))
     assert float(np.max(np.abs(out - base))) == 0.0
 

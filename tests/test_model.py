@@ -17,6 +17,7 @@ from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
 from eqtraffic.batch import pose_frame_motors, sandwich_matrix
 from helpers import (
+    NO_MAP,
     ROW_FIELDS,
     batch_rows,
     decode_point,
@@ -29,6 +30,7 @@ from helpers import (
     reverse,
     sandwich,
     stack_samples,
+    with_agents,
 )
 
 
@@ -114,7 +116,7 @@ def test_end_to_end_invariance_f64():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(25):
-        g = pga.Pose2(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
+        g = (rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-math.pi, math.pi))
         moved = md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg)
         worst = max(worst, float(np.max(np.abs(np.asarray(md.forward(moved, params, cfg)) - base))))
     assert worst <= 1e-8
@@ -123,7 +125,7 @@ def test_end_to_end_invariance_f64():
 def test_invariance_under_reference_transform():
     scene, vocab, cfg, params, batch = desk_setup(seed=4)
     base = np.asarray(md.forward(batch, params, cfg))
-    g = pga.Pose2(100.0, 0.0, math.pi / 2)
+    g = (100.0, 0.0, math.pi / 2)
     moved = md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg)
     dev = float(np.max(np.abs(np.asarray(md.forward(moved, params, cfg)) - base)))
     assert dev <= 1e-8
@@ -140,10 +142,9 @@ def test_zero_blocks_keep_tokens_independent():
 
     # perturb every field of agent 1; agent 0 logits must be bitwise unchanged
     agents = list(scene.agents)
-    moved = sc.transform_scene(scene, pga.Pose2(3.0, -2.0, 0.5))
+    moved = sc.transform_scene(scene, (3.0, -2.0, 0.5))
     agents[1] = moved.agents[1]
-    scene2 = sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
-                      ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    scene2 = with_agents(scene, agents)
     out = np.asarray(md.forward(md.build_token_batch(scene2, vocab, cfg), params, cfg))
     assert np.array_equal(out[0], base[0])
 
@@ -170,8 +171,7 @@ def test_causality_exact():
             sc.Agent(id=agent.id, agent_class=agent.agent_class, length=agent.length,
                      width=agent.width, states=tuple(states))
         )
-    scene2 = sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
-                      ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    scene2 = with_agents(scene, agents)
     out = np.asarray(md.forward(md.build_token_batch(scene2, vocab, cfg), params, cfg))
     # logits strictly before the cut cannot change (prev-token at t uses t-1 -> t)
     assert np.array_equal(out[:, :t_cut], base[:, :t_cut])
@@ -200,9 +200,7 @@ def test_agent_permutation_equivariance():
     scene, vocab, cfg, params, batch = desk_setup(seed=7)
     base = np.asarray(md.forward(batch, params, cfg))
     perm = [2, 0, 1]
-    agents = tuple(scene.agents[i] for i in perm)
-    scene2 = sc.Scene(agents=agents, map_nodes=scene.map_nodes,
-                      ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    scene2 = with_agents(scene, [scene.agents[i] for i in perm])
     out = np.asarray(md.forward(md.build_token_batch(scene2, vocab, cfg), params, cfg))
     scale = max(1.0, float(np.max(np.abs(base))))
     assert float(np.max(np.abs(out - base[perm]))) <= 1e-12 * scale
@@ -239,7 +237,7 @@ def test_distance_awareness_off_still_invariant():
     params = md.init_params(cfg)
     batch = md.build_token_batch(scene, vocab, cfg)
     base = np.asarray(md.forward(batch, params, cfg))
-    g = pga.Pose2(-80.0, 45.0, 2.0)
+    g = (-80.0, 45.0, 2.0)
     moved = md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg)
     out = np.asarray(md.forward(moved, params, cfg))
     assert float(np.max(np.abs(out - base))) <= 1e-8
@@ -257,16 +255,14 @@ def test_partial_validity_masks_out_missing_steps():
     late = agents[1]
     agents[1] = sc.Agent(id=late.id, agent_class=late.agent_class, length=late.length,
                          width=late.width, states=tuple(s for s in late.states if s.t >= 3))
-    scene2 = sc.Scene(agents=tuple(agents), map_nodes=scene.map_nodes,
-                      ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    scene2 = with_agents(scene, agents)
     batch = md.build_token_batch(scene2, vocab, cfg)
     assert not batch.valid[1, :3].any() and batch.valid[1, 3:].all()
     logits = np.asarray(md.forward(batch, params, cfg))
     assert np.all(np.isfinite(np.maximum(logits, -1e30)))
     # the placeholder rows of the missing agent never influence other agents:
     # logits at t < 3 must equal the scene with agent 1 removed entirely
-    solo = sc.Scene(agents=(agents[0],) + tuple(agents[2:]), map_nodes=scene.map_nodes,
-                    ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    solo = with_agents(scene, [agents[0]] + agents[2:])
     solo_logits = np.asarray(md.forward(md.build_token_batch(solo, vocab, cfg), params, cfg))
     keep = [0] + list(range(2, len(agents)))
     assert np.allclose(logits[keep, :3], solo_logits[:, :3], atol=1e-12)
@@ -283,9 +279,10 @@ def test_minimal_scene_runs():
     agent = sc.Agent(id=0, agent_class="vehicle", length=4.0, width=2.0,
                      states=tuple(sc.AgentState(t, pga.Pose2(t * 0.5, 0.0, 0.0), 5.0)
                                   for t in range(3)))
-    node = sc.MapNode(pose=pga.Pose2(1.0, 0.0, 0.0), length=5.0, width=3.5, curvature=0.0,
-                      speed_limit=10.0, boundary_left="none", boundary_right="solid")
-    scene = sc.Scene(agents=(agent,), map_nodes=(node,), ego_id=0, horizon=3, dt=0.1)
+    # one map node at (1, 0): 5 m long, 3.5 m wide, straight, 10 m/s, no left boundary, a solid right one
+    scene = with_agents(sc.generate_synthetic_scene(sc.GeneratorConfig(), 0), (agent,), ego_id=0, horizon=3,
+                        dt=0.1, map_poses=[[1.0, 0.0, 0.0]],
+                        map_features=[[5.0, 3.5, 0.0, 10.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
     cfg = md.ModelConfig(vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES}, dtype="f64")
     logits = np.asarray(md.forward(md.build_token_batch(scene, vocab, cfg),
                                    md.init_params(cfg), cfg))
@@ -389,13 +386,15 @@ def reference_token_batch(scene, vocab, cfg, t_end=None, with_targets=True):
             prev_flat[a, t] = md.flat_token_index(cls_i, token_of.get(t - 1, vmax), vmax)
             if with_targets and t in token_of:
                 targets[a, t] = token_of[t]
-    map_poses = np.array([[n.pose.x - ax, n.pose.y - ay, n.pose.theta]
-                          for n in scene.map_nodes]).reshape(-1, 3)
+    # the map rows from the scene's file: sizes, then a boundary one-hot per side
+    nodes = json.loads(sc.scene_to_json(scene))["map"]
+    map_poses = np.array([[n["x"] - ax, n["y"] - ay, n["theta"]] for n in nodes]).reshape(-1, 3)
+    map_scalars = np.array([[n["length"], n["width"], n["curvature"], n["speed_limit"]]
+                            + [float(n[side] == b) for side in ("boundary_left", "boundary_right")
+                               for b in sc.BOUNDARY_TYPES] for n in nodes]).reshape(-1, sc.MAP_FEATURE_WIDTH)
     return md.TokenBatch(
         scalars_raw=scalars, raw_poses=poses, prev_flat=prev_flat, class_idx=class_idx,
-        map_scalars_raw=np.array([sc.encode_map_scalars(n) for n in scene.map_nodes]).reshape(
-            -1, sc.MAP_FEATURE_WIDTH),
-        map_poses=map_poses, map_valid=np.ones(len(map_poses), dtype=bool),
+        map_scalars_raw=map_scalars, map_poses=map_poses, map_valid=np.ones(len(map_poses), dtype=bool),
         valid=valid, targets=targets, target_valid=targets >= 0,
     )
 
@@ -430,8 +429,7 @@ def test_token_batch_matches_the_per_agent_encoder(seed, keep, t_end, empty_map,
     agents = tuple(sc.Agent(id=a.id, agent_class=a.agent_class, length=a.length, width=a.width,
                             states=tuple(s for s in a.states if kept[i, s.t]))
                    for i, a in enumerate(scene.agents))
-    scene = sc.Scene(agents=agents, map_nodes=() if empty_map else scene.map_nodes,
-                     ego_id=scene.ego_id, horizon=scene.horizon, dt=scene.dt)
+    scene = with_agents(scene, agents, **(NO_MAP if empty_map else {}))
     got = md.build_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=with_targets)
     expect = reference_token_batch(scene, vocab, cfg, t_end=t_end, with_targets=with_targets)
     for f in dataclasses.fields(md.TokenBatch):
@@ -462,8 +460,7 @@ def resampled_agents(scene, seed):
                               for s in a.states))
         for a in scene.agents
     )
-    return sc.Scene(agents=agents, map_nodes=scene.map_nodes, ego_id=scene.ego_id,
-                    horizon=scene.horizon, dt=scene.dt)
+    return with_agents(scene, agents)
 
 
 @pytest.mark.parametrize("map_attention", ["all", 3])
@@ -484,7 +481,7 @@ def test_stacked_samples_match_separate_forwards(map_attention):
     # full forwards, geometric and scalar baselines: samples on a leading axis over one unstacked map
     stacked = stack_samples([rows(sc_, 0, context) for sc_ in samples])
     assert stacked.valid.shape == (3, n_agents, context) and stacked.class_idx.shape == (3, n_agents)
-    assert stacked.map_valid.shape == (len(base.map_nodes),) and stacked.map_poses.shape[0] == len(base.map_nodes)
+    assert stacked.map_valid.shape == (len(base.map_poses),) and stacked.map_poses.shape[0] == len(base.map_poses)
     together = np.asarray(md.forward(stacked, params, cfg))
     assert together.shape == (3, n_agents, context, cfg.max_vocab)
     for variant in ("vanilla", "rpe"):
@@ -541,8 +538,7 @@ def test_decoder_gathers_class_heads_and_masks_vocab():
 @pytest.mark.parametrize("map_attention", ["all", 3])
 def test_empty_map_runs(map_attention):
     scene, vocab, cfg0, params, _ = desk_setup(seed=23, map_attention=map_attention)
-    empty = sc.Scene(agents=scene.agents, map_nodes=(), ego_id=scene.ego_id,
-                     horizon=scene.horizon, dt=scene.dt)
+    empty = dataclasses.replace(scene, **NO_MAP)
     batch = md.build_token_batch(empty, vocab, cfg0)
     assert batch.num_map == 0
     logits = np.asarray(md.forward(batch, params, cfg0))
@@ -790,7 +786,7 @@ def test_f32_logits_do_not_drift_with_distance_from_origin(distance, heading, th
     """The anchor keeps f32 inputs scene-sized: moving the scene up to 100 km
     changes the logits by at most 1e-4 of their scale."""
     scene, vocab, cfg, params, batch = F32_DRIFT_SETUP
-    g = pga.Pose2(distance * math.cos(heading), distance * math.sin(heading), theta)
+    g = (distance * math.cos(heading), distance * math.sin(heading), theta)
     base = np.asarray(md.forward(batch, params, cfg), dtype=np.float64)
     moved = np.asarray(md.forward(md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg),
                                   params, cfg), dtype=np.float64)
@@ -801,13 +797,11 @@ def test_f32_logits_do_not_drift_with_distance_from_origin(distance, heading, th
 def test_poses_are_anchor_relative():
     scene, vocab, cfg, params, batch = desk_setup(seed=32)
     assert np.array_equal(batch.map_poses[0, :2], [0.0, 0.0])
-    node = scene.map_nodes[0].pose
     ax, ay = md.scene_anchor(scene)
-    assert (ax, ay) == (node.x, node.y)
+    assert (ax, ay) == tuple(scene.map_poses[0, :2])
     cut = md.build_token_batch(scene, vocab, cfg, t_end=7)
     assert np.array_equal(cut.raw_poses[:, 5:], batch.raw_poses[:, 5:7])
-    empty = sc.Scene(agents=scene.agents, map_nodes=(), ego_id=scene.ego_id,
-                     horizon=scene.horizon, dt=scene.dt)
+    empty = dataclasses.replace(scene, **NO_MAP)
     first = scene.ego().states[0].pose
     assert md.scene_anchor(empty) == (first.x, first.y)
     ego_row = [a.id for a in scene.agents].index(scene.ego_id)
@@ -835,8 +829,7 @@ def test_packed_step_equals_the_per_scene_path(map_attention, n_scenes):
     scenes = [gappy_scene(33, horizon=12),
               sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=2, horizon=7, n_lanes=2), seed=34)]
     base = sc.generate_synthetic_scene(sc.GeneratorConfig(n_agents=3, horizon=9, n_lanes=2), seed=35)
-    scenes.append(sc.Scene(agents=base.agents, map_nodes=(), ego_id=base.ego_id,
-                           horizon=base.horizon, dt=base.dt))
+    scenes.append(dataclasses.replace(base, **NO_MAP))
     batches = [md.build_token_batch(s, vocab, cfg) for s in scenes[:n_scenes]]
 
     # a shorter scene is padded by encoding it up to the longest horizon
@@ -994,7 +987,7 @@ def taped_weight_terms(tape, pvars) -> dict:
 def test_weight_flops_from_the_tape_match_flop_count(variant, with_map):
     scene, vocab, cfg, _, _ = desk_setup()
     if not with_map:
-        scene = dataclasses.replace(scene, map_nodes=())
+        scene = dataclasses.replace(scene, **NO_MAP)
     batch = md.build_token_batch(scene, vocab, cfg)
     pvars = md.init_params(cfg, variant).as_vars()
     with ad.Tape() as tape:
@@ -1047,7 +1040,7 @@ def test_rpe_zero_mlp_reduces_to_vanilla_attention():
 
 def test_rpe_baseline_invariant_vanilla_not():
     scene, vocab, cfg, _, batch = desk_setup(seed=12)
-    g = pga.Pose2(100.0, 0.0, math.pi / 2)
+    g = (100.0, 0.0, math.pi / 2)
     moved = md.build_token_batch(sc.transform_scene(scene, g), vocab, cfg)
 
     rpe_params = md.init_params(cfg, "rpe")
@@ -1258,8 +1251,7 @@ def tiny_grad_setup():
     gen = sc.GeneratorConfig(n_agents=2, horizon=3, n_lanes=2, lane_length=4.0,
                              seg_len=2.0, center_spread=2.0)
     scene = sc.generate_synthetic_scene(gen, seed=3)
-    scene = sc.Scene(agents=scene.agents, map_nodes=scene.map_nodes[:4],
-                     ego_id=0, horizon=3, dt=0.1)
+    scene = dataclasses.replace(scene, map_poses=scene.map_poses[:4], map_features=scene.map_features[:4])
     cfg = md.ModelConfig(mv_channels=2, scalar_channels=8, heads=2, blocks=1,
                          vocab_sizes={c: vocab.size(c) for c in sc.AGENT_CLASSES},
                          dtype="f64", input_hidden=6, adapter_hidden=6, decoder_hidden=8)

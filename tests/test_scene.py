@@ -11,6 +11,7 @@ import pytest
 from eqtraffic import model as md
 from eqtraffic import pga, scene as sc
 from helpers import (
+    NO_MAP,
     compose_pose_oracle,
     decode_point,
     gappy_scene,
@@ -20,6 +21,7 @@ from helpers import (
     pose_inverse,
     rand_pose,
     sandwich,
+    with_agents,
 )
 
 
@@ -98,19 +100,22 @@ def test_agent_scalar_features():
         id=1, agent_class="vehicle", length=1.0, width=1.0,
         states=(sc.AgentState(0, pga.Pose2(5.0, 5.0, 1.0), 0.0),),
     )
-    scene = sc.Scene(agents=(agent,), map_nodes=(), ego_id=1, horizon=4, dt=0.1)
+    scene = with_agents(small_scene(), (agent,), ego_id=1, horizon=4, **NO_MAP)
     scalars = token_batch(scene).scalars_raw[0]
     assert np.array_equal(scalars[0], [0, 1, 1, 1, 0, 0])
     assert not scalars[3].any()  # no state at t=3: the row carries no features
 
 
 def test_map_scalar_features_pose_independent():
-    base = dict(length=5.0, width=3.5, curvature=0.01, speed_limit=8.33,
-                boundary_left="dashed", boundary_right="solid")
-    n1 = sc.MapNode(pose=pga.Pose2(0, 0, 0), **base)
-    n2 = sc.MapNode(pose=pga.Pose2(100, -3, 2.0), **base)
-    assert np.array_equal(sc.encode_map_scalars(n1), sc.encode_map_scalars(n2))
-    assert sc.encode_map_scalars(n1).shape == (sc.MAP_FEATURE_WIDTH,)
+    """A transform leaves the map's features bit for bit and moves its poses as `compose_poses`
+    does; both stay read-only."""
+    scene = small_scene(seed=3)
+    g = (100.0, -3.0, 2.0)
+    moved = sc.transform_scene(scene, g)
+    assert np.array_equal(moved.map_features, scene.map_features)
+    assert moved.map_features.shape == (len(scene.map_poses), sc.MAP_FEATURE_WIDTH)
+    assert np.array_equal(moved.map_poses, pga.compose_poses(np.array(g), scene.map_poses))
+    assert not moved.map_poses.flags.writeable and not moved.map_features.flags.writeable
 
 
 def test_feature_width_constant_across_classes():
@@ -120,7 +125,7 @@ def test_feature_width_constant_across_classes():
             id=0, agent_class=cls, length=1.0, width=0.5,
             states=(sc.AgentState(0, pga.Pose2(0, 0, 0), 2.0),),
         )
-        scene = sc.Scene(agents=(agent,), map_nodes=(), ego_id=0, horizon=1, dt=0.1)
+        scene = with_agents(small_scene(), (agent,), horizon=1, **NO_MAP)
         widths.add(token_batch(scene).scalars_raw.shape[-1])
     assert widths == {sc.AGENT_FEATURE_WIDTH}
 
@@ -268,7 +273,7 @@ def test_recenter_scene():
     scene = small_scene(seed=10)
     batch = token_batch(scene)
     anchor = md.scene_anchor(scene)
-    assert anchor == (scene.map_nodes[0].pose.x, scene.map_nodes[0].pose.y)
+    assert anchor == tuple(scene.map_poses[0, :2])
     assert np.array_equal(batch.map_poses[0, :2], [0.0, 0.0])
     restored = batch.raw_poses + [*anchor, 0.0]
     assert np.allclose(restored, sc.agent_states(scene, scene.horizon).poses, rtol=0.0, atol=1e-9)
@@ -277,7 +282,7 @@ def test_recenter_scene():
 def test_recenter_already_centered_is_identity():
     scene = small_scene(seed=11)
     ax, ay = md.scene_anchor(scene)
-    centered = sc.transform_scene(scene, pga.Pose2(-ax, -ay, 0.0))
+    centered = sc.transform_scene(scene, (-ax, -ay, 0.0))
     assert md.scene_anchor(centered) == (0.0, 0.0)
     assert np.max(np.abs(token_batch(centered).raw_poses - token_batch(scene).raw_poses)) <= 1e-12
 
@@ -308,8 +313,7 @@ def test_generator_zero_noise_on_centerline():
     cfg = sc.GeneratorConfig(speed_noise=0.0, lateral_spread=0.0, heading_noise=0.0,
                              n_agents=2, n_lanes=1, straight_fraction=0.0)
     scene = sc.generate_synthetic_scene(cfg, seed=15)
-    node = scene.map_nodes[0]
-    curvature = node.curvature
+    curvature = scene.map_features[0, 2]
     for deltas in agent_deltas(scene):
         # constant speed, constant curvature: all deltas identical
         assert np.max(np.std(deltas, axis=0)) <= 1e-9
@@ -345,8 +349,7 @@ KNOWN_CONFIGS = {
     "noiseless": {"speed_noise": 0.0, "lateral_spread": 0.0, "heading_noise": 0.0},
     "horizon2": {"horizon": 2},
 }
-KNOWN_TRANSFORMS = (pga.Pose2(100.0, 0.0, math.pi / 2), pga.Pose2(-37.5, 212.25, 2.9),
-                    pga.Pose2(1e5, -3e4, -math.pi))
+KNOWN_TRANSFORMS = ((100.0, 0.0, math.pi / 2), (-37.5, 212.25, 2.9), (1e5, -3e4, -math.pi))
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN_CONFIGS))
@@ -434,6 +437,14 @@ BAD_SCENE_VALUES = {
                r"\$\.agents\[0\]\.states\[1\]\.x: expected a finite number of magnitude at most 1e\+09"),
     "huge_agent_id": (lambda d: d["agents"][1].update(id=10**400),
                       r"\$\.agents\[1\]\.id: \d+ outside the 64-bit integer range"),
+    "zero_map_length": (lambda d: d["map"][2].update(length=0),
+                        r"\$\.map\[2\]: map node length must be positive"),
+    "negative_speed_limit": (lambda d: d["map"][2].update(speed_limit=-0.5),
+                             r"\$\.map\[2\]: speed limit must be >= 0"),
+    "unknown_boundary": (lambda d: d["map"][2].update(boundary_left="wall"),
+                         r"\$\.map\[2\]: unknown boundary type 'wall'"),
+    "negative_map_width": (lambda d: d["map"][2].update(width=-2.0),
+                           r"\$\.map\[2\]: map node width must be positive"),
 }
 
 
